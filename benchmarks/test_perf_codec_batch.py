@@ -10,6 +10,9 @@ Locks in the two performance claims of the batched codec layer:
   >= 3x faster than the scalar reference because the
   :class:`InverseCache` skips Gaussian elimination and the reconstruction
   is one batched matmul.  The cache-hit counters must prove the reuse.
+* **decode, fresh pattern**: an ``InverseCache`` *miss* at the fig01 point
+  ``rse(100, 20)`` costs <= 2x a hit, because the decode plan inverts only
+  the ``20 x 20`` erased block, not the ``100 x 100`` submatrix.
 
 Run with ``pytest benchmarks/test_perf_codec_batch.py --benchmark-only``.
 """
@@ -176,6 +179,35 @@ def test_cached_decode_speedup(benchmark):
         },
     )
     assert aggregate >= 3.0, f"aggregate decode speedup {aggregate:.2f}x < 3x"
+
+
+def _miss_over_hit(k: int = 100, e: int = 20, patterns: int = 40) -> float:
+    """Median cache-miss decode time over median cache-hit decode time,
+    ``e`` erased data packets rebuilt from the ``e`` parities of rse(k, e);
+    each fresh pattern is decoded twice (the miss, then its hit)."""
+    codec = RSECodec(k, e, inverse_cache=InverseCache(maxsize=patterns))
+    data = _symbol_blocks(codec, 1)[0]
+    block = np.concatenate([data, codec.encode_symbols(data)])
+    rng = np.random.default_rng(0xF16)
+    miss_times, hit_times = [], []
+    for _ in range(patterns):
+        erased = set(rng.choice(k, size=e, replace=False).tolist())
+        rows = {i: block[i] for i in range(k + e) if i not in erased}
+        for times in (miss_times, hit_times):
+            start = time.perf_counter()
+            out = codec.decode_symbols(dict(rows))
+            times.append(time.perf_counter() - start)
+        assert all(np.array_equal(out[i], data[i]) for i in erased)
+    # the counters must prove which decodes were which
+    assert codec.stats.decode_cache_misses == patterns
+    assert codec.stats.decode_cache_hits == patterns
+    return float(np.median(miss_times) / np.median(hit_times))
+
+
+def test_miss_decode_within_2x_of_hit():
+    ratio = _miss_over_hit()
+    record_trajectory("codec_batch", {"decode_miss_over_hit": ratio})
+    assert ratio <= 2.0, f"miss decode costs {ratio:.2f}x a hit (> 2x)"
 
 
 def test_smoke_speedup_without_benchmark_plugin():

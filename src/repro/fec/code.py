@@ -155,6 +155,10 @@ class ErasureCode(abc.ABC):
         self.n = k + h
         self.field = field
         self._symbol_bytes = field.dtype.itemsize
+        # The symbol range scan only matters when the dtype has headroom
+        # above the field order (e.g. uint8 symbols for GF(2^4)); decided
+        # once here because _to_symbols runs per packet on the hot path.
+        self._scan_symbol_range = field.order <= np.iinfo(field.dtype).max
         self._decodable_memo: dict[tuple[int, ...], bool] = {}
         self.stats = CodecStats()
 
@@ -215,18 +219,19 @@ class ErasureCode(abc.ABC):
     ) -> np.ndarray:
         if isinstance(packet, np.ndarray):
             arr = np.ascontiguousarray(packet, dtype=self.field.dtype)
-            # The range scan only matters when the dtype has headroom above
-            # the field order (e.g. uint8 symbols for GF(2^4)); for full-range
-            # fields like GF(2^8)-over-uint8 every representable value is a
-            # valid symbol and scanning would touch every byte of every
-            # packet on the encode hot path for nothing.  Aligned same-dtype
-            # inputs pass through ascontiguousarray without a copy, keeping
-            # this branch zero-copy end to end.
-            if self.field.order <= np.iinfo(self.field.dtype).max:
-                if arr.size and int(arr.max()) >= self.field.order:
-                    raise ValueError(
-                        f"symbol value exceeds GF(2^{self.field.m}) range"
-                    )
+            # For full-range fields like GF(2^8)-over-uint8 every
+            # representable value is a valid symbol and scanning would touch
+            # every byte of every packet on the encode hot path for nothing.
+            # Aligned same-dtype inputs pass through ascontiguousarray
+            # without a copy, keeping this branch zero-copy end to end.
+            if (
+                self._scan_symbol_range
+                and arr.size
+                and int(arr.max()) >= self.field.order
+            ):
+                raise ValueError(
+                    f"symbol value exceeds GF(2^{self.field.m}) range"
+                )
             return arr
         raw = bytes(packet)
         if self.field.m == 4:
@@ -276,7 +281,7 @@ class ErasureCode(abc.ABC):
             )
         # dtypes wider than the field (e.g. uint8 for GF(2^4)) can smuggle
         # out-of-range symbols into the lookup tables; reject them here
-        if self.field.order <= np.iinfo(self.field.dtype).max:
+        if self._scan_symbol_range:
             data = np.ascontiguousarray(data, dtype=self.field.dtype)
             if data.size and int(data.max()) >= self.field.order:
                 raise ValueError(

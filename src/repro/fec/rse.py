@@ -75,20 +75,23 @@ def _cached_generator(field: GaloisField, k: int, n: int) -> np.ndarray:
 
 
 class InverseCache:
-    """Bounded LRU of inverted ``(k, k)`` decode submatrices.
+    """Bounded LRU of ``(e, k)`` decode plans, one per erasure pattern.
 
     Keys are ``(field, k, n, use)`` where ``use`` is the sorted tuple of
-    block indices whose generator rows form the submatrix — i.e. the
-    erasure pattern.  Across 10^6 simulated receivers and repeated MC
-    trials the same few patterns recur constantly, so a hit replaces an
-    O(k^3) Gaussian elimination with a dictionary lookup.  Cached arrays
-    are frozen read-only; the field in the key keeps codecs over different
-    fields (or different ``(k, n)``) from ever colliding.
+    block indices whose generator rows form the decode submatrix — i.e.
+    the erasure pattern.  The value is the ``e`` rows of that submatrix's
+    inverse which rebuild the ``e`` erased data packets (the only rows a
+    decode reads), so an entry holds ``e * k`` symbols.  Across 10^6
+    simulated receivers and repeated MC trials the same few patterns recur
+    constantly; a miss costs O(e^3 + e^2 * (k - e)) field operations (see
+    :meth:`RSECodec._decode_coefficients`), a hit a dictionary lookup.
+    Cached arrays are frozen read-only; the field in the key keeps codecs
+    over different fields (or different ``(k, n)``) from ever colliding.
 
     The key deliberately does *not* include the GF-kernel backend: every
     registered backend is conformance-gated to bit-identity with the
-    ``numpy`` oracle (DESIGN.md section 16), so an inverse computed under
-    one backend is valid under all of them and cache hits survive backend
+    ``numpy`` oracle (DESIGN.md section 16), so a plan computed under one
+    backend is valid under all of them and cache hits survive backend
     switches mid-run.
     """
 
@@ -153,7 +156,7 @@ class RSECodec(ErasureCode):
     field:
         Galois field to operate in; defaults to GF(2^8).
     inverse_cache:
-        Bounded LRU for inverted decode submatrices; defaults to the
+        Bounded LRU for per-erasure-pattern decode plans; defaults to the
         process-wide shared cache (safe: keys carry field and geometry).
     gf_backend:
         Optional GF-kernel backend name (see :mod:`repro.galois.backends`)
@@ -271,7 +274,17 @@ class RSECodec(ErasureCode):
     def _decode_plan(
         self, rows: dict[int, np.ndarray]
     ) -> tuple[list[int], list[int], list[int]]:
-        """Pick the k equations for a decode: (have_data, missing, use)."""
+        """Pick the k equations for a decode: (have_data, missing, use).
+
+        Both symbol-level decoders are public, so indices are checked here
+        and not only in the bytes-level ``decode()``: ``-1`` would silently
+        alias the last parity row of the generator.
+        """
+        if rows and (min(rows) < 0 or max(rows) >= self.n):
+            raise ValueError(
+                f"packet index out of range for block length n={self.n}: "
+                f"{sorted(rows)}"
+            )
         have_data = [i for i in rows if i < self.k]
         missing = [i for i in range(self.k) if i not in rows]
         parities = sorted(i for i in rows if i >= self.k)
@@ -284,27 +297,50 @@ class RSECodec(ErasureCode):
         use = sorted(have_data) + parities[:needed]
         return have_data, missing, use
 
-    def _inverted_submatrix(self, use: list[int]) -> np.ndarray:
-        """Inverse of ``generator[use]``, via the erasure-pattern cache."""
+    def _decode_coefficients(
+        self, have_data: list[int], missing: list[int], use: list[int]
+    ) -> np.ndarray:
+        """The ``(e, k)`` rows of ``inv(generator[use])`` that rebuild
+        ``missing``, via the erasure-pattern cache.
+
+        ``generator[use]`` stacks the surviving identity rows ``H`` on the
+        chosen parity rows ``J``, so with ``A = P[J, missing]`` those rows
+        are ``[inv(A) @ P[J, H] | inv(A)]`` (columns in ``use`` order): a
+        miss inverts the ``e x e`` block ``A`` — the Schur complement of
+        the identity rows — instead of the whole ``k x k`` submatrix.
+        """
         key = (self.field, self.k, self.n, tuple(use))
-        inverse = self.inverse_cache.get(key)
-        if inverse is not None:
+        coefficients = self.inverse_cache.get(key)
+        if coefficients is not None:
             self.stats.decode_cache_hits += 1
             if obs.is_enabled():
                 obs.counter("rse.decode_cache", outcome="hit").inc()
-            return inverse
+            return coefficients
         self.stats.decode_cache_misses += 1
         if obs.is_enabled():
             obs.counter("rse.decode_cache", outcome="miss").inc()
-        return self.inverse_cache.put(key, invert(self.field, self.generator[use]))
+        survivors = len(have_data)
+        parity_rows = self.generator[use[survivors:]]  # P[J], (e, k)
+        erased_inverse = invert(self.field, parity_rows[:, missing])
+        coefficients = np.empty(
+            (len(missing), self.k), dtype=self.field.dtype
+        )
+        coefficients[:, survivors:] = erased_inverse
+        if survivors:  # no data row survived: nothing to fold back in
+            coefficients[:, :survivors] = self.field.matmul(
+                erased_inverse,
+                parity_rows[:, use[:survivors]],
+                backend=self.gf_backend,
+            )
+        return self.inverse_cache.put(key, coefficients)
 
     def decode_symbols(self, rows: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Symbol-level decode; returns ``{data_index: (S,) symbols}``.
 
         Only missing data packets are actually reconstructed (the Rizzo
         optimisation — cost proportional to the number of losses); received
-        data rows are passed through.  The inverted submatrix for the
-        erasure pattern comes from a bounded LRU (:class:`InverseCache`),
+        data rows are passed through.  The decode coefficients for the
+        erasure pattern come from a bounded LRU (:class:`InverseCache`),
         so repeated patterns skip Gaussian elimination, and all missing
         packets are rebuilt in one batched matrix product.
         """
@@ -317,9 +353,8 @@ class RSECodec(ErasureCode):
         with obs.span(
             "rse.decode", k=self.k, h=self.h, missing=len(missing)
         ):
-            inverse = self._inverted_submatrix(use)
+            coefficients = self._decode_coefficients(have_data, missing, use)
             stacked = np.vstack([rows[i] for i in use])  # (k, S)
-            coefficients = inverse[missing]  # (M, k)
             reconstructed = self.field.matmul(
                 coefficients, stacked, backend=self.gf_backend
             )
@@ -338,8 +373,10 @@ class RSECodec(ErasureCode):
     ) -> dict[int, np.ndarray]:
         """Reference scalar decode: per-packet loop, no inverse cache.
 
-        Always runs Gaussian elimination; bit-identical output (and stats
-        accounting, cache counters aside) to :meth:`decode_symbols`."""
+        Always runs Gaussian elimination over the full ``(k, k)`` submatrix
+        (the independent oracle for :meth:`_decode_coefficients`);
+        bit-identical output (and stats accounting, cache counters aside)
+        to :meth:`decode_symbols`."""
         have_data, missing, use = self._decode_plan(rows)
         out: dict[int, np.ndarray] = {i: rows[i] for i in have_data}
         if not missing:

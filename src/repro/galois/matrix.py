@@ -92,8 +92,9 @@ def invert(field: GaloisField, matrix: np.ndarray) -> np.ndarray:
     size = matrix.shape[0]
     if matrix.shape != (size, size):
         raise ValueError(f"matrix is not square: {matrix.shape}")
-    work = matrix.copy()
-    inverse = identity(field, size)
+    # One augmented [matrix | identity] array: every row operation (swap,
+    # pivot scaling, column elimination) then runs once over both halves.
+    work = np.concatenate([matrix, identity(field, size)], axis=1)
 
     for col in range(size):
         pivot_row = col
@@ -103,19 +104,16 @@ def invert(field: GaloisField, matrix: np.ndarray) -> np.ndarray:
             raise SingularMatrixError(f"matrix is singular at column {col}")
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
-            inverse[[col, pivot_row]] = inverse[[pivot_row, col]]
 
         pivot_inv = field.inverse(int(work[col, col]))
         work[col] = field.scale(pivot_inv, work[col])
-        inverse[col] = field.scale(pivot_inv, inverse[col])
 
         # Eliminate the whole column at once: rows with a zero factor (and
         # the pivot row, masked below) pick up an all-zero outer-product row.
         factors = work[:, col].copy()
         factors[col] = 0
         work ^= field.multiply_outer(factors, work[col])
-        inverse ^= field.multiply_outer(factors, inverse[col])
-    return inverse
+    return np.ascontiguousarray(work[:, size:])
 
 
 def solve(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -326,8 +326,14 @@ class SenderSession:
                 self.repolls += 1
                 self._fanout(Poll(nak.tg, group.sent_last_round, group.round))
             return
-        # current (or ahead-of-us, clamped) round: aggregate the shortfall
-        group.pending_needed = max(group.pending_needed, nak.needed)
+        # current (or ahead-of-us, clamped) round: aggregate the shortfall.
+        # ``needed`` is a peer-supplied u32; a receiver is never short more
+        # than k, so a forged value must not size the repair fan-out.
+        if nak.needed < 1:
+            return
+        group.pending_needed = max(
+            group.pending_needed, min(nak.needed, self.config.k)
+        )
         if not group.flush_armed:
             group.flush_armed = True
             loop = asyncio.get_running_loop()

@@ -317,7 +317,8 @@ class NPSender:
                 self._repair_queue.append(("poll", tg, 0, current))
                 self._arm_pump()
             return
-        self._serve(tg, needed)
+        # a receiver is never short more than k: clamp forged shortfalls
+        self._serve(tg, min(needed, self.config.k))
 
     def _group_in_flight(self, tg: int) -> bool:
         return any(item[1] == tg for item in self._repair_queue)

@@ -20,6 +20,15 @@ import pytest
 
 from repro.campaign.retry import RetryPolicy
 from repro.net import ChaosPlan, ChaosProxy, NetConfig, NetServer, fetch
+from repro.net.wire import decode_frame, encode_frame
+from repro.protocols.packets import (
+    DataPacket,
+    Nak,
+    Poll,
+    SessionAnnounce,
+    SessionComplete,
+    SessionJoin,
+)
 from repro.resilience.errors import TransferStalled, TransferTimeout
 
 pytestmark = pytest.mark.timeout(180)
@@ -121,6 +130,85 @@ class TestCleanLoopback:
         assert all(result.data == data for result in results)
         assert len(reports) == 2
         assert {report.group for report in reports} == {1, 2}
+
+
+class _RawPeer(asyncio.DatagramProtocol):
+    """A hand-driven member: speaks the wire format, obeys no protocol."""
+
+    def __init__(self):
+        self.frames: asyncio.Queue = asyncio.Queue()
+        self.transport = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def datagram_received(self, data: bytes, addr) -> None:
+        self.frames.put_nowait(decode_frame(data))
+
+    def send(self, packet, session_id: int = 0) -> None:
+        self.transport.sendto(encode_frame(packet, session_id))
+
+    async def expect(self, kind, where=lambda packet: True):
+        """The next received frame carrying a ``kind`` packet."""
+        while True:
+            frame = await self.frames.get()
+            if isinstance(frame.packet, kind) and where(frame.packet):
+                return frame
+
+
+class TestHostilePeer:
+    def test_forged_nak_shortfall_costs_at_most_k_repairs(self):
+        """``Nak.needed`` is a u32 on the wire.  A joined member forging
+        ``needed = 4e9`` must cost the session one round of at most ``k``
+        repair frames — not a four-billion-iteration fan-out loop — and
+        the well-behaved member of the same session is unaffected."""
+        # h < k so the clamped round crosses parity repair *and* the ARQ
+        # fallback, the branch the unclamped loop would spin in
+        config = NetConfig(
+            k=4, h=2, packet_size=256, seed=5, join_window=0.3
+        )
+        data = payload(6, config)
+
+        async def scenario():
+            server = NetServer(data, config)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            transport, peer = await loop.create_datagram_endpoint(
+                _RawPeer, remote_addr=(host, port)
+            )
+            try:
+                honest = asyncio.ensure_future(
+                    fetch(host, port, config=config, deadline=30.0)
+                )
+                peer.send(SessionJoin(group=0, nonce=0xBAD))
+                session_id = (await peer.expect(SessionAnnounce)).session_id
+                await peer.expect(DataPacket)  # the session is streaming
+                peer.send(Nak(0, 4_000_000_000, 1), session_id)
+                # the flush closes round 1 with a poll stating what it sent
+                poll = await peer.expect(
+                    Poll, lambda p: p.tg == 0 and p.round == 2
+                )
+                peer.send(SessionComplete(delivered=6), session_id)
+                result = await honest
+                for _ in range(100):
+                    if server.reports:
+                        break
+                    await asyncio.sleep(0.05)
+            finally:
+                transport.close()
+                await server.close()
+            return result, poll.packet, server.reports
+
+        result, poll, reports = run_bounded(scenario())
+        assert result.data == data
+        assert result.complete
+        (report,) = reports
+        assert report.members == 2
+        assert report.rounds_served == 1
+        assert report.naks_received == 1
+        assert poll.sent == config.k
+        # exactly k repairs, not 4e9: h parities, then the ARQ fallback
+        assert (report.parities_sent, report.arq_fallbacks) == (2, 2)
 
 
 class TestChaosTransfer:

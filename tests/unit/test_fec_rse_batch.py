@@ -146,6 +146,101 @@ class TestDecodeCacheBehaviour:
         assert codec.stats.decode_cache_misses == 0
 
 
+class TestDecodePlanShape:
+    """A miss inverts only the erased block and caches the (e, k) plan."""
+
+    K, H = 100, 20
+
+    def _miss(self, rng, monkeypatch):
+        from repro.fec import rse
+
+        inverted_shapes = []
+        real_invert = rse.invert
+
+        def spy(field, matrix):
+            inverted_shapes.append(matrix.shape)
+            return real_invert(field, matrix)
+
+        cache = InverseCache(maxsize=8)
+        codec = RSECodec(self.K, self.H, inverse_cache=cache)  # builds G
+        monkeypatch.setattr(rse, "invert", spy)
+        data, block = _block_rows(codec, rng)
+        erased = set(rng.choice(self.K, size=self.H, replace=False).tolist())
+        rows = _pattern_rows(
+            block, [i for i in range(codec.n) if i not in erased]
+        )
+        return codec, cache, data, rows, inverted_shapes
+
+    def test_miss_inverts_the_erased_block_only(self, rng, monkeypatch):
+        codec, _cache, data, rows, inverted_shapes = self._miss(rng, monkeypatch)
+        out = codec.decode_symbols(dict(rows))
+        for i in range(self.K):
+            assert np.array_equal(out[i], data[i])
+        assert codec.stats.decode_cache_misses == 1
+        assert inverted_shapes == [(self.H, self.H)]
+        # the hit inverts nothing at all
+        codec.decode_symbols(dict(rows))
+        assert codec.stats.decode_cache_hits == 1
+        assert inverted_shapes == [(self.H, self.H)]
+
+    def test_cached_plan_is_e_by_k_and_read_only(self, rng, monkeypatch):
+        codec, cache, _data, rows, _shapes = self._miss(rng, monkeypatch)
+        codec.decode_symbols(dict(rows))
+        # the key is unchanged: (field, k, n, the k indices decoded from)
+        plan = cache.get((codec.field, self.K, codec.n, tuple(sorted(rows))))
+        assert len(cache) == 1
+        assert plan.shape == (self.H, self.K)
+        assert plan.dtype == codec.field.dtype
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0, 0] = 1
+
+    def test_scalar_oracle_still_inverts_the_full_submatrix(
+        self, rng, monkeypatch
+    ):
+        codec, _cache, _data, rows, inverted_shapes = self._miss(rng, monkeypatch)
+        codec.decode_symbols_scalar(dict(rows))
+        assert inverted_shapes == [(self.K, self.K)]
+
+
+class TestSymbolIndexValidation:
+    """The symbol-level decoders are public: they reject the indices the
+    bytes-level ``decode()`` rejects instead of aliasing generator rows."""
+
+    @pytest.mark.parametrize(
+        "decode", ["decode_symbols", "decode_symbols_scalar"]
+    )
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["minus_one", "n"])
+    def test_out_of_range_index_raises_value_error(self, rng, decode, bad):
+        codec = RSECodec(5, 3, inverse_cache=InverseCache())
+        _data, block = _block_rows(codec, rng)
+        rows = _pattern_rows(block, [1, 2, 3, 4])
+        rows[bad] = block[7]  # another packet's payload under a bogus key
+        with pytest.raises(ValueError, match="out of range") as excinfo:
+            getattr(codec, decode)(rows)
+        assert not isinstance(excinfo.value, DecodeError)
+        assert codec.stats.packets_decoded == 0
+
+    @pytest.mark.parametrize(
+        "decode", ["decode_symbols", "decode_symbols_scalar"]
+    )
+    def test_numpy_integer_keys_keep_working(self, rng, decode):
+        codec = RSECodec(5, 3, inverse_cache=InverseCache())
+        data, block = _block_rows(codec, rng)
+        rows = {np.int64(i): block[i] for i in [1, 2, 4, 5, 7]}
+        out = getattr(codec, decode)(rows)
+        for i in range(codec.k):
+            assert np.array_equal(out[i], data[i])
+
+    def test_too_few_packets_is_still_a_decode_error(self, rng):
+        codec = RSECodec(5, 3, inverse_cache=InverseCache())
+        _data, block = _block_rows(codec, rng)
+        with pytest.raises(DecodeError):
+            codec.decode_symbols(_pattern_rows(block, [0, 1, 5]))
+        with pytest.raises(DecodeError):
+            codec.decode_symbols({})
+
+
 class TestSymbolsMultipliedAccounting:
     def test_encode_counts_nonzero_generator_entries(self):
         codec = RSECodec(5, 3, inverse_cache=InverseCache())

@@ -142,6 +142,21 @@ class TestNPSender:
         retransmitted = [p for p in sink.of_type(DataPacket) if p.generation > 0]
         assert len(retransmitted) == 1
 
+    def test_forged_shortfall_is_clamped_to_k(self):
+        """``needed`` is a u32 on the wire; no receiver is short more than
+        k, so a forged count must not size the repair queue."""
+        sim, network = make_network()
+        sink = RecordingReceiver(network)
+        config = NPConfig(k=3, h=2, packet_size=8, exhaustion_policy="arq")
+        sender = NPSender(sim, network, b"z" * 24, config)
+        sender.start()
+        sim.run()
+        sender.on_feedback(Nak(0, 4_000_000_000, 1))
+        sim.run()
+        assert sender.stats.parity_sent == 2
+        assert sender.stats.retransmissions_sent == 1
+        assert sink.of_type(Poll)[-1].sent == config.k
+
     def test_parity_exhaustion_error_policy(self):
         sim, network = make_network()
         RecordingReceiver(network)
