@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="GF-kernel backend for all field matrix products: one of "
         f"{{{', '.join(backend_names())}}}; also exported as "
         "REPRO_GF_BACKEND so campaign and sharded-MC workers inherit it "
-        "(default: numpy, or the REPRO_GF_BACKEND environment variable)",
+        "(default: packed, or the REPRO_GF_BACKEND environment variable)",
     )
     from repro.sim.failure import GENERATOR_NAMES
 
@@ -425,14 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.gf_backend is not None:
         import os
 
-        from repro.galois.backends import BackendUnavailableError, set_backend
+        from repro.galois.backends import set_backend
 
-        try:
-            set_backend(args.gf_backend)
-        except BackendUnavailableError as exc:
-            print(f"error: --gf-backend {args.gf_backend}: {exc}",
-                  file=sys.stderr)
-            return 2
+        set_backend(args.gf_backend)
         # campaign / sharded-MC workers are spawned processes: they do not
         # inherit the in-process selection, only the environment
         os.environ["REPRO_GF_BACKEND"] = args.gf_backend

@@ -53,6 +53,7 @@ from repro.fec.code import (
     max_block_length,
 )
 from repro.fec.registry import register_codec
+from repro.galois.backends import get_backend_class
 from repro.galois.field import GF256, GaloisField
 from repro.galois.matrix import invert, systematic_generator
 
@@ -164,7 +165,8 @@ class RSECodec(ErasureCode):
         (the default) resolves the process-wide selection
         (:func:`repro.galois.active_backend`) at every call, so
         ``set_backend``/``use_backend``/``REPRO_GF_BACKEND`` take effect
-        without rebuilding codecs.
+        without rebuilding codecs.  An unregistered name raises
+        :exc:`KeyError` here, at construction.
 
     The codec is stateless apart from :attr:`stats`; one instance can safely
     encode and decode any number of blocks.
@@ -183,6 +185,10 @@ class RSECodec(ErasureCode):
         gf_backend: str | None = None,
     ):
         super().__init__(k, h, field=field)
+        if gf_backend is not None:
+            # an unknown name fails here, not minutes into a transfer on
+            # the first encode or repair decode
+            get_backend_class(gf_backend)
         self.gf_backend = gf_backend
         self.generator = _cached_generator(field, k, self.n)
         self.inverse_cache = (

@@ -8,17 +8,15 @@ Public surface:
   inversion, systematic generator matrices);
 * raw table builders in :mod:`repro.galois.tables`;
 * the pluggable kernel-backend registry in :mod:`repro.galois.backends`
-  (``numpy`` oracle, ``bitsliced``, ``table``, optional ``numba``),
-  selected via :func:`set_backend` / :func:`use_backend` or the
+  (the ``numpy`` reference oracle and the ``packed`` default), selected
+  via :func:`set_backend` / :func:`use_backend` or the
   ``REPRO_GF_BACKEND`` environment variable.
 """
 
 from repro.galois.backends import (
     DEFAULT_BACKEND,
-    BackendUnavailableError,
     GFBackend,
     active_backend,
-    available_backend_names,
     backend_names,
     register_backend,
     reset_backend,
@@ -47,10 +45,8 @@ from repro.galois.tables import (
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "BackendUnavailableError",
     "GFBackend",
     "active_backend",
-    "available_backend_names",
     "backend_names",
     "register_backend",
     "reset_backend",

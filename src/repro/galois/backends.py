@@ -17,29 +17,23 @@ Backends
     The PR-1 reference path: the shape heuristic over the table-gather and
     nibble-sliced kernels that live on :class:`GaloisField`.  This is the
     *oracle* — every other backend must reproduce its outputs bit for bit.
-``bitsliced``
-    Cache-blocked bitsliced kernel: the right operand is decomposed into
-    ``m`` bit planes (built by branch-free doubling), and each output row
-    is a pure word-wide XOR of the plane rows selected by the set bits of
-    the coefficient matrix.  No per-element table gathers and no 16x
-    nibble-table materialisation, which wins decisively in the paper's
-    operating regime (parity rows ``h`` well below ``k``).
-``table``
-    Full product-table ``np.take`` path: one flat dense-table lookup per
-    product term.  Only defined for ``m <= 8`` (the table is ``4^m``
-    entries); structurally the simplest kernel, kept as a second
-    independent implementation for differential testing.
-``numba``
-    Optional JIT kernel, auto-detected at import: registered always,
-    *available* only when numba is importable.  Selecting it without numba
-    raises :exc:`BackendUnavailableError`.
+``packed``
+    The default.  Output rows ride the byte lanes of ``uint64`` words:
+    per column of the coefficient matrix a table holds, for every value of
+    one symbol byte, the products with up to ``8 // itemsize`` rows per
+    word, so one row gather yields that many finished output symbols.
+    The tables are rebuilt per call from ``m`` doublings and ``m`` XORs
+    (multiplying by a constant is GF(2)-linear); nothing is cached.
+    Every field is supported; products too small to repay the table build
+    run the oracle's own gather kernel.
 
 The oracle contract (DESIGN.md section 16): backends may differ in speed,
-never in value.  A backend that cannot handle a field (``table`` and
-``numba`` for ``m > 8``) says so via :meth:`GFBackend.supports`, and
-:meth:`GaloisField.matmul` silently falls back to the oracle for that call
-(counted on ``galois.backend_fallbacks``) — selection must never change
-results or raise mid-encode.
+never in value.  A backend that cannot handle a field says so via
+:meth:`GFBackend.supports`, and :meth:`GaloisField.matmul` silently falls
+back to the oracle for that call (counted on ``galois.backend_fallbacks``)
+— selection must never change results or raise mid-encode.  Both built-in
+backends support every field, so the counter stays 0 unless a registered
+extension restricts itself.
 """
 
 from __future__ import annotations
@@ -54,19 +48,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.galois.field import GaloisField
 
-try:  # the optional compiled backend; absence is a supported configuration
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on numba-free hosts
-    _numba = None
-
 __all__ = [
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "BackendUnavailableError",
     "GFBackend",
     "register_backend",
     "backend_names",
-    "available_backend_names",
     "get_backend_class",
     "backend",
     "active_backend",
@@ -76,17 +63,13 @@ __all__ = [
     "temporary_backend",
 ]
 
-#: Backend used when nothing is selected (the PR-1 reference oracle).
-DEFAULT_BACKEND = "numpy"
+#: Backend used when nothing is selected.
+DEFAULT_BACKEND = "packed"
 
 #: Environment variable consulted by :func:`active_backend` when no backend
 #: has been selected programmatically.  Crosses process boundaries, so
 #: campaign / sharded-MC workers inherit the supervisor's selection.
 ENV_BACKEND = "REPRO_GF_BACKEND"
-
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run here (missing optional dependency)."""
 
 
 _REGISTRY: dict[str, type["GFBackend"]] = {}
@@ -109,11 +92,6 @@ class GFBackend(abc.ABC):
 
     #: Registry key; subclasses must override.
     name: ClassVar[str] = "abstract"
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current process."""
-        return True
 
     def supports(self, field: "GaloisField") -> bool:
         """Whether this backend implements kernels for ``field``.
@@ -148,10 +126,7 @@ def register_backend(cls: type[GFBackend]) -> type[GFBackend]:
     """Class decorator: register ``cls`` under its :attr:`~GFBackend.name`.
 
     Re-registering the same class is a no-op (module reloads); claiming an
-    existing name with a different class is an error.  Unavailable backends
-    (e.g. ``numba`` without numba) are registered too — they show up in
-    :func:`backend_names` but not :func:`available_backend_names`, and
-    selecting them raises :exc:`BackendUnavailableError`.
+    existing name with a different class is an error.
     """
     name = getattr(cls, "name", None)
     if not isinstance(name, str) or not name or name == "abstract":
@@ -168,13 +143,8 @@ def register_backend(cls: type[GFBackend]) -> type[GFBackend]:
 
 
 def backend_names() -> list[str]:
-    """Sorted names of every registered backend (available or not)."""
+    """Sorted names of every registered backend."""
     return sorted(_REGISTRY)
-
-
-def available_backend_names() -> list[str]:
-    """Sorted names of the backends that can run in this process."""
-    return sorted(name for name, cls in _REGISTRY.items() if cls.available())
 
 
 def get_backend_class(name: str) -> type[GFBackend]:
@@ -191,20 +161,9 @@ def get_backend_class(name: str) -> type[GFBackend]:
 def backend(name: str) -> GFBackend:
     """The shared instance of backend ``name`` (constructed on first use).
 
-    Raises
-    ------
-    KeyError
-        For a name that was never registered.
-    BackendUnavailableError
-        For a registered backend whose optional dependency is missing.
+    Raises :exc:`KeyError` for a name that was never registered.
     """
     cls = get_backend_class(name)
-    if not cls.available():
-        raise BackendUnavailableError(
-            f"GF backend {name!r} is registered but unavailable here "
-            f"(missing optional dependency); available: "
-            f"{available_backend_names()}"
-        )
     instance = _INSTANCES.get(name)
     if instance is None or type(instance) is not cls:
         instance = cls()
@@ -308,220 +267,131 @@ class NumpyBackend(GFBackend):
 
 
 # ----------------------------------------------------------------------
-# bitsliced: cache-blocked bit-plane kernel
+# packed: output rows in the lanes of uint64 words (the default)
 # ----------------------------------------------------------------------
 @register_backend
-class BitslicedBackend(GFBackend):
-    """Cache-blocked bitsliced kernel (pure XOR selection over bit planes).
+class PackedBackend(GFBackend):
+    """Packed-lane kernel: one row gather finishes a word of output rows.
 
-    The right operand is flattened to ``(s, B * c)`` and decomposed into
-    ``m`` bit planes by repeated field doubling — branch-free shift/XOR
-    passes, no gathers.  Output row ``j`` is then the XOR of the plane rows
-    picked out by the set bits of ``a[j]``: one fancy row-gather plus one
-    XOR reduction per output row, touching ``popcount(a[j]) ~ m/2 * s``
-    payload rows.  Columns are processed in cache-sized blocks so the
-    planes a selection reads are still resident from the build pass.
+    For ``(r, s) @ (B, s, c)`` the output rows are packed ``L = 8 //
+    itemsize`` to a ``uint64`` (``W = ceil(r / L)`` words).  For byte
+    position ``q`` of a symbol, column ``j`` of ``a`` and byte value ``v``,
+    table row ``T[q][v, j]`` holds ``a[i, j] * (v << 8q)`` in lane ``i``.
+    Scaling by a constant is GF(2)-linear, so the tables come from the
+    packed columns ``a[:, j]`` doubled ``m`` times —
+    ``T[2^b : 2^(b+1)] = T[:2^b] ^ (a[:, j] * 2^b)`` — ``m`` vector XORs,
+    no ``mul_table`` gathers, rebuilt per call and dropped on return.  The
+    product is then, per block of output columns, one row ``take`` per byte
+    position and one XOR reduction over ``j``: ``s * ceil(m / 8)`` gathers
+    per output column, each yielding ``L`` finished symbols, against the
+    gather kernel's ``r * s`` single-symbol lookups.
 
-    Versus the nibble-sliced oracle kernel this skips the 16x nibble-table
-    materialisation entirely, which is the dominant cost whenever the
-    output is much shorter than the input (``r << s`` — exactly the
-    paper's encode regime, ``h`` parities from ``k >> h`` data packets).
+    The operands are only read (receivers pass read-only payload views).
     """
 
-    name = "bitsliced"
+    name = "packed"
 
-    #: Upper bound on the bytes of one column block's bit planes
-    #: (``m * s * block``); sized to keep the planes L2-resident while the
-    #: ``r`` selection passes re-read them.
-    _PLANE_BLOCK_BYTES = 1 << 21
+    #: Products below this many terms (``r * s * B * c``, per byte of symbol
+    #: width) run the oracle's gather kernel: the table build and dispatch
+    #: cost ~50 us whatever the size, which gather's ~4 ns per term only
+    #: repays from 13-17k terms on at m = 8 and 16-32k at m = 16 (measured
+    #: break-even; it moves with the host's speed state, so the constant
+    #: sits where the lanes win by >= 1.3x; DESIGN.md section 16).
+    _GATHER_TERMS = 3 << 13
+    #: ... and so do products with fewer output columns (``B * c``) than
+    #: this, however tall ``a`` is: every column of ``a`` costs a 256-entry
+    #: table that so few lookups cannot repay (matrix-vector products).
+    _GATHER_COLUMNS = 32
+    #: Bytes of gathered table rows per block of output columns (L2-sized).
+    _BLOCK_BYTES = 1 << 19
+    #: Bound on the bytes of lookup tables alive at once; taller coefficient
+    #: matrices are multiplied in several passes over their rows.
+    _TABLE_BYTES = 1 << 22
 
     def matmul_blocks(
         self, field: "GaloisField", a: np.ndarray, b3: np.ndarray
     ) -> np.ndarray:
+        dtype = field.dtype
+        r, s = a.shape
+        n_batch, _, c = b3.shape
+        total = n_batch * c
+        if (
+            total < self._GATHER_COLUMNS
+            or r * s * total < self._GATHER_TERMS * dtype.itemsize
+        ):
+            return field._matmul_gather(a, b3)
+        lanes = 8 // dtype.itemsize
+        positions = -(-field.m // 8)
+        pass_words = max(1, self._TABLE_BYTES // (positions * 256 * s * 8))
+        flat = b3.transpose(1, 0, 2).reshape(s, total)
+        # the narrowest index arithmetic that cannot overflow: take() widens
+        # to intp itself, much faster than numpy adds in intp
+        index_dtype = np.promote_types(dtype, np.min_scalar_type(256 * s - 1))
+        column = np.arange(s, dtype=index_dtype)[:, None]
+
+        def table_rows(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+            """``table[values[j, col] * s + j]`` as ``(s, cols, words)``."""
+            index = np.multiply(values, s, dtype=index_dtype)
+            index += column
+            return table.take(index, axis=0)
+
+        out = np.empty((n_batch, r, c), dtype=dtype)
+        for r0 in range(0, r, pass_words * lanes):
+            rows = a[r0:r0 + pass_words * lanes]
+            words = -(-len(rows) // lanes)
+            # 32-byte table rows hit numpy's fixed-size take copy; 24-byte
+            # ones fall to a generic memcpy that gathers 1.7x slower
+            words += words == 3
+            tables = self._tables(field, rows, words)
+            acc = np.empty((total, words), dtype=np.uint64)
+            block = max(64, self._BLOCK_BYTES // (s * words * 8))
+            for c0 in range(0, total, block):
+                chunk = flat[:, c0:c0 + block]
+                if positions == 1:
+                    gathered = table_rows(tables[0], chunk)
+                else:
+                    gathered = table_rows(tables[0], chunk & 0xFF)
+                    gathered ^= table_rows(tables[1], chunk >> 8)
+                np.bitwise_xor.reduce(
+                    gathered, axis=0, out=acc[c0:c0 + block]
+                )
+            out[:, r0:r0 + len(rows)] = (
+                acc.view(dtype)[:, :len(rows)]
+                .reshape(n_batch, c, len(rows))
+                .transpose(0, 2, 1)
+            )
+        return out
+
+    @staticmethod
+    def _tables(
+        field: "GaloisField", rows: np.ndarray, words: int
+    ) -> list[np.ndarray]:
+        """Per byte position, ``(entries * s, words)`` packed product rows.
+
+        Row ``v * s + j`` of table ``q`` is ``rows[:, j] * (v << 8q)``,
+        one product per lane (value-major, so each XOR below runs over
+        contiguous memory).
+        """
         m = field.m
         dtype = field.dtype
-        itemsize = dtype.itemsize
-        r, s = a.shape
-        n_batch, _, c = b3.shape
-        if r == 0 or s == 0 or c == 0 or n_batch == 0:
-            return np.zeros((n_batch, r, c), dtype=dtype)
-
-        # flatten the batch onto the column axis and pad to whole uint64
-        # words so every selection XOR is word-wide
-        symbols_per_word = 8 // itemsize
-        total = n_batch * c
-        total_pad = -(-total // symbols_per_word) * symbols_per_word
-        flat = np.zeros((s, total_pad), dtype=dtype)
-        flat[:, :total] = b3.transpose(1, 0, 2).reshape(s, total)
-
-        # per-output-row selection index lists into the (m * s) plane rows;
-        # bit b of a[j, i] selects plane row  b * s + i
-        bits = ((a[:, None, :].astype(np.uint32) >> np.arange(m)[None, :, None]) & 1).astype(bool)
-        selections = [np.flatnonzero(bits[j]) for j in range(r)]
-
-        words_total = total_pad * itemsize // 8
-        out64 = np.zeros((r, words_total), dtype=np.uint64)
-        flat64 = flat.view(np.uint64)
-
-        block_words = max(
-            512, self._PLANE_BLOCK_BYTES // max(1, m * s * 8)
-        )
+        r, s = rows.shape
+        cols = np.zeros((s, words * (8 // dtype.itemsize)), dtype=dtype)
+        cols[:, :r] = rows.T
         mask = dtype.type(field.order - 1)
         reduce_term = dtype.type(field.primitive_poly & (field.order - 1))
-        top_shift = m - 1
-        for w0 in range(0, words_total, block_words):
-            block = np.ascontiguousarray(flat64[:, w0:w0 + block_words])
-            block_sym = block.view(dtype)  # (s, block columns as symbols)
-            # bit planes by doubling: x*2 = (x << 1) ^ (reduce if top bit)
-            planes = np.empty((m,) + block_sym.shape, dtype=dtype)
-            planes[0] = block_sym
-            for bit in range(1, m):
-                prev = planes[bit - 1]
-                doubled = planes[bit]
-                np.left_shift(prev, 1, out=doubled)
-                doubled &= mask
-                doubled ^= (prev >> top_shift) * reduce_term
-            plane_rows = planes.reshape(m * s, -1).view(np.uint64)
-            for j in range(r):
-                chosen = selections[j]
-                if chosen.size:
-                    out64[j, w0:w0 + block_words] = np.bitwise_xor.reduce(
-                        plane_rows[chosen], axis=0
-                    )
-        out = (
-            out64.view(dtype)[:, :total]
-            .reshape(r, n_batch, c)
-            .transpose(1, 0, 2)
-        )
-        return np.ascontiguousarray(out)
-
-
-# ----------------------------------------------------------------------
-# table: full product-table np.take kernel
-# ----------------------------------------------------------------------
-@register_backend
-class TableBackend(GFBackend):
-    """Dense product-table kernel: one flat ``np.take`` per product term.
-
-    The full ``2^m x 2^m`` multiplication table is flattened once and every
-    product becomes ``table[a * 2^m + b]`` — no logs, no zero masking, no
-    modulo.  The reduction axis is chunked to bound the scratch tensor,
-    mirroring the oracle's gather kernel.  Only defined for ``m <= 8``
-    (the table is ``4^m`` entries); wider fields fall back to the oracle
-    at the call site via :meth:`supports`.
-    """
-
-    name = "table"
-
-    #: Scratch elements allowed for one index/product tensor (~4 MiB).
-    _SCRATCH = 1 << 22
-
-    def supports(self, field: "GaloisField") -> bool:
-        return field.m <= 8
-
-    def matmul_blocks(
-        self, field: "GaloisField", a: np.ndarray, b3: np.ndarray
-    ) -> np.ndarray:
-        flat_table = field._mul_table.reshape(-1)
-        r, s = a.shape
-        n_batch, _, c = b3.shape
-        out = np.zeros((n_batch, r, c), dtype=field.dtype)
-        shifted = a.astype(np.intp) << field.m  # row index -> flat offset
-        chunk = max(1, self._SCRATCH // max(1, n_batch * r * c))
-        for s0 in range(0, s, chunk):
-            index = (
-                shifted[None, :, s0:s0 + chunk, None]
-                + b3[:, None, s0:s0 + chunk, :]
-            )
-            products = flat_table.take(index)
-            out ^= np.bitwise_xor.reduce(products, axis=2)
-        return out
-
-    def scale_accumulate(
-        self, field: "GaloisField", acc: np.ndarray, c: int, v: np.ndarray
-    ) -> None:
-        if field.m > 8:
-            field._scale_accumulate_reference(acc, c, v)
-            return
-        if c == 0:
-            return
-        v = np.asarray(v, dtype=field.dtype)
-        if c == 1:
-            np.bitwise_xor(acc, v, out=acc)
-            return
-        flat_table = field._mul_table.reshape(-1)
-        # widen before the offset add: the flat index (c << m) + v does not
-        # fit the symbol dtype
-        index = v.astype(np.intp) + (c << field.m)
-        np.bitwise_xor(acc, flat_table.take(index), out=acc)
-
-
-# ----------------------------------------------------------------------
-# numba: optional JIT kernel (auto-detected at import)
-# ----------------------------------------------------------------------
-_NUMBA_KERNEL = None
-
-
-def _numba_kernel():
-    """Compile (once) and return the JIT matmul kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        @_numba.njit(cache=False, nogil=True)
-        def kernel(a, b3, table, out):  # pragma: no cover - requires numba
-            r, s = a.shape
-            n_batch, _, c = b3.shape
-            for batch in range(n_batch):
-                for j in range(r):
-                    for i in range(s):
-                        coeff = a[j, i]
-                        if coeff == 0:
-                            continue
-                        row = table[coeff]
-                        for col in range(c):
-                            out[batch, j, col] ^= row[b3[batch, i, col]]
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-@register_backend
-class NumbaBackend(GFBackend):
-    """JIT-compiled scalar-loop kernel (optional; needs numba installed).
-
-    The loop nest a C coder would write, compiled by numba: per-batch,
-    per-output-row accumulation through the dense multiplication table with
-    explicit zero-coefficient skips.  Registered unconditionally so the
-    name is always discoverable; :meth:`available` is False without numba
-    and selection then raises :exc:`BackendUnavailableError`.  ``m <= 8``
-    only (the dense table); wider fields fall back to the oracle.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if _numba is None:  # pragma: no cover - constructor guarded upstream
-            raise BackendUnavailableError(
-                "the numba backend needs the optional `numba` package"
-            )
-
-    @classmethod
-    def available(cls) -> bool:
-        return _numba is not None
-
-    def supports(self, field: "GaloisField") -> bool:
-        return field.m <= 8
-
-    def matmul_blocks(
-        self, field: "GaloisField", a: np.ndarray, b3: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        r, s = a.shape
-        n_batch, _, c = b3.shape
-        out = np.zeros((n_batch, r, c), dtype=field.dtype)
-        if r and s and c and n_batch:
-            _numba_kernel()(
-                np.ascontiguousarray(a),
-                np.ascontiguousarray(b3),
-                field._mul_table,
-                out,
-            )
-        return out
+        tables = []
+        for low in range(0, m, 8):
+            bits = min(8, m - low)
+            table = np.empty((1 << bits, s, words), dtype=np.uint64)
+            table[0] = 0
+            for bit in range(bits):
+                n = 1 << bit
+                np.bitwise_xor(
+                    table[:n], cols.view(np.uint64), out=table[n:2 * n]
+                )
+                # x*2 = (x << 1) ^ (reduce if x's top bit is set)
+                cols = ((cols << 1) & mask) ^ (
+                    (cols >> (m - 1)) * reduce_term
+                )
+            tables.append(table.reshape(-1, words))
+        return tables

@@ -265,12 +265,12 @@ class GaloisField:
         The kernel comes from the pluggable backend registry
         (:mod:`repro.galois.backends`): ``backend`` may be a registry name
         or instance, and defaults to the process-wide selection
-        (``set_backend`` / ``REPRO_GF_BACKEND``, falling back to the
-        ``numpy`` reference oracle).  Every registered backend is
-        conformance-tested to bit-identity with the oracle, so this knob
+        (``set_backend`` / ``REPRO_GF_BACKEND``, else the ``packed``
+        default).  Every registered backend is conformance-tested to
+        bit-identity with the ``numpy`` reference oracle, so this knob
         changes speed, never values.
 
-        The oracle itself selects between two kernels by problem shape:
+        The oracle selects between two kernels by problem shape:
 
         * a *gather* kernel — one multiplication-table lookup per product
           term, reduction axis chunked to keep the scratch tensor small;

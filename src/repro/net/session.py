@@ -14,8 +14,10 @@ unicast fan-out:
   :class:`~repro.net.supervision.Pacer`.
 * **DRAINING** — repair rounds.  The first NAK of a round opens a short
   aggregation window; at close, ``max(needed)`` repair packets are sent —
-  fresh parities while they last, then ARQ fallback (data packets with a
-  bumped ``generation``) — followed by the next round's poll.  Stale NAKs
+  fresh parities while they last (encoded on a group's first repair
+  request, as protocol NP does; a clean transfer encodes none), then ARQ
+  fallback (data packets with a bumped ``generation``) — followed by the
+  next round's poll.  Stale NAKs
   (an earlier round's number) re-solicit with the current poll instead of
   triggering duplicate repairs.  A group that trips ``max_rounds`` is
   abandoned with a :class:`~repro.protocols.packets.GroupAbort`.
@@ -171,7 +173,6 @@ class SenderSession:
             h=config.h,
             packet_size=config.packet_size,
             codec=config.codec,
-            pre_encode=True,
         )
         self.members: dict[Address, MemberState] = {}
         self.pacer = Pacer(config.pace_interval, config.pace_burst)
@@ -291,8 +292,15 @@ class SenderSession:
             if not control_intact(packet):
                 self.control_corrupt_discarded += 1
                 return
-            if not member.complete:
-                member.complete = True
+            member.complete = True
+            if member.ejected:
+                # ejected for silence while its last repairs were in
+                # flight: a completion proves delivery, so it is neither
+                # counted as lost nor waited for in the revive window
+                member.ejected = False
+                self.revived += 1
+                if obs.is_enabled():
+                    obs.counter("net.members_revived").inc()
             # idempotent ack — repeated completes re-trigger the fin so a
             # lost fin is recovered by the receiver's repeats
             self.send(SessionFin("complete"), addr)

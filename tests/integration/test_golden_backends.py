@@ -12,10 +12,6 @@ These tests pin that at the figure level:
   grid with a real codec in the loop (the payload verifier pushes every
   decodable erasure pattern through GF encode/decode) — must produce
   exactly equal series under every available backend.
-
-Registered-but-unavailable backends (``numba`` without numba) skip with
-a reason, so the matrix stays visible in the report instead of silently
-shrinking.
 """
 
 import numpy as np
@@ -23,7 +19,6 @@ import pytest
 
 from repro.fec.rse import InverseCache, RSECodec
 from repro.galois import backends as gb
-from tests.property.test_prop_gf_backends import require_backend
 
 #: fig01's grid (group_sizes x redundancies), trimmed of duplicates the
 #: h = max(1, round(r * k)) clamp produces.
@@ -67,7 +62,6 @@ def fig01_oracle_outputs():
 
 @pytest.mark.parametrize("name", gb.backend_names())
 def test_fig01_workload_bit_identical(name, fig01_oracle_outputs):
-    require_backend(name)
     outputs = _fig01_workload(name)
     assert outputs.keys() == fig01_oracle_outputs.keys()
     for config, (parities, decoded) in outputs.items():
@@ -107,7 +101,6 @@ def fig11_oracle_result():
 
 @pytest.mark.parametrize("name", gb.backend_names())
 def test_fig11_series_identical(name, fig11_oracle_result):
-    require_backend(name)
     result = _fig11_small(name)
     assert _series_tuple(result) == _series_tuple(fig11_oracle_result), (
         f"fig11 series diverge under backend {name!r}"

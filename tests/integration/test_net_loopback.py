@@ -457,6 +457,59 @@ class TestObsIntegration:
         assert "net.fetch" in spans
         assert "net.serve.session" in spans
 
+    def test_parities_are_encoded_on_demand(self):
+        # protocol NP encodes a parity when a NAK asks for it: a clean
+        # transfer runs no encode at all, a lossy one still repairs
+        from repro import obs
+        from repro.fec.rse import RSECodec
+
+        config = NetConfig(k=4, h=8, packet_size=128, seed=14)
+        data = payload(12, config)
+        RSECodec(config.k, config.h)  # build the generator matrix up front
+
+        async def scenario(lossy: bool):
+            server = NetServer(data, config)
+            host, port = await server.start()
+            proxy = None
+            if lossy:
+                proxy = ChaosProxy(
+                    server.address,
+                    forward=ChaosPlan(seed=31, loss=0.15),
+                    backward=ChaosPlan(seed=32),
+                )
+                host, port = await proxy.start()
+            try:
+                result = await fetch(host, port, config=config, deadline=30.0)
+                for _ in range(100):
+                    if server.reports:
+                        break
+                    await asyncio.sleep(0.05)
+            finally:
+                if proxy is not None:
+                    await proxy.close()
+                await server.close()
+            return result, server.reports[0]
+
+        def encode_counts(lossy: bool):
+            with obs.capture() as registry:
+                result, report = run_bounded(scenario(lossy))
+                counters = registry.snapshot().counter_values()
+            assert result.data == data and result.complete
+            totals = {"rse.blocks_encoded": 0, "galois.matmul_calls": 0}
+            for (metric, _labels), value in counters.items():
+                if metric in totals:
+                    totals[metric] += value
+            return totals, report
+
+        totals, report = encode_counts(lossy=False)
+        assert totals == {"rse.blocks_encoded": 0, "galois.matmul_calls": 0}
+        assert report.parities_sent == 0
+
+        totals, report = encode_counts(lossy=True)
+        assert report.parities_sent > 0
+        # only groups that were NAKed got encoded, each exactly once
+        assert 0 < totals["rse.blocks_encoded"] <= 12
+
     def test_counters_invariant_across_same_seed_runs(self):
         from repro import obs
 

@@ -12,8 +12,7 @@ edge cases, dtype/contiguity/aliasing, scale-accumulate, RSE encode/decode
 round-trips) and returns violation strings.  Hypothesis layers randomized
 differential checks on top.  Everything is parameterized over
 ``backend_names()`` — registering a new backend is sufficient to put it
-under the full suite — and registered-but-unavailable backends (``numba``
-on hosts without numba) skip with a reason rather than vanish silently.
+under the full suite.
 
 The final tests register deliberately broken backends and assert the
 battery *fails* them, so a silently weakened suite cannot pass.
@@ -44,17 +43,6 @@ _BATTERY_SHAPES = [
     (1, 0, 3, 7),
     (4, 1, 6, 33),
 ]
-
-
-def require_backend(name: str) -> gb.GFBackend:
-    """The shared instance of ``name``, or a skip explaining its absence."""
-    cls = gb.get_backend_class(name)
-    if not cls.available():
-        pytest.skip(
-            f"GF backend {name!r} is registered but unavailable on this "
-            f"host (optional dependency not installed)"
-        )
-    return gb.backend(name)
 
 
 def _random_symbols(field, shape, rng):
@@ -243,21 +231,8 @@ def backend_violations(instance: gb.GFBackend) -> list[str]:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", gb.backend_names())
 def test_backend_passes_conformance_battery(name):
-    instance = require_backend(name)
-    violations = backend_violations(instance)
+    violations = backend_violations(gb.backend(name))
     assert not violations, "\n".join(violations)
-
-
-@pytest.mark.parametrize("name", gb.backend_names())
-def test_backend_is_exercised_not_skipped(name):
-    """Known backends must be available (or known-absent) — a conformance
-    run where everything skipped would prove nothing."""
-    cls = gb.get_backend_class(name)
-    if name == "numba":
-        # optional dependency: either leg is fine, but the class must say so
-        assert cls.available() in (True, False)
-    else:
-        assert cls.available(), f"core backend {name!r} must always run"
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +254,7 @@ class TestHypothesisDifferential:
     @given(case=matmul_case())
     @settings(max_examples=60, deadline=None)
     def test_matmul_matches_oracle(self, name, case):
-        instance = require_backend(name)
+        instance = gb.backend(name)
         field, (n_batch, r, s, c), seed = case
         if not instance.supports(field):
             return  # fallback covered by the battery
@@ -301,7 +276,7 @@ class TestHypothesisDifferential:
     def test_scale_accumulate_matches_oracle(
         self, name, field_name, coeff, length, seed
     ):
-        instance = require_backend(name)
+        instance = gb.backend(name)
         field = _FIELDS[field_name]
         rng = np.random.default_rng(seed)
         v = _random_symbols(field, (length,), rng)
@@ -319,7 +294,7 @@ class TestHypothesisDifferential:
     )
     @settings(max_examples=40, deadline=None)
     def test_rse_round_trip_matches_oracle(self, name, k, h, symbols, seed):
-        instance = require_backend(name)
+        instance = gb.backend(name)
         rng = np.random.default_rng(seed)
         pinned = RSECodec(k, h, inverse_cache=InverseCache(maxsize=16),
                           gf_backend=name)
