@@ -1,17 +1,18 @@
-"""GF-kernel backend shootout on the paper's encode workload.
+"""GF-kernel shootout on the paper's encode workload.
 
 One 64 KiB FEC block = ``k = 64`` data packets of 1 KiB, ``h = 10``
 parities (fig01's 0.15-redundancy operating point), encoded in batches of
-16 blocks — the sender-side pre-encoding path.  Every backend registered
-in :mod:`repro.galois.backends` is measured; the committed trajectory
-(``BENCH_gf_backends.json``) records packets/s per backend plus the
-headline ratio, and the gate pins the default ``packed`` kernel at >= 2x
-the PR-1 ``numpy`` oracle on this shape.
+16 blocks — the sender-side pre-encoding path.  The encode product is
+measured on ``GaloisField.matmul`` (the ``packed`` kernel) and on
+``GaloisField.matmul_reference`` (PR 1's ``numpy`` heuristic); the
+committed trajectory (``BENCH_gf_backends.json``) records packets/s for
+each plus the headline ratio, and the gate pins the kernel at >= 2x the
+reference on this shape.
 
 :func:`test_kernel_grid_never_loses_to_the_oracle` is the condition under
-which ``packed`` is allowed to be the default at all (ROADMAP item 1d): on
+which ``packed`` is allowed to be the only kernel (ROADMAP item 1d): on
 every product shape the perf ledger's workloads execute, in every field,
-it must not be slower than the oracle.
+it must not be slower than the reference.
 
 Every ``record_trajectory`` call self-verifies its append (the empty-
 trajectory regression), and :func:`test_trajectory_record_is_nonempty`
@@ -31,8 +32,7 @@ import pytest
 
 from benchmarks._trajectory import BENCH_DIR, record_trajectory
 from repro.fec.rse import InverseCache, RSECodec
-from repro.galois import backends as gb
-from repro.galois.field import GF16, GF256, GF65536
+from repro.galois.field import GF16, GF256, GF65536, GaloisField
 
 K = 64               # data packets per 64 KiB block
 H = 10               # fig01's ~0.15 redundancy point
@@ -40,9 +40,16 @@ PACKET_SIZE = 1024   # the paper's 1 KB packets
 BATCH = 16           # blocks per encode_blocks call
 MIN_DURATION = 0.25
 
-#: The perf gate: the packed-lane kernel must beat the PR-1 oracle
+#: The perf gate: the packed-lane kernel must beat the PR-1 reference
 #: heuristic by at least this factor on the 64 KiB-block encode.
 PACKED_FLOOR = 2.0
+
+#: The two products compared, under the names the trajectory has always
+#: recorded them by.
+PRODUCTS = {
+    "numpy": GaloisField.matmul_reference,
+    "packed": GaloisField.matmul,
+}
 
 #: This module's own workload as a kernel product.
 SHOOTOUT_SHAPE = ((H, K), (BATCH, K, PACKET_SIZE))
@@ -98,21 +105,20 @@ def _timed_loop(fn, work_per_call: int, min_duration: float = MIN_DURATION):
 
 
 def _encode_rates() -> dict[str, float]:
-    """Data packets/s per available backend on the 64 KiB-block encode."""
+    """Data packets/s per product on the 64 KiB-block encode."""
     batch = _blocks()
-    oracle = RSECodec(K, H, inverse_cache=InverseCache(),
-                      gf_backend="numpy")
-    expected = oracle.encode_blocks(batch)
+    codec = RSECodec(K, H, inverse_cache=InverseCache())
+    parity_rows = codec.generator[K:]
+    expected = codec.encode_blocks(batch)
     rates: dict[str, float] = {}
-    for name in gb.backend_names():
-        codec = RSECodec(K, H, inverse_cache=InverseCache(),
-                         gf_backend=name)
+    for name, product in PRODUCTS.items():
         # a benchmark of a wrong kernel is worse than no benchmark
-        assert np.array_equal(codec.encode_blocks(batch), expected), (
-            f"backend {name!r} diverged from the oracle on the bench shape"
-        )
+        assert np.array_equal(
+            product(codec.field, parity_rows, batch), expected
+        ), f"{name!r} product diverged from the codec on the bench shape"
         rates[name] = _timed_loop(
-            lambda codec=codec: codec.encode_blocks(batch), BATCH * K
+            lambda product=product: product(codec.field, parity_rows, batch),
+            BATCH * K,
         )
     return rates
 
@@ -147,30 +153,30 @@ def test_smoke_speedup_without_benchmark_plugin():
     )
 
 
-def _median_ms(kernels, field, a, b3) -> list[float]:
-    """Median call time per kernel.
+def _median_ms(field, a, b3) -> list[float]:
+    """Median call time per product, in ``PRODUCTS`` order.
 
     Calls are interleaved, in alternating order, so a host-speed change
-    mid-measurement lands on every kernel alike; sub-millisecond products
+    mid-measurement lands on both products alike; sub-millisecond products
     get more than GRID_CALLS calls (up to ~50 ms worth) because two runs
     of identical code differ by more than GRID_CEILING over nine of them.
     """
     start = time.perf_counter()
-    kernels[0].matmul_blocks(field, a, b3)
+    field.matmul_reference(a, b3)
     first = time.perf_counter() - start
     calls = min(101, max(GRID_CALLS, int(0.05 / max(first, 1e-6))))
-    times = {kernel.name: [] for kernel in kernels}
+    names = list(PRODUCTS)
+    times = {name: [] for name in names}
     for call in range(calls):
-        for kernel in kernels[::-1] if call % 2 else kernels:
+        for name in names[::-1] if call % 2 else names:
             start = time.perf_counter()
-            kernel.matmul_blocks(field, a, b3)
-            times[kernel.name].append(time.perf_counter() - start)
-    return [1e3 * float(np.median(times[k.name])) for k in kernels]
+            PRODUCTS[name](field, a, b3)
+            times[name].append(time.perf_counter() - start)
+    return [1e3 * float(np.median(times[name])) for name in names]
 
 
 def test_kernel_grid_never_loses_to_the_oracle():
     """``packed <= 1.10x`` the oracle on every ledger shape, m in {4, 8, 16}."""
-    oracle, packed = gb.backend("numpy"), gb.backend("packed")
     rng = np.random.default_rng(0x9A1D)
     metrics: dict[str, float] = {}
     failures: list[str] = []
@@ -179,10 +185,9 @@ def test_kernel_grid_never_loses_to_the_oracle():
             a = rng.integers(0, field.order, size=a_shape).astype(field.dtype)
             b3 = rng.integers(0, field.order, size=b_shape).astype(field.dtype)
             assert np.array_equal(
-                packed.matmul_blocks(field, a, b3),
-                oracle.matmul_blocks(field, a, b3),
+                field.matmul(a, b3), field.matmul_reference(a, b3)
             ), f"packed diverged on m={field.m} {a_shape}@{b_shape}"
-            oracle_ms, packed_ms = _median_ms((oracle, packed), field, a, b3)
+            oracle_ms, packed_ms = _median_ms(field, a, b3)
             r, s = a_shape
             label = f"m{field.m}_{r}x{s}_at_{'x'.join(map(str, b_shape))}"
             metrics[f"grid_oracle_over_packed_{label}"] = oracle_ms / packed_ms
@@ -223,7 +228,7 @@ def test_trajectory_record_is_nonempty():
     assert "smoke_encode_pps_numpy" in latest
     assert any(
         key.startswith("encode_pps_") for key in latest
-    ), "per-backend rates missing from the trajectory record"
+    ), "per-product rates missing from the trajectory record"
     assert (BENCH_DIR / "BENCH_gf_backends.json").exists()
 
 

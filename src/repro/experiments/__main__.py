@@ -128,17 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{{{', '.join(codec_names())}}}; non-default codecs clamp h onto "
         "their supported geometry (default: rse)",
     )
-    from repro.galois.backends import backend_names
-
-    mc.add_argument(
-        "--gf-backend",
-        choices=backend_names(),
-        metavar="NAME",
-        help="GF-kernel backend for all field matrix products: one of "
-        f"{{{', '.join(backend_names())}}}; also exported as "
-        "REPRO_GF_BACKEND so campaign and sharded-MC workers inherit it "
-        "(default: packed, or the REPRO_GF_BACKEND environment variable)",
-    )
     from repro.sim.failure import GENERATOR_NAMES
 
     mc.add_argument(
@@ -421,16 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro import obs
 
         obs.enable()
-
-    if args.gf_backend is not None:
-        import os
-
-        from repro.galois.backends import set_backend
-
-        set_backend(args.gf_backend)
-        # campaign / sharded-MC workers are spawned processes: they do not
-        # inherit the in-process selection, only the environment
-        os.environ["REPRO_GF_BACKEND"] = args.gf_backend
 
     if args.resume:
         if args.figures or args.all:

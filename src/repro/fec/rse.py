@@ -53,7 +53,6 @@ from repro.fec.code import (
     max_block_length,
 )
 from repro.fec.registry import register_codec
-from repro.galois.backends import get_backend_class
 from repro.galois.field import GF256, GaloisField
 from repro.galois.matrix import invert, systematic_generator
 
@@ -88,12 +87,6 @@ class InverseCache:
     :meth:`RSECodec._decode_coefficients`), a hit a dictionary lookup.
     Cached arrays are frozen read-only; the field in the key keeps codecs
     over different fields (or different ``(k, n)``) from ever colliding.
-
-    The key deliberately does *not* include the GF-kernel backend: every
-    registered backend is conformance-gated to bit-identity with the
-    ``numpy`` oracle (DESIGN.md section 16), so a plan computed under one
-    backend is valid under all of them and cache hits survive backend
-    switches mid-run.
     """
 
     def __init__(self, maxsize: int = 512):
@@ -159,14 +152,6 @@ class RSECodec(ErasureCode):
     inverse_cache:
         Bounded LRU for per-erasure-pattern decode plans; defaults to the
         process-wide shared cache (safe: keys carry field and geometry).
-    gf_backend:
-        Optional GF-kernel backend name (see :mod:`repro.galois.backends`)
-        pinning this codec's hot matrix products to one kernel.  ``None``
-        (the default) resolves the process-wide selection
-        (:func:`repro.galois.active_backend`) at every call, so
-        ``set_backend``/``use_backend``/``REPRO_GF_BACKEND`` take effect
-        without rebuilding codecs.  An unregistered name raises
-        :exc:`KeyError` here, at construction.
 
     The codec is stateless apart from :attr:`stats`; one instance can safely
     encode and decode any number of blocks.
@@ -182,14 +167,8 @@ class RSECodec(ErasureCode):
         h: int,
         field: GaloisField = GF256,
         inverse_cache: InverseCache | None = None,
-        gf_backend: str | None = None,
     ):
         super().__init__(k, h, field=field)
-        if gf_backend is not None:
-            # an unknown name fails here, not minutes into a transfer on
-            # the first encode or repair decode
-            get_backend_class(gf_backend)
-        self.gf_backend = gf_backend
         self.generator = _cached_generator(field, k, self.n)
         self.inverse_cache = (
             inverse_cache if inverse_cache is not None else _DEFAULT_INVERSE_CACHE
@@ -220,9 +199,7 @@ class RSECodec(ErasureCode):
         """
         data = self._check_symbols(data, rows_axis=0)
         with obs.span("rse.encode", k=self.k, h=self.h):
-            parities = self.field.matmul(
-                self.generator[self.k:], data, backend=self.gf_backend
-            )
+            parities = self.field.matmul(self.generator[self.k:], data)
         self.stats.packets_encoded += self.k
         self.stats.parities_produced += self.h
         self.stats.symbols_multiplied += self._parity_ops
@@ -243,9 +220,7 @@ class RSECodec(ErasureCode):
             )
         data = self._check_symbols(data, rows_axis=1)
         with obs.span("rse.encode", k=self.k, h=self.h, blocks=data.shape[0]):
-            parities = self.field.matmul(
-                self.generator[self.k:], data, backend=self.gf_backend
-            )
+            parities = self.field.matmul(self.generator[self.k:], data)
         n_blocks = data.shape[0]
         self.stats.packets_encoded += n_blocks * self.k
         self.stats.parities_produced += n_blocks * self.h
@@ -334,9 +309,7 @@ class RSECodec(ErasureCode):
         coefficients[:, survivors:] = erased_inverse
         if survivors:  # no data row survived: nothing to fold back in
             coefficients[:, :survivors] = self.field.matmul(
-                erased_inverse,
-                parity_rows[:, use[:survivors]],
-                backend=self.gf_backend,
+                erased_inverse, parity_rows[:, use[:survivors]]
             )
         return self.inverse_cache.put(key, coefficients)
 
@@ -361,9 +334,7 @@ class RSECodec(ErasureCode):
         ):
             coefficients = self._decode_coefficients(have_data, missing, use)
             stacked = np.vstack([rows[i] for i in use])  # (k, S)
-            reconstructed = self.field.matmul(
-                coefficients, stacked, backend=self.gf_backend
-            )
+            reconstructed = self.field.matmul(coefficients, stacked)
         for row, data_index in zip(reconstructed, missing):
             out[data_index] = row
         self.stats.symbols_multiplied += int(np.count_nonzero(coefficients))

@@ -7,22 +7,11 @@ Public surface:
 * matrix helpers in :mod:`repro.galois.matrix` (Vandermonde construction,
   inversion, systematic generator matrices);
 * raw table builders in :mod:`repro.galois.tables`;
-* the pluggable kernel-backend registry in :mod:`repro.galois.backends`
-  (the ``numpy`` reference oracle and the ``packed`` default), selected
-  via :func:`set_backend` / :func:`use_backend` or the
-  ``REPRO_GF_BACKEND`` environment variable.
+* the packed-lane kernel behind :meth:`GaloisField.matmul` in
+  :mod:`repro.galois.packed`; tests compare it against
+  :meth:`GaloisField.matmul_reference`.
 """
 
-from repro.galois.backends import (
-    DEFAULT_BACKEND,
-    GFBackend,
-    active_backend,
-    backend_names,
-    register_backend,
-    reset_backend,
-    set_backend,
-    use_backend,
-)
 from repro.galois.field import GF16, GF256, GF65536, GaloisField, field_for_width
 from repro.galois.polynomial import GFPolynomial, PolynomialCodec
 from repro.galois.matrix import (
@@ -44,14 +33,6 @@ from repro.galois.tables import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "GFBackend",
-    "active_backend",
-    "backend_names",
-    "register_backend",
-    "reset_backend",
-    "set_backend",
-    "use_backend",
     "GaloisField",
     "GF16",
     "GF256",

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.galois import packed
 from repro.galois.tables import (
     PRIMITIVE_POLYNOMIALS,
     FieldTableError,
@@ -149,20 +150,13 @@ class GaloisField:
         return out.astype(self.dtype, copy=False)
 
     def scale_accumulate(
-        self, acc: np.ndarray, c: int, v: np.ndarray, backend=None
-    ) -> None:
-        """In-place ``acc ^= c * v`` — the encode/decode hot loop.
-
-        Dispatches through the selected GF backend (see
-        :mod:`repro.galois.backends`); every backend is conformance-tested
-        to produce bit-identical accumulations.
-        """
-        self._resolve_backend(backend)[0].scale_accumulate(self, acc, c, v)
-
-    def _scale_accumulate_reference(
         self, acc: np.ndarray, c: int, v: np.ndarray
     ) -> None:
-        """The table-driven reference accumulation (the backend oracle)."""
+        """In-place ``acc ^= c * v``, table-driven.
+
+        The inner step of the scalar reference encode/decode loops; the
+        batched hot path is :meth:`matmul`.
+        """
         if c == 0:
             return
         if c == 1:
@@ -234,43 +228,58 @@ class GaloisField:
     #: kernel materialises tables for at once.
     _SLICED_SLAB = 1 << 24
 
-    def _resolve_backend(self, backend):
-        """``(backend instance, fell_back)`` for a knob value.
+    def _matmul_operands(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """``(a, b3, index)`` for a product ``a @ b``.
 
-        ``backend`` may be ``None`` (use the process-wide selection), a
-        registry name, or a live :class:`~repro.galois.backends.GFBackend`.
-        A backend that does not support this field falls back to the
-        ``numpy`` oracle — selection must never change results or raise
-        mid-encode (the oracle contract, DESIGN.md section 16).
+        ``b3`` is ``b`` as a ``(B, s, c)`` batch (what the kernels take);
+        ``index`` takes their ``(B, r, c)`` output back to ``b``'s rank.
         """
-        from repro.galois import backends as _backends
-
-        if backend is None:
-            chosen = _backends.active_backend()
-        elif isinstance(backend, str):
-            chosen = _backends.backend(backend)
+        a = self._as_symbols(a)
+        b = self._as_symbols(b)
+        if a.ndim != 2:
+            raise ValueError(f"left operand must be 2-D, got shape {a.shape}")
+        if b.ndim == 1:
+            b3, index = b[None, :, None], (0, slice(None), 0)
+        elif b.ndim == 2:
+            b3, index = b[None], 0
         else:
-            chosen = backend
-        if not chosen.supports(self):
-            return _backends.backend("numpy"), True
-        return chosen, False
+            b3, index = b, ...
+        if b3.ndim != 3 or a.shape[1] != b3.shape[1]:
+            raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+        return a, b3, index
 
-    def matmul(self, a: np.ndarray, b: np.ndarray, backend=None) -> np.ndarray:
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over the field, vectorised.
 
         ``a`` has shape ``(r, s)``; ``b`` may be a vector ``(s,)``, a matrix
         ``(s, c)`` or a batch of matrices ``(B, s, c)`` (one product per
         batch entry, as used by :meth:`repro.fec.rse.RSECodec.encode_blocks`).
 
-        The kernel comes from the pluggable backend registry
-        (:mod:`repro.galois.backends`): ``backend`` may be a registry name
-        or instance, and defaults to the process-wide selection
-        (``set_backend`` / ``REPRO_GF_BACKEND``, else the ``packed``
-        default).  Every registered backend is conformance-tested to
-        bit-identity with the ``numpy`` reference oracle, so this knob
-        changes speed, never values.
+        The product runs on the packed-lane kernel
+        (:mod:`repro.galois.packed`), which the differential suite holds to
+        bit-identity with :meth:`matmul_reference`.
+        """
+        a, b3, index = self._matmul_operands(a, b)
+        telemetry = obs.is_enabled()
+        started = time.perf_counter() if telemetry else 0.0
+        out = packed.matmul_blocks(self, a, b3)
+        if telemetry:
+            obs.counter("galois.matmul_calls", m=self.m).inc()
+            obs.counter("galois.product_terms", m=self.m).inc(
+                a.shape[0] * b3.size  # r * (B * s * c)
+            )
+            obs.histogram("galois.kernel_seconds").observe(
+                time.perf_counter() - started
+            )
+        return out[index]
 
-        The oracle selects between two kernels by problem shape:
+    def matmul_reference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The PR-1 reference product: same operands and result as
+        :meth:`matmul`, run only by tests and benchmarks.
+
+        Its outputs *define* correctness for :meth:`matmul` (DESIGN.md
+        section 16); a speed-up may not edit it.  It selects between two
+        kernels by problem shape:
 
         * a *gather* kernel — one multiplication-table lookup per product
           term, reduction axis chunked to keep the scratch tensor small;
@@ -281,39 +290,16 @@ class GaloisField:
           is then a pure word-wide XOR of selected rows — no per-element
           table gathers in the ``r * s``-sized inner loop at all.
         """
-        a = self._as_symbols(a)
-        b = self._as_symbols(b)
-        if a.ndim != 2:
-            raise ValueError(f"left operand must be 2-D, got shape {a.shape}")
-        vector = b.ndim == 1
-        if vector:
-            b = b[:, None]
-        batched = b.ndim == 3
-        b3 = b if batched else b[None]
+        a, b3, index = self._matmul_operands(a, b)
         r, s = a.shape
-        n_batch, s_b, c = b3.shape
-        if s != s_b:
-            raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-
-        chosen, fell_back = self._resolve_backend(backend)
-        telemetry = obs.is_enabled()
-        started = time.perf_counter() if telemetry else 0.0
-        out = chosen.matmul_blocks(self, a, b3)
-        if telemetry:
-            obs.counter(
-                "galois.matmul_calls", m=self.m, backend=chosen.name
-            ).inc()
-            obs.counter("galois.product_terms", m=self.m).inc(
-                r * s * c * n_batch
-            )
-            obs.histogram(
-                "galois.kernel_seconds", backend=chosen.name
-            ).observe(time.perf_counter() - started)
-            if fell_back:
-                obs.counter("galois.backend_fallbacks", m=self.m).inc()
-        if batched:
-            return out
-        return out[0, :, 0] if vector else out[0]
+        n_batch, _, c = b3.shape
+        # The sliced kernel pays a fixed cost (bit planes + nibble tables)
+        # per call; it only wins once the r*s*B selection work amortises it
+        # and the rows are long enough for word-wide XORs to matter.
+        row_bytes = c * self.dtype.itemsize
+        if r >= 4 and row_bytes >= 256 and r * s * n_batch >= 48:
+            return self._matmul_sliced(a, b3)[index]
+        return self._matmul_gather(a, b3)[index]
 
     def _matmul_gather(self, a: np.ndarray, b3: np.ndarray) -> np.ndarray:
         """Table-gather product kernel: ``(r, s) @ (B, s, c) -> (B, r, c)``."""

@@ -69,21 +69,17 @@ def vandermonde(field: GaloisField, n_rows: int, n_cols: int, points: list[int] 
     return matrix
 
 
-def matmul(
-    field: GaloisField, a: np.ndarray, b: np.ndarray, backend=None
-) -> np.ndarray:
+def matmul(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field.
 
     ``a`` is ``(r, s)``; ``b`` is ``(s, c)`` (or ``(s,)`` for a vector).
-    Delegates to the batched :meth:`GaloisField.matmul` kernel; ``backend``
-    optionally pins a GF-kernel backend (registry name or instance, see
-    :mod:`repro.galois.backends`) instead of the process-wide selection.
+    Delegates to the batched :meth:`GaloisField.matmul` kernel.
     """
     a = np.asarray(a, dtype=field.dtype)
     b = np.asarray(b, dtype=field.dtype)
     if a.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return field.matmul(a, b, backend=backend)
+    return field.matmul(a, b)
 
 
 def invert(field: GaloisField, matrix: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ unicast fan-out:
   fallback (data packets with a bumped ``generation``) — followed by the
   next round's poll.  Stale NAKs
   (an earlier round's number) re-solicit with the current poll instead of
-  triggering duplicate repairs.  A group that trips ``max_rounds`` is
-  abandoned with a :class:`~repro.protocols.packets.GroupAbort`.
+  triggering duplicate repairs.  A group that trips ``max_rounds``
+  (0 = unlimited) is abandoned with a
+  :class:`~repro.protocols.packets.GroupAbort`.
 * **DONE** — every member completed or was ejected; the
   :class:`SessionReport` records which.
 
@@ -31,7 +32,12 @@ session the same way (``SessionFin("aborted")``).
 
 The session is transport-agnostic for testability: it talks through a
 ``send(packet, addr)`` callable and a ``now()`` clock supplied by the
-server, and only its ``run()`` coroutine touches asyncio.
+server.  It is not asyncio-free, though: besides the ``run()`` coroutine,
+``_on_nak`` and ``_spawn_flush`` call ``asyncio.get_running_loop()`` (to
+arm the aggregation timer and spawn the flush task), ``_flush_repairs``
+is a coroutine that awaits the pacer, and the constructor builds an
+``asyncio.Event`` — a current-round NAK can only be handled inside a
+running loop.
 """
 
 from __future__ import annotations
@@ -363,11 +369,11 @@ class SenderSession:
         group.flush_armed = False
         if needed <= 0 or group.abandoned or self.state == DONE:
             return
-        if group.round >= self.config.max_rounds:
-            self._abandon_group(tg)
+        config = self.config
+        if config.max_rounds and group.round >= config.max_rounds:
+            self._abandon_group(tg)  # max_rounds == 0 means unlimited
             return
         self.rounds_served += 1
-        config = self.config
         sent = 0
         for _ in range(needed):
             await self.pacer.gate()

@@ -62,9 +62,9 @@ class NetConfig:
     incomplete receiver silent that long is ejected (told via
     ``SessionFin("ejected")``) instead of stalling the whole session.
     ``session_deadline`` bounds a session's total lifetime the same way.
-    ``max_rounds`` caps repair rounds per transmission group; on
-    exceedance the group is abandoned with a ``GroupAbort`` exactly like
-    the simulator's eject policy.
+    ``max_rounds`` (0 = unlimited) caps repair rounds per transmission
+    group; on exceedance the group is abandoned with a ``GroupAbort``
+    exactly like the simulator's eject policy.
     """
 
     k: int = 8

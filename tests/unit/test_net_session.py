@@ -1,11 +1,20 @@
 """Unit tests: the transport-agnostic sender session, driven without
 sockets through its ``send`` / ``now`` callables."""
 
+import asyncio
+
 from repro import obs
 from repro.fec.rse import RSECodec
-from repro.net.session import DONE, SenderSession
+from repro.net.session import DONE, DRAINING, SenderSession
 from repro.net.supervision import NetConfig
-from repro.protocols.packets import SessionComplete, SessionFin, SessionJoin
+from repro.protocols.packets import (
+    Nak,
+    ParityPacket,
+    Poll,
+    SessionComplete,
+    SessionFin,
+    SessionJoin,
+)
 
 ADDR = ("127.0.0.1", 40001)
 
@@ -75,3 +84,29 @@ class TestParitiesOnDemand:
         # the first repair request for a group encodes that group only
         assert len(session.encoder.parity_packet(1, 0)) == 16
         assert [len(g.parities) for g in session.encoder.groups] == [0, 8, 0, 0]
+
+
+class TestMaxRounds:
+    def test_zero_means_unlimited(self):
+        # NPConfig documents 0 as "unlimited" and NetConfig promises the
+        # simulator's policy: a NAK at max_rounds=0 is served, not aborted
+        config = NetConfig(
+            k=4, h=4, packet_size=16, max_rounds=0,
+            nak_aggregation=0.0, pace_interval=0.0,
+        )
+
+        async def one_nak():
+            session, sent, _ = make_session(config)
+            assert session.add_member(ADDR, SessionJoin(group=0, nonce=7))
+            session.state = DRAINING
+            del sent[:]
+            session.on_frame(Nak(tg=0, needed=1, round=1), ADDR)
+            for _ in range(5):  # the aggregation timer, then the flush task
+                await asyncio.sleep(0)
+            return session, [packet for packet, _ in sent]
+
+        session, packets = asyncio.run(one_nak())
+        assert [type(packet) for packet in packets] == [ParityPacket, Poll]
+        assert packets[0].tg == 0 and packets[0].index == config.k
+        assert packets[1] == Poll(0, 1, 2)
+        assert session.rounds_served == 1
