@@ -105,6 +105,32 @@ def summarize(samples: list[float] | np.ndarray) -> MCResult:
     return MCResult(float(samples.mean()), stderr, int(samples.size))
 
 
+#: float32 represents every integer up to 2**24 exactly
+_EXACT_FLOAT32_COUNT = 1 << 24
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-row count of ``True`` in a boolean ``(R, T)`` matrix, as ``intp``.
+
+    Equal to the axis-1 sum of ``mask`` but computed as one float32
+    matrix-vector product: numpy's axis-1 reduce pays ~30 ns per *row*,
+    which on the narrow ``(receivers, packets)`` masks of the chunk
+    kernels costs more than the Bernoulli draws that filled them.  The
+    float32 sum is exact while ``T < 2**24``: a repair round is never
+    wider than ``_MAX_TRANSMISSIONS = 10**6`` columns, and a mask at or
+    past the bound is refused rather than miscounted.  Any strides are
+    accepted (``~lost``, ``lost[index]``, ``received[:, :k]``, Fortran
+    order) and ``T = 0`` yields zeros.
+    """
+    if mask.shape[1] >= _EXACT_FLOAT32_COUNT:
+        raise ValueError(
+            f"mask has {mask.shape[1]} columns; float32 row counts are only "
+            f"exact below {_EXACT_FLOAT32_COUNT}"
+        )
+    ones = np.ones(mask.shape[1], dtype=np.float32)
+    return (mask.view(np.uint8).astype(np.float32) @ ones).astype(np.intp)
+
+
 def resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     """Accept a Generator, a seed, or None (fresh entropy)."""
     if isinstance(rng, np.random.Generator):

@@ -15,6 +15,15 @@ Two transmission schemes from Section 4.2 (Figure 13):
   by ``Delta + T`` each carry ``max_r(missing_r)`` fresh parities.
 
 Both count total packet transmissions for the group; E[M] = total / k.
+
+Bookkeeping: per-receiver counts come from
+:func:`repro.mc._common._row_counts` (a float32 matrix-vector product,
+exact below ``2**24`` columns, and a repair round is capped at
+``_MAX_TRANSMISSIONS = 10**6``), integrated FEC 2 tracks each receiver's
+``missing`` directly and integrated FEC 1 follows only the receivers still
+short of ``k``.  None of that may alter a draw: every ``sampler.sample``
+call keeps its generator, order and ``(R, T)`` shape, which
+``tests/unit/test_mc_pinned_samples.py`` pins (DESIGN.md section 11.5).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from repro.mc._common import (
     PAPER_TIMING,
     PayloadVerifier,
     Timing,
+    _row_counts,
     resolve_rng,
     summarize,
 )
@@ -53,41 +63,43 @@ def _immediate_replication(
     initial_parities: int = 0,
     verifier: PayloadVerifier | None = None,
 ) -> float:
-    n_receivers = loss_model.n_receivers
     sampler = loss_model.start(rng)
 
     first_burst = k + initial_parities
     times = np.arange(first_burst) * timing.packet_interval
     lost = sampler.sample(times)
-    received = ~lost
     if verifier is not None:
         # integrated FEC sends fresh parities without bound, but the
         # first burst maps directly onto one codec block — replay those
         # erasure patterns through the real cache-backed decode path
-        verifier.verify_masks(received)
-    counts = received.sum(axis=1)  # packets held per receiver
-    if (counts >= k).all():
+        verifier.verify_masks(~lost)
+    # packets each receiver is still short of k: its first-burst losses,
+    # less the parities the burst already carried
+    need = _row_counts(lost) - initial_parities
+    active = np.flatnonzero(need > 0)
+    if active.size == 0:
         return first_burst / k
+    need = need[active]
 
     sent = first_burst
     base = float(times[-1]) + timing.packet_interval
     while sent < _MAX_TRANSMISSIONS:
         times = base + np.arange(_PARITY_CHUNK) * timing.packet_interval
-        lost = sampler.sample(times)
-        received = ~lost  # (R, chunk)
-        # Receivers already done ignore further parities; for the rest,
-        # find the column where their cumulative count reaches k.
-        active = counts < k
-        cumulative = counts[:, None] + np.cumsum(received, axis=1)
-        done_at = cumulative >= k  # (R, chunk)
-        if done_at[active][:, -1].all():
+        # the draw covers every receiver (a kernel may not alter a draw);
+        # only the receivers still short of k are followed through it
+        lost = sampler.sample(times)  # (R, chunk)
+        cumulative = np.cumsum(~lost[active], axis=1)  # (active, chunk)
+        done_at = cumulative >= need[:, None]
+        finished = done_at[:, -1]
+        if finished.all():
             # Everyone finishes within this chunk.  The sender (idealised:
             # it stops the instant the last receiver completes) only sends
             # up to the worst receiver's first-done column.
-            first_done = done_at.argmax(axis=1)
-            needed = int(first_done[active].max()) + 1
+            needed = int(done_at.argmax(axis=1).max()) + 1
             return (sent + needed) / k
-        counts = cumulative[:, -1]
+        unfinished = ~finished
+        active = active[unfinished]
+        need = need[unfinished] - cumulative[unfinished, -1]
         sent += _PARITY_CHUNK
         base = float(times[-1]) + timing.packet_interval
     raise RuntimeError("integrated FEC 1 did not complete within budget")
@@ -101,30 +113,30 @@ def _rounds_replication(
     initial_parities: int = 0,
     verifier: PayloadVerifier | None = None,
 ) -> float:
-    n_receivers = loss_model.n_receivers
     sampler = loss_model.start(rng)
 
     first_burst = k + initial_parities
     times = np.arange(first_burst) * timing.packet_interval
     lost = sampler.sample(times)
-    received = ~lost
     if verifier is not None:
-        verifier.verify_masks(received)
-    counts = received.sum(axis=1)
+        verifier.verify_masks(~lost)
+    # packets each receiver is still short of k (<= 0: done): its
+    # first-burst losses, less the parities the burst already carried
+    missing = _row_counts(lost) - initial_parities
     sent = first_burst
     base = float(times[-1]) + timing.packet_interval + timing.round_gap
     while True:
-        missing = np.maximum(0, k - counts)
         worst = int(missing.max())
-        if worst == 0:
+        if worst <= 0:
             return sent / k
         if sent + worst > _MAX_TRANSMISSIONS:
             raise RuntimeError("integrated FEC 2 did not complete within budget")
         times = base + np.arange(worst) * timing.packet_interval
         lost = sampler.sample(times)
-        # a receiver only consumes parities while it still needs them, but
-        # since parities are all-new, every received one counts toward k
-        counts = np.minimum(k, counts + (~lost).sum(axis=1))
+        # parities are all-new, so every one received (worst - lost) counts
+        # toward k; a receiver already done stays done
+        np.maximum(missing, 0, out=missing)
+        missing += _row_counts(lost) - worst
         sent += worst
         base = float(times[-1]) + timing.packet_interval + timing.round_gap
 

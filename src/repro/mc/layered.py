@@ -27,6 +27,7 @@ from repro.mc._common import (
     PAPER_TIMING,
     PayloadVerifier,
     Timing,
+    _row_counts,
     resolve_rng,
     summarize,
 )
@@ -67,7 +68,7 @@ def _one_replication(
             # cannot actually repair don't count as recovered)
             decodable = codec.decodable_mask(received)  # (R,)
         else:
-            decodable = received.sum(axis=1) >= k  # (R,)
+            decodable = _row_counts(received) >= k  # (R,)
         if verifier is not None:
             # replay each distinct decodable pattern through the real
             # batched codec (cache-backed, so repeats cost a lookup)

@@ -48,8 +48,16 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
+    # one pass that asserts order rather than searching for a reversal: a
+    # NaN fails every comparison, so it is rejected wherever it sits.  A
+    # single instant (``sample_one``, one event-simulator send) has no
+    # pair to compare and is checked on its own, without array work.
+    if times.size > 1:
+        valid = (times[1:] >= times[:-1]).all()
+    else:
+        valid = times.size == 0 or not math.isnan(times[0])
+    if not valid:
+        raise ValueError("times must be non-decreasing and free of NaN")
     return times
 
 

@@ -12,8 +12,12 @@ are ``b*v + 1 .. b*v + b``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "full_binary_tree",
@@ -26,14 +30,27 @@ __all__ = [
 ]
 
 
+def _root_only() -> nx.DiGraph:
+    """A new out-tree holding only the root, node 0.
+
+    Every builder starts here, and this is where ``networkx`` is imported:
+    it costs ~135 ms and only the builders and ``TreeLoss`` need it, so
+    ``import repro`` (every campaign worker, every MC shard) stays cheap.
+    """
+    import networkx as nx
+
+    tree = nx.DiGraph()
+    tree.add_node(0)
+    return tree
+
+
 def full_kary_tree(depth: int, arity: int = 2) -> nx.DiGraph:
     """Full ``arity``-ary out-tree of height ``depth`` (root = node 0)."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    tree = nx.DiGraph()
-    tree.add_node(0)
+    tree = _root_only()
     frontier = [0]
     for _ in range(depth):
         next_frontier = []
@@ -59,8 +76,7 @@ def linear_chain(length: int) -> nx.DiGraph:
     """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    tree = nx.DiGraph()
-    tree.add_node(0)
+    tree = _root_only()
     for i in range(length):
         tree.add_edge(i, i + 1)
     return tree
@@ -75,8 +91,7 @@ def star_topology(n_receivers: int) -> nx.DiGraph:
     """
     if n_receivers < 1:
         raise ValueError(f"need at least one receiver, got {n_receivers}")
-    tree = nx.DiGraph()
-    tree.add_node(0)
+    tree = _root_only()
     for r in range(1, n_receivers + 1):
         tree.add_edge(0, r)
     return tree
@@ -97,8 +112,7 @@ def random_multicast_tree(
         raise ValueError(f"need at least one receiver, got {n_receivers}")
     if max_children < 2:
         raise ValueError("max_children must be >= 2 to grow beyond a chain")
-    tree = nx.DiGraph()
-    tree.add_node(0)
+    tree = _root_only()
     open_nodes = [0]
     next_id = 1
     # First grow a random internal skeleton, then hang receivers off it.

@@ -1,13 +1,56 @@
-"""Property-based tests: loss-model statistics, interleaver, engine."""
+"""Property-based tests: loss-model statistics, row counts, interleaver, engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fec.interleaver import BlockInterleaver, Deinterleaver, interleave_indices
+from repro.mc._common import _row_counts
 from repro.mc.burst import run_lengths
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss, FullBinaryTreeLoss, GilbertLoss
+
+
+class TestRowCounts:
+    """``_row_counts`` is ``mask.sum(axis=1)``: same values, same dtype."""
+
+    @staticmethod
+    def _same(mask: np.ndarray) -> None:
+        expected = mask.sum(axis=1)
+        counts = _row_counts(mask)
+        assert counts.dtype == expected.dtype == np.intp
+        assert counts.shape == expected.shape
+        assert (counts == expected).all()
+
+    @given(
+        seed=st.integers(0, 2**31),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        r=st.integers(1, 300),
+        t=st.integers(0, 70),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_axis_sum_on_the_kernels_inputs(self, seed, p, r, t):
+        rng = np.random.default_rng(seed)
+        lost = rng.random((r, t)) < p
+        self._same(lost)
+        # the views and copies the chunk kernels actually pass
+        self._same(~lost)
+        self._same(lost[np.flatnonzero(rng.random(r) < 0.5)])
+        self._same((~lost)[:, : t // 2])
+        self._same(np.asfortranarray(lost))
+        self._same(lost[::2, ::3])
+
+    def test_no_columns_counts_zero(self):
+        counts = _row_counts(np.zeros((5, 0), dtype=bool))
+        assert counts.dtype == np.intp
+        assert counts.tolist() == [0] * 5
+
+    def test_refuses_a_width_float32_cannot_count(self):
+        # never allocated: a zero-stride view is wide enough to trip the guard
+        wide = np.broadcast_to(np.zeros((1, 1), dtype=bool), (1, 1 << 24))
+        with pytest.raises(ValueError, match="exact"):
+            _row_counts(wide)
 
 
 class TestLossModelInvariants:

@@ -48,6 +48,26 @@ class TestBernoulliLoss:
         with pytest.raises(ValueError, match="non-decreasing"):
             model.sample_at(np.array([2.0, 1.0]), rng)
 
+    @pytest.mark.parametrize(
+        "times",
+        [[math.nan], [math.nan, 1.0], [0.0, math.nan], [0.0, math.nan, 2.0]],
+    )
+    def test_nan_times_are_rejected(self, rng, times):
+        # ``np.diff(times) < 0`` is False for NaN, so a reversal search
+        # lets it through; the order check must reject it at any position
+        with pytest.raises(ValueError, match="NaN"):
+            BernoulliLoss(2, 0.1).sample_at(np.array(times), rng)
+
+    def test_sample_one_rejects_nan(self, rng):
+        with pytest.raises(ValueError, match="NaN"):
+            BernoulliLoss(2, 0.1).sample_one(math.nan, rng)
+
+    def test_repeated_single_and_empty_times_are_accepted(self, rng):
+        model = BernoulliLoss(2, 0.1)
+        assert model.sample_at(np.array([0.0, 0.0, 1.0, 1.0]), rng).shape == (2, 4)
+        assert model.sample_at(np.array([3.0]), rng).shape == (2, 1)
+        assert model.sample_at(np.array([]), rng).shape == (2, 0)
+
 
 class TestHeterogeneousLoss:
     def test_per_receiver_rates(self, rng):
@@ -124,6 +144,17 @@ class TestGilbertLoss:
         sampler.sample(np.array([5.0]))
         with pytest.raises(ValueError, match="cannot sample at earlier"):
             sampler.sample(np.array([1.0]))
+
+    def test_sampler_rejects_nan_and_keeps_its_state(self, rng):
+        # a NaN instant used to freeze every chain (``gap > 0`` is False),
+        # set ``last_time = nan`` and so disarm the forward-only guard
+        sampler = GilbertLoss(2, 1.0, 1.0).start(rng)
+        with pytest.raises(ValueError, match="NaN"):
+            sampler.sample(np.array([0.0, math.nan, math.nan]))
+        assert sampler.last_time == -math.inf
+        sampler.sample(np.array([1.0]))
+        with pytest.raises(ValueError, match="cannot sample at earlier"):
+            sampler.sample(np.array([0.5]))
 
     def test_transition_probabilities_limits(self):
         model = GilbertLoss(1, 1.0, 9.0)  # pi_bad = 0.1

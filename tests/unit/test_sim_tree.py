@@ -1,5 +1,8 @@
 """Unit tests for the multicast-tree builders."""
 
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -80,3 +83,20 @@ class TestOtherShapes:
         graph = nx.DiGraph([(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="multiple parents"):
             path_to_root(graph, 2)
+
+
+class TestLazyNetworkx:
+    def test_import_repro_does_not_import_networkx(self):
+        """Every ledger child, campaign worker and MC shard imports repro;
+        only the tree builders and TreeLoss may pay for networkx."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'networkx' not in sys.modules, 'import repro loaded networkx'\n"
+            "from repro.sim.tree import full_binary_tree, leaves_of\n"
+            "tree = full_binary_tree(3)\n"
+            "import networkx as nx\n"
+            "assert nx.is_arborescence(tree)\n"
+            "assert len(leaves_of(tree)) == 8\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
