@@ -164,6 +164,8 @@ def render_dashboard(
     for label, name in (
         ("naks", "transfer.naks_sent"),
         ("nak retries", "net.nak_retries"),
+        ("implied polls", "net.implicit_polls"),
+        ("early re-naks", "net.early_renaks"),
         ("retransmissions", "transfer.retransmissions_sent"),
         ("task retries", "campaign.retries"),
     ):

@@ -4,8 +4,9 @@
 every live :class:`~repro.net.session.SenderSession` by session id —
 one server serves many concurrent transfer groups.  :func:`fetch` is the
 receiving side: join handshake with seeded retry/backoff, the NP recovery
-loop (NAK on poll, watchdog re-NAKs under a bounded budget), reassembly,
-and completion handshake.
+loop (NAK on poll -- heard, or implied by the stream moving past the
+group -- one early re-NAK on the measured response time, then watchdog
+re-NAKs under a bounded budget), reassembly, and completion handshake.
 
 Failure taxonomy is shared with the simulator
 (:mod:`repro.resilience.errors`): a transfer that crosses its deadline
@@ -61,8 +62,13 @@ __all__ = ["NetServer", "FetchResult", "fetch"]
 
 Address = tuple
 
-#: cap on watchdog NAKs released per scheduler tick (batch pacing)
+#: cap on NAKs of one kind released per recovery scan (batch pacing)
 _NAK_BATCH = 32
+#: shortest sleep between recovery scans
+_MIN_SCAN = 0.001
+#: longest wait between ``SessionComplete`` repeats, and the wait until a
+#: response time has been measured
+_COMPLETE_WAIT = 0.1
 
 
 def _count_tx(packet) -> None:
@@ -265,6 +271,7 @@ class FetchResult:
     #: over their extent); empty for a fully successful transfer
     failed_groups: tuple[int, ...]
     naks_sent: int
+    #: re-NAKs billed to the ``nak_retry`` budget (neither kind below is)
     watchdog_retries: int
     watchdog_exhaustions: int
     frames_received: int
@@ -276,6 +283,11 @@ class FetchResult:
     #: telemetry trace id announced by the sender session (None when the
     #: sender predates trace-context packets, or the packet was lost)
     trace_id: str | None = None
+    #: NAKs sent for a poll that was not heard but that the stream's
+    #: position (or, for the last group, its silence) showed had been sent
+    implicit_polls: int = 0
+    #: NAKs repeated once because the measured response time passed
+    early_renaks: int = 0
 
     @property
     def complete(self) -> bool:
@@ -291,6 +303,8 @@ class FetchResult:
             "naks_sent": self.naks_sent,
             "watchdog_retries": self.watchdog_retries,
             "watchdog_exhaustions": self.watchdog_exhaustions,
+            "implicit_polls": self.implicit_polls,
+            "early_renaks": self.early_renaks,
             "frames_received": self.frames_received,
             "frame_errors": self.frame_errors,
             "duration": self.duration,
@@ -323,6 +337,8 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
         self.fin_reason: str | None = None
         self.trace_id: str | None = None
         self.naks_sent = 0
+        self.implicit_polls = 0
+        self.early_renaks = 0
         self.frames_received = 0
         self.frame_errors = 0
         self.control_corrupt_discarded = 0
@@ -408,12 +424,7 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
             return
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
-            # the stream has reached tg: every earlier group is in play,
-            # so arm solicitation deadlines for any still-missing ones
-            for behind in range(self.max_tg_seen + 1, tg + 1):
-                if behind not in self.delivered and behind not in self.abandoned:
-                    self.scheduler.arm(behind, now)
-            self.max_tg_seen = tg
+            self._advance(tg, now)
         if tg in self.delivered or tg in self.abandoned:
             return
         self.scheduler.heard(tg, now)
@@ -428,21 +439,66 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
             self.scheduler.forget(tg)
             self._check_done()
 
+    def _advance(self, tg: int, now: float) -> None:
+        """The stream has reached ``tg``: answer the polls it implies.
+
+        The sender polls a group before it sends anything of the next, so
+        a frame of ``tg`` proves every earlier group's ``Poll(g, k, 1)``
+        went out.  A group still short of packets whose poll was not
+        heard is answered as if it had been, at this instant -- in-order
+        delivery makes ``missing`` exactly what the poll would have found.
+        """
+        for behind in range(max(self.max_tg_seen, 0), tg):
+            if (
+                behind not in self.last_poll_round
+                and behind not in self.delivered
+                and behind not in self.abandoned
+            ):
+                self._answer_poll(behind, 1, now, implied=True)
+        self.max_tg_seen = tg
+        if tg not in self.delivered and tg not in self.abandoned:
+            self.scheduler.arm(
+                tg, now, final=tg == self.announce.n_groups - 1
+            )
+
+    def _nak(
+        self, tg: int, round_index: int, event: str | None = None
+    ) -> None:
+        """Send ``NAK(tg, missing, round)``; ``event`` names the counter
+        of a NAK that no heard poll asked for."""
+        self.naks_sent += 1
+        if event is not None and obs.is_enabled():
+            obs.counter(event).inc()
+        self.send(Nak(tg, self._missing(tg), round_index))
+
+    def _answer_poll(
+        self, tg: int, round_index: int, now: float, implied: bool = False
+    ) -> None:
+        """NAK a poll that was heard, or one the stream ``implied``.
+
+        Either way the NAK is free (not billed to the watchdog budget)
+        and the deadline restarts behind it.
+        """
+        event = None
+        if implied:
+            self.implicit_polls += 1
+            self.last_poll_round[tg] = round_index
+            event = "net.implicit_polls"
+        self._nak(tg, round_index, event)
+        self.scheduler.nak_sent(tg, now)
+
     def _on_poll(self, poll: Poll, now: float) -> None:
         tg = poll.tg
         if not 0 <= tg < self.announce.n_groups:
             return
         self.last_stream_rx = now
+        if tg > self.max_tg_seen:
+            self._advance(tg, now)
         self.last_poll_round[tg] = poll.round
         if tg in self.delivered or tg in self.abandoned:
             return
-        missing = self._missing(tg)
-        if missing > 0:
-            # the poll-solicited NAK is free (not billed to the watchdog
-            # budget); the deadline restarts behind it
-            self.naks_sent += 1
-            self.send(Nak(tg, missing, poll.round))
-            self.scheduler.heard(tg, now)
+        self.scheduler.heard(tg, now)
+        self._answer_poll(tg, poll.round, now)
 
     def _on_abort(self, abort: GroupAbort) -> None:
         tg = abort.tg
@@ -464,34 +520,50 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
     def _candidates(self, now: float) -> list[int]:
         """Groups worth soliciting right now.
 
-        Groups the stream has visibly reached (``<= max_tg_seen``) are
-        always candidates; the rest only once the stream has gone silent —
-        NAKing group 90 while the sender is still streaming group 10 would
-        just burn budget.
+        Groups the stream has visibly reached are armed in the scheduler
+        until delivered or abandoned, so its list is the answer -- no
+        scan over all groups.  The rest join only once the stream has
+        gone silent: NAKing group 90 while the sender is still streaming
+        group 10 would just burn budget.
         """
         if self.announce is None:
             return []
-        stream_silent = (
-            now - self.last_stream_rx > self.config.nak_retry.base_delay
-        )
-        out = []
-        for tg in range(self.announce.n_groups):
-            if tg in self.delivered or tg in self.abandoned:
-                continue
-            if tg <= self.max_tg_seen or stream_silent:
-                out.append(tg)
-        return out
+        if now - self.last_stream_rx > self.config.nak_retry.base_delay:
+            return [
+                tg
+                for tg in range(self.announce.n_groups)
+                if tg not in self.delivered and tg not in self.abandoned
+            ]
+        return self.scheduler.waiting()
 
     def solicit(self, now: float) -> list[int]:
-        """One watchdog tick: fire due re-NAKs; returns the groups hit."""
-        candidates = self._candidates(now)
-        due = self.scheduler.due(candidates, now, _NAK_BATCH)
+        """One recovery scan: fire the NAKs that are due; returns the
+        groups whose billed (watchdog) re-NAK went out."""
+        for tg in self.scheduler.early(now, _NAK_BATCH):
+            if tg in self.last_poll_round:
+                self.early_renaks += 1
+                self._nak(tg, self.last_poll_round[tg], "net.early_renaks")
+            else:
+                # the stream's last group: nothing follows it to imply
+                # its poll, so its silence does
+                self._answer_poll(tg, 1, now, implied=True)
+        due = self.scheduler.due(self._candidates(now), now, _NAK_BATCH)
         for tg in due:
-            self.naks_sent += 1
-            if obs.is_enabled():
-                obs.counter("net.nak_retries").inc()
-            self.send(Nak(tg, self._missing(tg), self.last_poll_round.get(tg, 1)))
+            self._nak(tg, self.last_poll_round.get(tg, 1), "net.nak_retries")
         return due
+
+    def scan_delay(self, now: float) -> float:
+        """Seconds until the next scan: the earliest pending deadline,
+        no later than one tick -- or one response time, the soonest a
+        deadline armed while asleep can fall -- from now."""
+        ceiling = self.scheduler.tick
+        rto = self.scheduler.rto
+        if rto is not None:
+            ceiling = min(ceiling, rto)
+        wake = self.scheduler.next_wake()
+        if wake is None:
+            return ceiling
+        return min(ceiling, max(_MIN_SCAN, wake - now))
 
     def budget_exhausted(self, now: float) -> bool:
         candidates = self._candidates(now)
@@ -593,6 +665,8 @@ async def fetch(
         duration=duration,
         rejoins=protocol.rejoins,
         trace_id=protocol.trace_id,
+        implicit_polls=protocol.implicit_polls,
+        early_renaks=protocol.early_renaks,
     )
 
 
@@ -668,7 +742,6 @@ async def _recover(
     member and serves repairs for whatever is still missing.
     """
     loop = asyncio.get_running_loop()
-    tick = protocol.scheduler.tick
     rejoins_left = config.rejoin_attempts
     while True:
         while not protocol.done.is_set():
@@ -687,7 +760,9 @@ async def _recover(
                     _stall_report(protocol, config, start),
                 )
             try:
-                await asyncio.wait_for(protocol.done.wait(), timeout=tick)
+                await asyncio.wait_for(
+                    protocol.done.wait(), timeout=protocol.scan_delay(now)
+                )
             except asyncio.TimeoutError:
                 pass
         if protocol.fin_reason == "ejected" and rejoins_left > 0:
@@ -710,10 +785,14 @@ async def _complete(protocol: _ReceiverProtocol, config: NetConfig) -> None:
     )
     protocol.done.clear()
     protocol.fin_reason = None
+    # a fin answers a complete sooner than repairs answer a NAK (no
+    # aggregation window), so the measured NAK response time is patience
+    # enough between repeats
+    wait = min(_COMPLETE_WAIT, protocol.scheduler.rto or _COMPLETE_WAIT)
     for _ in range(config.complete_repeats):
         protocol.send(complete)
         try:
-            await asyncio.wait_for(protocol.done.wait(), timeout=0.1)
+            await asyncio.wait_for(protocol.done.wait(), timeout=wait)
         except asyncio.TimeoutError:
             continue
         if protocol.fin_reason == "complete":

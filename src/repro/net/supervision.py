@@ -15,12 +15,16 @@ repo so one mental model covers simulator, campaign and transport:
   retry budget, driven by the same
   :class:`~repro.campaign.retry.RetryPolicy` the campaign supervisor uses.
   When every outstanding group has exhausted its budget the transfer is
-  declared stalled (typed failure), never silently hung.
+  declared stalled (typed failure), never silently hung.  Beside that
+  configured patience it keeps a measured one: an RFC 6298 estimate of
+  the NAK -> response time, which buys each silent group one unbilled
+  early re-NAK (DESIGN.md section 14, "recovery timers").
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +33,9 @@ from repro.campaign.retry import RetryPolicy
 
 __all__ = ["NetConfig", "Pacer", "NakScheduler", "GroupNakState"]
 
-#: the scheduler's scan period is derived from the retry base delay; this
-#: floor keeps a pathological policy from busy-spinning the event loop
+#: floor of the scan period derived from the retry base delay and of the
+#: measured response timeout: keeps a pathological policy, or a response
+#: measured in microseconds on loopback, from busy-spinning the event loop
 _MIN_TICK = 0.005
 
 
@@ -175,19 +180,43 @@ class GroupNakState:
     """Solicitation state of one incomplete transmission group."""
 
     attempts: int = 0
-    next_due: float = 0.0
+    #: next billed re-NAK; ``None`` = one base interval (jitter not yet
+    #: drawn) after ``quiet_since``
+    next_due: float | None = 0.0
     exhausted: bool = False
+    #: last sign of life, or last unbilled NAK, whichever is later
+    quiet_since: float = 0.0
+    #: oldest NAK sent since then, awaiting its first response frame
+    nak_at: float | None = None
+    #: a response is owed: a NAK is out, or the stream ends with this group
+    owed: bool = False
+    #: the one early re-NAK of this silence has been sent
+    early_spent: bool = False
 
 
 class NakScheduler:
     """Deadline/backoff/budget bookkeeping for receiver-side NAKs.
 
-    The receiver's recovery ticker calls :meth:`due` each scan; the
-    scheduler answers with the groups whose deadline has passed and whose
-    budget is not yet dry, advancing their backoff schedule (jitter drawn
-    from a ``numpy`` generator seeded by the caller, so two runs with the
-    same seed draw identical backoff sequences).  :meth:`heard` resets a
-    group after any sign of life, mirroring the simulator watchdog.
+    Pure: every method takes the clock, nothing here knows asyncio.  The
+    receiver's recovery loop calls :meth:`early` and :meth:`due` each
+    scan and sleeps until :meth:`next_wake`.
+
+    *Configured* patience: :meth:`due` answers with the groups whose
+    deadline has passed and whose budget is not yet dry, advancing their
+    backoff schedule (jitter drawn from a ``numpy`` generator seeded by
+    the caller, so two runs with the same seed draw identical backoff
+    sequences).  :meth:`heard` resets a group after any sign of life,
+    mirroring the simulator watchdog; it records the time only, and the
+    jittered deadline is drawn when a scan first looks at it.
+
+    *Measured* patience: every unbilled NAK (:meth:`nak_sent`) stamps its
+    group, and the first frame heard for the group afterwards is one
+    sample of NAK -> response latency for an RFC 6298 estimator
+    (:attr:`rto`).  A group that is owed a response and has been silent
+    for ``rto`` gets one :meth:`early` re-NAK per silence.  It is not
+    billed and moves no deadline, so the billed schedule -- and with it
+    the time from the last sign of life to exhaustion -- is exactly what
+    the policy says, with or without samples.
     """
 
     def __init__(self, policy: RetryPolicy, rng: np.random.Generator):
@@ -198,11 +227,32 @@ class NakScheduler:
         self.retries_granted = 0
         #: groups whose budget ran dry at least once
         self.exhaustions = 0
+        #: smoothed NAK -> response time and its mean deviation (RFC 6298)
+        self.srtt: float | None = None
+        self.rttvar = 0.0
 
     @property
     def tick(self) -> float:
-        """Suggested scan period for the recovery ticker."""
+        """Longest the recovery loop sleeps between scans."""
         return max(_MIN_TICK, self.policy.base_delay / 4.0)
+
+    @property
+    def rto(self) -> float | None:
+        """Measured response timeout; ``None`` before the first sample."""
+        if self.srtt is None:
+            return None
+        return min(
+            max(_MIN_TICK, self.srtt + 4.0 * self.rttvar),
+            max(_MIN_TICK, self.policy.base_delay),
+        )
+
+    def _observe(self, sample: float) -> None:
+        if self.srtt is None:
+            self.srtt = sample
+            self.rttvar = sample / 2.0
+        else:
+            self.rttvar += (abs(self.srtt - sample) - self.rttvar) / 4.0
+            self.srtt += (sample - self.srtt) / 8.0
 
     def state(self, tg: int) -> GroupNakState:
         group = self._groups.get(tg)
@@ -210,23 +260,84 @@ class NakScheduler:
             group = self._groups[tg] = GroupNakState()
         return group
 
-    def arm(self, tg: int, now: float) -> None:
-        """Start (or restart) the deadline for ``tg`` without spending."""
+    def waiting(self) -> list[int]:
+        """The groups being solicited: armed and not yet forgotten."""
+        return list(self._groups)
+
+    def arm(self, tg: int, now: float, final: bool = False) -> None:
+        """Start (or restart) the deadline for ``tg`` without spending.
+
+        ``final`` marks the stream's last group: no later frame can show
+        that its poll went out, so silence after it is owed an answer.
+        """
         group = self.state(tg)
-        group.next_due = now + self.policy.delay(1, self.rng)
+        group.quiet_since = now
+        group.next_due = None
+        group.owed = group.owed or final
 
     def heard(self, tg: int, now: float) -> None:
         """Any sign of life for ``tg``: reset its backoff schedule."""
         group = self._groups.get(tg)
         if group is None:
             return
+        if group.nak_at is not None:
+            # a billed retry since the stamp means a long silence lay
+            # between NAK and response: that is loss, not latency
+            if group.attempts == 0:
+                self._observe(now - group.nak_at)
+            group.nak_at = None
         group.attempts = 0
         group.exhausted = False
-        group.next_due = now + self.policy.delay(1, self.rng)
+        group.early_spent = False
+        group.quiet_since = now
+        group.next_due = None
+
+    def nak_sent(self, tg: int, now: float) -> None:
+        """An unbilled NAK (poll-solicited or implied) left for ``tg``.
+
+        The deadline restarts behind it, as after a sign of life.
+        """
+        group = self.state(tg)
+        if group.nak_at is None:
+            group.nak_at = now
+        group.owed = True
+        group.early_spent = False
+        group.quiet_since = now
+        group.next_due = None
 
     def forget(self, tg: int) -> None:
         """The group is delivered or abandoned: stop soliciting."""
         self._groups.pop(tg, None)
+
+    def _deadline(self, group: GroupNakState) -> float:
+        if group.next_due is None:
+            group.next_due = group.quiet_since + self.policy.delay(1, self.rng)
+        return group.next_due
+
+    @staticmethod
+    def _early_at(group: GroupNakState, rto: float | None) -> float:
+        """When ``group``'s early re-NAK falls due (never: ``inf``)."""
+        if rto is None or not group.owed:
+            return math.inf
+        if group.early_spent or group.exhausted:
+            return math.inf
+        return group.quiet_since + rto
+
+    def early(self, now: float, limit: int) -> list[int]:
+        """Up to ``limit`` groups owed a response and silent for ``rto``.
+
+        Each gets this once per silence; nothing is billed and no
+        deadline moves.  Empty until the estimator has a sample.
+        """
+        rto = self.rto
+        ready: list[int] = []
+        for tg, group in self._groups.items():
+            if len(ready) >= limit:
+                break
+            if self._early_at(group, rto) <= now:
+                group.early_spent = True
+                ready.append(tg)
+        return ready
 
     def due(self, candidates, now: float, limit: int) -> list[int]:
         """Up to ``limit`` groups from ``candidates`` due for a re-NAK.
@@ -241,7 +352,7 @@ class NakScheduler:
             if len(ready) >= limit:
                 break
             group = self.state(tg)
-            if group.exhausted or group.next_due > now:
+            if group.exhausted or self._deadline(group) > now:
                 continue
             if group.attempts >= self.policy.retries:
                 group.exhausted = True
@@ -256,6 +367,18 @@ class NakScheduler:
             )
             ready.append(tg)
         return ready
+
+    def next_wake(self) -> float | None:
+        """Earliest pending deadline, billed or early; ``None`` if idle."""
+        rto = self.rto
+        return min(
+            (
+                min(self._deadline(group), self._early_at(group, rto))
+                for group in self._groups.values()
+                if not group.exhausted
+            ),
+            default=None,
+        )
 
     def all_exhausted(self, candidates) -> bool:
         """True when every candidate group's retry budget is dry."""

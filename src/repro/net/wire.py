@@ -24,6 +24,11 @@ re-stamps — payload packets get ``checksum_of(payload)``, control packets
 auto-stamp at construction — so a decoded packet always verifies intact
 (frames that were damaged on the wire never decode at all).
 
+``decode_frame`` copies a datagram once: the frame CRC runs over a
+``memoryview``, the per-type decoders read their fields in place with
+``unpack_from`` at the body offset, and the payload slice is the only
+``bytes`` object cut from the datagram.
+
 Forward compatibility lever: the version byte is load-bearing and frozen
 at 1; *new control surface* is added as new type discriminators instead.
 A v1-only decoder that predates a type treats such frames as
@@ -75,6 +80,8 @@ VERSION = 1
 _HEADER = struct.Struct("!2sBBQ")  # magic, version, type, session id
 _CRC = struct.Struct("!I")
 _MIN_FRAME = _HEADER.size + _CRC.size
+#: offset of the type-specific body; it ends where the CRC begins
+_BODY = _HEADER.size
 
 MAX_SESSION_ID = 2**64 - 1
 #: codec registry names are short; anything longer is a malformed frame
@@ -139,29 +146,31 @@ def _pack(fmt: struct.Struct, *values: int) -> bytes:
         raise FrameError("overflow", str(exc)) from exc
 
 
-def _exact(fmt: struct.Struct, body: bytes) -> tuple:
-    if len(body) != fmt.size:
+# Decoders take the whole datagram and ``end``, the offset of its CRC: the
+# body is ``data[_BODY:end]``, read in place.
+def _exact(fmt: struct.Struct, data: bytes, end: int) -> tuple:
+    if end - _BODY != fmt.size:
         raise FrameError(
-            "malformed", f"body is {len(body)} bytes, expected {fmt.size}"
+            "malformed", f"body is {end - _BODY} bytes, expected {fmt.size}"
         )
-    return fmt.unpack(body)
+    return fmt.unpack_from(data, _BODY)
 
 
-def _prefix(fmt: struct.Struct, body: bytes) -> tuple:
-    if len(body) < fmt.size:
+def _prefix(fmt: struct.Struct, data: bytes, end: int) -> tuple:
+    if end - _BODY < fmt.size:
         raise FrameError(
-            "malformed", f"body is {len(body)} bytes, needs >= {fmt.size}"
+            "malformed", f"body is {end - _BODY} bytes, needs >= {fmt.size}"
         )
-    return fmt.unpack_from(body)
+    return fmt.unpack_from(data, _BODY)
 
 
 def _encode_data(p: DataPacket) -> bytes:
     return _pack(_DATA, p.tg, p.index, p.generation) + p.payload
 
 
-def _decode_data(body: bytes) -> DataPacket:
-    tg, index, generation = _prefix(_DATA, body)
-    payload = body[_DATA.size:]
+def _decode_data(data: bytes, end: int) -> DataPacket:
+    tg, index, generation = _prefix(_DATA, data, end)
+    payload = data[_BODY + _DATA.size: end]
     return DataPacket(tg, index, payload, generation, checksum_of(payload))
 
 
@@ -169,9 +178,9 @@ def _encode_parity(p: ParityPacket) -> bytes:
     return _pack(_PARITY, p.tg, p.index) + p.payload
 
 
-def _decode_parity(body: bytes) -> ParityPacket:
-    tg, index = _prefix(_PARITY, body)
-    payload = body[_PARITY.size:]
+def _decode_parity(data: bytes, end: int) -> ParityPacket:
+    tg, index = _prefix(_PARITY, data, end)
+    payload = data[_BODY + _PARITY.size: end]
     return ParityPacket(tg, index, payload, checksum_of(payload))
 
 
@@ -179,9 +188,9 @@ def _encode_retransmission(p: Retransmission) -> bytes:
     return _pack(_PARITY, p.tg, p.index) + p.payload
 
 
-def _decode_retransmission(body: bytes) -> Retransmission:
-    tg, index = _prefix(_PARITY, body)
-    payload = body[_PARITY.size:]
+def _decode_retransmission(data: bytes, end: int) -> Retransmission:
+    tg, index = _prefix(_PARITY, data, end)
+    payload = data[_BODY + _PARITY.size: end]
     return Retransmission(tg, index, payload, checksum_of(payload))
 
 
@@ -189,16 +198,16 @@ def _encode_poll(p: Poll) -> bytes:
     return _pack(_POLL, p.tg, p.sent, p.round)
 
 
-def _decode_poll(body: bytes) -> Poll:
-    return Poll(*_exact(_POLL, body))
+def _decode_poll(data: bytes, end: int) -> Poll:
+    return Poll(*_exact(_POLL, data, end))
 
 
 def _encode_nak(p: Nak) -> bytes:
     return _pack(_NAK, p.tg, p.needed, p.round)
 
 
-def _decode_nak(body: bytes) -> Nak:
-    return Nak(*_exact(_NAK, body))
+def _decode_nak(data: bytes, end: int) -> Nak:
+    return Nak(*_exact(_NAK, data, end))
 
 
 def _encode_selective_nak(p: SelectiveNak) -> bytes:
@@ -206,19 +215,21 @@ def _encode_selective_nak(p: SelectiveNak) -> bytes:
     return head + b"".join(_pack(_U32, index) for index in p.missing)
 
 
-def _decode_selective_nak(body: bytes) -> SelectiveNak:
-    tg, round_index, count = _prefix(_SNAK, body)
-    rest = body[_SNAK.size:]
-    if len(rest) != count * _U32.size:
+def _index_list(data: bytes, end: int, count: int, what: str) -> tuple:
+    """The ``count`` u32 values trailing a ``_SNAK`` head, read in place."""
+    start = _BODY + _SNAK.size
+    if end - start != count * _U32.size:
         raise FrameError(
             "malformed",
-            f"selective NAK declares {count} indices, carries "
-            f"{len(rest)} trailing bytes",
+            f"{what} declares {count} entries, carries {end - start} "
+            f"trailing bytes",
         )
-    missing = tuple(
-        _U32.unpack_from(rest, offset)[0]
-        for offset in range(0, len(rest), _U32.size)
-    )
+    return struct.unpack_from(f"!{count}I", data, start)
+
+
+def _decode_selective_nak(data: bytes, end: int) -> SelectiveNak:
+    tg, round_index, count = _prefix(_SNAK, data, end)
+    missing = _index_list(data, end, count, "selective NAK")
     return SelectiveNak(tg, missing, round_index)
 
 
@@ -227,19 +238,9 @@ def _encode_slot_nak(p: SlotNak) -> bytes:
     return head + b"".join(_pack(_U32, slot) for slot in p.slots)
 
 
-def _decode_slot_nak(body: bytes) -> SlotNak:
-    block, round_index, count = _prefix(_SNAK, body)
-    rest = body[_SNAK.size:]
-    if len(rest) != count * _U32.size:
-        raise FrameError(
-            "malformed",
-            f"slot NAK declares {count} slots, carries {len(rest)} "
-            f"trailing bytes",
-        )
-    slots = tuple(
-        _U32.unpack_from(rest, offset)[0]
-        for offset in range(0, len(rest), _U32.size)
-    )
+def _decode_slot_nak(data: bytes, end: int) -> SlotNak:
+    block, round_index, count = _prefix(_SNAK, data, end)
+    slots = _index_list(data, end, count, "slot NAK")
     return SlotNak(block, slots, round_index)
 
 
@@ -247,16 +248,16 @@ def _encode_abort(p: GroupAbort) -> bytes:
     return _pack(_ABORT, p.tg, p.round)
 
 
-def _decode_abort(body: bytes) -> GroupAbort:
-    return GroupAbort(*_exact(_ABORT, body))
+def _decode_abort(data: bytes, end: int) -> GroupAbort:
+    return GroupAbort(*_exact(_ABORT, data, end))
 
 
 def _encode_join(p: SessionJoin) -> bytes:
     return _pack(_JOIN, p.group, p.nonce)
 
 
-def _decode_join(body: bytes) -> SessionJoin:
-    group, nonce = _exact(_JOIN, body)
+def _decode_join(data: bytes, end: int) -> SessionJoin:
+    group, nonce = _exact(_JOIN, data, end)
     return SessionJoin(group=group, nonce=nonce)
 
 
@@ -273,9 +274,9 @@ def _encode_announce(p: SessionAnnounce) -> bytes:
     )
 
 
-def _decode_announce(body: bytes) -> SessionAnnounce:
-    k, h, packet_size, n_groups, total_length = _prefix(_ANNOUNCE, body)
-    name = body[_ANNOUNCE.size:]
+def _decode_announce(data: bytes, end: int) -> SessionAnnounce:
+    k, h, packet_size, n_groups, total_length = _prefix(_ANNOUNCE, data, end)
+    name = data[_BODY + _ANNOUNCE.size: end]
     if len(name) > _MAX_CODEC_NAME:
         raise FrameError("malformed", "codec name too long")
     try:
@@ -296,8 +297,8 @@ def _encode_complete(p: SessionComplete) -> bytes:
     return _pack(_COMPLETE, p.delivered, p.failed)
 
 
-def _decode_complete(body: bytes) -> SessionComplete:
-    delivered, failed = _exact(_COMPLETE, body)
+def _decode_complete(data: bytes, end: int) -> SessionComplete:
+    delivered, failed = _exact(_COMPLETE, data, end)
     return SessionComplete(delivered=delivered, failed=failed)
 
 
@@ -315,21 +316,21 @@ def _encode_trace(p: TraceContextPacket) -> bytes:
     return raw
 
 
-def _decode_trace(body: bytes) -> TraceContextPacket:
-    if len(body) != _TRACE_ID_BYTES:
+def _decode_trace(data: bytes, end: int) -> TraceContextPacket:
+    if end - _BODY != _TRACE_ID_BYTES:
         raise FrameError(
             "malformed",
-            f"trace body is {len(body)} bytes, expected {_TRACE_ID_BYTES}",
+            f"trace body is {end - _BODY} bytes, expected {_TRACE_ID_BYTES}",
         )
-    return TraceContextPacket(body.hex())
+    return TraceContextPacket(data[_BODY:end].hex())
 
 
 def _encode_fin(p: SessionFin) -> bytes:
     return _pack(_FIN, SessionFin.REASONS.index(p.reason))
 
 
-def _decode_fin(body: bytes) -> SessionFin:
-    (code,) = _exact(_FIN, body)
+def _decode_fin(data: bytes, end: int) -> SessionFin:
+    (code,) = _exact(_FIN, data, end)
     if code >= len(SessionFin.REASONS):
         raise FrameError("malformed", f"unknown fin reason code {code}")
     return SessionFin(SessionFin.REASONS[code])
@@ -397,23 +398,22 @@ def encode_frame(packet: Any, session_id: int = 0) -> bytes:
 
 def decode_frame(data: bytes) -> Frame:
     """Parse one frame; raises :class:`FrameError` on anything suspect."""
-    if len(data) < _MIN_FRAME:
+    end = len(data) - _CRC.size
+    if end < _BODY:
         raise FrameError("truncated", f"{len(data)} bytes < {_MIN_FRAME}")
     magic, version, type_id, session_id = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FrameError("bad_magic", repr(magic))
     if version != VERSION:
         raise FrameError("bad_version", str(version))
-    (stored_crc,) = _CRC.unpack_from(data, len(data) - _CRC.size)
-    if zlib.crc32(data[: -_CRC.size]) != stored_crc:
+    (stored_crc,) = _CRC.unpack_from(data, end)
+    if zlib.crc32(memoryview(data)[:end]) != stored_crc:
         raise FrameError("crc_mismatch", f"stored {stored_crc:#010x}")
     entry = _TYPES.get(type_id)
     if entry is None:
         raise FrameError("unknown_type", str(type_id))
-    _, _, decoder = entry
-    body = data[_HEADER.size: -_CRC.size]
     try:
-        packet = decoder(body)
+        packet = entry[2](data, end)
     except FrameError:
         raise
     except Exception as exc:  # defensive: decoder bugs stay typed

@@ -1,0 +1,144 @@
+"""Property: extra NAKs cost the sender polls, never repairs.
+
+The receiver answers polls it did not hear (implied by the stream's
+position) and repeats a NAK once on the measured response time, so the
+sender sees NAKs that are early, duplicated, or a round behind or ahead.
+What keeps that free in transmissions per packet is a property of
+``SenderSession`` alone, pinned here against a model: whatever the
+interleaving, each served round sends exactly the largest shortfall among
+the NAKs that reached its open window, stale NAKs buy at most a poll, and
+a group's round number only moves forward.
+"""
+
+import asyncio
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.session import DRAINING, STREAMING, SenderSession
+from repro.net.supervision import NetConfig
+from repro.protocols.packets import (
+    DataPacket,
+    Nak,
+    ParityPacket,
+    Poll,
+    SessionJoin,
+)
+
+K, H, GROUPS = 4, 2, 3  # h < k: a round can cross into the ARQ fallback
+MEMBERS = [("127.0.0.1", 40001 + i) for i in range(4)]
+
+#: windows close as soon as the loop turns, and a flush never yields
+#: mid-way, so the driver decides exactly which NAKs share a window
+CONFIG = NetConfig(
+    k=K, h=H, packet_size=16, max_rounds=0,
+    nak_aggregation=0.0, pace_interval=0.0, pace_burst=10_000,
+)
+
+naks = st.tuples(
+    st.just("nak"),
+    st.integers(0, len(MEMBERS) - 1),
+    st.integers(0, GROUPS - 1),
+    st.integers(1, K),  # needed
+    st.sampled_from((-1, 0, 1)),  # round, relative to the group's current
+    st.integers(1, 3),  # copies: a duplicated NAK
+)
+steps = st.lists(st.one_of(naks, st.just(("turn",))), max_size=40)
+
+
+async def settle(session: SenderSession) -> None:
+    """Let every armed window close and its flush run to the end."""
+    me = asyncio.current_task()
+    for _ in range(100):
+        await asyncio.sleep(0)
+        busy = any(group.flush_armed for group in session._groups) or any(
+            task is not me for task in asyncio.all_tasks()
+        )
+        if not busy:
+            return
+    raise AssertionError("repair flushes did not settle")
+
+
+async def drive(script, members: int, state: str):
+    sent: list = []
+    session = SenderSession(
+        session_id=1,
+        group=0,
+        data=bytes(K * 16 * GROUPS),
+        config=CONFIG,
+        send=lambda packet, addr: sent.append((packet, addr)),
+        now=lambda: 100.0,
+    )
+    for addr in MEMBERS[:members]:
+        assert session.add_member(addr, SessionJoin(group=0, nonce=1))
+    session.state = state
+    del sent[:]
+
+    # the model: a group's round, and the largest shortfall in its window
+    rounds = [1] * GROUPS
+    window: dict[int, int] = {}
+    repairs = served = 0
+
+    async def close_windows():
+        nonlocal repairs, served
+        before = len(sent)
+        await settle(session)
+        flushed = sent[before:]
+        for tg, needed in window.items():
+            frames = [
+                packet for packet, addr in flushed
+                if isinstance(packet, (ParityPacket, DataPacket))
+                and packet.tg == tg and addr == MEMBERS[0]
+            ]
+            assert len(frames) == needed, "one window, one max(needed)"
+            rounds[tg] += 1
+            assert (Poll(tg, needed, rounds[tg]), MEMBERS[0]) in flushed
+            repairs += needed
+            served += 1
+        window.clear()
+
+    for step in script:
+        if step[0] == "turn":
+            await close_windows()
+            continue
+        _, member, tg, needed, offset, copies = step
+        if member >= members:
+            continue
+        before = len(sent)
+        nak = Nak(tg, needed, rounds[tg] + offset)
+        for _ in range(copies):
+            session.on_frame(nak, MEMBERS[member])
+        if offset < 0:
+            # a round behind: re-polled at most, never repaired
+            repoll = Poll(
+                tg, session._groups[tg].sent_last_round, rounds[tg]
+            )
+            assert all(packet == repoll for packet, _ in sent[before:])
+        else:
+            assert sent[before:] == []  # aggregated, answered at close
+            window[tg] = max(window.get(tg, 0), needed)
+        observed = [group.round for group in session._groups]
+        assert observed == rounds, "rounds only move when a window closes"
+    await close_windows()
+
+    assert session.rounds_served == served
+    assert session.parities_sent + session.arq_fallbacks == repairs
+    payload_frames = sum(
+        isinstance(packet, (ParityPacket, DataPacket)) for packet, _ in sent
+    )
+    assert payload_frames == repairs * members
+    assert session.naks_received == sum(
+        step[5] for step in script if step[0] == "nak" and step[1] < members
+    )
+
+
+@given(
+    script=steps,
+    members=st.integers(1, len(MEMBERS)),
+    state=st.sampled_from((STREAMING, DRAINING)),
+)
+@settings(max_examples=150, deadline=None)
+def test_each_round_sends_exactly_its_windows_largest_shortfall(
+    script, members, state
+):
+    asyncio.run(drive(script, members, state))

@@ -1,16 +1,25 @@
 """Unit tests: the transport-agnostic sender session, driven without
-sockets through its ``send`` / ``now`` callables."""
+sockets through its ``send`` / ``now`` callables, and the receiver's
+recovery rules, driven the same way through a fake transport and the
+``now`` argument of its handlers."""
 
 import asyncio
 
+import pytest
+
 from repro import obs
+from repro.fec.block import BlockEncoder
 from repro.fec.rse import RSECodec
+from repro.net.endpoints import _MIN_SCAN, _ReceiverProtocol
 from repro.net.session import DONE, DRAINING, SenderSession
 from repro.net.supervision import NetConfig
+from repro.net.wire import decode_frame
 from repro.protocols.packets import (
+    DataPacket,
     Nak,
     ParityPacket,
     Poll,
+    SessionAnnounce,
     SessionComplete,
     SessionFin,
     SessionJoin,
@@ -110,3 +119,232 @@ class TestMaxRounds:
         assert packets[0].tg == 0 and packets[0].index == config.k
         assert packets[1] == Poll(0, 1, 2)
         assert session.rounds_served == 1
+
+
+class _FakeTransport:
+    """Collects what the receiver sends, decoded."""
+
+    def __init__(self):
+        self.sent: list = []
+
+    def is_closing(self) -> bool:
+        return False
+
+    def sendto(self, data: bytes) -> None:
+        self.sent.append(decode_frame(data).packet)
+
+
+class ReceiverHarness:
+    """A ``_ReceiverProtocol`` fed by hand on a fake clock.
+
+    The handlers take ``now`` as an argument, so no loop, socket or sleep
+    is involved: ``stream`` plays the sender's part of a group, frame by
+    frame, with scripted drops.
+    """
+
+    K, H, SIZE, GROUPS = 4, 4, 32, 6
+
+    def __init__(self):
+        self.config = NetConfig(k=self.K, h=self.H, packet_size=self.SIZE)
+        self.base_delay = self.config.nak_retry.base_delay
+        self.payload = bytes(range(256)) * 3  # 6 groups x 4 x 32 bytes
+        self.encoder = BlockEncoder(
+            self.payload, k=self.K, h=self.H, packet_size=self.SIZE
+        )
+        self.protocol = _ReceiverProtocol(self.config, group=0)
+        self.wire = self.protocol.transport = _FakeTransport()
+        self.protocol._on_announce(
+            SessionAnnounce(
+                k=self.K, h=self.H, packet_size=self.SIZE,
+                n_groups=self.GROUPS, total_length=len(self.payload),
+            ),
+            session_id=1,
+        )
+
+    @property
+    def naks(self) -> list:
+        return [p for p in self.wire.sent if isinstance(p, Nak)]
+
+    def data(self, tg: int, index: int, now: float) -> None:
+        self.protocol._on_payload(
+            DataPacket(tg, index, self.encoder.data_packet(tg, index)), now
+        )
+
+    def parity(self, tg: int, now: float, j: int = 0) -> None:
+        self.protocol._on_payload(
+            ParityPacket(tg, self.K + j, self.encoder.parity_packet(tg, j)),
+            now,
+        )
+
+    def poll(self, tg: int, now: float) -> None:
+        self.protocol._on_poll(Poll(tg, self.K, 1), now)
+
+    def stream(self, tg, now, lose=(), poll=True) -> float:
+        """Group ``tg`` as the sender streams it, 1 ms a frame."""
+        for index in range(self.K):
+            if index not in lose:
+                self.data(tg, index, now)
+            now += 0.001
+        if poll:
+            self.poll(tg, now)
+        return now + 0.001
+
+    def measure_a_response(self, now: float) -> float:
+        """Group 0 loses a packet and is repaired 10 ms after its NAK:
+        the estimator's first sample (rto = 30 ms)."""
+        now = self.stream(0, now, lose={1})
+        assert self.naks == [Nak(0, 1, 1)]
+        self.parity(0, now + 0.009)
+        assert self.protocol.scheduler.rto == pytest.approx(0.03, abs=1e-6)
+        return now + 0.01
+
+
+class TestImplicitPoll:
+    def test_lost_poll_is_answered_at_the_next_groups_first_frame(self):
+        rx = ReceiverHarness()
+        now = 50.0
+        for tg in range(3):
+            now = rx.stream(tg, now)
+        polled_at = rx.stream(3, now, lose={2}, poll=False)
+        assert rx.naks == []
+        rx.data(4, 0, polled_at)
+        # as if Poll(3, k, 1) had been heard, and no later than it would
+        assert rx.naks == [Nak(3, 1, 1)]
+        assert rx.protocol.implicit_polls == 1
+        assert rx.protocol.last_poll_round[3] == 1
+        rx.parity(3, polled_at + 0.011)
+        assert 3 in rx.protocol.delivered
+        assert rx.protocol.scheduler.retries_granted == 0
+        assert polled_at + 0.011 - now < rx.base_delay
+
+    def test_a_poll_of_a_later_group_implies_it_too(self):
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0)
+        now = rx.stream(1, now, lose={0}, poll=False)
+        rx.poll(2, now)  # every data packet of group 2 was lost
+        assert rx.naks == [Nak(1, 1, 1), Nak(2, ReceiverHarness.K, 1)]
+        assert rx.protocol.implicit_polls == 1
+
+    def test_a_group_lost_whole_is_nakked_for_all_k(self):
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0)
+        rx.data(2, 0, now)
+        assert rx.naks == [Nak(1, ReceiverHarness.K, 1)]
+
+    def test_heard_polls_and_whole_groups_imply_nothing(self):
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0)
+        now = rx.stream(1, now, lose={3})  # poll heard: one NAK, explicit
+        now = rx.stream(2, now, poll=False)  # complete: its poll is moot
+        rx.stream(3, now)
+        assert rx.naks == [Nak(1, 1, 1)]
+        assert rx.protocol.implicit_polls == 0
+
+    def test_a_repair_of_the_same_group_implies_nothing(self):
+        # the next round's poll is right behind it; a round-1 NAK sent now
+        # could reach the sender mid-flush and buy a second set of repairs
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0, lose={0, 1}, poll=False)
+        rx.parity(0, now)
+        assert rx.naks == []
+
+
+class TestEarlyRenak:
+    def test_dropped_nak_is_repeated_once_within_the_response_time(self):
+        rx = ReceiverHarness()
+        now = rx.measure_a_response(50.0)
+        for tg in (1, 2):
+            now = rx.stream(tg, now)
+        now = rx.stream(3, now, lose={0}, poll=False)
+        rx.data(4, 0, now)  # the implied poll; say its NAK is dropped
+        assert rx.naks[1:] == [Nak(3, 1, 1)]
+        rto = rx.protocol.scheduler.rto
+        assert rx.protocol.solicit(now + rto - 0.001) == []
+        assert len(rx.naks) == 2
+        rx.protocol.solicit(now + rto + 0.001)
+        assert rx.naks[2:] == [Nak(3, 1, 1)]
+        assert rx.protocol.early_renaks == 1
+        # once: the next silence is the configured one
+        rx.protocol.solicit(now + 2 * rto + 0.002)
+        rx.protocol.solicit(now + rx.base_delay * 0.7)
+        assert len(rx.naks) == 3
+        rx.parity(3, now + rto + 0.012)
+        assert 3 in rx.protocol.delivered
+        assert rx.protocol.scheduler.retries_granted == 0
+        assert rto + 0.012 < rx.base_delay
+
+    def test_without_a_sample_only_the_watchdog_repeats_it(self):
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0, lose={0})
+        assert rx.naks == [Nak(0, 1, 1)]
+        assert rx.protocol.solicit(now + rx.base_delay * 0.7) == []
+        rx.data(1, 0, now + rx.base_delay * 0.9)  # the stream is alive
+        assert rx.protocol.solicit(now + rx.base_delay) == [0]
+        assert rx.naks == [Nak(0, 1, 1)] * 2
+        assert rx.protocol.early_renaks == 0
+        assert rx.protocol.scheduler.retries_granted == 1
+
+
+class TestLastGroupsPoll:
+    LAST = ReceiverHarness.GROUPS - 1
+
+    def test_silence_after_the_last_group_implies_its_poll(self):
+        rx = ReceiverHarness()
+        now = rx.measure_a_response(50.0)
+        for tg in range(1, self.LAST):
+            now = rx.stream(tg, now)
+        now = rx.stream(self.LAST, now, lose={1}, poll=False)
+        heard_at = now - 0.002  # index 3, the last frame that arrived
+        rto = rx.protocol.scheduler.rto
+        assert rx.protocol.solicit(heard_at + rto - 0.001) == []
+        assert len(rx.naks) == 1
+        rx.protocol.solicit(heard_at + rto + 0.001)
+        assert rx.naks[1:] == [Nak(self.LAST, 1, 1)]
+        assert rx.protocol.implicit_polls == 1
+        assert rx.protocol.early_renaks == 0
+        rx.parity(self.LAST, heard_at + rto + 0.012)
+        assert rx.protocol.done.is_set()
+        assert rx.protocol.scheduler.retries_granted == 0
+        assert rto + 0.012 < rx.base_delay
+
+    def test_a_gap_inside_the_last_group_is_not_silence(self):
+        rx = ReceiverHarness()
+        now = rx.measure_a_response(50.0)
+        for tg in range(1, self.LAST):
+            now = rx.stream(tg, now)
+        rto = rx.protocol.scheduler.rto
+        for index in range(ReceiverHarness.K):
+            rx.data(self.LAST, index, now)
+            now += rto * 0.9
+            rx.protocol.solicit(now - 0.0001)
+        assert len(rx.naks) == 1 and rx.protocol.done.is_set()
+
+    def test_an_earlier_group_mid_stream_is_not_owed_an_answer(self):
+        rx = ReceiverHarness()
+        now = rx.measure_a_response(50.0)
+        rx.data(1, 0, now)  # the sender stalls inside group 1
+        rx.protocol.solicit(now + 0.2)
+        assert len(rx.naks) == 1 and rx.protocol.implicit_polls == 0
+
+
+class TestScanDelay:
+    def test_idle_receiver_sleeps_a_whole_tick(self):
+        rx = ReceiverHarness()
+        assert rx.protocol.scan_delay(50.0) == rx.protocol.scheduler.tick
+
+    def test_sleeps_until_the_earliest_deadline(self):
+        rx = ReceiverHarness()
+        now = rx.measure_a_response(50.0)
+        now = rx.stream(1, now, lose={0})  # NAK out at now - 1 ms
+        rto = rx.protocol.scheduler.rto
+        assert rx.protocol.scan_delay(now) == pytest.approx(rto - 0.001)
+        assert rx.protocol.scan_delay(now + rto) == _MIN_SCAN  # overdue
+        rx.protocol.solicit(now + rto)
+        # early re-NAK spent: the watchdog deadline is next, but a NAK
+        # sent meanwhile may fall due one response time from now
+        assert rx.protocol.scan_delay(now + rto) == pytest.approx(rto)
+
+    def test_never_longer_than_a_tick(self):
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0, lose={0})  # no sample: watchdog only
+        assert rx.protocol.scan_delay(now) == rx.protocol.scheduler.tick

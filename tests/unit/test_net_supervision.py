@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign.retry import RetryPolicy
 from repro.net.chaos import ChaosPlan, ChaosProxy, FaultSchedule
-from repro.net.supervision import NakScheduler, NetConfig, Pacer
+from repro.net.supervision import _MIN_TICK, NakScheduler, NetConfig, Pacer
 
 
 class TestNetConfig:
@@ -140,6 +140,267 @@ class TestNakScheduler:
         assert scheduler.due([0], now=0.0, limit=8) == [0]
         scheduler.forget(0)
         assert scheduler.max_attempts_spent == 0
+
+
+def exchange(scheduler, tg, at, latency):
+    """One answered NAK on the fake clock: a sample of ``latency``."""
+    scheduler.nak_sent(tg, now=at)
+    scheduler.heard(tg, now=at + latency)
+
+
+class TestResponseEstimator:
+    """RFC 6298 over NAK -> first response frame, on a fake clock."""
+
+    def scheduler(self, base_delay=1.0):
+        policy = RetryPolicy(
+            retries=3, base_delay=base_delay, backoff=2.0, max_delay=8.0,
+            jitter=0.0,
+        )
+        return NakScheduler(policy, np.random.default_rng(0))
+
+    def test_undefined_until_the_first_sample(self):
+        scheduler = self.scheduler()
+        scheduler.arm(0, now=0.0)
+        scheduler.heard(0, now=0.5)  # a frame, but no NAK was out
+        assert scheduler.rto is None
+        scheduler.nak_sent(0, now=1.0)
+        assert scheduler.rto is None  # stamped, not yet answered
+
+    def test_first_sample(self):
+        scheduler = self.scheduler()
+        exchange(scheduler, 0, at=10.0, latency=0.02)
+        assert scheduler.srtt == pytest.approx(0.02)
+        assert scheduler.rttvar == pytest.approx(0.01)
+        assert scheduler.rto == pytest.approx(0.06)
+
+    def test_second_sample_uses_the_rfc_gains(self):
+        scheduler = self.scheduler()
+        exchange(scheduler, 0, at=10.0, latency=0.02)
+        exchange(scheduler, 0, at=11.0, latency=0.04)
+        # rttvar = 3/4 * 0.01 + 1/4 * |0.02 - 0.04|; srtt = 7/8, 1/8
+        assert scheduler.rttvar == pytest.approx(0.0125)
+        assert scheduler.srtt == pytest.approx(0.0225)
+        assert scheduler.rto == pytest.approx(0.0225 + 4 * 0.0125)
+
+    def test_converges_on_a_steady_latency(self):
+        scheduler = self.scheduler()
+        exchange(scheduler, 0, at=0.0, latency=0.2)
+        for i in range(1, 80):
+            exchange(scheduler, 0, at=float(i), latency=0.03)
+        assert scheduler.srtt == pytest.approx(0.03, rel=1e-3)
+        assert scheduler.rto == pytest.approx(0.03, rel=1e-2)
+
+    def test_clamped_to_min_tick_and_base_delay(self):
+        fast = self.scheduler()
+        exchange(fast, 0, at=0.0, latency=1e-5)
+        assert fast.rto == _MIN_TICK
+        slow = self.scheduler(base_delay=0.25)
+        exchange(slow, 0, at=0.0, latency=50.0)
+        assert slow.rto == 0.25
+
+    def test_only_the_first_frame_after_a_nak_is_a_sample(self):
+        scheduler = self.scheduler()
+        exchange(scheduler, 0, at=0.0, latency=0.02)
+        scheduler.heard(0, now=0.5)  # second repair of the same round
+        scheduler.heard(0, now=0.9)
+        assert scheduler.srtt == pytest.approx(0.02)
+
+    def test_the_oldest_unanswered_nak_is_the_stamp(self):
+        # an early re-NAK must not shorten the sample: the response may
+        # be to the first NAK, and a too-short sample tightens the timer
+        # that fired too soon
+        scheduler = self.scheduler()
+        scheduler.nak_sent(0, now=0.0)
+        scheduler.nak_sent(0, now=0.05)
+        scheduler.heard(0, now=0.06)
+        assert scheduler.srtt == pytest.approx(0.06)
+
+    def test_a_response_behind_a_billed_retry_is_not_a_sample(self):
+        # a whole base interval of silence lay in between: loss, not
+        # latency (Karn's rule)
+        scheduler = self.scheduler()
+        scheduler.nak_sent(0, now=0.0)
+        assert scheduler.due([0], now=1.0, limit=8) == [0]
+        scheduler.heard(0, now=1.02)
+        assert scheduler.rto is None
+        exchange(scheduler, 0, at=2.0, latency=0.02)  # the stamp was cleared
+        assert scheduler.srtt == pytest.approx(0.02)
+
+
+class TestEarlyRenak:
+    """One unbilled re-NAK per silence, at the measured response time."""
+
+    RTO = 0.06  # after one 20 ms sample
+
+    def policy(self, jitter=0.0):
+        return RetryPolicy(
+            retries=3, base_delay=1.0, backoff=2.0, max_delay=8.0,
+            jitter=jitter,
+        )
+
+    def primed(self, jitter=0.0, seed=0):
+        scheduler = NakScheduler(
+            self.policy(jitter), np.random.default_rng(seed)
+        )
+        exchange(scheduler, 99, at=0.0, latency=0.02)
+        scheduler.forget(99)
+        assert scheduler.rto == pytest.approx(self.RTO)
+        return scheduler
+
+    def test_without_a_sample_the_schedule_is_the_policys(self):
+        scheduler = NakScheduler(self.policy(), np.random.default_rng(0))
+        scheduler.nak_sent(0, now=10.0)
+        fired = []
+        now = 10.0
+        while not scheduler.all_exhausted([0]):
+            assert scheduler.early(now, limit=8) == []
+            fired += [now] * len(scheduler.due([0], now=now, limit=8))
+            now = round(now + 0.25, 2)
+        # base 1.0, backoff 2.0: re-NAKs 1, 2 and 4 seconds apart
+        assert fired == [11.0, 13.0, 17.0]
+
+    def test_fires_once_at_rto_then_the_policy_takes_over(self):
+        scheduler = self.primed()
+        scheduler.nak_sent(0, now=10.0)
+        assert scheduler.early(10.0 + self.RTO - 0.001, limit=8) == []
+        assert scheduler.early(10.0 + self.RTO + 0.001, limit=8) == [0]
+        # the second silence is the configured one
+        assert scheduler.early(10.5, limit=8) == []
+        assert scheduler.due([0], now=10.99, limit=8) == []
+        assert scheduler.due([0], now=11.0, limit=8) == [0]
+        assert scheduler.early(11.5, limit=8) == []
+
+    def test_not_billed(self):
+        scheduler = self.primed()
+        scheduler.nak_sent(0, now=10.0)
+        assert scheduler.early(10.1, limit=8) == [0]
+        assert scheduler.retries_granted == 0
+        assert scheduler.exhaustions == 0
+        assert scheduler.state(0).attempts == 0
+
+    def test_a_sign_of_life_buys_the_next_one(self):
+        scheduler = self.primed()
+        scheduler.nak_sent(0, now=10.0)
+        assert scheduler.early(10.1, limit=8) == [0]
+        scheduler.heard(0, now=10.2)  # a repair, but the next poll is lost
+        rto = scheduler.rto
+        assert scheduler.early(10.2 + rto - 0.001, limit=8) == []
+        assert scheduler.early(10.2 + rto + 0.001, limit=8) == [0]
+
+    def test_only_groups_owed_a_response(self):
+        scheduler = self.primed()
+        scheduler.arm(0, now=10.0)  # mid-stream: its poll is still to come
+        scheduler.arm(1, now=10.0, final=True)  # nothing follows to imply it
+        scheduler.nak_sent(2, now=10.0)
+        assert scheduler.early(10.5, limit=8) == [1, 2]
+
+    def test_batch_limit(self):
+        scheduler = self.primed()
+        for tg in range(10):
+            scheduler.nak_sent(tg, now=10.0)
+        assert scheduler.early(10.5, limit=4) == [0, 1, 2, 3]
+        assert scheduler.early(10.5, limit=4) == [4, 5, 6, 7]
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.5])
+    def test_time_to_exhaustion_is_the_parents(self, jitter):
+        # the patience invariant: with the same policy and seed, a group
+        # that got its early re-NAK runs dry exactly when one that never
+        # had a sample does -- the early NAK moves no deadline
+        def exhausted_at(scheduler):
+            scheduler.nak_sent(0, now=100.0)
+            now, early = 100.0, 0
+            while not scheduler.all_exhausted([0]):
+                early += len(scheduler.early(now, limit=8))
+                scheduler.due([0], now=now, limit=8)
+                now += 0.01
+            return now, early, scheduler.retries_granted
+
+        unprimed = NakScheduler(self.policy(jitter), np.random.default_rng(5))
+        primed = NakScheduler(self.policy(jitter), np.random.default_rng(5))
+        exchange(primed, 99, at=0.0, latency=0.02)
+        primed.forget(99)
+        parent_time, parent_early, parent_retries = exhausted_at(unprimed)
+        time, early, retries = exhausted_at(primed)
+        assert (parent_early, early) == (0, 1)
+        assert retries == parent_retries == 3
+        assert time == parent_time
+        if not jitter:
+            # 1 + 2 + 4 + 8 seconds of configured silence
+            assert time == pytest.approx(115.0, abs=0.02)
+
+
+class TestLazyJitter:
+    """``heard`` records a time; the jitter is drawn when a scan looks."""
+
+    POLICY = RetryPolicy(
+        retries=5, base_delay=0.5, backoff=2.0, max_delay=8.0, jitter=0.5
+    )
+
+    def test_heard_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        scheduler = NakScheduler(self.POLICY, rng)
+        scheduler.arm(0, now=0.0)
+        before = rng.bit_generator.state
+        for i in range(1000):
+            scheduler.heard(0, now=i * 1e-4)
+        scheduler.nak_sent(0, now=0.2)
+        assert rng.bit_generator.state == before
+
+    def test_one_draw_per_deadline_looked_at(self):
+        rng = np.random.default_rng(3)
+        expected = np.random.default_rng(3)
+        scheduler = NakScheduler(self.POLICY, rng)
+        scheduler.arm(0, now=0.0)
+        scheduler.heard(0, now=1.0)
+        deadline = 1.0 + self.POLICY.delay(1, expected)
+        assert scheduler.due([0], now=1.0, limit=8) == []
+        assert scheduler.next_wake() == deadline
+        assert scheduler.due([0], now=1.1, limit=8) == []
+        # three looks, one draw
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert scheduler.state(0).next_due == deadline
+
+    def test_deadline_counts_from_the_last_frame_heard(self):
+        policy = RetryPolicy(
+            retries=1, base_delay=1.0, backoff=1.0, max_delay=1.0, jitter=0.0
+        )
+        scheduler = NakScheduler(policy, np.random.default_rng(0))
+        scheduler.arm(0, now=0.0)
+        assert scheduler.due([0], now=0.9, limit=8) == []  # draws 0.0 + 1.0
+        scheduler.heard(0, now=0.95)  # and this discards it
+        assert scheduler.due([0], now=1.5, limit=8) == []
+        assert scheduler.due([0], now=1.95, limit=8) == [0]
+
+
+class TestNextWake:
+    def scheduler(self):
+        policy = RetryPolicy(
+            retries=1, base_delay=1.0, backoff=2.0, max_delay=8.0, jitter=0.0
+        )
+        return NakScheduler(policy, np.random.default_rng(0))
+
+    def test_idle_scheduler_has_no_deadline(self):
+        assert self.scheduler().next_wake() is None
+
+    def test_earliest_of_billed_and_early_deadlines(self):
+        scheduler = self.scheduler()
+        scheduler.arm(0, now=5.0)
+        scheduler.arm(1, now=3.0)
+        assert scheduler.next_wake() == 4.0
+        exchange(scheduler, 2, at=3.0, latency=0.02)  # rto = 0.06
+        scheduler.nak_sent(2, now=3.5)
+        assert scheduler.next_wake() == pytest.approx(3.56)
+        assert scheduler.early(3.6, limit=8) == [2]
+        assert scheduler.next_wake() == 4.0  # the early one is spent
+
+    def test_exhausted_groups_do_not_wake_the_scan(self):
+        scheduler = self.scheduler()
+        scheduler.arm(0, now=0.0)
+        assert scheduler.due([0], now=1.0, limit=8) == [0]
+        assert scheduler.next_wake() == 3.0
+        assert scheduler.due([0], now=3.0, limit=8) == []
+        assert scheduler.all_exhausted([0])
+        assert scheduler.next_wake() is None
 
 
 class TestChaosPlan:
