@@ -1,4 +1,5 @@
-"""Figure runners driven by Monte-Carlo simulation (Figures 11, 12, 14-16).
+"""Figure runners driven by Monte-Carlo simulation (Figures 11, 12, 14-16)
+and the 10^6-receiver extension ``ext_mc_1e6``.
 
 These cover the correlated-loss experiments where no closed form exists:
 shared loss on a full binary tree (Section 4.1) and two-state Markov burst
@@ -37,9 +38,9 @@ from repro.mc import (
 )
 from repro.fec.registry import DEFAULT_CODEC, get_codec
 from repro.mc._common import resolve_rng
-from repro.sim.loss import FullBinaryTreeLoss, GilbertLoss
+from repro.sim.loss import BernoulliLoss, FullBinaryTreeLoss, GilbertLoss
 
-__all__ = ["fig11", "fig12", "fig14", "fig15", "fig16"]
+__all__ = ["fig11", "fig12", "fig14", "fig15", "fig16", "ext_mc_1e6"]
 
 DEFAULT_P = 0.01
 
@@ -524,3 +525,89 @@ def fig16(
                 )
             )
     return result
+
+
+def _simulated_series(label: str, xs: list[float], points: list) -> Series:
+    return Series(
+        label,
+        xs,
+        [point.mean for point in points],
+        [point.stderr for point in points],
+        [point.replications for point in points],
+    )
+
+
+def ext_mc_1e6(
+    p: float = DEFAULT_P,
+    group_sizes: tuple[int, ...] = (7, 20, 100),
+    sizes: tuple[int, ...] = (10**4, 10**5, 10**6),
+    depth: int = 20,
+    replications: int = 64,
+    rng: np.random.Generator | int | None = 0,
+) -> FigureResult:
+    """The right-hand end of the paper's R axis, simulated.
+
+    The paper draws every E[M] curve out to R = 10^6 but could only
+    compute that end.  Loss-coordinate sampling makes a replication cost
+    its losses, so here it is simulated: integrated FEC 2 under
+    independent loss for each ``k`` against Equation 6 (Figures 5, 7, 8),
+    and integrated FEC 1 on the height-``depth`` full binary tree
+    (R = 2^20 = 1 048 576 by default) against the exact recursion of
+    Section 4.1 (Figure 12).  Every point runs through the sharded engine
+    on its own branch of the figure seed.
+    """
+    engine = _ShardedFigure("ext_mc_1e6", rng, 1, None, None)
+    xs = list(map(float, sizes))
+    series = []
+    for k in group_sizes:
+        label = f"integrated FEC 2, k={k}"
+        points = [
+            engine.point(
+                "integrated_rounds",
+                BernoulliLoss(size, p),
+                {"k": k},
+                label,
+                size,
+                replications,
+            )
+            for size in sizes
+        ]
+        series.append(_simulated_series(label, xs, points))
+        series.append(
+            Series(
+                f"Equation 6, k={k}",
+                xs,
+                [
+                    integrated.expected_transmissions_lower_bound(k, p, size)
+                    for size in sizes
+                ],
+            )
+        )
+    k = group_sizes[0]
+    tree_x = [float(2**depth)]
+    label = f"integrated FEC 1 FBT loss, k={k}"
+    point = engine.point(
+        "integrated_immediate",
+        FullBinaryTreeLoss(depth, p),
+        {"k": k},
+        label,
+        tree_x[0],
+        replications,
+    )
+    series.append(_simulated_series(label, tree_x, [point]))
+    series.append(
+        Series(
+            f"FBT exact, k={k}",
+            tree_x,
+            [fbt.expected_transmissions_integrated(depth, p, k)],
+        )
+    )
+    return FigureResult(
+        figure_id="ext_mc_1e6",
+        title=f"Integrated FEC simulated out to 10^6 receivers, p = {p}",
+        x_label="R",
+        y_label="transmissions E[M]",
+        series=series,
+        notes="simulated series carry standard errors; "
+        "Equation 6 and FBT exact are closed forms",
+    )

@@ -200,6 +200,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "FEC1 is the latency floor; N2 model is a strict lower bound",
         ),
         Experiment(
+            "ext_mc_1e6",
+            "Integrated FEC simulated at R = 10^4..10^6 (independent, FBT)",
+            "extension",
+            figures_mc.ext_mc_1e6,
+            "every simulated point inside twice its 95% CI of the closed "
+            "form the paper could only compute",
+        ),
+        Experiment(
             "fail01",
             "Correlated domain outages vs independent loss of equal mean",
             "extension",

@@ -16,14 +16,20 @@ Two transmission schemes from Section 4.2 (Figure 13):
 
 Both count total packet transmissions for the group; E[M] = total / k.
 
-Bookkeeping: per-receiver counts come from
-:func:`repro.mc._common._row_counts` (a float32 matrix-vector product,
-exact below ``2**24`` columns, and a repair round is capped at
-``_MAX_TRANSMISSIONS = 10**6``), integrated FEC 2 tracks each receiver's
-``missing`` directly and integrated FEC 1 follows only the receivers still
-short of ``k``.  None of that may alter a draw: every ``sampler.sample``
-call keeps its generator, order and ``(R, T)`` shape, which
-``tests/unit/test_mc_pinned_samples.py`` pins (DESIGN.md section 11.5).
+Bookkeeping: the kernels consume loss *coordinates*
+(:meth:`repro.sim.loss.LossSampler.losses`), never the ``(R, T)`` matrix.
+Per-receiver loss counts are ``np.bincount(rows, minlength=R)``;
+integrated FEC 2 tracks each receiver's ``missing`` directly, and
+integrated FEC 1 follows only the receivers still short of ``k`` and does
+column arithmetic only for those that lost something in the current
+16-parity chunk -- a followed receiver with a clean chunk finishes at
+column ``need - 1``.  With a memoryless loss model a replication therefore
+costs its losses, not its ``R x T`` cells, which is what puts the paper's
+10^6 receivers inside simulation range; a stateful model's coordinates are
+the ``np.nonzero`` of the matrix it draws, so the same kernels serve it.
+A repair round is capped at ``_MAX_TRANSMISSIONS = 10**6``.  What is drawn,
+and in what order, is pinned by ``tests/unit/test_mc_pinned_samples.py``
+(DESIGN.md section 11.5).
 """
 
 from __future__ import annotations
@@ -38,11 +44,10 @@ from repro.mc._common import (
     PAPER_TIMING,
     PayloadVerifier,
     Timing,
-    _row_counts,
     resolve_rng,
     summarize,
 )
-from repro.sim.loss import LossModel
+from repro.sim.loss import LossModel, LossSampler
 
 __all__ = [
     "simulate_integrated_immediate",
@@ -55,10 +60,47 @@ _MAX_TRANSMISSIONS = 1_000_000
 _PARITY_CHUNK = 16
 
 
+def _packet_offsets(timing: Timing, k: int, initial_parities: int) -> np.ndarray:
+    """``i * Delta`` for every ``i`` a replication can ask for at once.
+
+    Built once per chunk call and sliced per burst: the first burst is
+    ``k + initial_parities`` packets, a parity chunk is ``_PARITY_CHUNK``
+    and a repair round never exceeds the ``k`` a receiver can be short of.
+    """
+    return (
+        np.arange(max(k + initial_parities, _PARITY_CHUNK))
+        * timing.packet_interval
+    )
+
+
+def _first_burst_shortfall(
+    sampler: LossSampler,
+    times: np.ndarray,
+    initial_parities: int,
+    verifier: PayloadVerifier | None,
+) -> np.ndarray:
+    """Packets each receiver is short of ``k`` after the first burst.
+
+    Its first-burst losses, less the parities the burst already carried;
+    ``<= 0`` means done.
+    """
+    n_receivers = sampler.model.n_receivers
+    rows, cols = sampler.losses(times)
+    if verifier is not None:
+        # integrated FEC sends fresh parities without bound, but the
+        # first burst maps directly onto one codec block — replay those
+        # erasure patterns through the real cache-backed decode path
+        received = np.ones((n_receivers, times.size), dtype=bool)
+        received[rows, cols] = False
+        verifier.verify_masks(received)
+    return np.bincount(rows, minlength=n_receivers) - initial_parities
+
+
 def _immediate_replication(
     loss_model: LossModel,
     k: int,
     timing: Timing,
+    offsets: np.ndarray,
     rng: np.random.Generator,
     initial_parities: int = 0,
     verifier: PayloadVerifier | None = None,
@@ -66,17 +108,9 @@ def _immediate_replication(
     sampler = loss_model.start(rng)
 
     first_burst = k + initial_parities
-    times = np.arange(first_burst) * timing.packet_interval
-    lost = sampler.sample(times)
-    if verifier is not None:
-        # integrated FEC sends fresh parities without bound, but the
-        # first burst maps directly onto one codec block — replay those
-        # erasure patterns through the real cache-backed decode path
-        verifier.verify_masks(~lost)
-    # packets each receiver is still short of k: its first-burst losses,
-    # less the parities the burst already carried
-    need = _row_counts(lost) - initial_parities
-    active = np.flatnonzero(need > 0)
+    times = offsets[:first_burst]
+    need = _first_burst_shortfall(sampler, times, initial_parities, verifier)
+    active = np.flatnonzero(need > 0)  # ascending, and stays so
     if active.size == 0:
         return first_burst / k
     need = need[active]
@@ -84,22 +118,32 @@ def _immediate_replication(
     sent = first_burst
     base = float(times[-1]) + timing.packet_interval
     while sent < _MAX_TRANSMISSIONS:
-        times = base + np.arange(_PARITY_CHUNK) * timing.packet_interval
-        # the draw covers every receiver (a kernel may not alter a draw);
+        times = base + offsets[:_PARITY_CHUNK]
+        # the draw covers every receiver (one realisation of the process);
         # only the receivers still short of k are followed through it
-        lost = sampler.sample(times)  # (R, chunk)
-        cumulative = np.cumsum(~lost[active], axis=1)  # (active, chunk)
-        done_at = cumulative >= need[:, None]
-        finished = done_at[:, -1]
+        rows, cols = sampler.losses(times)
+        slot = np.searchsorted(active, rows)
+        np.minimum(slot, active.size - 1, out=slot)
+        followed = active[slot] == rows
+        slot, cols = slot[followed], cols[followed]
+        received = _PARITY_CHUNK - np.bincount(slot, minlength=active.size)
+        finished = received >= need
         if finished.all():
             # Everyone finishes within this chunk.  The sender (idealised:
             # it stops the instant the last receiver completes) only sends
-            # up to the worst receiver's first-done column.
-            needed = int(done_at.argmax(axis=1).max()) + 1
+            # up to the worst receiver's completing column: ``need - 1``
+            # where the chunk was clean, later where it was not.
+            needed = int(need.max())
+            if slot.size:
+                lossy = np.flatnonzero(received < _PARITY_CHUNK)
+                got = np.ones((lossy.size, _PARITY_CHUNK), dtype=bool)
+                got[np.searchsorted(lossy, slot), cols] = False
+                done_at = np.cumsum(got, axis=1) >= need[lossy, None]
+                needed = max(needed, int(done_at.argmax(axis=1).max()) + 1)
             return (sent + needed) / k
         unfinished = ~finished
         active = active[unfinished]
-        need = need[unfinished] - cumulative[unfinished, -1]
+        need = (need - received)[unfinished]
         sent += _PARITY_CHUNK
         base = float(times[-1]) + timing.packet_interval
     raise RuntimeError("integrated FEC 1 did not complete within budget")
@@ -109,6 +153,7 @@ def _rounds_replication(
     loss_model: LossModel,
     k: int,
     timing: Timing,
+    offsets: np.ndarray,
     rng: np.random.Generator,
     initial_parities: int = 0,
     verifier: PayloadVerifier | None = None,
@@ -116,13 +161,8 @@ def _rounds_replication(
     sampler = loss_model.start(rng)
 
     first_burst = k + initial_parities
-    times = np.arange(first_burst) * timing.packet_interval
-    lost = sampler.sample(times)
-    if verifier is not None:
-        verifier.verify_masks(~lost)
-    # packets each receiver is still short of k (<= 0: done): its
-    # first-burst losses, less the parities the burst already carried
-    missing = _row_counts(lost) - initial_parities
+    times = offsets[:first_burst]
+    missing = _first_burst_shortfall(sampler, times, initial_parities, verifier)
     sent = first_burst
     base = float(times[-1]) + timing.packet_interval + timing.round_gap
     while True:
@@ -131,12 +171,13 @@ def _rounds_replication(
             return sent / k
         if sent + worst > _MAX_TRANSMISSIONS:
             raise RuntimeError("integrated FEC 2 did not complete within budget")
-        times = base + np.arange(worst) * timing.packet_interval
-        lost = sampler.sample(times)
+        times = base + offsets[:worst]
+        rows, _ = sampler.losses(times)
         # parities are all-new, so every one received (worst - lost) counts
         # toward k; a receiver already done stays done
         np.maximum(missing, 0, out=missing)
-        missing += _row_counts(lost) - worst
+        missing -= worst
+        missing += np.bincount(rows, minlength=missing.size)
         sent += worst
         base = float(times[-1]) + timing.packet_interval + timing.round_gap
 
@@ -194,10 +235,11 @@ def sample_chunk_immediate(
     :func:`repro.mc.layered.sample_chunk` for the sharding contract.
     """
     _validate_integrated(k, initial_parities)
+    offsets = _packet_offsets(timing, k, initial_parities)
     return np.array(
         [
             _immediate_replication(
-                loss_model, k, timing, rng, initial_parities, verifier
+                loss_model, k, timing, offsets, rng, initial_parities, verifier
             )
             for rng in rngs
         ],
@@ -216,10 +258,11 @@ def sample_chunk_rounds(
 ) -> np.ndarray:
     """Chunk-shaped kernel for integrated FEC 2 (NAK-driven parity rounds)."""
     _validate_integrated(k, initial_parities)
+    offsets = _packet_offsets(timing, k, initial_parities)
     return np.array(
         [
             _rounds_replication(
-                loss_model, k, timing, rng, initial_parities, verifier
+                loss_model, k, timing, offsets, rng, initial_parities, verifier
             )
             for rng in rngs
         ],

@@ -48,10 +48,12 @@ def _one_replication(
     k: int,
     h: int,
     timing: Timing,
+    offsets: np.ndarray,
     rng: np.random.Generator,
     verifier: PayloadVerifier | None = None,
     codec: ErasureCode | None = None,
 ) -> float:
+    """One transmission group; ``offsets`` is ``i * Delta`` for ``i < k + h``."""
     n = k + h
     n_receivers = loss_model.n_receivers
     sampler = loss_model.start(rng)
@@ -59,7 +61,7 @@ def _one_replication(
     rounds_needed = np.zeros(k, dtype=np.int64)
     base = 0.0
     for round_index in range(1, _MAX_ROUNDS + 1):
-        times = base + np.arange(n) * timing.packet_interval
+        times = base + offsets
         lost = sampler.sample(times)  # (R, n)
         received = ~lost
         if codec is not None:
@@ -112,9 +114,12 @@ def sample_chunk(
     codec = resolve_codec(codec, k, h)
     if codec is not None and verifier is None:
         verifier = PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))
+    offsets = np.arange(k + h) * timing.packet_interval
     return np.array(
         [
-            _one_replication(loss_model, k, h, timing, rng, verifier, codec)
+            _one_replication(
+                loss_model, k, h, timing, offsets, rng, verifier, codec
+            )
             for rng in rngs
         ],
         dtype=float,

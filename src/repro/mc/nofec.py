@@ -26,16 +26,22 @@ _MAX_ATTEMPTS = 100_000
 
 
 def _one_replication(
-    loss_model: LossModel, timing: Timing, rng: np.random.Generator
+    loss_model: LossModel,
+    spacing: float,
+    offsets: np.ndarray,
+    rng: np.random.Generator,
 ) -> float:
-    """Number of transmissions until all receivers hold the packet."""
+    """Number of transmissions until all receivers hold the packet.
+
+    ``offsets`` are the attempt instants of one chunk relative to its
+    first, ``i * spacing``; :func:`sample_chunk` builds them once.
+    """
     sampler = loss_model.start(rng)
     missing = np.ones(loss_model.n_receivers, dtype=bool)
-    spacing = timing.packet_interval + timing.round_gap
     attempts = 0
     base = 0.0
     while attempts < _MAX_ATTEMPTS:
-        times = base + np.arange(_CHUNK) * spacing
+        times = base + offsets
         lost = sampler.sample(times)  # (R, _CHUNK)
         # per receiver: first successful attempt within the chunk (if any)
         received = ~lost & missing[:, None]
@@ -65,8 +71,10 @@ def sample_chunk(
     The sharded engine hands each replication its own seed-tree generator;
     the serial front-end repeats one shared generator (legacy stream).
     """
+    spacing = timing.packet_interval + timing.round_gap
+    offsets = np.arange(_CHUNK) * spacing
     return np.array(
-        [_one_replication(loss_model, timing, rng) for rng in rngs],
+        [_one_replication(loss_model, spacing, offsets, rng) for rng in rngs],
         dtype=float,
     )
 

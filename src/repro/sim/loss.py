@@ -13,10 +13,27 @@ a :class:`LossModel` here:
   Markov chain — :class:`GilbertLoss` (Section 4.2, Bolot's channel).
 
 Every model answers one question: *given packet transmissions at simulated
-times ``t_1 < ... < t_T``, which receivers lose which transmissions?*  The
-answer is a boolean ``(R, T)`` matrix from :meth:`LossModel.sample_at`
-(``True`` means lost), which both the vectorised Monte-Carlo experiments and
-the event-driven protocol network consume.
+times ``t_1 <= ... <= t_T``, which receivers lose which transmissions?*  The
+answer has two views of one draw.  :meth:`LossSampler.losses` returns the
+loss *coordinates* ``(rows, cols)`` -- receiver and transmission index of
+every lost packet, sorted by receiver then transmission -- and
+:meth:`LossSampler.sample` / :meth:`LossModel.sample_at` return the boolean
+``(R, T)`` matrix with ``True`` at exactly those coordinates.
+
+For the models without temporal correlation (:class:`BernoulliLoss`,
+:class:`HeterogeneousLoss`, :class:`FullBinaryTreeLoss`) the coordinates
+are what is drawn: :func:`_lost_cells` walks a grid of iid cells by the
+geometric gaps between losses, so a draw costs its losses, not its cells,
+and the matrix is zeros plus one scatter.  A million receivers at
+``p = 0.01`` are 1 % of a million draws per transmission; the integrated
+Monte-Carlo kernels (:mod:`repro.mc.integrated`) consume the coordinates
+and never form the matrix.  The models with state (:class:`GilbertLoss`,
+:class:`BurstyTreeLoss`, :class:`ScriptedLoss`) and :class:`TreeLoss` draw
+the matrix, and their coordinates are its ``np.nonzero``.  Each model has
+exactly one draw -- nothing selects between a sparse and a dense sampler --
+and the dense draws the memoryless models used to make survive only as the
+oracle of ``tests/integration/test_mc_equivalence.py`` (DESIGN.md section
+11.5).
 """
 
 from __future__ import annotations
@@ -61,6 +78,42 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def _lost_cells(cells: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the lost cells among ``cells`` iid Bernoulli(p) cells.
+
+    The gap from one loss to the next is geometric, so the losses are the
+    running sum of geometric gaps: one ``rng.geometric`` batch sized to
+    cover the grid (mean + 8 sd + 16 gaps) and a further batch only if it
+    did not.  Restarting after the last loss of a batch, or of an earlier
+    call, is exact because the gap is memoryless.  ``p == 0`` draws nothing.
+    """
+    if p <= 0.0 or cells <= 0:
+        return np.empty(0, dtype=np.int64)
+    mean = cells * p
+    batch = int(mean + 8.0 * math.sqrt(mean * (1.0 - p))) + 16
+    # a gap of 1 is the very next cell, and the walk starts before cell 0
+    lost = _gap_walk(cells, p, rng, batch, -1)
+    if lost[0] >= cells:
+        return lost[:0]
+    while lost[-1] < cells:
+        lost = np.concatenate(
+            (lost, _gap_walk(cells, p, rng, batch, int(lost[-1])))
+        )
+    return lost[: lost.searchsorted(cells)]
+
+
+def _gap_walk(
+    cells: int, p: float, rng: np.random.Generator, batch: int, origin: int
+) -> np.ndarray:
+    """Positions reached by ``batch`` geometric gaps, walking on from ``origin``."""
+    gaps = rng.geometric(p, size=batch)
+    # for vanishing p a gap saturates at 2**63 - 1 and the running sum
+    # would wrap negative; any gap past the grid ends the walk all the same
+    np.minimum(gaps, cells + 1, out=gaps)
+    gaps[0] += origin
+    return gaps.cumsum()
+
+
 class LossModel(ABC):
     """Base class: a joint loss process over ``n_receivers`` receivers."""
 
@@ -86,6 +139,7 @@ class LossModel(ABC):
         """Loss vector for a single transmission at ``time`` (shape ``(R,)``)."""
         return self.sample_at(np.array([time]), rng)[:, 0]
 
+    @abstractmethod
     def start(self, rng: np.random.Generator) -> "LossSampler":
         """Begin *one realisation* of the process for incremental sampling.
 
@@ -95,7 +149,6 @@ class LossModel(ABC):
         carry across retransmission rounds.  Models without temporal
         correlation return a stateless wrapper.
         """
-        return _MemorylessSampler(self, rng)
 
     def to_spec(self) -> dict:
         """JSON-safe description rebuildable by :func:`loss_model_from_spec`.
@@ -135,20 +188,59 @@ class LossSampler:
         """Loss matrix ``(R, len(times))`` for further transmissions."""
         raise NotImplementedError
 
+    def losses(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss coordinates ``(rows, cols)`` for further transmissions.
+
+        The same draw as :meth:`sample`, told as where it is ``True``:
+        receiver index and index into ``times`` of every lost packet,
+        sorted by receiver then transmission, no pair repeated.
+        """
+        return np.nonzero(self.sample(times))
+
+
+class _MemorylessLoss(LossModel):
+    """A model without temporal correlation.
+
+    A draw depends on how many transmissions are asked for, not on when
+    they happen, so a subclass answers :meth:`_cells` -- the lost cells of
+    the row-major ``(R, n_times)`` grid -- for a count the caller has
+    already validated, and the matrix and the coordinates are both read
+    off that one answer.
+    """
+
+    @abstractmethod
+    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        """Sorted, distinct flat indices ``row * n_times + col`` of the losses."""
+
+    def _mask(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        lost = np.zeros((self.n_receivers, n_times), dtype=bool)
+        lost.reshape(-1)[self._cells(n_times, rng)] = True
+        return lost
+
+    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._mask(_validate_times(times).size, rng)
+
+    def start(self, rng: np.random.Generator) -> "_MemorylessSampler":
+        return _MemorylessSampler(self, rng)
+
 
 class _MemorylessSampler(LossSampler):
     """Sampler for models with no temporal correlation."""
 
-    def __init__(self, model: LossModel, rng: np.random.Generator):
+    def __init__(self, model: _MemorylessLoss, rng: np.random.Generator):
         super().__init__(model)
+        self.model: _MemorylessLoss = model
         self.rng = rng
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        times = self._check_forward(times)
-        return self.model.sample_at(times, self.rng)
+        return self.model._mask(self._check_forward(times).size, self.rng)
+
+    def losses(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n_times = self._check_forward(times).size
+        return np.divmod(self.model._cells(n_times, self.rng), n_times)
 
 
-class BernoulliLoss(LossModel):
+class BernoulliLoss(_MemorylessLoss):
     """Independent, homogeneous loss: every packet at every receiver is lost
     with probability ``p``, independently in space and time (Section 3)."""
 
@@ -158,9 +250,8 @@ class BernoulliLoss(LossModel):
             raise ValueError(f"loss probability must be in [0, 1), got {p}")
         self.p = p
 
-    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        times = _validate_times(times)
-        return rng.random((self.n_receivers, times.size)) < self.p
+    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        return _lost_cells(self.n_receivers * n_times, self.p, rng)
 
     def marginal_loss_probability(self) -> np.ndarray:
         return np.full(self.n_receivers, self.p)
@@ -172,8 +263,15 @@ class BernoulliLoss(LossModel):
         return f"BernoulliLoss(R={self.n_receivers}, p={self.p})"
 
 
-class HeterogeneousLoss(LossModel):
-    """Independent loss with a per-receiver probability vector ``p(r)``."""
+class HeterogeneousLoss(_MemorylessLoss):
+    """Independent loss with a per-receiver probability vector ``p(r)``.
+
+    Receivers that share a probability are one homogeneous population, so
+    a draw is one :func:`_lost_cells` walk per *distinct* positive
+    probability, in ascending order of probability: two walks for the
+    two-class populations of Section 3.3 whatever ``R`` is.  A vector of
+    ``R`` different values costs ``R`` walks.
+    """
 
     def __init__(self, probabilities: np.ndarray):
         probabilities = np.asarray(probabilities, dtype=float)
@@ -183,11 +281,24 @@ class HeterogeneousLoss(LossModel):
             raise ValueError("all loss probabilities must be in [0, 1)")
         super().__init__(probabilities.size)
         self.probabilities = probabilities
+        #: (probability, receivers holding it, ascending), lossless class left out
+        self._classes = [
+            (float(p), np.flatnonzero(probabilities == p))
+            for p in np.unique(probabilities)
+            if p > 0.0
+        ]
 
-    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        times = _validate_times(times)
-        draws = rng.random((self.n_receivers, times.size))
-        return draws < self.probabilities[:, None]
+    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        parts = []
+        for p, members in self._classes:
+            member, col = np.divmod(
+                _lost_cells(members.size * n_times, p, rng), n_times
+            )
+            parts.append(members[member] * n_times + col)
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        # each class is sorted in itself; the classes interleave by receiver
+        return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
     def marginal_loss_probability(self) -> np.ndarray:
         return self.probabilities.copy()
@@ -381,7 +492,7 @@ class GilbertSampler(LossSampler):
         return lost
 
 
-class FullBinaryTreeLoss(LossModel):
+class FullBinaryTreeLoss(_MemorylessLoss):
     """Shared loss on a full binary tree of height ``d`` (Section 4.1).
 
     The source sits at the root, the ``R = 2^d`` receivers at the leaves and
@@ -394,6 +505,10 @@ class FullBinaryTreeLoss(LossModel):
     A drop at an interior node is shared by its whole subtree, producing the
     spatial correlation the section studies.  There is no temporal
     correlation: transmissions are independent.
+
+    A draw is two :func:`_lost_cells` walks, the ``2^d`` leaves and then the
+    ``2^d - 1`` interior nodes in level order; an interior drop becomes the
+    interval of receivers below the node, never an ``R``-wide mask per level.
     """
 
     def __init__(self, depth: int, p: float):
@@ -405,15 +520,30 @@ class FullBinaryTreeLoss(LossModel):
         self.depth = depth
         self.p = p
         self.p_node = 1.0 - (1.0 - p) ** (1.0 / (depth + 1))
+        #: level-order index of the first node of each interior level
+        self._level_start = 2 ** np.arange(depth, dtype=np.int64) - 1
 
-    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        times = _validate_times(times)
-        n = times.size
-        survive = rng.random((1, n)) >= self.p_node  # the root / source node
-        for level in range(1, self.depth + 1):
-            survive = np.repeat(survive, 2, axis=0)
-            survive &= rng.random((2**level, n)) >= self.p_node
-        return ~survive
+    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        # two grids of iid cells: the leaves (one row per receiver) and the
+        # 2^d - 1 interior nodes in level order, root first
+        leaves = _lost_cells(self.n_receivers * n_times, self.p_node, rng)
+        inner = _lost_cells((self.n_receivers - 1) * n_times, self.p_node, rng)
+        if inner.size == 0:
+            return leaves
+        # a drop at node i of level l is lost by the whole subtree below
+        # it: the receiver interval [i * 2^(d-l), (i+1) * 2^(d-l))
+        node, col = np.divmod(inner, n_times)
+        level = np.searchsorted(self._level_start, node, side="right") - 1
+        span = self.n_receivers >> level
+        first = (node - self._level_start[level]) * span
+        ends = np.cumsum(span)
+        within = np.arange(ends[-1]) - np.repeat(ends - span, span)
+        shared = (np.repeat(first, span) + within) * n_times + np.repeat(col, span)
+        # a receiver under two dropping nodes loses the packet once
+        cells = np.sort(np.concatenate((leaves, shared)))
+        distinct = np.ones(cells.size, dtype=bool)
+        np.not_equal(cells[1:], cells[:-1], out=distinct[1:])
+        return cells[distinct]
 
     def marginal_loss_probability(self) -> np.ndarray:
         return np.full(self.n_receivers, self.p)
@@ -562,7 +692,7 @@ class BurstyTreeSampler(LossSampler):
         return ~survive
 
 
-class TreeLoss(LossModel):
+class TreeLoss(_MemorylessLoss):
     """Shared loss on an arbitrary multicast tree.
 
     Parameters
@@ -616,16 +746,17 @@ class TreeLoss(LossModel):
             raise ValueError("node loss probabilities must be in [0, 1)")
         self._receiver_rows = np.array([self._index[r] for r in receivers])
 
-    def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        times = _validate_times(times)
-        n = times.size
+    def _mask(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
         n_nodes = len(self._order)
-        survive = rng.random((n_nodes, n)) >= self._node_p[:, None]
+        survive = rng.random((n_nodes, n_times)) >= self._node_p[:, None]
         for i in range(1, n_nodes):  # topological order: parents first
             parent = self._parent[i]
             if parent >= 0:
                 survive[i] &= survive[parent]
         return ~survive[self._receiver_rows]
+
+    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+        return np.flatnonzero(self._mask(n_times, rng))
 
     def marginal_loss_probability(self) -> np.ndarray:
         out = np.empty(self.n_receivers)
