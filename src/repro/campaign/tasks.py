@@ -144,19 +144,20 @@ def tasks_from_registry(
     silently dropped for the rest, so one flag can apply across a mixed
     campaign of analytic and simulated figures.
     """
-    from repro.experiments.registry import EXPERIMENTS, experiment_ids
+    from repro.experiments.registry import (
+        EXPERIMENTS,
+        accepted_kwargs,
+        experiment_ids,
+    )
 
     ids = experiment_ids() if figure_ids is None else list(figure_ids)
     tasks = []
     for figure_id in ids:
         experiment = EXPERIMENTS.get(figure_id)
-        accepted = {}
-        if experiment is not None and kwargs:
-            params = inspect.signature(experiment.runner).parameters
-            accepted = {
-                key: value for key, value in kwargs.items() if key in params
-            }
         # unknown ids flow through to experiment_task's canonical error
+        accepted = (
+            {} if experiment is None else accepted_kwargs(experiment.runner, kwargs)
+        )
         tasks.append(experiment_task(figure_id, seed=seed, **accepted))
     return tasks
 
@@ -198,35 +199,25 @@ def codec_em_cell(
     (``xor`` -> 1, ``rect`` -> rows + cols, ...), so one grid definition
     covers codes with incompatible geometry constraints.
     """
-    from repro.experiments.series import FigureResult, Series
+    from repro.experiments.figures_mc import FigurePoints
+    from repro.experiments.series import FigureResult
     from repro.fec.registry import get_codec
-    from repro.mc.layered import simulate_layered
     from repro.sim.loss import BernoulliLoss
 
     h_eff = get_codec(codec).nearest_h(k, h)
-    values, errors = [], []
-    for receiver_count in receivers:
-        result = simulate_layered(
-            BernoulliLoss(receiver_count, p),
-            k,
-            h_eff,
-            replications,
-            rng=seed,
-            codec=codec,
-        )
-        values.append(result.mean)
-        errors.append(result.stderr)
+    figure_id = f"codec_em_{codec}"
     return FigureResult(
-        figure_id=f"codec_em_{codec}",
+        figure_id=figure_id,
         title=f"layered E[M], codec={codec} ({k}+{h_eff}), p={p:g}",
         x_label="R",
         y_label="E[M]",
         series=[
-            Series(
+            FigurePoints(figure_id, seed).curve(
+                "layered",
+                [BernoulliLoss(receiver_count, p) for receiver_count in receivers],
+                {"k": k, "h": h_eff, "codec": codec},
                 f"{codec} ({k}+{h_eff})",
-                list(map(float, receivers)),
-                values,
-                errors,
+                [replications] * len(receivers),
             )
         ],
         notes=f"requested h={h}, effective h={h_eff}",

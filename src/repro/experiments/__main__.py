@@ -39,7 +39,12 @@ import pathlib
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    accepted_kwargs,
+    experiment_ids,
+    run_experiment,
+)
 from repro.experiments.series import FigureResult
 
 
@@ -88,15 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="resume a campaign from its journal (skips completed tasks)",
     )
-    campaign.add_argument(
+    mc = parser.add_argument_group(
+        "Monte-Carlo (figures 11/12/15/16; see repro.mc.sharded)"
+    )
+    mc.add_argument(
         "--seed",
         type=int,
         default=0,
         metavar="SEED",
-        help="base seed forwarded to simulation figure runners (default 0)",
-    )
-    mc = parser.add_argument_group(
-        "sharded Monte-Carlo (figures 11/12/15/16; see repro.mc.sharded)"
+        help="figure seed forwarded to every simulation runner, in every "
+        "mode (default 0)",
     )
     mc.add_argument(
         "--mc-jobs",
@@ -191,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _mc_kwargs(args: argparse.Namespace) -> dict:
-    """Sharded-MC knobs as runner kwargs (only the ones actually given)."""
+    """Monte-Carlo flags as runner kwargs (only the ones actually given)."""
     kwargs = {}
     if args.mc_jobs is not None:
         kwargs["mc_jobs"] = args.mc_jobs
@@ -204,14 +210,6 @@ def _mc_kwargs(args: argparse.Namespace) -> dict:
     if args.failure is not None:
         kwargs["failure"] = args.failure
     return kwargs
-
-
-def _accepted_kwargs(runner, kwargs: dict) -> dict:
-    """The subset of ``kwargs`` that ``runner`` accepts by signature."""
-    import inspect
-
-    params = inspect.signature(runner).parameters
-    return {key: value for key, value in kwargs.items() if key in params}
 
 
 def _campaign_mode(args: argparse.Namespace) -> bool:
@@ -243,7 +241,7 @@ def _write_csv(csv_dir: pathlib.Path, figure_id: str, result) -> None:
 
 
 def _run_sequential(
-    targets: list[str], csv_dir: pathlib.Path | None, mc_kwargs: dict
+    targets: list[str], csv_dir: pathlib.Path | None, runner_kwargs: dict
 ) -> int:
     """The classic in-process path; now failure-aware (nonzero exit)."""
     failed: list[str] = []
@@ -255,7 +253,7 @@ def _run_sequential(
         try:
             result = run_experiment(
                 figure_id,
-                **_accepted_kwargs(EXPERIMENTS[figure_id].runner, mc_kwargs),
+                **accepted_kwargs(EXPERIMENTS[figure_id].runner, runner_kwargs),
             )
         except Exception as exc:  # noqa: BLE001 - collected and reported
             elapsed = time.perf_counter() - start
@@ -448,7 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     if _campaign_mode(args):
         status = _run_campaign(args, targets, csv_dir)
     else:
-        status = _run_sequential(targets, csv_dir, _mc_kwargs(args))
+        status = _run_sequential(
+            targets, csv_dir, {**_mc_kwargs(args), "rng": args.seed}
+        )
 
     if args.metrics_out:
         from repro import obs

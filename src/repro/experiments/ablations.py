@@ -24,15 +24,10 @@ from repro.analysis.delay import (
     np_delay,
 )
 from repro.analysis.integrated import LrDistribution
+from repro.experiments.figures_mc import FigurePoints, simulated_series
 from repro.experiments.series import FigureResult, Series
 from repro.fec.rse import RSECodec, max_block_length
 from repro.galois.field import GF16, GF256, GF65536
-from repro.mc import (
-    simulate_integrated_immediate,
-    simulate_integrated_rounds,
-    simulate_layered,
-    simulate_nofec,
-)
 from repro.protocols.harness import run_transfer
 from repro.protocols.np_protocol import NPConfig
 from repro.sim.loss import BernoulliLoss, BurstyTreeLoss, GilbertLoss
@@ -166,7 +161,7 @@ def abl_validation(
     """A4 — analysis vs Monte-Carlo vs the event-driven NP protocol."""
     from repro.analysis import layered, nofec
 
-    rng = np.random.default_rng(seed)
+    engine = FigurePoints("abl_validation", seed)
     model = BernoulliLoss(n_receivers, p)
 
     analysis = [
@@ -174,10 +169,15 @@ def abl_validation(
         layered.expected_transmissions(k, k + 2, p, n_receivers),
         integrated.expected_transmissions_lower_bound(k, p, n_receivers),
     ]
+    simulators = [
+        ("nofec", {}),
+        ("layered", {"k": k, "h": 2}),
+        ("integrated_rounds", {"k": k}),
+    ]
+    xs = [0.0, 1.0, 2.0]
     monte_carlo = [
-        simulate_nofec(model, replications, rng=rng).mean,
-        simulate_layered(model, k, 2, replications, rng=rng).mean,
-        simulate_integrated_rounds(model, k, replications, rng=rng).mean,
+        engine.point(simulator, model, params, "monte carlo", x, replications)
+        for x, (simulator, params) in zip(xs, simulators)
     ]
     payload = bytes(range(256)) * 120
     config = NPConfig(k=k, h=64, packet_size=512, packet_interval=0.005,
@@ -187,7 +187,6 @@ def abl_validation(
                      rng=s).transmissions_per_packet
         for s in range(5)
     ]))
-    xs = [0.0, 1.0, 2.0]
     return FigureResult(
         figure_id="abl_validation",
         title=f"Analysis vs simulation vs protocol (k={k}, p={p}, "
@@ -196,7 +195,7 @@ def abl_validation(
         y_label="E[M]",
         series=[
             Series("analysis", xs, analysis),
-            Series("monte carlo", xs, monte_carlo),
+            simulated_series("monte carlo", xs, monte_carlo),
             Series("NP protocol", [2.0], [protocol_em]),
         ],
     )
@@ -245,41 +244,35 @@ def abl_bursty_tree(
     depths: tuple[int, ...] = (2, 6, 10), p: float = 0.01,
     mean_burst: float = 2.0, packet_interval: float = 0.040,
     replications: int = 150,
+    rng: np.random.SeedSequence | np.random.Generator | int | None = 0,
 ) -> FigureResult:
     """A6 — combined spatial+temporal correlation (Gilbert chains at nodes)."""
-    xs = [float(2**d) for d in depths]
-    series: dict[str, list[float]] = {
-        "no FEC, bursty tree": [],
-        "integrated k=7, bursty tree": [],
-        "integrated k=20, bursty tree": [],
-        "no FEC, independent bursts": [],
-        "integrated k=7, independent bursts": [],
-    }
-    for depth in depths:
-        r = 2**depth
-        tree = BurstyTreeLoss(depth, p, mean_burst, packet_interval)
-        flat = GilbertLoss.from_loss_and_burst(r, p, mean_burst, packet_interval)
-        series["no FEC, bursty tree"].append(
-            simulate_nofec(tree, replications, rng=depth).mean
-        )
-        series["integrated k=7, bursty tree"].append(
-            simulate_integrated_rounds(tree, 7, replications, rng=depth + 50).mean
-        )
-        series["integrated k=20, bursty tree"].append(
-            simulate_integrated_rounds(tree, 20, replications, rng=depth + 100).mean
-        )
-        series["no FEC, independent bursts"].append(
-            simulate_nofec(flat, replications, rng=depth + 150).mean
-        )
-        series["integrated k=7, independent bursts"].append(
-            simulate_integrated_rounds(flat, 7, replications, rng=depth + 200).mean
-        )
+    engine = FigurePoints("abl_bursty_tree", rng)
+    trees = [
+        BurstyTreeLoss(depth, p, mean_burst, packet_interval) for depth in depths
+    ]
+    flats = [
+        GilbertLoss.from_loss_and_burst(2**depth, p, mean_burst, packet_interval)
+        for depth in depths
+    ]
+    curves = [
+        ("no FEC, bursty tree", "nofec", {}, trees),
+        ("integrated k=7, bursty tree", "integrated_rounds", {"k": 7}, trees),
+        ("integrated k=20, bursty tree", "integrated_rounds", {"k": 20}, trees),
+        ("no FEC, independent bursts", "nofec", {}, flats),
+        ("integrated k=7, independent bursts", "integrated_rounds", {"k": 7}, flats),
+    ]
     return FigureResult(
         figure_id="abl_bursty_tree",
         title=f"Combined shared+burst loss (p={p}, b={mean_burst:g})",
         x_label="R",
         y_label="transmissions E[M]",
-        series=[Series(label, xs, values) for label, values in series.items()],
+        series=[
+            engine.curve(
+                simulator, models, params, label, [replications] * len(models)
+            )
+            for label, simulator, params, models in curves
+        ],
     )
 
 

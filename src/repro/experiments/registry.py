@@ -7,6 +7,7 @@ place wires it up everywhere.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,13 @@ from repro.experiments import (
 )
 from repro.experiments.series import FigureResult
 
-__all__ = ["Experiment", "EXPERIMENTS", "run_experiment", "experiment_ids"]
+__all__ = [
+    "Experiment",
+    "EXPERIMENTS",
+    "accepted_kwargs",
+    "run_experiment",
+    "experiment_ids",
+]
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,16 @@ EXPERIMENTS: dict[str, Experiment] = {
 def experiment_ids() -> list[str]:
     """Sorted ids of every registered experiment (figures + ablations)."""
     return sorted(EXPERIMENTS)
+
+
+def accepted_kwargs(runner: Callable, kwargs: dict) -> dict:
+    """The subset of ``kwargs`` that ``runner`` accepts by signature.
+
+    One CLI flag (``--seed``, ``--mc-jobs``, ...) can then apply across a
+    mixed run of analytic and simulated figures.
+    """
+    params = inspect.signature(runner).parameters
+    return {key: value for key, value in kwargs.items() if key in params}
 
 
 def run_experiment(figure_id: str, **kwargs) -> FigureResult:

@@ -143,8 +143,7 @@ class FigureResult:
                     "y": yi,
                     "stderr": ei,
                 }
-                # only sharded/adaptive MC points carry a measured spend;
-                # plain rows keep their legacy shape
+                # only simulated points carry a measured spend
                 if ri is not None:
                     row["replications"] = ri
                 rows.append(row)
@@ -152,8 +151,8 @@ class FigureResult:
 
     def to_csv(self) -> str:
         # the replications column only appears when a series measured it
-        # (sharded/adaptive MC runs) so analytic-only figures keep the
-        # legacy 5-column layout byte for byte
+        # (every simulated series does), so analytic-only figures keep the
+        # 5-column layout of the committed goldens byte for byte
         with_reps = any(s.replications is not None for s in self.series)
         header = "figure,series,x,y,stderr"
         if with_reps:

@@ -5,14 +5,12 @@ loss; the simulators here additionally handle the shared-tree and burst
 loss models of Section 4 (Figures 11, 12, 14, 15, 16) and cross-validate
 the analysis everywhere both apply.
 
-Two execution styles share the same sampling kernels:
-
-* the serial ``simulate_*`` front-ends (one shared RNG stream, the
-  original fixed-count API), and
-* :func:`repro.mc.sharded.run_sharded` — chunked, optionally
-  process-parallel and adaptive-stopping, with bit-identical statistics
-  for any shard/job split thanks to per-replication seed trees and the
-  exact mergeable accumulator in :mod:`repro.mc.streaming`.
+There is one way to run a replication:
+:func:`repro.mc.sharded.run_sharded` — chunked, optionally
+process-parallel and adaptive-stopping, with bit-identical statistics for
+any shard/job split thanks to per-replication seed trees and the exact
+mergeable accumulator in :mod:`repro.mc.streaming`.  The ``simulate_*``
+functions are that call at a fixed replication count, by name.
 """
 
 from repro.mc._common import MCResult, PAPER_TIMING, Timing

@@ -34,19 +34,13 @@ and in what order, is pinned by ``tests/unit/test_mc_pinned_samples.py``
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
 
-from repro.mc._common import (
-    MCResult,
-    PAPER_TIMING,
-    PayloadVerifier,
-    Timing,
-    resolve_rng,
-    summarize,
-)
+from repro.fec.code import ErasureCode
+from repro.fec.registry import create_codec, get_codec
+from repro.mc._common import MCResult, PAPER_TIMING, PayloadVerifier, Timing
 from repro.sim.loss import LossModel, LossSampler
 
 __all__ = [
@@ -182,21 +176,29 @@ def _rounds_replication(
         base = float(times[-1]) + timing.packet_interval + timing.round_gap
 
 
-def _make_verifier(
-    codec,
+def _first_burst_verifier(
+    codec: ErasureCode | str | None,
     k: int,
     initial_parities: int,
 ) -> PayloadVerifier | None:
-    """Build the opt-in payload verifier for the integrated simulators.
+    """Build the opt-in payload verifier for the integrated kernels.
 
     Integrated FEC keeps sending *fresh* parities for as long as any
     receiver is missing packets, so the tail of the transmission has no
     fixed block length; only the first burst (``k`` data packets plus
     ``initial_parities`` parities) maps onto a single codec block.  The
     verifier therefore replays first-burst erasure patterns only.
+
+    ``codec`` is a live instance with at least ``initial_parities``
+    parities, or a registry name (the form that crosses the sharded
+    engine's process boundary), built at the codec's supported parity
+    count nearest ``initial_parities``.
     """
     if codec is None:
         return None
+    if isinstance(codec, str):
+        h = get_codec(codec).nearest_h(k, initial_parities)
+        codec = create_codec(codec, k, h)
     if codec.k != k:
         raise ValueError(
             f"codec geometry (k={codec.k}) does not match the simulated "
@@ -227,14 +229,17 @@ def sample_chunk_immediate(
     *,
     k: int,
     initial_parities: int = 0,
-    verifier: PayloadVerifier | None = None,
+    codec: ErasureCode | str | None = None,
 ) -> np.ndarray:
     """Chunk-shaped kernel for integrated FEC 1 (continuous parity tail).
 
     One E[M] sample per rng in ``rngs``; see
     :func:`repro.mc.layered.sample_chunk` for the sharding contract.
+    ``codec`` (optional) payload-verifies the first-burst erasure
+    patterns (:func:`_first_burst_verifier`); statistics are unchanged.
     """
     _validate_integrated(k, initial_parities)
+    verifier = _first_burst_verifier(codec, k, initial_parities)
     offsets = _packet_offsets(timing, k, initial_parities)
     return np.array(
         [
@@ -254,10 +259,14 @@ def sample_chunk_rounds(
     *,
     k: int,
     initial_parities: int = 0,
-    verifier: PayloadVerifier | None = None,
+    codec: ErasureCode | str | None = None,
 ) -> np.ndarray:
-    """Chunk-shaped kernel for integrated FEC 2 (NAK-driven parity rounds)."""
+    """Chunk-shaped kernel for integrated FEC 2 (NAK-driven parity rounds).
+
+    ``codec`` as in :func:`sample_chunk_immediate`.
+    """
     _validate_integrated(k, initial_parities)
+    verifier = _first_burst_verifier(codec, k, initial_parities)
     offsets = _packet_offsets(timing, k, initial_parities)
     return np.array(
         [
@@ -275,30 +284,28 @@ def simulate_integrated_immediate(
     k: int,
     replications: int = 200,
     timing: Timing = PAPER_TIMING,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.SeedSequence | np.random.Generator | int | None = None,
     initial_parities: int = 0,
-    codec=None,
+    codec: ErasureCode | str | None = None,
 ) -> MCResult:
     """Integrated FEC 1: continuous parity tail at rate ``1/Delta``.
 
-    ``codec`` (optional) enables end-to-end payload verification of the
-    first-burst erasure patterns through the real batched decode path —
-    see :func:`_make_verifier`; statistics are unchanged.
+    Exactly ``run_sharded("integrated_immediate", ...)`` at a fixed
+    replication count: ``rng`` roots the replication seed tree.  ``codec``
+    (optional) enables end-to-end payload verification of the first-burst
+    erasure patterns through the real batched decode path — see
+    :func:`_first_burst_verifier`; statistics are unchanged.
     """
-    _validate_integrated(k, initial_parities)
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    rng = resolve_rng(rng)
-    verifier = _make_verifier(codec, k, initial_parities)
-    samples = sample_chunk_immediate(
+    from repro.mc.sharded import run_sharded
+
+    return run_sharded(
+        "integrated_immediate",
         loss_model,
-        timing,
-        itertools.repeat(rng, replications),
-        k=k,
-        initial_parities=initial_parities,
-        verifier=verifier,
+        params={"k": k, "initial_parities": initial_parities, "codec": codec},
+        replications=replications,
+        timing=timing,
+        rng=rng,
     )
-    return summarize(samples)
 
 
 def simulate_integrated_rounds(
@@ -306,27 +313,22 @@ def simulate_integrated_rounds(
     k: int,
     replications: int = 200,
     timing: Timing = PAPER_TIMING,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.SeedSequence | np.random.Generator | int | None = None,
     initial_parities: int = 0,
-    codec=None,
+    codec: ErasureCode | str | None = None,
 ) -> MCResult:
     """Integrated FEC 2: NAK-driven parity rounds spaced ``Delta + T``.
 
-    ``codec`` (optional) enables end-to-end payload verification of the
-    first-burst erasure patterns through the real batched decode path —
-    see :func:`_make_verifier`; statistics are unchanged.
+    Exactly ``run_sharded("integrated_rounds", ...)``; ``rng`` and
+    ``codec`` as in :func:`simulate_integrated_immediate`.
     """
-    _validate_integrated(k, initial_parities)
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    rng = resolve_rng(rng)
-    verifier = _make_verifier(codec, k, initial_parities)
-    samples = sample_chunk_rounds(
+    from repro.mc.sharded import run_sharded
+
+    return run_sharded(
+        "integrated_rounds",
         loss_model,
-        timing,
-        itertools.repeat(rng, replications),
-        k=k,
-        initial_parities=initial_parities,
-        verifier=verifier,
+        params={"k": k, "initial_parities": initial_parities, "codec": codec},
+        replications=replications,
+        timing=timing,
+        rng=rng,
     )
-    return summarize(samples)

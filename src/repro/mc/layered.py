@@ -15,7 +15,6 @@ The estimate of E[M] for a round is ``(n/k) * mean_i(rounds_i)`` where
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
@@ -28,8 +27,6 @@ from repro.mc._common import (
     PayloadVerifier,
     Timing,
     _row_counts,
-    resolve_rng,
-    summarize,
 )
 from repro.sim.loss import LossModel
 
@@ -93,7 +90,6 @@ def sample_chunk(
     *,
     k: int,
     h: int,
-    verifier: PayloadVerifier | None = None,
     codec: ErasureCode | str | None = None,
 ) -> np.ndarray:
     """Chunk-shaped kernel: one layered-FEC E[M] sample per rng in ``rngs``.
@@ -101,18 +97,20 @@ def sample_chunk(
     This is the unit of work the sharded engine (:mod:`repro.mc.sharded`)
     dispatches: each replication draws from *its own* generator, so a chunk
     is fully determined by the seeds it is handed — independent of how the
-    replication range was split.  The serial front-end reuses it with one
-    shared generator repeated, preserving the legacy single-stream
-    semantics (and numbers) exactly.
+    replication range was split.
 
     ``codec`` may be a registry name (the form that crosses the sharded
     engine's process boundary), a live instance, or None for the ideal-MDS
-    count; when given and no ``verifier`` was supplied, one is built so the
-    chunk also payload-verifies every distinct decodable pattern.
+    count; when given, the chunk also payload-verifies every distinct
+    decodable pattern.
     """
     _validate_geometry(k, h)
     codec = resolve_codec(codec, k, h)
-    if codec is not None and verifier is None:
+    verifier = None
+    if codec is not None:
+        # dedicated payload RNG: drawing the reference block from the
+        # simulation's stream would perturb the loss samples, making the
+        # codec-verified run statistically different from the plain one
         verifier = PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))
     offsets = np.arange(k + h) * timing.packet_interval
     return np.array(
@@ -132,7 +130,7 @@ def simulate_layered(
     h: int,
     replications: int = 200,
     timing: Timing = PAPER_TIMING,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.SeedSequence | np.random.Generator | int | None = None,
     codec: ErasureCode | str | None = None,
 ) -> MCResult:
     """Estimate layered-FEC E[M] (transmissions per data packet).
@@ -157,25 +155,17 @@ def simulate_layered(
         and every distinct decodable erasure pattern sampled is replayed
         through the codec's decode path and checked against real payloads
         (see :class:`repro.mc._common.PayloadVerifier`).
+    rng:
+        Root of the replication seed tree; the call is exactly
+        ``run_sharded("layered", ...)`` at a fixed replication count.
     """
-    _validate_geometry(k, h)
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    rng = resolve_rng(rng)
-    codec = resolve_codec(codec, k, h)
-    verifier = None
-    if codec is not None:
-        # dedicated payload RNG: drawing the reference block from the
-        # simulation's stream would perturb the loss samples, making the
-        # codec-verified run statistically different from the plain one
-        verifier = PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))
-    samples = sample_chunk(
+    from repro.mc.sharded import run_sharded
+
+    return run_sharded(
+        "layered",
         loss_model,
-        timing,
-        itertools.repeat(rng, replications),
-        k=k,
-        h=h,
-        verifier=verifier,
-        codec=codec,
+        params={"k": k, "h": h, "codec": codec},
+        replications=replications,
+        timing=timing,
+        rng=rng,
     )
-    return summarize(samples)

@@ -9,12 +9,11 @@ all flow through the model's incremental sampler, which is the whole point
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
 
-from repro.mc._common import MCResult, PAPER_TIMING, Timing, resolve_rng, summarize
+from repro.mc._common import MCResult, PAPER_TIMING, Timing
 from repro.sim.loss import LossModel
 
 __all__ = ["simulate_nofec", "sample_chunk"]
@@ -68,8 +67,7 @@ def sample_chunk(
 ) -> np.ndarray:
     """Chunk-shaped kernel: one no-FEC E[M] sample per rng in ``rngs``.
 
-    The sharded engine hands each replication its own seed-tree generator;
-    the serial front-end repeats one shared generator (legacy stream).
+    The sharded engine hands each replication its own seed-tree generator.
     """
     spacing = timing.packet_interval + timing.round_gap
     offsets = np.arange(_CHUNK) * spacing
@@ -83,11 +81,15 @@ def simulate_nofec(
     loss_model: LossModel,
     replications: int = 200,
     timing: Timing = PAPER_TIMING,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.SeedSequence | np.random.Generator | int | None = None,
 ) -> MCResult:
-    """Estimate E[M] for ARQ without FEC under ``loss_model``."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    rng = resolve_rng(rng)
-    samples = sample_chunk(loss_model, timing, itertools.repeat(rng, replications))
-    return summarize(samples)
+    """Estimate E[M] for ARQ without FEC under ``loss_model``.
+
+    Exactly ``run_sharded("nofec", ...)`` at a fixed replication count:
+    ``rng`` roots the replication seed tree.
+    """
+    from repro.mc.sharded import run_sharded
+
+    return run_sharded(
+        "nofec", loss_model, replications=replications, timing=timing, rng=rng
+    )

@@ -1,9 +1,8 @@
 """Sharded, streaming, parallel execution layer for the MC simulators.
 
-The serial front-ends in :mod:`repro.mc` run replications in a Python
-loop, materialise every per-replication sample and stop at a fixed count.
-This module re-expresses the same estimators as **shard-parallel streaming
-jobs** with three guarantees:
+Every Monte-Carlo estimate in the tree is a :func:`run_sharded` call (the
+``simulate_*`` functions are its fixed-count spellings).  It runs the
+chunk kernels as **shard-parallel streaming jobs** with three guarantees:
 
 * **Deterministic seed trees.**  Replication ``i`` of a run rooted at seed
   ``s`` always draws from ``SeedSequence(s, spawn_key=(i,))`` — a private,
@@ -54,6 +53,7 @@ __all__ = [
     "SIMULATORS",
     "ShardedSimulator",
     "replication_rng",
+    "root_sequence",
     "run_sharded",
     "shard_cell",
 ]
@@ -104,7 +104,7 @@ SIMULATORS: dict[str, ShardedSimulator] = {
     spec.name: spec
     for spec in [
         ShardedSimulator("nofec", nofec.sample_chunk),
-        # layered's optional codec is a registry *name* so the parameter
+        # an optional codec is a registry *name* so the parameter
         # survives the spawn boundary as plain data
         ShardedSimulator(
             "layered", layered.sample_chunk, ("k", "h"), ("codec",)
@@ -113,13 +113,13 @@ SIMULATORS: dict[str, ShardedSimulator] = {
             "integrated_immediate",
             integrated.sample_chunk_immediate,
             ("k",),
-            ("initial_parities",),
+            ("initial_parities", "codec"),
         ),
         ShardedSimulator(
             "integrated_rounds",
             integrated.sample_chunk_rounds,
             ("k",),
-            ("initial_parities",),
+            ("initial_parities", "codec"),
         ),
     ]
 }
@@ -128,7 +128,7 @@ SIMULATORS: dict[str, ShardedSimulator] = {
 # ----------------------------------------------------------------------
 # seed trees
 # ----------------------------------------------------------------------
-def _root_sequence(
+def root_sequence(
     rng: np.random.SeedSequence | np.random.Generator | int | None,
 ) -> np.random.SeedSequence:
     """Normalise any seed-ish input to the root of the replication tree."""
@@ -317,7 +317,7 @@ def run_sharded(
     if target_ci is not None and not target_ci > 0:
         raise ValueError(f"target_ci must be positive, got {target_ci}")
 
-    root = _root_sequence(rng)
+    root = root_sequence(rng)
     chunks = _plan_chunks(
         replications, chunk_size, jobs, adaptive=target_ci is not None
     )

@@ -138,3 +138,17 @@ class TestCliCampaignMode:
         assert main(["fig13", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "timing of the different approaches" in out
+
+
+class TestCliSeed:
+    def test_seed_reaches_the_runner_in_every_mode(self, capsys, tmp_path):
+        def fig15_csv(*flags):
+            out_dir = tmp_path / "_".join(flags)
+            argv = ["fig15", "--mc-replications", "8", "--csv", str(out_dir)]
+            assert main([*argv, *flags]) == 0
+            return (out_dir / "fig15.csv").read_bytes()
+
+        sequential = fig15_csv("--seed", "7")
+        assert sequential != fig15_csv("--seed", "0")
+        # one set of bytes per seed: supervised worker == in-process run
+        assert sequential == fig15_csv("--seed", "7", "--jobs", "1")

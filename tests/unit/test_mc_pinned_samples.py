@@ -29,7 +29,7 @@ import pytest
 
 from repro.mc import integrated, layered, nofec
 from repro.mc._common import PAPER_TIMING
-from repro.mc.sharded import _chunk_rngs
+from repro.mc.sharded import _chunk_rngs, run_sharded
 from repro.sim.loss import BernoulliLoss, FullBinaryTreeLoss, GilbertLoss
 
 MODELS = {
@@ -124,30 +124,6 @@ KERNEL_DIGESTS = {
     ("rounds", "fbt_d6_p05", 7, 2): "79987ae0c043bb34f863dcb6ce18e11018eb94fdfbc8c221e765f25ce5930d61",
     ("rounds", "fbt_d6_p05", 1, 0): "69f2bc4cd82202a28764557d2662e949e3e8c218d35409d833b96ad2ff0b583e",
 }
-
-#: serial fronts, one shared generator rng=3: (front, model) -> (mean, stderr)
-SERIAL_FRONTS = {
-    ("nofec", "bernoulli_R1000_p01"): (2.2, 0.05207556439232955),
-    ("nofec", "bernoulli_R50_p25"): (3.9833333333333334, 0.1938192801838819),
-    ("nofec", "bernoulli_R3_p60"): (4.2, 0.3451029486946469),
-    ("nofec", "gilbert_R100"): (2.2, 0.05207556439232955),
-    ("nofec", "fbt_d6_p05"): (1.6833333333333333, 0.0805758465255842),
-    ("layered", "bernoulli_R1000_p01"): (1.3255102040816333, 0.01638856685101566),
-    ("layered", "bernoulli_R50_p25"): (3.8265306122448988, 0.06114661252488606),
-    ("layered", "bernoulli_R3_p60"): (5.34795918367347, 0.1371634938394407),
-    ("layered", "gilbert_R100"): (2.73061224489796, 0.05043664654319224),
-    ("layered", "fbt_d6_p05"): (1.4234693877551026, 0.03342729423098264),
-    ("immediate", "bernoulli_R1000_p01"): (1.2952380952380957, 0.004639260004261472),
-    ("immediate", "bernoulli_R50_p25"): (2.0619047619047617, 0.020477035100923732),
-    ("immediate", "bernoulli_R3_p60"): (3.111904761904762, 0.08835661332367335),
-    ("immediate", "gilbert_R100"): (2.3714285714285714, 0.05477330828384781),
-    ("immediate", "fbt_d6_p05"): (1.3261904761904764, 0.0107869030483372),
-    ("rounds", "bernoulli_R1000_p01"): (1.2952380952380955, 0.0046392600042614715),
-    ("rounds", "bernoulli_R50_p25"): (2.0380952380952384, 0.020050284609196858),
-    ("rounds", "bernoulli_R3_p60"): (3.1404761904761904, 0.1047962926905425),
-    ("rounds", "gilbert_R100"): (2.0023809523809524, 0.03139620952288319),
-    ("rounds", "fbt_d6_p05"): (1.3261904761904764, 0.009659047876887495),
-}
 # fmt: on
 
 
@@ -178,8 +154,17 @@ def test_every_kernel_model_geometry_is_covered():
     assert set(NOFEC_DIGESTS) == set(MODELS)
 
 
+#: simulate_* front -> the SIMULATORS entry it names, at k=7 with 2 extras
+SERIAL_FRONTS = {
+    "nofec": ("nofec", {}),
+    "layered": ("layered", {"k": 7, "h": 2}),
+    "immediate": ("integrated_immediate", {"k": 7, "initial_parities": 2}),
+    "rounds": ("integrated_rounds", {"k": 7, "initial_parities": 2}),
+}
+
+
 def _serial(front: str, model):
-    """The legacy single-stream fronts: every replication draws from rng=3."""
+    """The fixed-count fronts, every one rooted at rng=3."""
     if front == "nofec":
         return nofec.simulate_nofec(model, replications=60, rng=3)
     if front == "layered":
@@ -193,16 +178,28 @@ def _serial(front: str, model):
     )
 
 
-@pytest.mark.parametrize("front,name", sorted(SERIAL_FRONTS))
+@pytest.mark.parametrize(
+    "front,name", sorted((front, name) for front in SERIAL_FRONTS for name in MODELS)
+)
 def test_serial_front_is_pinned(front, name):
-    result = _serial(front, MODELS[name]())
+    """A front is pinned to the seed tree: ``simulate_X(..., rng=s)`` is
+    ``run_sharded("X", ..., rng=s)``, whatever the chunking."""
+    simulator, params = SERIAL_FRONTS[front]
+    expected = run_sharded(
+        simulator,
+        MODELS[name](),
+        params=params,
+        replications=60,
+        chunk_size=7,
+        rng=3,
+    )
     # exact equality on purpose: same draws, same arithmetic, same floats
-    assert (result.mean, result.stderr) == SERIAL_FRONTS[front, name]
-    assert result.replications == 60
+    assert _serial(front, MODELS[name]()) == expected
+    assert expected.replications == 60
 
 
 def _regenerate(prefixes: tuple[str, ...]) -> None:
-    """Print the rows of the three tables whose model name starts with one
+    """Print the rows of the two tables whose model name starts with one
     of ``prefixes``, recomputed on the working tree, ready to paste.
 
     For a declared change of a model's draw only (see the module
@@ -220,14 +217,6 @@ def _regenerate(prefixes: tuple[str, ...]) -> None:
         if name in names:
             digest = _digest(_sample(kernel, MODELS[name](), k, extra))
             print(f'    ("{kernel}", "{name}", {k}, {extra}): "{digest}",')
-    print("SERIAL_FRONTS")
-    for front, name in SERIAL_FRONTS:
-        if name in names:
-            result = _serial(front, MODELS[name]())
-            print(
-                f'    ("{front}", "{name}"): '
-                f"({result.mean!r}, {result.stderr!r}),"
-            )
 
 
 if __name__ == "__main__":
