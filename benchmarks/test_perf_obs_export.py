@@ -4,7 +4,7 @@ Three budgets for the telemetry plane's export surfaces:
 
 * **render throughput** — ``to_openmetrics`` over a realistically-sized
   registry (a few hundred instruments) must render fast enough that a
-  per-second scrape is invisible; the lossless parse must invert it.
+  per-second scrape is invisible.
 * **zero-line flushes** — a `TelemetryFlusher` whose registry did not
   change between flushes must write *nothing* and cost microseconds:
   the delta encoder is what makes an aggressive flush interval safe.
@@ -24,7 +24,7 @@ import urllib.request
 
 from benchmarks._trajectory import record_trajectory
 from repro import obs
-from repro.obs.export import TelemetryFlusher, parse_openmetrics, to_openmetrics
+from repro.obs.export import TelemetryFlusher, to_openmetrics
 from repro.obs.httpd import MetricsEndpoint
 from repro.obs.metrics import MetricRegistry
 from repro.protocols.harness import run_transfer
@@ -81,10 +81,9 @@ def _loaded_registry(
 
 
 class TestRenderThroughput:
-    def test_openmetrics_render_and_parse_rates(self):
+    def test_openmetrics_render_rate(self):
         snapshot = _loaded_registry().snapshot()
         text = to_openmetrics(snapshot)
-        assert parse_openmetrics(text) == snapshot  # lossless before fast
 
         n = 30
         start = time.perf_counter()
@@ -92,29 +91,13 @@ class TestRenderThroughput:
             to_openmetrics(snapshot)
         render_per_s = n / (time.perf_counter() - start)
 
-        start = time.perf_counter()
-        for _ in range(n):
-            parse_openmetrics(text)
-        parse_per_s = n / (time.perf_counter() - start)
-
-        start = time.perf_counter()
-        for _ in range(n):
-            to_openmetrics(snapshot, counters_only=True)
-        counters_only_per_s = n / (time.perf_counter() - start)
-
         print(
-            f"\nrender {render_per_s:.0f}/s  parse {parse_per_s:.0f}/s  "
-            f"counters-only {counters_only_per_s:.0f}/s "
+            f"\nrender {render_per_s:.0f}/s "
             f"({len(text)} bytes, {len(snapshot)} instruments)"
         )
         record_trajectory(
             "obs_export",
-            {
-                "render_per_s": render_per_s,
-                "parse_per_s": parse_per_s,
-                "counters_only_per_s": counters_only_per_s,
-                "exposition_bytes": len(text),
-            },
+            {"render_per_s": render_per_s, "exposition_bytes": len(text)},
         )
         assert render_per_s >= RENDER_FLOOR_PER_S
 

@@ -154,18 +154,9 @@ def _fmt_elapsed(seconds: float) -> str:
     return f"{seconds / 3600:.1f}h"
 
 
-def render_status(
-    status: CampaignStatus,
-    now: float | None = None,
-    alerts: list | None = None,
-) -> str:
-    """Human-readable status table (the ``--status`` output).
-
-    ``alerts`` — :class:`~repro.obs.slo.DriftAlert` records (typically
-    from :func:`repro.obs.read_alerts` over the run's telemetry NDJSON);
-    breached ones are appended so a drifting run is visible from the
-    same terminal that watches its tasks.
-    """
+def render_status(status: CampaignStatus, now: float | None = None) -> str:
+    """Human-readable status table (the ``--status`` output, and the
+    campaign section of every ``watch`` frame)."""
     now = time.time() if now is None else now
     lines = []
     head = f"campaign {status.campaign_id!r}"
@@ -204,11 +195,4 @@ def render_status(
             "  (read-only view: a 'running' task on a dead runner is a torn "
             "attempt that --resume will re-run)"
         )
-    breached = [a for a in (alerts or ()) if getattr(a, "breached", False)]
-    if breached:
-        lines.append(f"drift alerts ({len(breached)} breached):")
-        # newest evaluation per SLO: later records supersede earlier ones
-        latest: dict[str, object] = {a.slo: a for a in breached}
-        for name in sorted(latest):
-            lines.append(f"  !! {latest[name].describe()}")
     return "\n".join(lines)

@@ -19,9 +19,10 @@ when the first positional is ``serve`` or ``fetch``::
     python -m repro.experiments serve --bind 127.0.0.1:9000 --size 65536
     python -m repro.experiments fetch --connect 127.0.0.1:9000 --out f.bin
 
-Watching a live run (read-only; see DESIGN.md section 17)::
+Inspecting a campaign (read-only; see DESIGN.md section 17): ``--status``
+prints the journal's state once, ``watch`` is the live view::
 
-    python -m repro.experiments --status campaign.jsonl --follow
+    python -m repro.experiments --status campaign.jsonl
     python -m repro.experiments watch --journal campaign.jsonl \
         --metrics 127.0.0.1:9200
 
@@ -151,33 +152,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="PATH",
         help="enable telemetry and write the merged metric registry to "
-        "PATH on exit (.csv for CSV, anything else NDJSON); campaign and "
-        "sharded-MC workers ship their metrics home for the merge",
+        "PATH on exit as exact NDJSON rows (repro.obs.read_telemetry reads "
+        "them back); campaign and sharded-MC workers ship their metrics "
+        "home for the merge",
     )
     observability.add_argument(
         "--status",
         metavar="PATH",
         help="print the current state of the campaign journal at PATH "
         "(read-only, works while a runner is live) and exit",
-    )
-    observability.add_argument(
-        "--follow",
-        action="store_true",
-        help="with --status: re-render on --interval until Ctrl-C "
-        "(read-only; a live runner keeps appending undisturbed)",
-    )
-    observability.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll interval for --status --follow (default %(default)s)",
-    )
-    observability.add_argument(
-        "--telemetry",
-        metavar="PATH",
-        help="with --status: also read drift alerts from this telemetry "
-        "NDJSON stream (written by --telemetry-out)",
     )
     observability.add_argument(
         "--metrics-port",
@@ -376,28 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.status:
         from repro.campaign import JournalError, campaign_status, render_status
 
-        def render_once() -> str:
-            alerts = None
-            if args.telemetry is not None:
-                from repro.obs import read_alerts
-
-                alerts = read_alerts(args.telemetry)
-            return render_status(campaign_status(args.status), alerts=alerts)
-
         try:
-            if not args.follow:
-                print(render_once())
-                return 0
-            # --follow: same read-only reader on a loop; Ctrl-C exits 0
-            while True:
-                frame = render_once()
-                if sys.stdout.isatty():
-                    sys.stdout.write("\x1b[2J\x1b[H")
-                print(frame, flush=True)
-                time.sleep(max(0.0, args.interval))
-        except KeyboardInterrupt:
-            print()
-            return 0
+            print(render_status(campaign_status(args.status)))
         except (OSError, JournalError) as exc:
             print(f"error: cannot read journal {args.status}: {exc}",
                   file=sys.stderr)

@@ -6,25 +6,29 @@ Reads two optional sources on an interval and renders one screen:
   torn-tail-tolerant reader ``--status`` uses (never takes the writer
   lock, safe against a live runner).
 * ``--metrics SOURCE`` — live metrics, either scraped from a running
-  endpoint (``http://host:port/metrics`` or bare ``host:port``, parsed
-  with :func:`repro.obs.parse_openmetrics`) or folded from a telemetry
-  NDJSON file a :class:`~repro.obs.TelemetryFlusher` is appending to.
+  endpoint's exact ``/metrics.json`` (``http://host:port/metrics`` or
+  bare ``host:port``, read with :meth:`MetricsSnapshot.from_json`) or
+  folded with :func:`repro.obs.read_telemetry` from an NDJSON metrics
+  file: a ``--telemetry-out`` stream a live run is appending to, or a
+  finished run's ``--metrics-out`` dump.
 
 The dashboard shows rolling goodput (counter deltas between polls, not
 lifetime averages), NAK/retry rates, net sessions by outcome, ejections
 and churn, and the drift-SLO gauges with any breached alerts — the
 operator's live view of "is this run tracking the paper's model".
 
-``--count N`` renders N frames and exits (what the tests and the CI
-smoke use); without it the loop runs until Ctrl-C, which exits 0.
+``watch`` is the repo's one live view (``--status PATH`` is the one-shot
+journal table it embeds).  ``--count N`` renders N frames and exits
+(what the tests and the CI smoke use); without it the loop runs until
+Ctrl-C, which exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-import urllib.error
 import urllib.request
 
 from repro.obs.metrics import MetricsSnapshot
@@ -37,10 +41,11 @@ _SCRAPE_TIMEOUT = 5.0
 class MetricsSource:
     """One ``--metrics`` argument, resolved to a snapshot-producing poll.
 
-    ``http://…`` (or bare ``host:port``) scrapes OpenMetrics text;
-    anything else is read as a telemetry NDJSON file.  A poll that fails
-    (endpoint gone, file not written yet) returns the previous snapshot
-    so the dashboard degrades to stale data, never to a crash.
+    ``http://…`` (or bare ``host:port``) scrapes the endpoint's exact
+    ``/metrics.json``; anything else is read as an NDJSON metrics file.
+    A poll that fails (endpoint gone, a 404 or non-JSON body, file not
+    written yet) returns the previous snapshot so the dashboard degrades
+    to stale data, never to a crash.
     """
 
     def __init__(self, spec: str) -> None:
@@ -48,9 +53,12 @@ class MetricsSource:
         self.url: str | None = None
         self.path: str | None = None
         if spec.startswith(("http://", "https://")):
-            self.url = spec
+            url = spec.rstrip("/")
+            if not url.endswith("/metrics.json"):
+                url = url.removesuffix("/metrics") + "/metrics.json"
+            self.url = url
         elif self._looks_like_hostport(spec):
-            self.url = f"http://{spec}/metrics"
+            self.url = f"http://{spec}/metrics.json"
         else:
             self.path = spec
         self.last_error: str | None = None
@@ -69,16 +77,16 @@ class MetricsSource:
                 with urllib.request.urlopen(
                     self.url, timeout=_SCRAPE_TIMEOUT
                 ) as response:
-                    text = response.read().decode("utf-8", "replace")
-                from repro.obs.export import parse_openmetrics
-
-                self._previous = parse_openmetrics(text)
+                    document = json.loads(response.read())
+                self._previous = MetricsSnapshot.from_json(document)
             else:
                 from repro.obs.export import read_telemetry
 
                 self._previous, self._alerts = read_telemetry(self.path)
             self.last_error = None
-        except (OSError, urllib.error.URLError, ValueError) as exc:
+        except (
+            OSError, ValueError, KeyError, TypeError, AttributeError
+        ) as exc:
             self.last_error = f"{type(exc).__name__}: {exc}"
         return self._previous, list(self._alerts)
 
@@ -241,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="SOURCE",
         help="metrics source: http://host:port/metrics, host:port, "
-        "or a telemetry NDJSON file",
+        "or an NDJSON metrics file (--telemetry-out or --metrics-out)",
     )
     parser.add_argument(
         "--interval",

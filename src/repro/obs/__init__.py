@@ -3,9 +3,10 @@
 Zero-dependency observability for the whole stack: exactly-mergeable
 metric instruments (:mod:`repro.obs.metrics`), nested monotonic span
 tracing (:mod:`repro.obs.spans`), a per-process runtime switch
-(:mod:`repro.obs.runtime`), and the live telemetry plane —
-OpenMetrics/NDJSON exporters (:mod:`repro.obs.export`), an HTTP pull
-endpoint (:mod:`repro.obs.httpd`), deterministic trace stitching
+(:mod:`repro.obs.runtime`), and the live telemetry plane — exact
+NDJSON metric rows and a render-only OpenMetrics exporter
+(:mod:`repro.obs.export`), an HTTP pull endpoint
+(:mod:`repro.obs.httpd`), deterministic trace stitching
 (:mod:`repro.obs.tracecontext`) and paper-model drift SLOs
 (:mod:`repro.obs.slo`).  Off by default; ``obs.enable()`` or the
 experiments CLI's ``--metrics-out PATH`` turns it on.  See DESIGN.md
@@ -41,7 +42,6 @@ from repro.obs.runtime import (
 from repro.obs.spans import Span, SpanRecord, SpanRecorder, TimerSpan
 from repro.obs.export import (
     TelemetryFlusher,
-    parse_openmetrics,
     read_telemetry,
     snapshot_delta,
     to_openmetrics,
@@ -52,7 +52,6 @@ from repro.obs.slo import (
     DriftMonitor,
     EmDriftSLO,
     GoodputDriftSLO,
-    read_alerts,
 )
 from repro.obs.tracecontext import (
     current_trace_id,
@@ -93,7 +92,6 @@ __all__ = [
     "span",
     # telemetry plane
     "TelemetryFlusher",
-    "parse_openmetrics",
     "read_telemetry",
     "snapshot_delta",
     "to_openmetrics",
@@ -102,7 +100,6 @@ __all__ = [
     "DriftMonitor",
     "EmDriftSLO",
     "GoodputDriftSLO",
-    "read_alerts",
     "current_trace_id",
     "export_trace",
     "mint_trace_id",

@@ -2,17 +2,12 @@
 
 Three export surfaces over :class:`~repro.obs.metrics.MetricsSnapshot`:
 
-* :func:`to_openmetrics` / :func:`parse_openmetrics` — the Prometheus /
-  OpenMetrics text exposition format, made **losslessly round-trippable**.
-  The exposition format cannot carry everything the merge contract needs
-  (the exact fixed-point histogram sum is a multi-hundred-digit integer;
-  gauges have a merge mode and a distinct "never observed" state), so the
-  renderer emits one ``# repro:exact {...}`` comment per instrument
-  carrying the identity (the original dotted name, the labels) plus only
-  what the standard lines can't express.  Standard scrapers ignore
-  comments and see plain OpenMetrics; :func:`parse_openmetrics` reads
-  both and reconstructs the snapshot bit-for-bit — counter values and
-  bucket counts are genuinely parsed from the sample lines.
+* :func:`to_openmetrics` — the Prometheus / OpenMetrics text exposition
+  format, **render-only**: it is what outside scrapers ingest from
+  ``/metrics``.  The text is lossy by design (histogram sums become
+  floats, never-observed gauges have no sample), so nothing in the repo
+  reads it back; every reader folds the snapshot's exact JSON entries
+  instead (``/metrics.json``, worker shipping, the NDJSON rows below).
 
 * :func:`snapshot_delta` — the exact difference between two cumulative
   snapshots of the *same* registry.  Counters and histogram counts/sums
@@ -27,7 +22,9 @@ Three export surfaces over :class:`~repro.obs.metrics.MetricsSnapshot`:
   ``{"record": "alert", ...}`` lines for any SLO breaches from an
   attached :class:`~repro.obs.slo.DriftMonitor`.  :func:`read_telemetry`
   folds such a stream back into one snapshot, tolerating a torn final
-  line from a live writer.
+  line from a live writer.  These rows are the repo's one metrics file
+  format: ``--metrics-out`` (:func:`repro.obs.export_metrics`) writes
+  exactly one flush of them.
 
 Stdlib-only, like the rest of ``repro.obs``.
 """
@@ -50,11 +47,9 @@ from repro.obs.metrics import (
 
 __all__ = [
     "to_openmetrics",
-    "parse_openmetrics",
     "snapshot_delta",
     "TelemetryFlusher",
     "read_telemetry",
-    "OpenMetricsParseError",
 ]
 
 #: Every exposition family name gets this prefix (and dots become
@@ -63,11 +58,6 @@ PREFIX = "repro_"
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
-_EXACT_PREFIX = "# repro:exact "
-
-
-class OpenMetricsParseError(ValueError):
-    """Raised when :func:`parse_openmetrics` meets text it cannot read."""
 
 
 def _family(name: str) -> str:
@@ -105,23 +95,14 @@ def _fmt(value: float) -> str:
 # ----------------------------------------------------------------------
 # renderer
 # ----------------------------------------------------------------------
-def to_openmetrics(snapshot: MetricsSnapshot, *, counters_only: bool = False) -> str:
-    """Render a snapshot as OpenMetrics text (ending in ``# EOF``).
-
-    ``counters_only=True`` restricts the output to counter families —
-    the deterministic subset of the merge contract (mirroring
-    :meth:`MetricsSnapshot.counter_values`), which is what makes the
-    rendered text bit-identical across a ``--jobs 1`` and ``--jobs 4``
-    run of the same campaign.
-    """
+def to_openmetrics(snapshot: MetricsSnapshot) -> str:
+    """Render a snapshot as OpenMetrics text (ending in ``# EOF``)."""
     lines: list[str] = []
     entries = snapshot._entries
     ordered = sorted(entries)
     for name, group in itertools.groupby(ordered, key=lambda key: key[0]):
         keys = list(group)
         kind = entries[keys[0]]["type"]
-        if counters_only and kind != "counter":
-            continue
         family = _family(name)
         lines.append(f"# TYPE {family} {kind}")
         lines.append(f"# HELP {family} repro instrument {_escape(name)}")
@@ -129,19 +110,6 @@ def to_openmetrics(snapshot: MetricsSnapshot, *, counters_only: bool = False) ->
             entry = entries[key]
             labels = entry.get("labels", {})
             label_text = _render_labels(labels)
-            sidecar: dict[str, Any] = {
-                "type": entry["type"],
-                "name": name,
-                "labels": {str(k): str(v) for k, v in labels.items()},
-            }
-            if entry["type"] == "gauge":
-                sidecar["mode"] = entry.get("mode", "max")
-                sidecar["value"] = entry["value"]
-            elif entry["type"] == "histogram":
-                sidecar["sum"] = str(entry["sum"])
-                sidecar["min"] = entry["min"]
-                sidecar["max"] = entry["max"]
-            lines.append(_EXACT_PREFIX + json.dumps(sidecar, sort_keys=True))
             if entry["type"] == "counter":
                 lines.append(f"{family}_total{label_text} {int(entry['value'])}")
             elif entry["type"] == "gauge":
@@ -161,142 +129,6 @@ def to_openmetrics(snapshot: MetricsSnapshot, *, counters_only: bool = False) ->
                 lines.append(f"{family}_count{label_text} {total}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# parser
-# ----------------------------------------------------------------------
-def _split_sample(line: str) -> tuple[str, dict[str, str], str]:
-    """``name{labels} value`` -> (name, labels, value-text)."""
-    brace = line.find("{")
-    if brace < 0:
-        name, _, value = line.partition(" ")
-        return name, {}, value.strip()
-    name = line[:brace]
-    labels: dict[str, str] = {}
-    i = brace + 1
-    while i < len(line) and line[i] != "}":
-        eq = line.index("=", i)
-        key = line[i:eq]
-        if line[eq + 1] != '"':
-            raise OpenMetricsParseError(f"unquoted label value in {line!r}")
-        chars: list[str] = []
-        j = eq + 2
-        while True:
-            ch = line[j]
-            if ch == "\\":
-                nxt = line[j + 1]
-                chars.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                j += 2
-            elif ch == '"':
-                j += 1
-                break
-            else:
-                chars.append(ch)
-                j += 1
-        labels[key] = "".join(chars)
-        i = j + 1 if j < len(line) and line[j] == "," else j
-    value = line[i + 1 :].strip()
-    return name, labels, value
-
-
-def _finalize(pending: dict | None) -> tuple[tuple, dict] | None:
-    """Turn a parser-internal pending entry into a snapshot entry."""
-    if pending is None:
-        return None
-    entry = pending["entry"]
-    if entry["type"] == "histogram":
-        cumulative = pending["buckets"]
-        if not cumulative:
-            raise OpenMetricsParseError(
-                f"histogram {entry['name']!r} has no bucket samples"
-            )
-        if cumulative[-1][0] != "+Inf":
-            raise OpenMetricsParseError(
-                f"histogram {entry['name']!r} is missing its +Inf bucket"
-            )
-        bounds = [float(le) for le, _ in cumulative[:-1]]
-        counts: list[int] = []
-        previous = 0
-        for _, value in cumulative:
-            if value < previous:
-                raise OpenMetricsParseError(
-                    f"histogram {entry['name']!r} buckets are not cumulative"
-                )
-            counts.append(value - previous)
-            previous = value
-        entry["bounds"] = bounds
-        entry["counts"] = counts
-        entry["count"] = cumulative[-1][1]
-    key = (str(entry["name"]), labels_key(entry["labels"]))
-    return key, entry
-
-
-def parse_openmetrics(text: str) -> MetricsSnapshot:
-    """Parse text produced by :func:`to_openmetrics` back into a snapshot.
-
-    Counter values and histogram bucket counts come from the standard
-    sample lines; identity, gauge state and exact histogram sums come
-    from the ``# repro:exact`` sidecar comments.  The reconstruction is
-    bit-identical: ``parse_openmetrics(to_openmetrics(s)) == s``.
-    """
-    entries: dict[tuple, dict] = {}
-    pending: dict | None = None
-
-    def commit() -> None:
-        nonlocal pending
-        finalized = _finalize(pending)
-        if finalized is not None:
-            entries[finalized[0]] = finalized[1]
-        pending = None
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(_EXACT_PREFIX):
-            commit()
-            try:
-                sidecar = json.loads(line[len(_EXACT_PREFIX) :])
-            except json.JSONDecodeError as exc:
-                raise OpenMetricsParseError(f"bad sidecar line: {raw!r}") from exc
-            kind = sidecar.get("type")
-            entry: dict[str, Any] = {
-                "type": kind,
-                "name": str(sidecar["name"]),
-                "labels": {str(k): str(v) for k, v in sidecar["labels"].items()},
-            }
-            if kind == "counter":
-                entry["value"] = 0
-            elif kind == "gauge":
-                entry["mode"] = sidecar.get("mode", "max")
-                entry["value"] = sidecar["value"]
-            elif kind == "histogram":
-                entry["sum"] = str(sidecar["sum"])
-                entry["min"] = sidecar["min"]
-                entry["max"] = sidecar["max"]
-            else:
-                raise OpenMetricsParseError(f"unknown sidecar type {kind!r}")
-            pending = {"entry": entry, "family": _family(entry["name"]), "buckets": []}
-            continue
-        if line.startswith("#"):
-            continue
-        if pending is None:
-            continue  # foreign sample line (plain Prometheus text)
-        name, labels, value = _split_sample(line)
-        family = pending["family"]
-        kind = pending["entry"]["type"]
-        if kind == "counter" and name == f"{family}_total":
-            pending["entry"]["value"] = int(value)
-        elif kind == "histogram" and name == f"{family}_bucket":
-            pending["buckets"].append((labels.get("le", ""), int(value)))
-        # gauge samples and histogram _sum/_count lines are redundant
-        # with the sidecar / +Inf bucket and are deliberately skipped
-    commit()
-
-    registry = MetricRegistry()
-    registry.merge_snapshot(MetricsSnapshot(entries))
-    return registry.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -485,10 +317,6 @@ def read_telemetry(
             entry = {
                 k: v for k, v in row.items() if k not in ("record", "seq")
             }
-            if entry.get("type") == "histogram" and not isinstance(
-                entry.get("sum"), str
-            ):
-                continue  # lossy float export (obs.export_metrics), not a delta
             try:
                 key = (str(entry["name"]), labels_key(entry.get("labels", {})))
                 registry.merge_snapshot(MetricsSnapshot({key: entry}))

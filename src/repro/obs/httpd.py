@@ -4,7 +4,9 @@
 ``asyncio.start_server``, one request per connection, three routes:
 
 * ``GET /metrics`` — OpenMetrics text (:func:`repro.obs.export.to_openmetrics`)
-* ``GET /metrics.json`` — the snapshot's JSON form (``MetricsSnapshot.to_json``)
+  for outside Prometheus scrapers
+* ``GET /metrics.json`` — the snapshot's exact JSON form
+  (``MetricsSnapshot.to_json``), what ``watch`` reads back
 * ``GET /healthz`` — ``ok``
 
 It mounts in two ways.  Inside an existing event loop (``NetServer``),

@@ -30,10 +30,7 @@ Everything here is stdlib-only and never touches any RNG.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import pathlib
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
@@ -373,7 +370,7 @@ class MetricRegistry:
 # snapshots (the cross-process unit)
 # ----------------------------------------------------------------------
 class MetricsSnapshot:
-    """Immutable-by-convention registry state: merge, serialize, export.
+    """Immutable-by-convention registry state: merge and serialize.
 
     ``merge`` is pure (returns a new snapshot) and — because every
     underlying aggregate is an integer sum, a min, or a max — exactly
@@ -461,48 +458,3 @@ class MetricsSnapshot:
         # round-trip through a registry to validate every entry's shape
         registry.merge_snapshot(snapshot)
         return registry.snapshot()
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def _rows(self) -> Iterator[dict]:
-        for key in sorted(self._entries):
-            entry = dict(self._entries[key])
-            if entry["type"] == "histogram":
-                entry["mean"] = _unscaled(int(entry["sum"]), int(entry["count"]))
-                entry["sum"] = _unscaled(int(entry["sum"]), 1)
-            yield entry
-
-    def to_ndjson(self, path: str | pathlib.Path) -> int:
-        """One ``{"record": "metric", ...}`` object per line; returns the
-        number of lines written.  The ``record`` discriminator is shared
-        with span and trace exports so all three interleave in one file."""
-        path = pathlib.Path(path)
-        count = 0
-        with open(path, "w") as fh:
-            for row in self._rows():
-                fh.write(json.dumps({"record": "metric", **row}, sort_keys=True))
-                fh.write("\n")
-                count += 1
-        return count
-
-    def to_csv(self, path: str | pathlib.Path) -> int:
-        """Flat CSV: one instrument per row; returns the row count."""
-        path = pathlib.Path(path)
-        fields = [
-            "type", "name", "labels", "value", "mode",
-            "count", "sum", "mean", "min", "max", "bounds", "counts",
-        ]
-        count = 0
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-            writer.writeheader()
-            for row in self._rows():
-                row = dict(row)
-                row["labels"] = json.dumps(row.get("labels", {}), sort_keys=True)
-                for listy in ("bounds", "counts"):
-                    if listy in row:
-                        row[listy] = " ".join(str(v) for v in row[listy])
-                writer.writerow(row)
-                count += 1
-        return count

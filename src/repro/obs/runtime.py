@@ -186,16 +186,21 @@ def export_metrics(
 ) -> int:
     """Dump a snapshot (default: this process's) to ``path``.
 
-    Format follows the suffix: ``.csv`` writes flat CSV, anything else
-    writes NDJSON ``{"record": "metric", ...}`` lines.  Returns the
-    number of instruments written.
+    Writes the exact ``{"record": "metric", ...}`` NDJSON rows of one
+    :class:`~repro.obs.export.TelemetryFlusher` flush, whatever the
+    suffix, so :func:`~repro.obs.export.read_telemetry` folds the file
+    back to ``snap`` bit-for-bit.  Returns the number of instruments
+    written.
     """
+    from repro.obs.export import TelemetryFlusher
+
     if snap is None:
         snap = snapshot()
-    path = pathlib.Path(path)
-    if path.suffix.lower() == ".csv":
-        return snap.to_csv(path)
-    return snap.to_ndjson(path)
+    flusher = TelemetryFlusher(path, source=lambda: snap)
+    try:
+        return flusher.flush()
+    finally:
+        flusher.close()
 
 
 def export_spans(path: str | pathlib.Path, mode: str = "w") -> int:

@@ -11,8 +11,8 @@ tolerance.
 
 :class:`DriftMonitor` is the aggregation point: the telemetry flusher
 calls :meth:`DriftMonitor.evaluate` on every flush, breached alerts land
-in the NDJSON stream as ``{"record": "alert", ...}`` lines (and in
-``--status`` output), and — when the obs runtime is enabled — each
+in the NDJSON stream as ``{"record": "alert", ...}`` lines (which
+``watch`` renders), and — when the obs runtime is enabled — each
 evaluation also publishes ``slo.observed`` / ``slo.predicted`` /
 ``slo.ratio`` gauges so scrapers see the drift without parsing alerts.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.obs.metrics import MetricsSnapshot
 
@@ -34,7 +34,6 @@ __all__ = [
     "EmDriftSLO",
     "GoodputDriftSLO",
     "DriftMonitor",
-    "read_alerts",
 ]
 
 
@@ -61,18 +60,6 @@ class DriftAlert:
             "breached": self.breached,
             "context": dict(self.context),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DriftAlert":
-        return cls(
-            slo=str(data["slo"]),
-            observed=float(data["observed"]),
-            predicted=float(data["predicted"]),
-            ratio=float(data["ratio"]),
-            tolerance=float(data["tolerance"]),
-            breached=bool(data["breached"]),
-            context=dict(data.get("context", {})),
-        )
 
     def describe(self) -> str:
         """One status line: ``em[np]: observed 1.23 vs predicted 1.19 ...``."""
@@ -337,17 +324,3 @@ class DriftMonitor:
         self.last_alerts = alerts
         return alerts
 
-
-def read_alerts(path: Any) -> list[DriftAlert]:
-    """Every ``{"record": "alert", ...}`` row of an NDJSON telemetry
-    stream, parsed; tolerates a torn tail from a live writer."""
-    from repro.obs.export import _iter_ndjson
-
-    alerts = []
-    for row in _iter_ndjson(path):
-        if row.get("record") == "alert":
-            try:
-                alerts.append(DriftAlert.from_json(row))
-            except (KeyError, TypeError, ValueError):
-                continue
-    return alerts

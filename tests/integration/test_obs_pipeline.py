@@ -15,6 +15,7 @@ from repro import obs
 from repro.campaign import CampaignRunner, callable_task, deserialize_result
 from repro.experiments.__main__ import main
 from repro.obs import labels_key
+from repro.obs.export import read_telemetry
 
 SEEDS = (0, 1, 2, 3)
 
@@ -134,16 +135,22 @@ class TestCli:
 
     def test_metrics_out_campaign_and_status(self, capsys, tmp_path):
         journal = tmp_path / "campaign.jsonl"
-        path = tmp_path / "metrics.csv"
+        path = tmp_path / "metrics.ndjson"
         with obs.capture(enabled=False):
             assert main([
                 "fig03", "--jobs", "1",
                 "--journal", str(journal), "--metrics-out", str(path),
             ]) == 0
         capsys.readouterr()
-        text = path.read_text()
-        assert text.startswith("type,")
-        assert "span.duration_seconds" in text
+        # the file folds back exactly, histograms included
+        snapshot, _ = read_telemetry(path)
+        written = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(snapshot) == len(written)
+        kinds = {entry["type"] for entry in snapshot.to_json()["instruments"]}
+        assert "histogram" in kinds
+        assert any(
+            name == "span.duration_seconds" for name, _ in snapshot._entries
+        )
 
         assert main(["--status", str(journal)]) == 0
         out = capsys.readouterr().out

@@ -11,12 +11,13 @@ The acceptance scenarios for the observability PR:
 * a campaign run with the exporters attached serves a live scrape
   endpoint, streams delta NDJSON that folds back to the exact rollup,
   records breached drift SLOs, ships worker spans home, and renders all
-  of it through ``--status`` / ``watch``;
-* the OpenMetrics text of the counter subset is bit-identical between
-  ``--jobs 1`` and ``--jobs 4`` runs of the same campaign.
+  of it through ``watch`` (the live view) and ``--status`` (one shot);
+* the merged worker counters are bit-identical between ``--jobs 1`` and
+  ``--jobs 4`` runs of the same campaign.
 """
 
 import asyncio
+import json
 import os
 import pathlib
 import signal
@@ -31,16 +32,13 @@ import pytest
 
 from repro import obs
 from repro.campaign import CampaignRunner, callable_task
-from repro.campaign.status import campaign_status, render_status
+from repro.campaign.status import campaign_status
+from repro.experiments.watch import render_dashboard
 from repro.net import NetConfig, NetServer, fetch
 from repro.net import wire
-from repro.obs.export import (
-    TelemetryFlusher,
-    parse_openmetrics,
-    read_telemetry,
-    to_openmetrics,
-)
-from repro.obs.slo import EmDriftSLO, read_alerts
+from repro.obs import MetricsSnapshot
+from repro.obs.export import TelemetryFlusher, read_telemetry, to_openmetrics
+from repro.obs.slo import EmDriftSLO
 from repro.obs.tracecontext import stitch_traces, to_trace_events
 
 pytestmark = pytest.mark.timeout(300)
@@ -69,7 +67,7 @@ def payload(n_groups: int, config: NetConfig, seed: int = 77) -> bytes:
 
 async def loopback_transfer(data, config, metrics_scrape=False):
     """Serve ``data`` and fetch it once over loopback; returns
-    ``(result, scraped /metrics body or None)``."""
+    ``(result, scraped /metrics.json snapshot or None)``."""
     server = NetServer(
         data, config, metrics_port=0 if metrics_scrape else None
     )
@@ -84,11 +82,13 @@ async def loopback_transfer(data, config, metrics_scrape=False):
         if metrics_scrape:
             mhost, mport = server.metrics_address
             reader, writer = await asyncio.open_connection(mhost, mport)
-            writer.write(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            writer.write(b"GET /metrics.json HTTP/1.1\r\nHost: t\r\n\r\n")
             await writer.drain()
             raw = await reader.read()
             writer.close()
-            body = raw.decode().split("\r\n\r\n", 1)[1]
+            body = MetricsSnapshot.from_json(
+                json.loads(raw.decode().split("\r\n\r\n", 1)[1])
+            )
     finally:
         await server.close()
     return result, body
@@ -183,11 +183,10 @@ class TestNetServerScrape:
         config = NetConfig(k=2, h=4, packet_size=128, seed=24)
         data = payload(3, config)
         with obs.capture():
-            result, body = run_bounded(
+            result, parsed = run_bounded(
                 loopback_transfer(data, config, metrics_scrape=True)
             )
         assert result.complete
-        parsed = parse_openmetrics(body)
         assert parsed.value("net.frames_tx", kind="data") == 6
         assert parsed.value("net.sessions", outcome="complete") == 1
         assert ("obs.spans_dropped", ()) in parsed.counter_values()
@@ -224,7 +223,7 @@ def telemetry_campaign(tmp_path_factory):
         while time.monotonic() < deadline:
             address = runner.metrics_address
             if address is not None:
-                url = f"http://{address[0]}:{address[1]}/metrics"
+                url = f"http://{address[0]}:{address[1]}/metrics.json"
                 try:
                     with urllib.request.urlopen(url, timeout=5.0) as response:
                         scraped["body"] = response.read().decode()
@@ -265,9 +264,9 @@ class TestCampaignTelemetryPlane:
     def test_live_scrape_succeeded_while_running(self, telemetry_campaign):
         body = telemetry_campaign["scraped"].get("body")
         assert body is not None, "endpoint never became scrapable"
-        parsed = parse_openmetrics(body)
-        # live scrape races the run, but whatever it saw must parse and
-        # be a subset of the final rollup's instruments
+        parsed = MetricsSnapshot.from_json(json.loads(body))
+        # live scrape races the run, but whatever it saw must fold into a
+        # snapshot and be a subset of the final rollup's instruments
         final = {name for name, _ in telemetry_campaign["rollup"]._entries}
         assert {name for name, _ in parsed._entries} <= final
         assert telemetry_campaign["runner"].metrics_address is None  # closed
@@ -287,13 +286,15 @@ class TestCampaignTelemetryPlane:
         assert ("obs.spans_dropped", ()) in merged
 
     def test_breached_slo_lands_in_alerts_and_status(self, telemetry_campaign):
-        alerts = read_alerts(telemetry_campaign["telemetry"])
-        assert alerts and all(a.slo == "em[transfer:np]" for a in alerts)
-        assert any(a.breached for a in alerts)
+        snapshot, alerts = read_telemetry(telemetry_campaign["telemetry"])
+        assert alerts and all(row["slo"] == "em[transfer:np]" for row in alerts)
+        assert any(row["breached"] for row in alerts)
         status = campaign_status(telemetry_campaign["journal"])
-        rendered = render_status(status, alerts=alerts)
-        assert "drift alerts" in rendered
-        assert "em[transfer:np]" in rendered
+        rendered = render_dashboard(
+            snapshot, MetricsSnapshot(), 0.0, alerts=alerts, status=status
+        )
+        assert "ALERT:      em[transfer:np]" in rendered
+        assert "succeeded=3" in rendered
 
     def test_worker_spans_ship_home_stamped_with_their_trace(
         self, telemetry_campaign
@@ -333,8 +334,8 @@ class TestCampaignTelemetryPlane:
 
 
 class TestExporterJobsInvariance:
-    def test_counters_only_openmetrics_is_bit_identical(self):
-        def render(jobs):
+    def test_counter_values_bit_identical(self):
+        def counters(jobs):
             tasks = [
                 callable_task(
                     f"cell{seed}",
@@ -349,11 +350,11 @@ class TestExporterJobsInvariance:
             )
             report = runner.run()
             assert report.status == "ok"
-            return to_openmetrics(runner.worker_metrics, counters_only=True)
+            return runner.worker_metrics.counter_values()
 
-        serial, parallel = render(1), render(4)
+        serial, parallel = counters(1), counters(4)
         assert serial == parallel
-        assert "repro_transfer_data_sent_total" in serial
+        assert any(name == "transfer.data_sent" for name, _ in serial)
 
 
 class TestSpansDroppedSurfacing:
@@ -372,10 +373,12 @@ class TestSpansDroppedSurfacing:
             text = to_openmetrics(snapshot)
             flusher = TelemetryFlusher(path, interval=0.0)
             flusher.close()
+            obs.export_metrics(tmp_path / "metrics.ndjson")
         assert snapshot.value("obs.spans_dropped") == 3
         assert "repro_obs_spans_dropped_total 3" in text
-        rebuilt, _ = read_telemetry(path)
-        assert rebuilt.value("obs.spans_dropped") == 3
+        for written in (path, tmp_path / "metrics.ndjson"):
+            rebuilt, _ = read_telemetry(written)
+            assert rebuilt.value("obs.spans_dropped") == 3
 
 
 class TestCliSurface:
@@ -402,33 +405,28 @@ class TestCliSurface:
         assert "ALERT:" in out  # the forced breach surfaced
         assert "succeeded=3" in out  # campaign table rode along
 
-    def test_status_with_telemetry_shows_drift_alerts(
-        self, telemetry_campaign, capsys
-    ):
+    def test_status_is_one_shot(self, telemetry_campaign, capsys):
         from repro.experiments.__main__ import main
 
-        code = main(
-            [
-                "--status",
-                str(telemetry_campaign["journal"]),
-                "--telemetry",
-                str(telemetry_campaign["telemetry"]),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "drift alerts" in out
-        assert "em[transfer:np]" in out
+        journal = str(telemetry_campaign["journal"])
+        assert main(["--status", journal]) == 0
+        assert "succeeded=3" in capsys.readouterr().out
+        # the live view is `watch`; the figure CLI has no follow mode
+        for flag in ("--follow", "--telemetry", "--interval"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--status", journal, flag])
+            assert excinfo.value.code == 2
+        capsys.readouterr()
 
-    def test_status_follow_exits_cleanly_on_sigint(self, telemetry_campaign):
+    def test_watch_exits_cleanly_on_sigint(self, telemetry_campaign):
         process = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
                 "repro.experiments",
-                "--status",
+                "watch",
+                "--journal",
                 str(telemetry_campaign["journal"]),
-                "--follow",
                 "--interval",
                 "0.2",
             ],

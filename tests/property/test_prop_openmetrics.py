@@ -1,32 +1,36 @@
-"""Property-based tests of the exporter round trip and delta exactness.
+"""Property-based tests of the exact metrics format and delta exactness.
 
 The promises under test extend the obs merge laws to the export layer:
 
-* ``parse_openmetrics(to_openmetrics(s)) == s`` bit-for-bit — including
-  exact fixed-point histogram sums whose decimal strings run to hundreds
-  of digits, "never observed" gauges, and label values holding quotes,
-  backslashes and newlines.
+* ``MetricsSnapshot.from_json(json.loads(json.dumps(s.to_json()))) == s``
+  bit-for-bit — including exact fixed-point histogram sums whose decimal
+  strings run to hundreds of digits, "never observed" gauges, and label
+  values holding quotes, backslashes and newlines.  The same entries are
+  the NDJSON rows of ``--metrics-out`` and ``--telemetry-out`` files, so
+  ``read_telemetry`` folds an :func:`repro.obs.export_metrics` dump back
+  to the snapshot exactly.
 * Merging every :func:`snapshot_delta` of a run, **in any order**,
   reconstructs the final cumulative snapshot exactly.
+
+OpenMetrics text is render-only (nothing reads it back), so its only
+property here is that rendering is a pure function of the snapshot.
 """
+
+import json
+import pathlib
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs import MetricRegistry, MetricsSnapshot
-from repro.obs.export import parse_openmetrics, snapshot_delta, to_openmetrics
+from repro.obs.export import read_telemetry, snapshot_delta, to_openmetrics
 
-# Label values may hold anything the exposition escaper handles: quotes,
-# backslashes, embedded newlines.  Other line separators (\r, \x0b, ...)
-# are excluded — the renderer writes one sample per line and only \n is
-# escaped, so values that splitlines() would break on are out of contract.
-_UNSUPPORTED_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# JSON carries any label text; surrogates are excluded only because they
+# cannot be encoded at all.
 label_values = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Cs",),
-        blacklist_characters=_UNSUPPORTED_SEPARATORS,
-    ),
-    max_size=8,
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8
 )
 label_sets = st.dictionaries(
     st.sampled_from(["protocol", "kind", "odd key", 'q"k']),
@@ -59,6 +63,10 @@ event_lists = st.lists(
 )
 
 
+def _json_transport(snapshot: MetricsSnapshot) -> MetricsSnapshot:
+    return MetricsSnapshot.from_json(json.loads(json.dumps(snapshot.to_json())))
+
+
 def _apply(registry: MetricRegistry, events) -> None:
     for kind, name, labels, value in events:
         if kind == "counter":
@@ -75,19 +83,37 @@ class TestRoundTrip:
     @given(events=event_lists)
     @settings(max_examples=80, deadline=None)
     def test_parse_inverts_render_bit_identically(self, events):
+        """The exact JSON text is the one form every reader parses back:
+        parsing it inverts the render bit-for-bit."""
         registry = MetricRegistry()
         _apply(registry, events)
         snapshot = registry.snapshot()
-        assert parse_openmetrics(to_openmetrics(snapshot)) == snapshot
+        assert _json_transport(snapshot) == snapshot
+
+    @given(events=event_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_metrics_out_rows_fold_back_exactly(self, events):
+        registry = MetricRegistry()
+        _apply(registry, events)
+        snapshot = registry.snapshot()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "metrics.ndjson"
+            assert obs.export_metrics(path, snapshot) == len(snapshot)
+            rebuilt, alerts = read_telemetry(path)
+        assert rebuilt == snapshot
+        assert alerts == []
 
     @given(events=event_lists)
     @settings(max_examples=30, deadline=None)
     def test_render_is_deterministic_and_reparse_stable(self, events):
+        """OpenMetrics text is a pure function of the snapshot, so a
+        snapshot re-parsed from its JSON renders the same text."""
         registry = MetricRegistry()
         _apply(registry, events)
         snapshot = registry.snapshot()
         text = to_openmetrics(snapshot)
-        assert to_openmetrics(parse_openmetrics(text)) == text
+        assert to_openmetrics(_json_transport(snapshot)) == text
+        assert text.endswith("# EOF\n")
 
     @given(
         exponents=st.lists(
@@ -104,26 +130,10 @@ class TestRoundTrip:
         for exponent in exponents:
             hist.observe(float(10) ** exponent)
         snapshot = registry.snapshot()
-        parsed = parse_openmetrics(to_openmetrics(snapshot))
+        parsed = _json_transport(snapshot)
         key = ("h", ())
         assert parsed._entries[key]["sum"] == snapshot._entries[key]["sum"]
         assert parsed == snapshot
-
-    @given(events=event_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_counters_only_is_the_counter_subset(self, events):
-        registry = MetricRegistry()
-        _apply(registry, events)
-        snapshot = registry.snapshot()
-        parsed = parse_openmetrics(
-            to_openmetrics(snapshot, counters_only=True)
-        )
-        expected = {
-            key: entry
-            for key, entry in snapshot._entries.items()
-            if entry["type"] == "counter"
-        }
-        assert parsed._entries == expected
 
 
 class TestDeltaLaws:

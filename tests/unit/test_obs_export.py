@@ -1,19 +1,20 @@
 """Unit tests for the OpenMetrics / NDJSON exporters (`repro.obs.export`).
 
-The contract under test is **losslessness**: whatever a
-:class:`MetricRegistry` snapshot holds — including multi-hundred-digit
-exact histogram sums — survives a render → parse round trip and a
-delta → merge reconstruction bit-for-bit.
+The contract under test is **losslessness of the one file format**:
+whatever a :class:`MetricRegistry` snapshot holds — including
+multi-hundred-digit exact histogram sums — survives an
+``export_metrics`` → ``read_telemetry`` round trip and a delta → merge
+reconstruction bit-for-bit.  OpenMetrics text is render-only; its golden
+checks pin what outside scrapers see.
 """
 
 import json
 
 import pytest
 
+from repro import obs
 from repro.obs.export import (
-    OpenMetricsParseError,
     TelemetryFlusher,
-    parse_openmetrics,
     read_telemetry,
     snapshot_delta,
     to_openmetrics,
@@ -29,7 +30,7 @@ def fixed_registry() -> MetricRegistry:
     registry.counter("transfer.naks_sent").inc(3)
     registry.gauge("net.goodput_bytes_per_s").observe(125000.5)
     registry.gauge("queue.low_water", mode="min").observe(4.0)
-    registry.gauge("never.observed")  # value None: sidecar-only
+    registry.gauge("never.observed")  # value None: no sample line
     hist = registry.histogram("transfer.completion_time")
     for value in (0.002, 0.017, 0.3, 4.5):
         hist.observe(value)
@@ -49,29 +50,33 @@ class TestGoldenRender:
         assert text == (
             "# TYPE repro_net_frames_tx counter\n"
             "# HELP repro_net_frames_tx repro instrument net.frames_tx\n"
-            '# repro:exact {"labels": {"kind": "data"}, '
-            '"name": "net.frames_tx", "type": "counter"}\n'
             'repro_net_frames_tx_total{kind="data"} 41\n'
             "# TYPE repro_net_goodput_bytes_per_s gauge\n"
             "# HELP repro_net_goodput_bytes_per_s repro instrument "
             "net.goodput_bytes_per_s\n"
-            '# repro:exact {"labels": {}, "mode": "max", '
-            '"name": "net.goodput_bytes_per_s", "type": "gauge", '
-            '"value": 2048.0}\n'
             "repro_net_goodput_bytes_per_s 2048.0\n"
+            "# EOF\n"
+        )
+
+    def test_histogram_buckets_are_cumulative_ending_in_inf(self):
+        registry = MetricRegistry()
+        hist = registry.histogram("h", bounds=(1.0, 2.0))
+        for value in (0.5, 1.5, 1.7, 9.0):
+            hist.observe(value)
+        text = to_openmetrics(registry.snapshot())
+        assert text == (
+            "# TYPE repro_h histogram\n"
+            "# HELP repro_h repro instrument h\n"
+            'repro_h_bucket{le="1.0"} 1\n'
+            'repro_h_bucket{le="2.0"} 3\n'
+            'repro_h_bucket{le="+Inf"} 4\n'
+            "repro_h_sum 12.7\n"
+            "repro_h_count 4\n"
             "# EOF\n"
         )
 
     def test_render_ends_with_eof(self):
         assert to_openmetrics(MetricsSnapshot()).endswith("# EOF\n")
-
-    def test_counters_only_drops_other_kinds(self):
-        text = to_openmetrics(
-            fixed_registry().snapshot(), counters_only=True
-        )
-        assert "repro_net_frames_tx_total" in text
-        assert "goodput" not in text
-        assert "_bucket" not in text
 
     def test_histogram_sum_renders_without_overflow(self):
         """The exact scaled sum is a >10**300 integer; rendering must go
@@ -83,42 +88,39 @@ class TestGoldenRender:
 
 
 class TestRoundTrip:
-    def test_fixed_registry_round_trips_bit_identically(self):
+    def test_fixed_registry_round_trips_bit_identically(self, tmp_path):
+        """A ``--metrics-out`` file folds back to the very snapshot that
+        wrote it — every instrument kind, histograms included."""
         snapshot = fixed_registry().snapshot()
-        parsed = parse_openmetrics(to_openmetrics(snapshot))
-        assert parsed._entries == snapshot._entries
+        kinds = {entry["type"] for entry in snapshot._entries.values()}
+        assert kinds == {"counter", "gauge", "histogram"}
+        path = tmp_path / "metrics.ndjson"
+        assert obs.export_metrics(path, snapshot) == len(snapshot)
+        rebuilt, alerts = read_telemetry(path)
+        assert rebuilt._entries == snapshot._entries
+        assert alerts == []
 
-    def test_counter_values_come_from_sample_lines(self):
-        """The parser genuinely reads sample lines — corrupting a
-        ``_total`` line changes the parsed value."""
+    def test_foreign_prometheus_text_is_tolerated(self, tmp_path):
+        """Lines that are not JSON rows (say, Prometheus text pasted into
+        a metrics file) are skipped, not fatal."""
+        path = tmp_path / "metrics.ndjson"
+        obs.export_metrics(path, fixed_registry().snapshot())
+        with open(path, "a") as fh:
+            fh.write("# TYPE up gauge\nup 1\nsome_counter_total 5\n# EOF\n")
+        rebuilt, alerts = read_telemetry(path)
+        assert rebuilt == fixed_registry().snapshot()
+        assert alerts == []
+
+    def test_export_rows_are_one_flusher_flush(self, tmp_path):
         snapshot = fixed_registry().snapshot()
-        text = to_openmetrics(snapshot)
-        tampered = text.replace(
-            'repro_net_frames_tx_total{kind="data"} 41',
-            'repro_net_frames_tx_total{kind="data"} 999',
+        obs.export_metrics(tmp_path / "export.ndjson", snapshot)
+        flusher = TelemetryFlusher(
+            tmp_path / "flush.ndjson", source=lambda: snapshot
         )
-        parsed = parse_openmetrics(tampered)
-        values = parsed.counter_values()
-        assert values[("net.frames_tx", (("kind", "data"),))] == 999
-
-    def test_foreign_prometheus_text_is_tolerated(self):
-        """Plain Prometheus lines without our sidecar are skipped."""
-        parsed = parse_openmetrics(
-            "# TYPE up gauge\nup 1\nsome_counter_total 5\n# EOF\n"
-        )
-        assert parsed._entries == {}
-
-    def test_bad_sidecar_raises_typed_error(self):
-        with pytest.raises(OpenMetricsParseError):
-            parse_openmetrics("# repro:exact {not json}\n# EOF\n")
-
-    def test_non_cumulative_buckets_rejected(self):
-        registry = MetricRegistry()
-        registry.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        text = to_openmetrics(registry.snapshot())
-        broken = text.replace('le="2.0"} 1', 'le="2.0"} 0')
-        with pytest.raises(OpenMetricsParseError):
-            parse_openmetrics(broken)
+        flusher.close()
+        assert (tmp_path / "export.ndjson").read_text() == (
+            tmp_path / "flush.ndjson"
+        ).read_text()
 
 
 class TestSnapshotDelta:

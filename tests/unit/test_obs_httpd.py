@@ -11,9 +11,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs.export import parse_openmetrics
 from repro.obs.httpd import MetricsEndpoint
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry, MetricsSnapshot
 
 
 @pytest.fixture
@@ -40,14 +39,16 @@ class TestRoutes:
         status, headers, body = fetch(base + "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("application/openmetrics-text")
-        parsed = parse_openmetrics(body)
-        assert parsed._entries == registry.snapshot()._entries
+        assert "# TYPE repro_net_frames_tx counter\n" in body
+        assert 'repro_net_frames_tx_total{kind="data"} 5\n' in body
+        assert "repro_net_goodput_bytes_per_s 1000.0\n" in body
+        assert body.endswith("# EOF\n")
 
     def test_metrics_reflects_live_mutation(self, endpoint):
         server, registry, base = endpoint
         registry.counter("net.frames_tx", kind="data").inc(7)
-        _, _, body = fetch(base + "/metrics")
-        values = parse_openmetrics(body).counter_values()
+        _, _, body = fetch(base + "/metrics.json")
+        values = MetricsSnapshot.from_json(json.loads(body)).counter_values()
         assert values[("net.frames_tx", (("kind", "data"),))] == 12
 
     def test_metrics_json(self, endpoint):
@@ -60,6 +61,8 @@ class TestRoutes:
             "net.frames_tx",
             "net.goodput_bytes_per_s",
         }
+        # the scrape folds back to exactly the served snapshot
+        assert MetricsSnapshot.from_json(document) == registry.snapshot()
 
     def test_healthz(self, endpoint):
         _, _, base = endpoint

@@ -12,14 +12,13 @@ import pytest
 
 from repro import obs
 from repro.analysis.integrated import expected_transmissions_lower_bound
-from repro.obs.export import TelemetryFlusher
+from repro.obs.export import TelemetryFlusher, read_telemetry
 from repro.obs.metrics import MetricRegistry
 from repro.obs.slo import (
     DriftAlert,
     DriftMonitor,
     EmDriftSLO,
     GoodputDriftSLO,
-    read_alerts,
 )
 
 
@@ -121,7 +120,9 @@ class TestDriftAlert:
         )
         row = alert.to_json()
         assert row["record"] == "alert"
-        assert DriftAlert.from_json(json.loads(json.dumps(row))) == alert
+        assert json.loads(json.dumps(row)) == row
+        fields = {k: v for k, v in row.items() if k != "record"}
+        assert DriftAlert(**fields) == alert
 
     def test_describe_flags_breaches(self):
         alert = DriftAlert("em[net]", 2.0, 1.0, 2.0, 0.25, True)
@@ -170,6 +171,8 @@ class TestDriftMonitor:
 
 
 class TestReadAlerts:
+    """Alert rows come back through the one telemetry reader."""
+
     def test_flusher_persists_only_breaches(self, tmp_path):
         registry = MetricRegistry()
         registry.counter("net.frames_tx", kind="data").inc(80)
@@ -184,10 +187,10 @@ class TestReadAlerts:
                 path, interval=0.0, monitor=monitor, source=registry.snapshot
             )
             flusher.close()
-        alerts = read_alerts(path)
-        assert [a.slo for a in alerts] == ["em[net]"]
-        assert alerts[0].breached
-        assert alerts[0].observed == pytest.approx(2.5)
+        _, alerts = read_telemetry(path)
+        assert [row["slo"] for row in alerts] == ["em[net]"]
+        assert alerts[0]["breached"]
+        assert alerts[0]["observed"] == pytest.approx(2.5)
 
     def test_skips_torn_and_malformed_rows(self, tmp_path):
         path = tmp_path / "telemetry.ndjson"
@@ -195,11 +198,13 @@ class TestReadAlerts:
         path.write_text(
             json.dumps(good)
             + "\n"
-            + '{"record": "alert", "slo": "x"}\n'  # missing fields
+            + '{"record": "metric", "name": "c"}\n'  # missing fields
             + '{"record": "alert", "slo"'  # torn tail
         )
-        alerts = read_alerts(path)
-        assert [a.slo for a in alerts] == ["em[net]"]
+        snapshot, alerts = read_telemetry(path)
+        assert [row["slo"] for row in alerts] == ["em[net]"]
+        assert len(snapshot) == 0
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_alerts(tmp_path / "nope.ndjson") == []
+        snapshot, alerts = read_telemetry(tmp_path / "nope.ndjson")
+        assert alerts == [] and len(snapshot) == 0

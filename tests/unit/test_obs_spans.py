@@ -99,20 +99,18 @@ class TestRuntime:
             obs.merge_snapshot(snap)
             assert obs.snapshot().value("c", kind="data") == 10
 
-    def test_export_metrics_format_by_suffix(self, tmp_path):
+    def test_export_metrics_writes_ndjson_whatever_the_suffix(self, tmp_path):
         with obs.capture():
             obs.counter("c").inc()
             # 2 rows: "c" plus the always-present obs.spans_dropped
             # health counter every export path carries (DESIGN.md §17)
             assert obs.export_metrics(tmp_path / "m.ndjson") == 2
             assert obs.export_metrics(tmp_path / "m.csv") == 2
-        rows = [
-            json.loads(line)
-            for line in (tmp_path / "m.ndjson").read_text().splitlines()
-        ]
+        text = (tmp_path / "m.ndjson").read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
         assert all(row["record"] == "metric" for row in rows)
         assert {row["name"] for row in rows} == {"c", "obs.spans_dropped"}
-        assert (tmp_path / "m.csv").read_text().startswith("type,")
+        assert (tmp_path / "m.csv").read_text() == text
 
     def test_export_spans(self, tmp_path):
         with obs.capture():
