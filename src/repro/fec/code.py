@@ -234,23 +234,31 @@ class ErasureCode(abc.ABC):
                 )
             return arr
         raw = bytes(packet)
+        self._byte_symbols(len(raw))
         if self.field.m == 4:
             octets = np.frombuffer(raw, dtype=np.uint8)
             symbols = np.empty(2 * octets.size, dtype=np.uint8)
             symbols[0::2] = octets >> 4
             symbols[1::2] = octets & 0x0F
             return symbols
-        if self.field.m not in (8, 16):
+        return np.frombuffer(raw, dtype=self.field.dtype)
+
+    def _byte_symbols(self, length: int) -> int:
+        """Symbols in a ``length``-byte payload; rejects unconvertible ones."""
+        m = self.field.m
+        if m == 4:
+            return 2 * length
+        if m not in (8, 16):
             raise ValueError(
                 f"byte payloads are only supported for m in (4, 8, 16); "
-                f"use encode_symbols/decode_symbols for GF(2^{self.field.m})"
+                f"use encode_symbols/decode_symbols for GF(2^{m})"
             )
-        if len(raw) % self._symbol_bytes:
+        if length % self._symbol_bytes:
             raise ValueError(
-                f"packet length {len(raw)} is not a multiple of the "
-                f"{self._symbol_bytes}-byte symbol size of GF(2^{self.field.m})"
+                f"packet length {length} is not a multiple of the "
+                f"{self._symbol_bytes}-byte symbol size of GF(2^{m})"
             )
-        return np.frombuffer(raw, dtype=self.field.dtype)
+        return length // self._symbol_bytes
 
     def _to_bytes(self, symbols: np.ndarray) -> bytes:
         if self.field.m == 4:
@@ -469,7 +477,9 @@ class ErasureCode(abc.ABC):
 
         Returns
         -------
-        The ``k`` data packets, in order.
+        The ``k`` data packets, in order.  Only lost data packets are
+        rebuilt; a systematic code hands a received data packet back as
+        ``bytes(payload)`` without converting it to symbols and back.
 
         Raises
         ------
@@ -488,13 +498,36 @@ class ErasureCode(abc.ABC):
             raise DecodeError(
                 f"need at least k={self.k} packets to decode, got {len(indices)}"
             )
-        rows = {i: self._to_symbols(p) for i, p in received.items()}
-        lengths = {row.shape[0] for row in rows.values()}
+        # byte payloads are checked but stay bytes; arrays become symbols,
+        # whose bytes are what a decode returns for them
+        packets: dict[int, bytes | np.ndarray] = {}
+        lengths = set()
+        for index, packet in received.items():
+            if isinstance(packet, np.ndarray):
+                packet = self._to_symbols(packet)
+                lengths.add(packet.shape[0])
+            else:
+                packet = bytes(packet)
+                lengths.add(self._byte_symbols(len(packet)))
+            packets[index] = packet
         if len(lengths) != 1:
             raise ValueError("received packets have inconsistent lengths")
 
-        decoded = self.decode_symbols(rows)
-        return [self._to_bytes(decoded[i]) for i in range(self.k)]
+        lost = (
+            [i for i in range(self.k) if i not in packets]
+            if self.systematic
+            else range(self.k)
+        )
+        if lost:
+            decoded = self.decode_symbols(
+                {i: self._to_symbols(p) for i, p in packets.items()}
+            )
+            for i in lost:
+                packets[i] = decoded[i]
+        return [
+            packet if isinstance(packet, bytes) else self._to_bytes(packet)
+            for packet in (packets[i] for i in range(self.k))
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -441,6 +441,9 @@ class NPReceiver:
         self.receiver_id = network.attach_receiver(self.on_packet)
 
         self._decoders: dict[int, BlockDecoder] = {}
+        #: packets held across every open decoder (the running sum behind
+        #: ``stats.peak_buffered_packets``)
+        self._buffered_packets = 0
         self._delivered: dict[int, list[bytes]] = {}
         self._watchdogs: dict[int, EventHandle] = {}
         self._watchdog_retries: dict[int, int] = {}
@@ -529,12 +532,13 @@ class NPReceiver:
             return
         decoder = self._decoder_for(tg)
         before = len(decoder.received)
-        decoder.add(packet.index, packet.payload)
+        decodable = decoder.add(packet.index, packet.payload)
         if len(decoder.received) == before:
             self.stats.duplicates += 1
         else:
             self.stats.last_progress_time = self.sim.now
-        if not decoder.decodable:
+            self._buffered_packets += 1
+        if not decodable:
             # the group is known-incomplete: if the coming poll gets lost
             # (lossy control plane) this timer keeps us live by NAKing
             # spontaneously; any later packet or poll re-feeds it
@@ -543,16 +547,15 @@ class NPReceiver:
                 self.stats.peak_buffered_groups, len(self._decoders)
             )
             self.stats.peak_buffered_packets = max(
-                self.stats.peak_buffered_packets,
-                sum(len(d.received) for d in self._decoders.values()),
+                self.stats.peak_buffered_packets, self._buffered_packets
             )
-        if decoder.decodable:
+        else:
             self.stats.packets_reconstructed += decoder.decoding_work()
             self._delivered[tg] = decoder.reconstruct()
             self.stats.groups_decoded += 1
             self.slotter.cancel_group(tg)
             self._cancel_watchdog(tg)
-            del self._decoders[tg]
+            self._drop_decoder(tg)
             if self.complete:
                 self.stats.completion_time = self.sim.now
                 if self.on_complete is not None:
@@ -595,7 +598,12 @@ class NPReceiver:
         self.slotter.cancel_group(tg)
         self._cancel_watchdog(tg)
         self._watchdog_retries.pop(tg, None)
-        self._decoders.pop(tg, None)
+        self._drop_decoder(tg)
+
+    def _drop_decoder(self, tg: int) -> None:
+        decoder = self._decoders.pop(tg, None)
+        if decoder is not None:
+            self._buffered_packets -= len(decoder.received)
 
     # ------------------------------------------------------------------
     # watchdog (feedback-loss robustness; disabled by default)
@@ -657,6 +665,7 @@ class NPReceiver:
         """
         self.stats.crashes += 1
         self._decoders.clear()
+        self._buffered_packets = 0
         self._last_round.clear()
         self._watchdog_retries.clear()
         for handle in self._watchdogs.values():

@@ -94,19 +94,26 @@ def payload_symbols(packet, field) -> np.ndarray:
     return np.frombuffer(payload, dtype=field.dtype)
 
 
+#: control packet class -> its semantic field names, in declaration order
+_SEMANTIC_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def control_checksum_of(packet) -> int:
     """CRC-32 over a control packet's semantic fields (all but ``checksum``).
 
     The encoding is the ``repr`` of the type name plus the sorted field
     values — deterministic across processes for the int/str/tuple fields
     control packets carry, and independent of the stored checksum itself.
+    The field names are looked up once per class.
     """
-    fields = tuple(
-        (f.name, getattr(packet, f.name))
-        for f in dataclasses.fields(packet)
-        if f.name != "checksum"
-    )
-    return zlib.crc32(repr((type(packet).__name__, fields)).encode("utf-8"))
+    cls = type(packet)
+    names = _SEMANTIC_FIELDS.get(cls)
+    if names is None:
+        names = _SEMANTIC_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(packet) if f.name != "checksum"
+        )
+    fields = tuple([(name, getattr(packet, name)) for name in names])
+    return zlib.crc32(repr((cls.__name__, fields)).encode("utf-8"))
 
 
 def control_intact(packet) -> bool:

@@ -6,6 +6,10 @@ minimal: a monotonic simulated clock, a binary-heap event queue with stable
 FIFO ordering for simultaneous events, and cancellable timers — the three
 things a NAK-suppression protocol actually needs.
 
+The heap holds plain ``(time, sequence, handle)`` tuples: ``sequence`` is a
+per-simulator counter, so ties in ``time`` fall back to scheduling order and
+no comparison ever reaches the handle — ordering runs in C, not in Python.
+
 Example
 -------
 >>> sim = Simulator()
@@ -22,20 +26,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["Simulator", "EventHandle", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised for scheduler misuse (negative delays, runaway event loops)."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    sequence: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -68,7 +64,7 @@ class Simulator:
         self.now = 0.0
         self.max_events = max_events
         self.events_dispatched = 0
-        self._queue: list[_QueueEntry] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
@@ -84,7 +80,7 @@ class Simulator:
                 f"cannot schedule at {time} before current time {self.now}"
             )
         handle = EventHandle(time, callback)
-        heapq.heappush(self._queue, _QueueEntry(time, next(self._sequence), handle))
+        heapq.heappush(self._queue, (time, next(self._sequence), handle))
         return handle
 
     @property
@@ -93,22 +89,31 @@ class Simulator:
         return len(self._queue)
 
     def step(self) -> bool:
-        """Dispatch the next event; returns False when the queue is empty."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.handle.cancelled:
+        """Dispatch the next event; returns False when the queue is empty.
+
+        The event budget is checked before the event leaves the queue: when
+        it trips, the event stays pending, :attr:`now` is the time of the
+        last event that ran and :attr:`events_dispatched` equals
+        :attr:`max_events`.
+        """
+        queue = self._queue
+        while queue:
+            time, _, handle = queue[0]
+            if handle.cancelled:
+                heapq.heappop(queue)
                 continue
-            self.now = entry.time
-            self.events_dispatched += 1
-            if self.events_dispatched > self.max_events:
+            if self.events_dispatched >= self.max_events:
                 raise SimulationError(
                     f"event budget exhausted after {self.max_events} events — "
                     f"likely a protocol livelock "
                     f"(sim clock t={self.now:.3f}, "
-                    f"{len(self._queue)} events pending, "
+                    f"{len(queue)} events pending, "
                     f"{self.events_dispatched} dispatched)"
                 )
-            entry.handle.callback()
+            heapq.heappop(queue)
+            self.now = time
+            self.events_dispatched += 1
+            handle.callback()
             return True
         return False
 
@@ -118,12 +123,13 @@ class Simulator:
             while self.step():
                 pass
             return
-        while self._queue:
-            entry = self._queue[0]
-            if entry.handle.cancelled:
-                heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, handle = queue[0]
+            if handle.cancelled:
+                heapq.heappop(queue)
                 continue
-            if entry.time > until:
+            if time > until:
                 break
             self.step()
         self.now = max(self.now, until)

@@ -110,6 +110,51 @@ class TestControlChecksum:
             SessionFin("made-up")
 
 
+#: ``control_checksum_of`` for one instance of each control type, recorded
+#: before the field names were cached per class: the checksum is part of
+#: the wire frame and the journal, so it must never move
+GOLDEN_CHECKSUMS = [
+    (Poll(tg=3, sent=7, round=2), 3008996710),
+    (Nak(tg=5, needed=2, round=1), 727302637),
+    (SelectiveNak(tg=9, missing=(0, 4, 6), round=3), 1545963914),
+    (GroupAbort(tg=11, round=4), 1555087787),
+    (SlotNak(4, (1, 2, 6), 3), 2444236327),
+    (SessionJoin(group=7, nonce=123456789), 814959764),
+    (
+        SessionAnnounce(
+            k=7, h=32, packet_size=1024, n_groups=24, total_length=172032,
+            codec="lrc",
+        ),
+        1081518000,
+    ),
+    (SessionComplete(delivered=24, failed=1), 380112995),
+    (SessionFin(reason="ejected"), 1408010825),
+]
+
+
+class TestGoldenChecksums:
+    @pytest.mark.parametrize(
+        "packet,checksum", GOLDEN_CHECKSUMS, ids=lambda v: type(v).__name__
+    )
+    def test_value_is_pinned(self, packet, checksum):
+        assert control_checksum_of(packet) == checksum
+        assert packet.checksum == checksum
+
+    def test_subclass_fields_are_its_own(self):
+        # the field names are cached per class: a subclass that adds a
+        # field must checksum it, not reuse its parent's tuple
+        @dataclasses.dataclass(frozen=True)
+        class TaggedPoll(Poll):
+            tag: int = 0
+
+        base = Poll(3, 7, 2)
+        assert control_checksum_of(base) == 3008996710
+        assert TaggedPoll(3, 7, 2, tag=1).checksum != TaggedPoll(
+            3, 7, 2, tag=2
+        ).checksum
+        assert control_checksum_of(base) == 3008996710
+
+
 class TestCorruptControlDropped:
     """A tampered control packet reaches a state machine and is ignored."""
 
