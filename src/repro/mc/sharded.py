@@ -7,10 +7,11 @@ chunk kernels as **shard-parallel streaming jobs** with three guarantees:
 * **Deterministic seed trees.**  Replication ``i`` of a run rooted at seed
   ``s`` always draws from ``SeedSequence(s, spawn_key=(i,))`` — a private,
   statistically independent stream addressed by *replication index*, not
-  by worker or shard.  Together with the exact accumulator below, one root
-  seed yields bit-identical ``(mean, stderr, replications)`` for any
-  ``(shards, chunk_size, jobs)`` split, any completion order, and
-  ``jobs=1`` versus ``jobs>1``.
+  by worker or shard, and derived a chunk at a time in one vectorised
+  pass rather than one ``SeedSequence`` per replication.  Together with
+  the exact accumulator below, one root seed yields bit-identical
+  ``(mean, stderr, replications)`` for any ``(shards, chunk_size, jobs)``
+  split, any completion order, and ``jobs=1`` versus ``jobs>1``.
 * **Streaming moments.**  Shards fold samples into
   :class:`~repro.mc.streaming.StreamingMoments` (exact, mergeable) instead
   of shipping sample vectors: memory is O(chunk) per worker and O(1) at
@@ -148,24 +149,180 @@ def replication_rng(
 ) -> np.random.Generator:
     """The private generator of replication ``index`` under a root.
 
-    Children are addressed exactly like ``SeedSequence.spawn`` would
-    (``spawn_key + (index,)``) but by random access, so a worker holding
-    replications ``[a, b)`` derives its streams without materialising the
-    first ``a`` children.
+    It is ``default_rng(SeedSequence(entropy, spawn_key=(*spawn_key,
+    index)))`` state for state, addressed by random access, so a worker
+    holding replications ``[a, b)`` derives its streams without
+    materialising the first ``a`` children.  Each call mixes the root's
+    shared words again; ``run_sharded`` derives a whole chunk at once.
     """
-    child = np.random.SeedSequence(
-        entropy=entropy, spawn_key=(*tuple(spawn_key), int(index))
+    return next(_chunk_rngs(entropy, spawn_key, index, 1))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): every
+# replication of a root shares the words of (entropy, spawn_key), and the
+# hash constants advance the same way whatever the words are, so the
+# shared prefix is mixed once and only the index words are mixed per row.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value) -> list[int]:
+    """numpy's ``_coerce_to_uint32_array`` for ints and nested sequences."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {value}")
+        words = [value & _MASK32]
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+        return words
+    if isinstance(value, (str, bytes)):
+        # a one-character string iterates to itself
+        raise TypeError(f"seed words must be integers, got {value!r}")
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _const_run(const: int, mult: int, count: int) -> np.ndarray:
+    """``count`` successive hash constants from ``const``, as a column."""
+    consts = []
+    for _ in range(count):
+        consts.append(const)
+        const = const * mult & _MASK32
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, const, mult: int = _MULT_A):
+    """numpy's ``hashmix`` given the constant before its update; on ints,
+    or on uint32 arrays, which wrap as the C code does."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two pool words; on ints or uint32 arrays."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mixed_prefix(entropy, spawn_key: Sequence[int]) -> tuple[list[int], int]:
+    """The pool and hash constant after the words every child shares.
+
+    A child always has a spawn key, so its entropy is zero-padded to the
+    pool size; padding words mix exactly as the pool's own zero fill.
+    """
+    words = _uint32_words(entropy)
+    words += [0] * (_POOL_SIZE - len(words))
+    words += _uint32_words(spawn_key)
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        pool.append(_hashmix(word, const))
+        const = const * _MULT_A & _MASK32
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+                const = const * _MULT_A & _MASK32
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+            const = const * _MULT_A & _MASK32
+    return pool, const
+
+
+def _pcg64_seeds(pool: list[int], const: int, index_words: list) -> np.ndarray:
+    """``generate_state(4, uint64)`` of each child, one row per child.
+
+    ``index_words`` are the children's trailing words, each a uint32
+    vector (one entry per child) or an int they share.
+    """
+    mixer = np.array(pool, dtype=np.uint32)[:, None]
+    for word in index_words:
+        consts = _const_run(const, _MULT_A, _POOL_SIZE + 1)
+        mixer = _mix(mixer, _hashmix(word, consts[:-1]))
+        const = int(consts[-1, 0])
+    state = _hashmix(  # eight words, cycling through the pool
+        mixer[[0, 1, 2, 3, 0, 1, 2, 3]],
+        _const_run(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
+        _MULT_B,
     )
-    return np.random.default_rng(child)
+    # numpy reads the words little-endian whatever the host's order is
+    rows = np.ascontiguousarray(state.T, dtype="<u4")
+    return rows.view("<u8").astype(np.uint64)
+
+
+class _ReplicationSeed:
+    """``SeedSequence(entropy, spawn_key)`` with its PCG64 seed precomputed.
+
+    PCG64 takes the precomputed words once; every other use (``spawn``,
+    ``pool``, ``state``, a second ``generate_state``) goes to the real
+    ``SeedSequence``, built on first need.  :func:`_chunk_rngs` registers
+    it as numpy's ``ISpawnableSeedSequence``.
+    """
+
+    def __init__(self, entropy, spawn_key: tuple, seed: np.ndarray):
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self._seed = seed
+        self._sequence = None
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(
+                self.entropy, spawn_key=self.spawn_key
+            )
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if self._seed is not None and n_words == 4 and dtype is np.uint64:
+            seed, self._seed = self._seed, None
+            return seed
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seed_sequence().spawn(n_children)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._seed_sequence(), name)
 
 
 def _chunk_rngs(
     entropy, spawn_key: Sequence[int], start: int, count: int
 ) -> Iterator[np.random.Generator]:
-    return (
-        replication_rng(entropy, spawn_key, index)
-        for index in range(start, start + count)
-    )
+    """Generators of replications ``[start, start + count)``, derived in
+    one vectorised pass when the first is asked for."""
+    start, stop = int(start), int(start) + int(count)
+    if stop <= start:
+        return
+    if start < 0:
+        raise ValueError(f"replication index must be >= 0, got {start}")
+    # registered here, not subclassed at import, so that importing this
+    # module does not import numpy.random; registering again is a no-op
+    np.random.bit_generator.ISpawnableSeedSequence.register(_ReplicationSeed)
+    spawn_key = tuple(spawn_key)
+    pool, const = _mixed_prefix(entropy, spawn_key)
+    while start < stop:
+        # one block of 2**32 indices at a time: its high words are shared
+        high = start >> 32
+        block_stop = min(stop, (high + 1) << 32)
+        low = np.arange(block_stop - start, dtype=np.uint32) + (start & _MASK32)
+        seeds = _pcg64_seeds(
+            pool, const, [low, *(_uint32_words(high) if high else [])]
+        )
+        for index, seed in zip(range(start, block_stop), seeds):
+            yield np.random.Generator(
+                np.random.PCG64(
+                    _ReplicationSeed(entropy, (*spawn_key, index), seed)
+                )
+            )
+        start = block_stop
 
 
 # ----------------------------------------------------------------------

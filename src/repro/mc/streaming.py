@@ -149,12 +149,22 @@ class StreamingMoments:
 
     @classmethod
     def from_json(cls, data: dict) -> "StreamingMoments":
+        """Inverse of :meth:`to_json`; rejects any state that no multiset
+        of finite samples produces (it would merge silently and skew the
+        accumulator it joins)."""
         moments = cls()
-        moments.count = int(data["count"])
-        moments._s1 = int(data["s1"])
-        moments._s2 = int(data["s2"])
-        if moments.count < 0:
-            raise ValueError(f"negative count {moments.count}")
+        moments.count = count = int(data["count"])
+        moments._s1 = s1 = int(data["s1"])
+        moments._s2 = s2 = int(data["s2"])
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        if count == 0 and (s1 or s2):
+            raise ValueError("s1/s2: non-zero sums with count 0")
+        if s2 < 0:
+            raise ValueError("s2: negative sum of squares")
+        if count * s2 < s1 * s1:
+            # Cauchy-Schwarz: n * sum(x^2) >= sum(x)^2 for real samples
+            raise ValueError(f"s2: below s1**2 / count at count {count}")
         return moments
 
     def __eq__(self, other: object) -> bool:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mc import SIMULATORS, replication_rng, run_sharded
-from repro.mc.sharded import _plan_chunks, shard_cell
+from repro.mc.sharded import _chunk_rngs, _plan_chunks, shard_cell
 from repro.mc.streaming import StreamingMoments
 from repro.sim.loss import (
     BernoulliLoss,
@@ -52,17 +52,18 @@ class TestSeedTree:
         assert (a != c).any()
 
     def test_matches_seedsequence_spawn(self):
-        # random access must agree with the canonical spawn() walk
-        root = np.random.SeedSequence(99)
-        spawned = [child.generate_state(4) for child in root.spawn(5)]
-        addressed = [
-            np.random.SeedSequence(
-                entropy=99, spawn_key=(i,)
-            ).generate_state(4)
-            for i in range(5)
+        # random access must agree with the canonical spawn() walk of a
+        # fresh default root (tests/unit/test_mc_seed_tree.py has the rest)
+        spawned = [
+            np.random.default_rng(child).bit_generator.state
+            for child in np.random.SeedSequence(99).spawn(5)
         ]
-        for via_spawn, via_key in zip(spawned, addressed):
-            assert (via_spawn == via_key).all()
+        assert [
+            replication_rng(99, (), i).bit_generator.state for i in range(5)
+        ] == spawned
+        assert [
+            rng.bit_generator.state for rng in _chunk_rngs(99, (), 0, 5)
+        ] == spawned
 
     def test_point_roots_with_spawn_keys_extend(self):
         # figure runners root points at SeedSequence(entropy, spawn_key=(p,));

@@ -186,3 +186,34 @@ class TestSerialization:
     def test_from_json_rejects_negative_count(self):
         with pytest.raises(ValueError):
             StreamingMoments.from_json({"count": -1, "s1": "0", "s2": "0"})
+
+    @pytest.mark.parametrize(
+        "state,field",
+        [
+            # would read out stderr = -0.0
+            ({"count": 2, "s1": "0", "s2": "-1"}, "s2"),
+            # would merge silently into a good accumulator and shift it
+            ({"count": 0, "s1": "5", "s2": "25"}, "s1"),
+            ({"count": 0, "s1": "0", "s2": "1"}, "s2"),
+            # Cauchy-Schwarz: 2 * 1 < 2**2
+            ({"count": 2, "s1": "2", "s2": "1"}, "s2"),
+        ],
+    )
+    def test_from_json_rejects_states_no_samples_produce(self, state, field):
+        with pytest.raises(ValueError, match=field):
+            StreamingMoments.from_json(state)
+
+    def test_from_json_accepts_the_edge_states_samples_do_produce(self):
+        # count 0 and all-equal samples sit exactly on the bounds
+        for moments in (StreamingMoments(), folded([3.5] * 4), folded([-0.0])):
+            assert StreamingMoments.from_json(moments.to_json()) == moments
+
+    @given(st.lists(finite_samples, min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_chunks_round_trip_and_merge(self, chunks):
+        merged, reference = StreamingMoments(), StreamingMoments()
+        for chunk in chunks:
+            payload = json.loads(json.dumps(folded(chunk).to_json()))
+            merged.merge(StreamingMoments.from_json(payload))
+            reference.update_many(chunk)
+        assert merged == reference
