@@ -39,6 +39,7 @@ Loss models cross the process boundary as JSON specs
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -97,7 +98,19 @@ class ShardedSimulator:
                 f"simulator {self.name!r} got unknown params {unknown}; "
                 f"accepts {sorted(allowed)}"
             )
+        for key in _COUNT_PARAMS.intersection(params):
+            value = params[key]
+            # a bool is an int to Python; a float, even 2.0, is refused
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(
+                    f"simulator {self.name!r} param {key!r} must be an "
+                    f"integer, got {value!r}"
+                )
         return params
+
+
+#: Parameters that count packets: integers, never a bool or a float.
+_COUNT_PARAMS = frozenset({"k", "h", "initial_parities"})
 
 
 #: Every MC simulator, addressable by name (figure runners, CLI, tests).

@@ -19,9 +19,9 @@ same sample multiset produces the same accumulator state.  Rounding back
 to float happens once, at read time, via exactly-rounded ``Fraction``
 arithmetic.
 
-The cost is two big-int additions per sample (the integers stay around
-1.1k/2.2k bits — additions, not multiplies), which is noise next to one
-Monte-Carlo replication of any simulator in :mod:`repro.mc`.
+The cost is two big-int additions per distinct sample value (the integers
+stay around 1.1k/2.2k bits), which is noise next to one Monte-Carlo
+replication of any simulator in :mod:`repro.mc`.
 """
 
 from __future__ import annotations
@@ -67,19 +67,35 @@ class StreamingMoments:
     # ------------------------------------------------------------------
     def update(self, sample: float) -> None:
         """Fold one sample in."""
-        value = float(sample)
+        self._fold(float(sample), 1)
+
+    def update_many(self, samples: Iterable[float] | np.ndarray) -> None:
+        """Fold a chunk of samples in (order cannot affect the result).
+
+        Each distinct value is folded once, weighted by how often it
+        occurs: a chunk of ``sent / k`` samples holds a handful of distinct
+        values, so this is a handful of big-int folds, not one per sample.
+        A non-finite sample rejects the whole chunk before anything is
+        folded.
+        """
+        flat = np.asarray(samples, dtype=float).ravel()
+        finite = np.isfinite(flat)
+        if not finite.all():
+            bad = float(flat[np.argmin(finite)])
+            raise ValueError(f"samples must be finite, got {bad}")
+        values, counts = np.unique(flat, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            self._fold(value, count)
+
+    def _fold(self, value: float, count: int) -> None:
+        """Fold ``count`` copies of ``value`` in."""
         if not math.isfinite(value):
             raise ValueError(f"samples must be finite, got {value}")
         numerator, denominator = value.as_integer_ratio()
         k = denominator.bit_length() - 1  # denominator is 2**k exactly
-        self._s1 += numerator << (_SHIFT - k)
-        self._s2 += (numerator * numerator) << (_SHIFT2 - 2 * k)
-        self.count += 1
-
-    def update_many(self, samples: Iterable[float] | np.ndarray) -> None:
-        """Fold a chunk of samples in (order cannot affect the result)."""
-        for sample in np.asarray(samples, dtype=float).ravel():
-            self.update(sample)
+        self._s1 += count * (numerator << (_SHIFT - k))
+        self._s2 += count * ((numerator * numerator) << (_SHIFT2 - 2 * k))
+        self.count += count
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Exact merge, in place; returns self for chaining.

@@ -34,18 +34,30 @@ exactly one draw -- nothing selects between a sparse and a dense sampler --
 and the dense draws the memoryless models used to make survive only as the
 oracle of ``tests/integration/test_mc_equivalence.py`` (DESIGN.md section
 11.5).
+
+A chunk of Monte-Carlo replications samples in lockstep:
+:meth:`LossModel.start_many` begins one realisation per generator and
+:meth:`LossChunk.cells` / :meth:`LossChunk.losses` advance any subset of
+them by one row of times each.  Realisation ``i`` draws from ``rngs[i]`` exactly what
+``start(rngs[i])`` would.  For the memoryless models :func:`_walk` walks the
+members' grids together -- every generator makes its own ``geometric``
+calls, and the arithmetic between them runs once over the stacked batches
+-- and a lone sampler is the one-generator case of the same walk; every
+other model steps one sampler per generator.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "LossModel",
     "LossSampler",
+    "LossChunk",
     "BernoulliLoss",
     "HeterogeneousLoss",
     "two_class_probabilities",
@@ -79,39 +91,81 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
 
 
 def _lost_cells(cells: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of the lost cells among ``cells`` iid Bernoulli(p) cells.
+    """Sorted indices of the lost cells among ``cells`` iid Bernoulli(p)
+    cells: the one-generator case of :func:`_walk`."""
+    return _walk(cells, p, (rng,))
 
-    The gap from one loss to the next is geometric, so the losses are the
-    running sum of geometric gaps: one ``rng.geometric`` batch sized to
-    cover the grid (mean + 8 sd + 16 gaps) and a further batch only if it
-    did not.  Restarting after the last loss of a batch, or of an earlier
-    call, is exact because the gap is memoryless.  ``p == 0`` draws nothing.
+
+def _walk(
+    cells: int,
+    p: float,
+    rngs: Sequence[np.random.Generator],
+    labels: np.ndarray | None = None,
+) -> np.ndarray:
+    """The lost cells among ``cells`` iid Bernoulli(p) cells, once per generator.
+
+    Returns the sorted keys ``label * cells + cell`` of every loss, where
+    ``labels`` are ascending integers, one per generator (``0, 1, ...`` by
+    default), so one generator's losses are one run of the keys.  The gap
+    from one loss to the next is geometric, so the losses are the running
+    sum of geometric gaps: each generator draws one ``rng.geometric`` batch
+    sized to cover the grid (mean + 8 sd + 16 gaps) and a further batch
+    only while its walk has not.  Restarting after the last loss of a
+    batch, or of an earlier call, is exact because the gap is memoryless.
+    A generator's calls are those of a walk of its own -- same batch, same
+    order -- so walking ``n`` generators together is ``n`` single walks;
+    only the arithmetic between the draws runs once over the stacked
+    batches.  ``p == 0`` draws nothing.
     """
-    if p <= 0.0 or cells <= 0:
+    if p <= 0.0 or cells <= 0 or not len(rngs):
         return np.empty(0, dtype=np.int64)
     mean = cells * p
     batch = int(mean + 8.0 * math.sqrt(mean * (1.0 - p))) + 16
-    # a gap of 1 is the very next cell, and the walk starts before cell 0
-    lost = _gap_walk(cells, p, rng, batch, -1)
-    if lost[0] >= cells:
-        return lost[:0]
-    while lost[-1] < cells:
-        lost = np.concatenate(
-            (lost, _gap_walk(cells, p, rng, batch, int(lost[-1])))
+    if labels is None:
+        labels = np.arange(len(rngs))
+    first = labels[:, None] * cells
+    # a gap of 1 is the very next cell, and each walk starts before cell 0
+    reached = _gap_walk(cells, p, rngs, batch, first - 1)
+    inside = reached < first + cells
+    keys = reached[inside]
+    short = inside[:, -1]
+    if not np.count_nonzero(short):
+        return keys
+    # rare: some batch fell short of its grid; walk those generators on
+    found = [keys]
+    walking = np.flatnonzero(short)
+    while walking.size:
+        reached = _gap_walk(
+            cells, p, [rngs[i] for i in walking], batch, reached[short, -1:]
         )
-    return lost[: lost.searchsorted(cells)]
+        inside = reached < first[walking] + cells
+        found.append(reached[inside])
+        short = inside[:, -1]
+        walking = walking[short]
+    return np.sort(np.concatenate(found))
 
 
 def _gap_walk(
-    cells: int, p: float, rng: np.random.Generator, batch: int, origin: int
+    cells: int,
+    p: float,
+    rngs: Sequence[np.random.Generator],
+    batch: int,
+    origin: np.ndarray,
 ) -> np.ndarray:
-    """Positions reached by ``batch`` geometric gaps, walking on from ``origin``."""
-    gaps = rng.geometric(p, size=batch)
+    """Positions reached by ``batch`` geometric gaps per generator, one
+    row each, walking on from that row's ``origin`` (a column)."""
+    draws = [rng.geometric(p, size=(1, batch)) for rng in rngs]
+    # a lone batch is walked where it was drawn: at R = 10^6 a copy is 8 MB
+    gaps = draws[0] if len(draws) == 1 else np.concatenate(draws)
     # for vanishing p a gap saturates at 2**63 - 1 and the running sum
     # would wrap negative; any gap past the grid ends the walk all the same
     np.minimum(gaps, cells + 1, out=gaps)
-    gaps[0] += origin
-    return gaps.cumsum()
+    gaps[:, :1] += origin
+    return gaps.cumsum(axis=1, out=gaps)
+
+
+#: the label of a lone generator's walk: its keys are its cells
+_ALONE = np.zeros(1, dtype=np.int64)
 
 
 class LossModel(ABC):
@@ -149,6 +203,17 @@ class LossModel(ABC):
         carry across retransmission rounds.  Models without temporal
         correlation return a stateless wrapper.
         """
+
+    def start_many(self, rngs: Sequence[np.random.Generator]) -> "LossChunk":
+        """Begin one realisation per generator, to be sampled in lockstep.
+
+        Realisation ``i`` draws from ``rngs[i]`` exactly what
+        ``start(rngs[i])`` would draw for the same ``times``, call by call.
+        This default steps one :meth:`start` sampler per generator, which
+        keeps every model's draw; models without temporal correlation
+        share the walk between the draws instead.
+        """
+        return _SamplerChunk(self, [self.start(rng) for rng in rngs])
 
     def to_spec(self) -> dict:
         """JSON-safe description rebuildable by :func:`loss_model_from_spec`.
@@ -198,23 +263,96 @@ class LossSampler:
         return np.nonzero(self.sample(times))
 
 
+class LossChunk:
+    """Realisations of one loss process, one per generator of a chunk.
+
+    The realisations are stacked into one tall grid: receiver ``r`` of
+    realisation ``m`` is its row ``m * R + r``.  :meth:`cells` and
+    :meth:`losses` advance some of them, the ``members``, by one row of
+    ``times`` each: the chunk-level :meth:`LossSampler.losses`.
+    """
+
+    def __init__(self, model: "LossModel"):
+        self.model = model
+
+    def cells(self, members: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Sorted, distinct flat indices ``row * T + col`` of the lost
+        packets of further transmissions, ``row = member * R + receiver``.
+
+        ``members`` are distinct, ascending realisation indices and
+        ``times`` holds one row per member of ``T`` times, each checked as
+        :meth:`LossSampler.losses` checks its ``times`` (non-decreasing,
+        free of NaN, not before that realisation's last time).
+        """
+        raise NotImplementedError
+
+    def losses(
+        self, members: np.ndarray, times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The same draw as :meth:`cells`, told as coordinates ``(rows,
+        cols)``: ``np.divmod(rows, R)`` is a loss's member and receiver."""
+        cols = self.cells(members, times)
+        n_times = np.shape(times)[1]
+        # a step may hold a million losses: take the column in place
+        rows = cols // n_times
+        cols -= rows * n_times
+        return rows, cols
+
+
+def _member_rows(
+    members: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    members = np.asarray(members, dtype=np.intp)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2 or times.shape[0] != members.size:
+        raise ValueError(
+            f"times must hold one row per member: {members.size} members, "
+            f"times of shape {times.shape}"
+        )
+    return members, times
+
+
+class _SamplerChunk(LossChunk):
+    """One :class:`LossSampler` per generator, advanced member by member."""
+
+    def __init__(self, model: "LossModel", samplers: list[LossSampler]):
+        super().__init__(model)
+        self.samplers = samplers
+
+    def cells(self, members, times):
+        members, times = _member_rows(members, times)
+        n_times = times.shape[1]
+        cells = [np.empty(0, dtype=np.intp)]
+        for member, row in zip(members.tolist(), times):
+            rows, cols = self.samplers[member].losses(row)
+            cells.append((rows + member * self.model.n_receivers) * n_times + cols)
+        return np.concatenate(cells)
+
+
 class _MemorylessLoss(LossModel):
     """A model without temporal correlation.
 
     A draw depends on how many transmissions are asked for, not on when
     they happen, so a subclass answers :meth:`_cells` -- the lost cells of
-    the row-major ``(R, n_times)`` grid -- for a count the caller has
-    already validated, and the matrix and the coordinates are both read
-    off that one answer.
+    the row-major ``(R, n_times)`` grid, once per generator -- for a count
+    the caller has already validated, and the matrix and the coordinates
+    are both read off that one answer.  A lone sampler is the
+    one-generator case of the same answer.
     """
 
     @abstractmethod
-    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
-        """Sorted, distinct flat indices ``row * n_times + col`` of the losses."""
+    def _cells(
+        self,
+        n_times: int,
+        rngs: Sequence[np.random.Generator],
+        labels: np.ndarray,
+    ) -> np.ndarray:
+        """Sorted, distinct keys ``(label * R + row) * n_times + col`` of
+        the losses, ``labels`` being ascending, one per generator."""
 
     def _mask(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
         lost = np.zeros((self.n_receivers, n_times), dtype=bool)
-        lost.reshape(-1)[self._cells(n_times, rng)] = True
+        lost.reshape(-1)[self._cells(n_times, (rng,), _ALONE)] = True
         return lost
 
     def sample_at(self, times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -222,6 +360,9 @@ class _MemorylessLoss(LossModel):
 
     def start(self, rng: np.random.Generator) -> "_MemorylessSampler":
         return _MemorylessSampler(self, rng)
+
+    def start_many(self, rngs: Sequence[np.random.Generator]) -> "_MemorylessChunk":
+        return _MemorylessChunk(self, rngs)
 
 
 class _MemorylessSampler(LossSampler):
@@ -237,7 +378,44 @@ class _MemorylessSampler(LossSampler):
 
     def losses(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_times = self._check_forward(times).size
-        return np.divmod(self.model._cells(n_times, self.rng), n_times)
+        return np.divmod(self.model._cells(n_times, (self.rng,), _ALONE), n_times)
+
+
+class _MemorylessChunk(LossChunk):
+    """Realisations of a model without temporal correlation: one walk over
+    the members' generators per call."""
+
+    def __init__(self, model: _MemorylessLoss, rngs: Sequence[np.random.Generator]):
+        super().__init__(model)
+        self.model: _MemorylessLoss = model
+        self.rngs = list(rngs)
+        self.last_time = np.full(len(self.rngs), -math.inf)
+
+    def cells(self, members, times):
+        members, times = _member_rows(members, times)
+        n_times = times.shape[1]
+        if n_times:
+            # _check_forward, row by row, in one pass: a NaN fails every
+            # comparison, and a single instant is checked on its own
+            if n_times > 1:
+                valid = (times[:, 1:] >= times[:, :-1]).all()
+            else:
+                valid = not np.isnan(times).any()
+            if not valid:
+                raise ValueError("times must be non-decreasing and free of NaN")
+            behind = np.flatnonzero(times[:, 0] < self.last_time[members])
+            if behind.size:
+                row = behind[0]
+                raise ValueError(
+                    f"sampler already advanced to "
+                    f"t={self.last_time[members[row]]}; "
+                    f"cannot sample at earlier t={times[row, 0]}"
+                )
+            self.last_time[members] = times[:, -1]
+        # labelled by member, the model's keys are the stacked grid's cells
+        return self.model._cells(
+            n_times, [self.rngs[i] for i in members.tolist()], members
+        )
 
 
 class BernoulliLoss(_MemorylessLoss):
@@ -250,8 +428,8 @@ class BernoulliLoss(_MemorylessLoss):
             raise ValueError(f"loss probability must be in [0, 1), got {p}")
         self.p = p
 
-    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
-        return _lost_cells(self.n_receivers * n_times, self.p, rng)
+    def _cells(self, n_times, rngs, labels):
+        return _walk(self.n_receivers * n_times, self.p, rngs, labels)
 
     def marginal_loss_probability(self) -> np.ndarray:
         return np.full(self.n_receivers, self.p)
@@ -267,8 +445,8 @@ class HeterogeneousLoss(_MemorylessLoss):
     """Independent loss with a per-receiver probability vector ``p(r)``.
 
     Receivers that share a probability are one homogeneous population, so
-    a draw is one :func:`_lost_cells` walk per *distinct* positive
-    probability, in ascending order of probability: two walks for the
+    a draw is one walk (:func:`_walk`) per *distinct* positive probability,
+    in ascending order of probability: two walks for the
     two-class populations of Section 3.3 whatever ``R`` is.  A vector of
     ``R`` different values costs ``R`` walks.
     """
@@ -288,13 +466,14 @@ class HeterogeneousLoss(_MemorylessLoss):
             if p > 0.0
         ]
 
-    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+    def _cells(self, n_times, rngs, labels):
         parts = []
-        for p, members in self._classes:
-            member, col = np.divmod(
-                _lost_cells(members.size * n_times, p, rng), n_times
-            )
-            parts.append(members[member] * n_times + col)
+        for p, receivers in self._classes:
+            # the class's own grid, one row per receiver holding p
+            key = _walk(receivers.size * n_times, p, rngs, labels)
+            row, col = np.divmod(key, n_times)
+            label, row = np.divmod(row, receivers.size)
+            parts.append((label * self.n_receivers + receivers[row]) * n_times + col)
         if not parts:
             return np.empty(0, dtype=np.int64)
         # each class is sorted in itself; the classes interleave by receiver
@@ -506,7 +685,7 @@ class FullBinaryTreeLoss(_MemorylessLoss):
     spatial correlation the section studies.  There is no temporal
     correlation: transmissions are independent.
 
-    A draw is two :func:`_lost_cells` walks, the ``2^d`` leaves and then the
+    A draw is two walks (:func:`_walk`), the ``2^d`` leaves and then the
     ``2^d - 1`` interior nodes in level order; an interior drop becomes the
     interval of receivers below the node, never an ``R``-wide mask per level.
     """
@@ -523,24 +702,31 @@ class FullBinaryTreeLoss(_MemorylessLoss):
         #: level-order index of the first node of each interior level
         self._level_start = 2 ** np.arange(depth, dtype=np.int64) - 1
 
-    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
+    def _cells(self, n_times, rngs, labels):
         # two grids of iid cells: the leaves (one row per receiver) and the
         # 2^d - 1 interior nodes in level order, root first
-        leaves = _lost_cells(self.n_receivers * n_times, self.p_node, rng)
-        inner = _lost_cells((self.n_receivers - 1) * n_times, self.p_node, rng)
+        n_inner = self.n_receivers - 1
+        leaves = _walk(self.n_receivers * n_times, self.p_node, rngs, labels)
+        inner = _walk(n_inner * n_times, self.p_node, rngs, labels)
         if inner.size == 0:
             return leaves
         # a drop at node i of level l is lost by the whole subtree below
         # it: the receiver interval [i * 2^(d-l), (i+1) * 2^(d-l))
         node, col = np.divmod(inner, n_times)
+        label, node = np.divmod(node, n_inner)
         level = np.searchsorted(self._level_start, node, side="right") - 1
         span = self.n_receivers >> level
         first = (node - self._level_start[level]) * span
+        first += label * self.n_receivers
         ends = np.cumsum(span)
-        within = np.arange(ends[-1]) - np.repeat(ends - span, span)
-        shared = (np.repeat(first, span) + within) * n_times + np.repeat(col, span)
+        shared = np.repeat(first, span)
+        shared += np.arange(ends[-1])
+        shared -= np.repeat(ends - span, span)
+        shared *= n_times
+        shared += np.repeat(col, span)
         # a receiver under two dropping nodes loses the packet once
-        cells = np.sort(np.concatenate((leaves, shared)))
+        cells = np.concatenate((leaves, shared))
+        cells.sort()
         distinct = np.ones(cells.size, dtype=bool)
         np.not_equal(cells[1:], cells[:-1], out=distinct[1:])
         return cells[distinct]
@@ -755,8 +941,13 @@ class TreeLoss(_MemorylessLoss):
                 survive[i] &= survive[parent]
         return ~survive[self._receiver_rows]
 
-    def _cells(self, n_times: int, rng: np.random.Generator) -> np.ndarray:
-        return np.flatnonzero(self._mask(n_times, rng))
+    def _cells(self, n_times, rngs, labels):
+        grid = self.n_receivers * n_times
+        parts = [
+            np.flatnonzero(self._mask(n_times, rng)) + label * grid
+            for rng, label in zip(rngs, labels.tolist())
+        ]
+        return np.concatenate([np.empty(0, dtype=np.intp), *parts])
 
     def marginal_loss_probability(self) -> np.ndarray:
         out = np.empty(self.n_receivers)

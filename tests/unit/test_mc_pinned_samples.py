@@ -17,7 +17,11 @@ began drawing the geometric gaps between losses instead of
 holds the dense draws, the proof that the two agree in distribution and
 seven of the rows as they stood before.  The ``gilbert_R100`` rows staying
 byte-identical through that change is the proof that it did not leak into
-a stateful stream.
+a stateful stream.  The ``heterogeneous_R200_two_class`` and
+``bursty_tree_d5_p05`` rows were generated on the commit before the
+integrated kernels began stepping a chunk's replications in lockstep: a
+lockstep walk that reorders the heterogeneous class walks, or a
+per-replication fallback that mis-steps a stateful tree model, moves them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ import pytest
 from repro.mc import integrated, layered, nofec
 from repro.mc._common import PAPER_TIMING
 from repro.mc.sharded import _chunk_rngs, run_sharded
-from repro.sim.loss import BernoulliLoss, FullBinaryTreeLoss, GilbertLoss
+from repro.sim.loss import (
+    BernoulliLoss,
+    BurstyTreeLoss,
+    FullBinaryTreeLoss,
+    GilbertLoss,
+    HeterogeneousLoss,
+    two_class_probabilities,
+)
 
 MODELS = {
     "bernoulli_R1000_p01": lambda: BernoulliLoss(1000, 0.01),
@@ -38,6 +49,11 @@ MODELS = {
     "bernoulli_R3_p60": lambda: BernoulliLoss(3, 0.6),
     "gilbert_R100": lambda: GilbertLoss.from_loss_and_burst(100, 0.05, 3.0, 0.04),
     "fbt_d6_p05": lambda: FullBinaryTreeLoss(6, 0.05),
+    # the Section 3.3 two-class population: 20 of 200 receivers at 0.25
+    "heterogeneous_R200_two_class": lambda: HeterogeneousLoss(
+        two_class_probabilities(200, 0.1)
+    ),
+    "bursty_tree_d5_p05": lambda: BurstyTreeLoss(5, 0.05, 2.0, 0.04),
 }
 
 #: (k, initial_parities for the integrated kernels / h for layered)
@@ -74,6 +90,8 @@ NOFEC_DIGESTS = {
     "bernoulli_R3_p60": "a5d30465ada9bc9394f636a3f5959ee558a1745eb55dbb105caf31f48e1fb3ea",
     "gilbert_R100": "536d26c48587b26d6b7d2a2673c8fd3551ff9dfcf83758ce7b5e40d221edb557",
     "fbt_d6_p05": "e8217a92dbc4d36a6b48bd02c89d92918a6a4e194a125837ac4a1d12dcea4713",
+    "heterogeneous_R200_two_class": "580f45d509dca455bab85393f3100c75a0677d54ac9337aa3dab20fe7b694228",
+    "bursty_tree_d5_p05": "f849d01fbf08b0fa4e583b18e1feed9f8a12b5db7f96817bebe5f9b6b43e6c28",
 }
 
 #: (kernel, model, k, initial_parities / h) -> SHA-256 of the 100 samples
@@ -123,6 +141,24 @@ KERNEL_DIGESTS = {
     ("rounds", "fbt_d6_p05", 20, 0): "dc66e46ded73de4a6239aa2c7df79065cd1afaf07a66c582f80b6c46cbca58e5",
     ("rounds", "fbt_d6_p05", 7, 2): "79987ae0c043bb34f863dcb6ce18e11018eb94fdfbc8c221e765f25ce5930d61",
     ("rounds", "fbt_d6_p05", 1, 0): "69f2bc4cd82202a28764557d2662e949e3e8c218d35409d833b96ad2ff0b583e",
+    ("layered", "heterogeneous_R200_two_class", 20, 0): "b30e9fcc4b60bd4a0f37662a07b1f981076400e3a11c760f3f840f7af4a99c79",
+    ("layered", "heterogeneous_R200_two_class", 7, 2): "b874537e2c71758bd23ae4bece56d0ae5bcb99a7eec16824ee7883cadf547697",
+    ("layered", "heterogeneous_R200_two_class", 1, 0): "17eeb4b192cecc5f0e95e2d79c146616e2536e273f39daf14a3f26422523bf9f",
+    ("layered", "bursty_tree_d5_p05", 20, 0): "687133366033ce1afdf668b7d733f921d48939073fdc82300056479cffd64e19",
+    ("layered", "bursty_tree_d5_p05", 7, 2): "28253adcfccb89dcb2ddc4824d4359e920cddeec7f542293c3a404d32535704d",
+    ("layered", "bursty_tree_d5_p05", 1, 0): "f849d01fbf08b0fa4e583b18e1feed9f8a12b5db7f96817bebe5f9b6b43e6c28",
+    ("immediate", "heterogeneous_R200_two_class", 20, 0): "664c9c4aec1c245bd8fb3ef1a93eccd8603534665ec1deb17cba388dd9794713",
+    ("immediate", "heterogeneous_R200_two_class", 7, 2): "3016e1166961e4653512ee34c2f301a30df06514d5ca0a53ff68294e285059e2",
+    ("immediate", "heterogeneous_R200_two_class", 1, 0): "4ea5013f751ed11bf9f74650c7fd4fe2ecbed46e8bbb6d59ea65f9a615cf0ca7",
+    ("immediate", "bursty_tree_d5_p05", 20, 0): "50f0b2ae16272f5d9ed2efa241937e2ea0ea74e21c67649d5c479124a1d04a05",
+    ("immediate", "bursty_tree_d5_p05", 7, 2): "7a4f33d8e53f1b283ec6d770c280966753cfd033cf4ca4f2edc182e75e9be1f5",
+    ("immediate", "bursty_tree_d5_p05", 1, 0): "8e07cb77fd71e951b6e628821232e10fa58b6455ae3ce9230d4bcceb58cde0b6",
+    ("rounds", "heterogeneous_R200_two_class", 20, 0): "bf21437701c76e2d0af7c529d7716539c46f78c6741b3841e2e85811cafbc4ef",
+    ("rounds", "heterogeneous_R200_two_class", 7, 2): "adfbfb089f28102000a6091f14cdeacb660253b3b720d54d0adaaf4b17c311b9",
+    ("rounds", "heterogeneous_R200_two_class", 1, 0): "17eeb4b192cecc5f0e95e2d79c146616e2536e273f39daf14a3f26422523bf9f",
+    ("rounds", "bursty_tree_d5_p05", 20, 0): "ce20553e21b0bc62138b041b8e4bf25d520e96bb10ee25314a9cc0fb9ca1962c",
+    ("rounds", "bursty_tree_d5_p05", 7, 2): "6d7784d8054c21f858630a11f9eb819aff58ed8c654d254cf4d68101ab351f29",
+    ("rounds", "bursty_tree_d5_p05", 1, 0): "f849d01fbf08b0fa4e583b18e1feed9f8a12b5db7f96817bebe5f9b6b43e6c28",
 }
 # fmt: on
 

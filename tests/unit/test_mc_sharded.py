@@ -223,6 +223,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_sharded("nofec", model, target_ci=0.0)
 
+    @pytest.mark.parametrize(
+        "simulator,params,name",
+        [
+            # ran as a layered code with h = 1.5 and reported E[M] = 1.375
+            ("layered", {"k": 4, "h": 1.5}, "h"),
+            # ran as k = 1
+            ("layered", {"k": True, "h": 1}, "k"),
+            ("integrated_rounds", {"k": True}, "k"),
+            # died with "slice indices must be integers" inside the kernel
+            ("integrated_rounds", {"k": 4, "initial_parities": 2.0}, "initial_parities"),
+            ("integrated_immediate", {"k": 4.0}, "k"),
+            ("integrated_immediate", {"k": 4, "initial_parities": False}, "initial_parities"),
+        ],
+    )
+    def test_packet_counts_must_be_integers(self, simulator, params, name):
+        with pytest.raises(ValueError, match=f"param '{name}' must be an integer"):
+            run_sharded(simulator, small_model(), params=params, replications=4)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        params = {"k": np.int64(4), "h": np.int32(1)}
+        assert key(
+            run_sharded("layered", small_model(), params=params, replications=8)
+        ) == key(
+            run_sharded(
+                "layered", small_model(), params={"k": 4, "h": 1}, replications=8
+            )
+        )
+
     def test_every_registered_simulator_has_a_kernel(self):
         assert set(SIMULATORS) == {
             "nofec",

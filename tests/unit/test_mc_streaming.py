@@ -130,6 +130,55 @@ class TestExactness:
         assert moments.mean == 0.0
 
 
+#: few distinct values, many repeats: the shape of a chunk of ``sent / k``
+repeated_samples = st.lists(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.05, 1.1, 1.15,
+         1.0 / 3.0, 2.0, -7.5, 1e300]
+    )
+    | st.floats(allow_nan=False, allow_infinity=False),
+    max_size=200,
+)
+
+
+class TestUpdateMany:
+    """``update_many`` folds each distinct value once, weighted by its
+    count; the state must be the per-sample ``update`` loop's, bit for bit."""
+
+    @given(repeated_samples)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_sample_loop(self, samples):
+        reference = StreamingMoments()
+        for sample in samples:
+            reference.update(sample)
+        chunk = StreamingMoments()
+        chunk.update_many(np.array(samples, dtype=float))
+        assert chunk == reference
+        assert chunk.to_json() == reference.to_json()
+
+    def test_a_chunk_of_repeats_is_a_handful_of_folds(self, monkeypatch):
+        folds = []
+        real = StreamingMoments._fold
+
+        def counting(self, value, count):
+            folds.append((value, count))
+            real(self, value, count)
+
+        monkeypatch.setattr(StreamingMoments, "_fold", counting)
+        moments = StreamingMoments()
+        moments.update_many([1.05] * 100 + [1.1] * 27 + [1.15])
+        assert folds == [(1.05, 100), (1.1, 27), (1.15, 1)]
+        assert moments.count == 128
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_named_and_rejects_the_chunk(self, bad):
+        moments = folded([1.0, 2.0])
+        before = moments.to_json()
+        with pytest.raises(ValueError, match=f"must be finite, got {bad}"):
+            moments.update_many([3.0, bad, 4.0, math.nan])
+        assert moments.to_json() == before
+
+
 class TestContract:
     def test_empty_readout_raises(self):
         empty = StreamingMoments()
