@@ -14,9 +14,11 @@ vocabulary over real datagram sockets:
   campaign runner uses).
 * :mod:`repro.net.session` — per-session sender state machine, multiplexed
   by session id so one server serves many concurrent transfer groups.
-* :mod:`repro.net.endpoints` — the asyncio ``DatagramProtocol`` endpoints:
+* :mod:`repro.net.endpoints` — the endpoints:
   :class:`~repro.net.endpoints.NetServer` and
   :func:`~repro.net.endpoints.fetch`.
+* :mod:`repro.net.udp` — the one UDP read path every endpoint and the
+  proxy use: a non-blocking socket drained on every wake-up.
 * :mod:`repro.net.chaos` — a seeded chaos datagram proxy for
   deterministic robustness testing without a real WAN.
 

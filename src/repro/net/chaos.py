@@ -42,11 +42,13 @@ the endpoints' strict decoders with genuine garbage.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+import socket
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
+from repro.net.udp import DatagramSocket, open_datagram
 
 __all__ = [
     "ChaosPlan",
@@ -179,49 +181,13 @@ class FaultSchedule:
         )
 
 
-class _ListenProtocol(asyncio.DatagramProtocol):
-    """Receiver-facing socket: one for the whole proxy."""
-
-    def __init__(self, proxy: "ChaosProxy"):
-        self.proxy = proxy
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self.proxy._from_client(data, addr)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS-specific
-        pass
-
-
-class _UpstreamProtocol(asyncio.DatagramProtocol):
-    """Server-facing socket: one per client, so the server can tell
-    receivers apart by source address."""
-
-    def __init__(self, proxy: "ChaosProxy", client: Address):
-        self.proxy = proxy
-        self.client = client
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self.proxy._from_upstream(data, self.client)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS-specific
-        pass
-
-
 @dataclass
 class _ClientLeg:
     #: arrival order of this client, indexing :attr:`MemberChurn.windows`
-    index: int = 0
-    transport: asyncio.DatagramTransport | None = None
-    #: datagrams that arrived while the upstream socket was still connecting
-    pending: list[bytes] = field(default_factory=list)
+    index: int
+    #: server-facing socket: one per client, so the server can tell
+    #: receivers apart by source address
+    upstream: DatagramSocket
 
 
 class ChaosProxy:
@@ -253,10 +219,13 @@ class ChaosProxy:
             for direction, plan in self.plans.items()
         }
         self.stats: dict[str, int] = {}
-        self._listen: asyncio.DatagramTransport | None = None
+        #: receiver-facing socket: one for the whole proxy
+        self._listen: DatagramSocket | None = None
+        #: address family and resolved address of the server
+        self._upstream: tuple[int, Address] | None = None
         self._legs: dict[Address, _ClientLeg] = {}
-        self._tasks: set[asyncio.Task] = set()
-        self._handles: list[asyncio.TimerHandle] = []
+        #: datagrams held back by reorder or jitter, until they are sent
+        self._handles: set[asyncio.TimerHandle] = set()
         self._started_at = 0.0
 
     def _count(self, direction: str, fault: str) -> None:
@@ -271,26 +240,25 @@ class ChaosProxy:
     def address(self) -> Address:
         if self._listen is None:
             raise RuntimeError("proxy not started")
-        return self._listen.get_extra_info("sockname")[:2]
+        return self._listen.sockname[:2]
 
     async def start(self, bind: Address = ("127.0.0.1", 0)) -> Address:
         loop = asyncio.get_running_loop()
-        self._listen, _ = await loop.create_datagram_endpoint(
-            lambda: _ListenProtocol(self), local_addr=tuple(bind)
-        )
+        host, port = self.upstream[:2]
+        family, _, _, _, address = (
+            await loop.getaddrinfo(host, port, type=socket.SOCK_DGRAM)
+        )[0]
+        self._upstream = (family, address)
+        self._listen = await open_datagram(self._from_client, local=tuple(bind))
         self._started_at = loop.time()
         return self.address
 
     async def close(self) -> None:
         for handle in self._handles:
             handle.cancel()
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._handles.clear()
         for leg in self._legs.values():
-            if leg.transport is not None:
-                leg.transport.close()
+            leg.upstream.close()
         self._legs.clear()
         if self._listen is not None:
             self._listen.close()
@@ -310,38 +278,25 @@ class ChaosProxy:
     def _from_client(self, data: bytes, client: Address) -> None:
         leg = self._legs.get(client)
         if leg is None:
-            leg = self._legs[client] = _ClientLeg(index=len(self._legs))
-            task = asyncio.get_running_loop().create_task(
-                self._connect_leg(client)
+            family, upstream = self._upstream
+            leg = self._legs[client] = _ClientLeg(
+                index=len(self._legs),
+                upstream=DatagramSocket.bound(
+                    family,
+                    lambda reply, _addr: self._from_upstream(reply, client),
+                    remote=upstream,
+                ),
             )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
         if self._eclipsed(leg, "backward"):
             return
         self._inject(
             "backward", data, lambda payload: self._send_upstream(client, payload)
         )
 
-    async def _connect_leg(self, client: Address) -> None:
-        loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UpstreamProtocol(self, client),
-            remote_addr=self.upstream,
-        )
-        leg = self._legs[client]
-        leg.transport = transport
-        for payload in leg.pending:
-            transport.sendto(payload)
-        leg.pending.clear()
-
     def _send_upstream(self, client: Address, payload: bytes) -> None:
         leg = self._legs.get(client)
-        if leg is None:
-            return
-        if leg.transport is None:
-            leg.pending.append(payload)
-        elif not leg.transport.is_closing():
-            leg.transport.sendto(payload)
+        if leg is not None:
+            leg.upstream.sendto(payload)
 
     def _from_upstream(self, data: bytes, client: Address) -> None:
         leg = self._legs.get(client)
@@ -352,7 +307,7 @@ class ChaosProxy:
         )
 
     def _send_client(self, client: Address, payload: bytes) -> None:
-        if self._listen is not None and not self._listen.is_closing():
+        if self._listen is not None:
             self._listen.sendto(payload, client)
 
     def _inject(self, direction: str, data: bytes, send) -> None:
@@ -377,8 +332,17 @@ class ChaosProxy:
         for _ in range(copies):
             if decision.delay > 0:
                 self._count(direction, "delayed")
-                self._handles.append(
-                    loop.call_later(decision.delay, send, data)
-                )
+                self._hold(decision.delay, send, data)
             else:
                 send(data)
+
+    def _hold(self, delay: float, send, data: bytes) -> None:
+        """Send ``data`` after ``delay``; the handle is kept until then,
+        so :meth:`close` can cancel it, and dropped once it fires."""
+
+        def release() -> None:
+            self._handles.discard(handle)
+            send(data)
+
+        handle = asyncio.get_running_loop().call_later(delay, release)
+        self._handles.add(handle)

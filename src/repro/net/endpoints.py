@@ -1,4 +1,4 @@
-"""Asyncio ``DatagramProtocol`` endpoints: the serving and fetching sides.
+"""The UDP endpoints: the serving and fetching sides.
 
 :class:`NetServer` binds a UDP socket, admits joins, and multiplexes
 every live :class:`~repro.net.session.SenderSession` by session id —
@@ -32,6 +32,7 @@ from repro.fec.block import BlockDecoder, join_stream
 from repro.fec.registry import create_codec
 from repro.net.session import SenderSession, SessionReport
 from repro.net.supervision import NakScheduler, NetConfig
+from repro.net.udp import DatagramSocket, open_datagram
 from repro.net.wire import (
     FrameError,
     TraceContextPacket,
@@ -89,21 +90,6 @@ def _count_frame_error(error: FrameError) -> None:
 # ----------------------------------------------------------------------
 # serving side
 # ----------------------------------------------------------------------
-class _ServerProtocol(asyncio.DatagramProtocol):
-    def __init__(self, server: "NetServer"):
-        self.server = server
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self.server._datagram(data, addr)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS-specific
-        pass
-
-
 class NetServer:
     """One UDP socket serving many concurrent transfer sessions.
 
@@ -131,7 +117,7 @@ class NetServer:
         self.reports: list[SessionReport] = []
         self.frame_errors = 0
         self._next_session_id = 1
-        self._transport: asyncio.DatagramTransport | None = None
+        self._socket: DatagramSocket | None = None
         self._tasks: set[asyncio.Task] = set()
         self._closed = asyncio.Event()
         #: optional HTTP pull endpoint for scrapers (None = disabled;
@@ -148,15 +134,12 @@ class NetServer:
 
     @property
     def address(self) -> Address:
-        if self._transport is None:
+        if self._socket is None:
             raise RuntimeError("server not started")
-        return self._transport.get_extra_info("sockname")[:2]
+        return self._socket.sockname[:2]
 
     async def start(self) -> Address:
-        loop = asyncio.get_running_loop()
-        self._transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ServerProtocol(self), local_addr=self.bind
-        )
+        self._socket = await open_datagram(self._datagram, local=self.bind)
         if self._metrics_port is not None:
             self._metrics = MetricsEndpoint(port=self._metrics_port)
             await self._metrics.start()
@@ -171,9 +154,9 @@ class NetServer:
         if self._metrics is not None:
             await self._metrics.stop()
             self._metrics = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        if self._socket is not None:
+            self._socket.close()
+            self._socket = None
 
     async def serve(self, duration: float | None = None) -> None:
         """Block until :meth:`close` (or for ``duration`` seconds)."""
@@ -184,10 +167,10 @@ class NetServer:
 
     # -- inbound ----------------------------------------------------------
     def _send(self, packet, addr: Address, session_id: int) -> None:
-        if self._transport is None or self._transport.is_closing():
+        if self._socket is None:
             return
         _count_tx(packet)
-        self._transport.sendto(encode_frame(packet, session_id), addr)
+        self._socket.sendto(encode_frame(packet, session_id), addr)
 
     def _datagram(self, data: bytes, addr: Address) -> None:
         try:
@@ -313,8 +296,13 @@ class FetchResult:
         }
 
 
-class _ReceiverProtocol(asyncio.DatagramProtocol):
-    """Receiver state machine: join -> recover -> reassemble -> complete."""
+class _ReceiverProtocol:
+    """Receiver state machine: join -> recover -> reassemble -> complete.
+
+    :func:`fetch` connects a :class:`~repro.net.udp.DatagramSocket` to
+    the server, feeds it :meth:`datagram_received` and sets it as
+    ``transport``.
+    """
 
     def __init__(self, config: NetConfig, group: int):
         self.config = config
@@ -322,7 +310,7 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
         self.rng = np.random.default_rng(config.seed)
         self.nonce = int(self.rng.integers(0, 2**63))
         self.scheduler = NakScheduler(config.nak_retry, self.rng)
-        self.transport: asyncio.DatagramTransport | None = None
+        self.transport: DatagramSocket | None = None
         self.session_id: int | None = None
         self.announce: SessionAnnounce | None = None
         self.announced = asyncio.Event()
@@ -345,13 +333,6 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
         self.rejoins = 0
 
     # -- plumbing ---------------------------------------------------------
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.last_stream_rx = asyncio.get_running_loop().time()
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS-specific
-        pass
-
     def send(self, packet) -> None:
         if self.transport is None or self.transport.is_closing():
             return
@@ -633,10 +614,11 @@ async def fetch(
     :class:`StallReport` attached.
     """
     loop = asyncio.get_running_loop()
-    transport, protocol = await loop.create_datagram_endpoint(
-        lambda: _ReceiverProtocol(config, group), remote_addr=(host, port)
+    protocol = _ReceiverProtocol(config, group)
+    transport = protocol.transport = await open_datagram(
+        protocol.datagram_received, remote=(host, port)
     )
-    start = loop.time()
+    start = protocol.last_stream_rx = loop.time()
     try:
         with obs.span("net.fetch", side="receiver", group=group) as sp:
             await _join(protocol, config, start, deadline)

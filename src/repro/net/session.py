@@ -144,6 +144,7 @@ class _GroupState:
     sent_last_round: int = 0
     #: max shortfall reported for the current round (aggregation window)
     pending_needed: int = 0
+    #: the round's window is open, or its flush has not sent its poll yet
     flush_armed: bool = False
     next_parity: int = 0
     fallback_cursor: int = 0
@@ -362,11 +363,22 @@ class SenderSession:
         task.add_done_callback(_log_task_error)
 
     async def _flush_repairs(self, tg: int) -> None:
-        """Close the aggregation window: send repairs + the next poll."""
+        """Close the aggregation window: send repairs + the next poll.
+
+        The window stays closed until the poll is out: a same-round NAK
+        that arrives while the flush waits on the pacer asks for the
+        shortfall this flush is serving, and the poll will re-solicit
+        whatever the repairs do not cover.
+        """
         group = self._groups[tg]
+        try:
+            await self._serve_round(tg, group)
+        finally:
+            group.pending_needed = 0
+            group.flush_armed = False
+
+    async def _serve_round(self, tg: int, group: _GroupState) -> None:
         needed = group.pending_needed
-        group.pending_needed = 0
-        group.flush_armed = False
         if needed <= 0 or group.abandoned or self.state == DONE:
             return
         config = self.config

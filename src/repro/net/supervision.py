@@ -5,10 +5,11 @@ repo so one mental model covers simulator, campaign and transport:
 
 * :class:`NetConfig` — every knob of a transfer session, validated at
   construction like :class:`~repro.protocols.np_protocol.NPConfig`.
-* :class:`Pacer` — sender-side pacing/backpressure: the stream task must
-  ``await gate()`` before each frame, which bounds the burst size and
-  yields the event loop so feedback handlers run *during* the stream
-  (without it, a large transfer would starve ``datagram_received`` and
+* :class:`Pacer` — sender-side pacing/backpressure: one deadline
+  schedule per session, awaited (``gate()``) before every frame its
+  stream or any repair flush sends, which bounds the session's bursts
+  and yields the event loop so feedback is read *during* the stream
+  (without it, a large transfer would starve the socket reader and
   every NAK would look stale).
 * :class:`NakScheduler` — per-group NAK solicitation state on the
   receiver: deadline, seeded exponential backoff with jitter, and a hard
@@ -48,11 +49,13 @@ class NetConfig:
     bound the transport's patience:
 
     ``pace_interval``/``pace_burst`` shape the sender's downstream rate:
-    at most ``pace_burst`` frames go out back-to-back, then the stream
-    task sleeps ``pace_interval * pace_burst`` seconds (an even spacing of
-    ``pace_interval`` per frame, amortized).  Even at ``pace_interval=0``
-    the gate yields the event loop every burst, so feedback is processed
-    mid-stream — that yield *is* the backpressure.
+    one schedule per session (:class:`Pacer`), shared by the stream and
+    every repair flush, sends at most ``pace_burst`` frames per
+    ``pace_interval * pace_burst`` seconds (an even spacing of
+    ``pace_interval`` per frame, amortized) on absolute deadlines.  Even
+    at ``pace_interval=0`` the schedule yields the event loop every
+    burst, so feedback is processed mid-stream — that yield *is* the
+    backpressure.
 
     ``join_window`` is the sender's gathering window: joins with the same
     group tag arriving within it share a session (the unicast fan-out
@@ -148,7 +151,22 @@ class NetConfig:
 
 
 class Pacer:
-    """Sender-side pacing gate: bounded bursts, mandatory loop yields."""
+    """One session's send schedule: bounded bursts on absolute deadlines.
+
+    Every frame a session sends -- its stream and all of its repair
+    flushes -- awaits :meth:`gate` on the session's one pacer, so
+    together they send at most ``burst`` frames per ``interval * burst``
+    seconds.  Frames are counted from 1 and frame ``n`` belongs to burst
+    ``n // burst``; burst 0 is due at the first gate, the frame that
+    opens each later burst sets its deadline one period after the last
+    one's, and every frame of the burst waits for it.  Deadlines are absolute, so a late wake-up costs no rate, but
+    a burst is never due before the moment it is opened: after a stall
+    only the rest of the interrupted burst is owed -- at most one burst
+    of debt -- never the periods the stall swallowed.  The opening frame
+    yields the loop even when its deadline has passed (``interval == 0``
+    included), so inbound datagrams are read between bursts: that yield
+    *is* the backpressure.
+    """
 
     def __init__(self, interval: float, burst: int):
         if interval < 0:
@@ -157,22 +175,30 @@ class Pacer:
             raise ValueError("burst must be >= 1")
         self.interval = interval
         self.burst = burst
-        self._in_burst = 0
-        #: frames gated and sleeps taken, for the throughput benchmark
+        self.period = interval * burst
+        #: deadline of the latest burst opened; None before the first gate
+        self._due: float | None = None
+        #: frames gated and bursts opened (each one a loop yield)
         self.frames = 0
         self.sleeps = 0
 
     async def gate(self) -> None:
         """Await before sending one frame."""
         self.frames += 1
-        self._in_burst += 1
-        if self._in_burst < self.burst:
+        opens = self.frames % self.burst == 0
+        if opens:
+            self.sleeps += 1
+        if not self.period:
+            if opens:
+                await asyncio.sleep(0)  # no deadlines: the yield is all
             return
-        self._in_burst = 0
-        self.sleeps += 1
-        # interval == 0 still sleeps(0): the yield lets datagram_received
-        # callbacks (NAKs!) run between bursts — backpressure by fairness
-        await asyncio.sleep(self.interval * self.burst)
+        now = asyncio.get_running_loop().time()
+        if self._due is None:
+            self._due = now
+        if opens:
+            self._due = max(self._due + self.period, now)
+        if opens or self._due > now:
+            await asyncio.sleep(self._due - now)
 
 
 @dataclass

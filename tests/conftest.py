@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,38 @@ def small_codec() -> RSECodec:
 def random_packets(rng: np.random.Generator, count: int, size: int = 64) -> list[bytes]:
     """Helper used across FEC tests: ``count`` random packets of ``size``."""
     return [rng.bytes(size) for _ in range(count)]
+
+
+def udp_drops() -> dict[int, int]:
+    """Kernel drop counts of this process's open UDP sockets, by local port.
+
+    The ``drops`` column of ``/proc/net/udp`` and ``/proc/net/udp6``
+    counts the datagrams the kernel discarded at a socket -- a full
+    receive buffer, mostly.  Sockets are matched to this process through
+    the inodes behind ``/proc/self/fd``.  Empty off Linux.
+    """
+    inodes = set()
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except FileNotFoundError:
+        return {}
+    for fd in fds:
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    drops: dict[int, int] = {}
+    for table in ("/proc/net/udp", "/proc/net/udp6"):
+        try:
+            with open(table) as rows:
+                lines = rows.read().splitlines()[1:]
+        except FileNotFoundError:
+            continue
+        for line in lines:
+            fields = line.split()
+            if int(fields[9]) in inodes:
+                port = int(fields[1].rsplit(":", 1)[1], 16)
+                drops[port] = drops.get(port, 0) + int(fields[12])
+    return drops

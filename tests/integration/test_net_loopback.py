@@ -14,6 +14,7 @@ pytest-timeout on top; the ``timeout`` marks are no-ops without it).
 """
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -33,11 +34,14 @@ from repro.protocols.packets import (
     SessionJoin,
 )
 from repro.resilience.errors import TransferStalled, TransferTimeout
+from tests.conftest import udp_drops
 
 pytestmark = pytest.mark.timeout(180)
 
 #: every test's hard internal bound, enforced with asyncio.wait_for
 HARD_LIMIT = 60.0
+#: the kernel's per-socket drop counts are read from /proc/net/udp
+ON_LINUX = os.path.exists("/proc/net/udp")
 
 
 def run_bounded(coro):
@@ -394,7 +398,12 @@ class TestChaosTransfer:
         session_deadline=55.0,
     )
 
-    async def session(self, fetch_seeds=(6, 7), chaos_seeds=(21, 22)):
+    async def session(
+        self, fetch_seeds=(6, 7), chaos_seeds=(21, 22), drops=None
+    ):
+        """One chaos transfer.  ``drops``, when given, is filled with the
+        kernel's drop count of every UDP socket the transfer opens, by
+        local port (Linux), sampled while it runs and before closing."""
         config = self.CONFIG
         data = payload(125, config)  # 125 groups x k=8 -> 1000 data packets
         server = NetServer(data, config)
@@ -405,6 +414,17 @@ class TestChaosTransfer:
             backward=chaos_plan(chaos_seeds[1]),
         )
         host, port = await proxy.start()
+
+        def sample() -> None:
+            for socket_port, count in udp_drops().items():
+                drops[socket_port] = max(drops.get(socket_port, 0), count)
+
+        async def watch() -> None:
+            while True:
+                sample()
+                await asyncio.sleep(0.01)
+
+        watcher = asyncio.ensure_future(watch()) if drops is not None else None
         try:
             results = await asyncio.gather(
                 *(
@@ -425,16 +445,20 @@ class TestChaosTransfer:
                     break
                 await asyncio.sleep(0.02)
         finally:
+            if watcher is not None:
+                watcher.cancel()
+                sample()
             await proxy.close()
             await server.close()
         return data, results, proxy.stats, server.reports
 
-    async def transfer(self, fetch_seeds=(6, 7)):
-        data, results, stats, _ = await self.session(fetch_seeds)
+    async def transfer(self, fetch_seeds=(6, 7), drops=None):
+        data, results, stats, _ = await self.session(fetch_seeds, drops=drops)
         return data, results, stats
 
     def test_bit_identical_delivery_under_chaos(self):
-        data, results, stats = run_bounded(self.transfer())
+        drops: dict[int, int] = {}
+        data, results, stats = run_bounded(self.transfer(drops=drops))
         for result in results:
             assert result.data == data, "delivery must be bit-identical"
             assert result.failed_groups == ()
@@ -449,6 +473,11 @@ class TestChaosTransfer:
         assert stats.get("forward.duplicated", 0) > 0
         # corrupted frames were detected and dropped, not decoded
         assert any(result.frame_errors > 0 for result in results)
+        # the chaos plan is the only loss: the kernel dropped nothing at
+        # the server, the proxy's sockets or the receivers
+        if ON_LINUX:
+            assert drops, "no socket of the transfer was sampled"
+            assert sum(drops.values()) == 0, drops
 
     #: transmissions per data packet of this scenario at the parent of the
     #: implicit poll (437fbec), 16 runs over the chaos seeds below and

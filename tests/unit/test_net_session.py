@@ -121,6 +121,48 @@ class TestMaxRounds:
         assert session.rounds_served == 1
 
 
+class TestMidFlushWindow:
+    def test_same_round_nak_during_a_flush_opens_no_second_window(self):
+        """A round-1 NAK that lands while round 1's flush sleeps in the
+        pacer asks for the shortfall that flush is serving: it must not
+        open a second window and serve it again in round 2."""
+        config = NetConfig(
+            k=4, h=4, packet_size=16, pace_burst=1, pace_interval=0.004
+        )
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sent: list = []
+            session = SenderSession(
+                session_id=1,
+                group=0,
+                data=bytes(range(256)),
+                config=config,
+                send=lambda packet, addr: sent.append(packet),
+                now=loop.time,
+            )
+            assert session.add_member(ADDR, SessionJoin(group=0, nonce=7))
+            session.state = DRAINING
+            del sent[:]
+            session.on_frame(Nak(tg=0, needed=2, round=1), ADDR)
+            for _ in range(1000):  # the first parity: the flush now sleeps
+                if sent:
+                    break
+                await asyncio.sleep(0.001)
+            assert [type(packet) for packet in sent] == [ParityPacket]
+            session.on_frame(Nak(tg=0, needed=2, round=1), ADDR)
+            await asyncio.sleep(0.1)
+            return session, sent
+
+        session, sent = asyncio.run(scenario())
+        assert [type(packet) for packet in sent] == [
+            ParityPacket, ParityPacket, Poll,
+        ]
+        assert sent[-1] == Poll(0, 2, 2)
+        assert (session.rounds_served, session.parities_sent) == (1, 2)
+        assert session.naks_received == 2
+
+
 class _FakeTransport:
     """Collects what the receiver sends, decoded."""
 

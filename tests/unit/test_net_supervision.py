@@ -2,6 +2,7 @@
 schedule determinism."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,77 @@ class TestPacer:
 
         # 4 bursts -> 4 sleeps of 2 * 5ms = at least ~40ms of pacing
         assert asyncio.run(run()) >= 0.03
+
+    #: 2 ms a frame in bursts of 4: one burst per 8 ms
+    INTERVAL, BURST = 0.002, 4
+    PERIOD = INTERVAL * BURST
+
+    def test_long_run_rate_is_one_over_interval(self):
+        async def run():
+            loop = asyncio.get_running_loop()
+            pacer = Pacer(interval=self.INTERVAL, burst=self.BURST)
+            start = loop.time()
+            for _ in range(120):
+                await pacer.gate()
+            return loop.time() - start
+
+        # frame 120 opens burst 30, due 30 periods after the first gate;
+        # deadlines are absolute, so per-wake lateness does not add up
+        # (the ceiling leaves room for a loaded host's stalls)
+        paced = 30 * self.PERIOD
+        assert paced - 1e-3 <= asyncio.run(run()) <= 2 * paced
+
+    def test_stream_and_flush_share_one_schedule(self):
+        """Two coroutines gating on one pacer -- a session's stream and
+        a repair flush -- get ``burst`` frames per period between them:
+        the ``n``-th frame out leaves no earlier than ``n // burst``
+        periods after the first."""
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            pacer = Pacer(interval=self.INTERVAL, burst=self.BURST)
+            released: list[tuple[float, str]] = []
+
+            async def sender(name: str, frames: int) -> None:
+                for _ in range(frames):
+                    await pacer.gate()
+                    released.append((loop.time(), name))
+
+            start = loop.time()
+            await asyncio.gather(sender("stream", 40), sender("flush", 24))
+            return start, released
+
+        start, released = asyncio.run(run())
+        assert {name for _, name in released} == {"stream", "flush"}
+        times = sorted(at for at, _ in released)
+        for n, at in enumerate(times, start=1):
+            assert at - start >= (n // self.BURST) * self.PERIOD - 1e-4, n
+
+    def test_stall_releases_at_most_one_burst_of_debt(self):
+        """A host that stalls 25 periods mid-burst owes the rest of that
+        burst, not 25 bursts: what leaves at once after the stall is at
+        most the burst now due plus one burst of debt, and the schedule
+        then resumes from the stall's end."""
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            pacer = Pacer(interval=self.INTERVAL, burst=self.BURST)
+            released = []
+            stall_end = None
+            for n in range(1, 41):
+                if n == 10:
+                    time.sleep(25 * self.PERIOD)
+                    stall_end = loop.time()
+                await pacer.gate()
+                released.append(loop.time())
+            return stall_end, released
+
+        stall_end, released = asyncio.run(run())
+        after = [at for at in released if at >= stall_end]
+        at_once = [at for at in after if at < stall_end + self.PERIOD / 2]
+        assert len(at_once) <= 2 * self.BURST
+        # frame 40 opens the 7th burst after the one due at the stall's end
+        assert released[-1] >= stall_end + 7 * self.PERIOD - 1e-4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -521,3 +593,35 @@ class TestChaosProxyUnit:
 
         stats = asyncio.run(run())
         assert stats.get("backward.blackout") == 3
+
+    def test_held_datagrams_are_released_once_sent(self):
+        """Reordered and jittered datagrams are held on timers; a fired
+        timer must not keep its handle (and the payload) until close."""
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            sink, _ = await loop.create_datagram_endpoint(
+                asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0)
+            )
+            proxy = ChaosProxy(
+                sink.get_extra_info("sockname")[:2],
+                backward=ChaosPlan(
+                    seed=3, reorder=0.5, reorder_delay=0.01, jitter=0.01
+                ),
+            )
+            await proxy.start()
+            transport, _ = await loop.create_datagram_endpoint(
+                asyncio.DatagramProtocol, remote_addr=proxy.address
+            )
+            for _ in range(40):
+                transport.sendto(b"payload")
+            await asyncio.sleep(0.2)  # every delay is at most 20 ms
+            pending = len(proxy._handles)
+            transport.close()
+            await proxy.close()
+            sink.close()
+            return dict(proxy.stats), pending
+
+        stats, pending = asyncio.run(run())
+        assert stats.get("backward.delayed", 0) == 40
+        assert pending == 0
