@@ -23,15 +23,15 @@ chaos proxy can mangle anything it likes and the endpoints shrug.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.fec.block import BlockDecoder, join_stream
 from repro.fec.registry import create_codec
-from repro.net.session import SenderSession, SessionReport
-from repro.net.supervision import NakScheduler, NetConfig
+from repro.net.session import DONE, SenderSession, SessionReport
+from repro.net.supervision import NakScheduler, NetConfig, Pacer
 from repro.net.udp import DatagramSocket, open_datagram
 from repro.net.wire import (
     FrameError,
@@ -82,9 +82,36 @@ def _count_rx(packet) -> None:
         obs.counter("net.frames_rx", kind=frame_kind(packet)).inc()
 
 
-def _count_frame_error(error: FrameError) -> None:
+def _count_frame_error(reason: str) -> None:
     if obs.is_enabled():
-        obs.counter("net.frame_errors", reason=error.reason).inc()
+        obs.counter("net.frame_errors", reason=reason).inc()
+
+
+class _Alarm:
+    """A driver's one wake-up: sleep until a deadline, or until the
+    inbound path finds ``ready()`` true (:meth:`check`)."""
+
+    _future: asyncio.Future | None = None
+
+    async def sleep(self, until: float, ready) -> None:
+        if ready():
+            return
+        loop = asyncio.get_running_loop()
+        self._future, self._ready = loop.create_future(), ready
+        timer = loop.call_at(until, self._ring)
+        try:
+            await self._future
+        finally:
+            timer.cancel()
+            self._future = None
+
+    def check(self) -> None:
+        if self._future is not None and self._ready():
+            self._ring()
+
+    def _ring(self) -> None:
+        if self._future is not None and not self._future.done():
+            self._future.set_result(None)
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +139,8 @@ class NetServer:
         self.config = config
         self.bind = bind
         self.sessions: dict[int, SenderSession] = {}
-        #: group tag -> session still in its gathering window
-        self._gathering: dict[int, SenderSession] = {}
+        #: session id -> its driver's wake-up
+        self._alarms: dict[int, _Alarm] = {}
         self.reports: list[SessionReport] = []
         self.frame_errors = 0
         self._next_session_id = 1
@@ -177,36 +204,40 @@ class NetServer:
             frame = decode_frame(data)
         except FrameError as error:
             self.frame_errors += 1
-            _count_frame_error(error)
+            _count_frame_error(error.reason)
             return
         _count_rx(frame.packet)
+        now = asyncio.get_running_loop().time()
         if isinstance(frame.packet, SessionJoin):
-            self._on_join(frame.packet, addr)
-            return
-        session = self.sessions.get(frame.session_id)
+            session = self._on_join(frame.packet, addr, now)
+        else:
+            session = self.sessions.get(frame.session_id)
+            if session is not None:
+                session.on_frame(frame.packet, addr, now)
         if session is not None:
-            session.on_frame(frame.packet, addr)
+            # a window opened, a deadline moved in, or the session ended
+            self._alarms[session.session_id].check()
 
-    def _on_join(self, join: SessionJoin, addr: Address) -> None:
+    def _on_join(
+        self, join: SessionJoin, addr: Address, now: float
+    ) -> SenderSession | None:
+        """Admit a joiner; returns the session that took it."""
         if not control_intact(join):
-            return
+            return None
         # a rejoin from a member of a live session is a lost-announce
         # retry (or a churn revival), not a new session; only a refused
-        # add (session already DONE) falls through to a fresh session
+        # add (session already DONE, or past its join window) falls
+        # through to a fresh session
         for session in self.sessions.values():
-            if addr in session.members and session.group == join.group:
-                if session.add_member(addr, join):
-                    return
-        session = self._gathering.get(join.group)
-        if session is not None and session.state == "gathering":
-            session.add_member(addr, join)
-            return
-        self._spawn_session(join, addr)
+            if session.group == join.group and session.add_member(addr, now):
+                return session
+        return self._spawn_session(join, addr, now)
 
-    def _spawn_session(self, join: SessionJoin, addr: Address) -> None:
+    def _spawn_session(
+        self, join: SessionJoin, addr: Address, now: float
+    ) -> SenderSession:
         session_id = self._next_session_id
         self._next_session_id += 1
-        loop = asyncio.get_running_loop()
         session = SenderSession(
             session_id=session_id,
             group=join.group,
@@ -215,7 +246,7 @@ class NetServer:
             send=lambda packet, to, sid=session_id: self._send(
                 packet, to, sid
             ),
-            now=loop.time,
+            now=now,
             # deterministic: the same (seed, session id, group) always
             # stitches under the same trace
             trace_id=mint_trace_id(
@@ -223,21 +254,47 @@ class NetServer:
             ),
         )
         self.sessions[session_id] = session
-        self._gathering[join.group] = session
-        session.add_member(addr, join)
-        task = loop.create_task(self._run_session(session))
+        self._alarms[session_id] = _Alarm()
+        session.add_member(addr, now)
+        task = asyncio.get_running_loop().create_task(self._drive(session))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return session
 
-    async def _run_session(self, session: SenderSession) -> None:
+    async def _drive(self, session: SenderSession) -> None:
+        """A session's one driver: wait out the join window, then fan out
+        every frame the session hands out, each behind the pacer's gate,
+        and sleep until its next deadline whenever it has none."""
+        loop = asyncio.get_running_loop()
+        alarm = self._alarms[session.session_id]
+        pacer = Pacer(self.config.pace_interval, self.config.pace_burst)
         try:
             await asyncio.sleep(self.config.join_window)
-            self._gathering.pop(session.group, None)
-            report = await session.run()
-            self.reports.append(report)
+            session.start()
+            with obs.span(
+                "net.serve.session", side="sender",
+                session=session.session_id, trace=session.trace_id,
+            ):
+                while True:
+                    session.wake(loop.time())
+                    if session.state == DONE:
+                        break
+                    if session.has_frame:
+                        await pacer.gate()
+                        packet = session.pop()
+                        if packet is not None:
+                            session.fanout(packet)
+                        continue
+                    until = session.next_wake()
+                    await alarm.sleep(
+                        until,
+                        lambda: (wake := session.next_wake()) is None
+                        or wake < until,
+                    )
+            self.reports.append(session.report)
         finally:
-            self._gathering.pop(session.group, None)
             self.sessions.pop(session.session_id, None)
+            self._alarms.pop(session.session_id, None)
 
 
 # ----------------------------------------------------------------------
@@ -277,31 +334,25 @@ class FetchResult:
         return not self.failed_groups
 
     def to_json(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "bytes": len(self.data),
-            "n_groups": self.n_groups,
-            "delivered_groups": self.delivered_groups,
-            "failed_groups": list(self.failed_groups),
-            "naks_sent": self.naks_sent,
-            "watchdog_retries": self.watchdog_retries,
-            "watchdog_exhaustions": self.watchdog_exhaustions,
-            "implicit_polls": self.implicit_polls,
-            "early_renaks": self.early_renaks,
-            "frames_received": self.frames_received,
-            "frame_errors": self.frame_errors,
-            "duration": self.duration,
-            "rejoins": self.rejoins,
-            "complete": self.complete,
-        }
+        report = asdict(self)
+        report.update(
+            bytes=len(report.pop("data")),
+            failed_groups=list(self.failed_groups),
+            complete=self.complete,
+        )
+        return report
 
 
 class _ReceiverProtocol:
     """Receiver state machine: join -> recover -> reassemble -> complete.
 
+    It reads no clock and awaits nothing: every handler takes ``now``,
+    frames go out through the ``transport`` it is given, and it reports
+    through plain attributes (``announce`` once joined, ``done`` once
+    every group is settled or a fin arrived, with ``fin_reason``).
     :func:`fetch` connects a :class:`~repro.net.udp.DatagramSocket` to
-    the server, feeds it :meth:`datagram_received` and sets it as
-    ``transport``.
+    the server, sets it as ``transport``, feeds :meth:`datagram_received`
+    the loop's clock and owns the one wake-up.
     """
 
     def __init__(self, config: NetConfig, group: int):
@@ -313,8 +364,7 @@ class _ReceiverProtocol:
         self.transport: DatagramSocket | None = None
         self.session_id: int | None = None
         self.announce: SessionAnnounce | None = None
-        self.announced = asyncio.Event()
-        self.done = asyncio.Event()
+        self.done = False
         self.codec = None
         self.decoders: dict[int, BlockDecoder] = {}
         self.delivered: set[int] = set()
@@ -334,48 +384,41 @@ class _ReceiverProtocol:
 
     # -- plumbing ---------------------------------------------------------
     def send(self, packet) -> None:
-        if self.transport is None or self.transport.is_closing():
+        if self.transport is None:
             return
         _count_tx(packet)
-        self.transport.sendto(
-            encode_frame(packet, self.session_id or 0)
-        )
+        self.transport.sendto(encode_frame(packet, self.session_id or 0))
+
+    def _discard(self, reason: str) -> None:
+        """Drop a frame that decoded but cannot be used."""
+        self.frame_errors += 1
+        _count_frame_error(reason)
 
     # -- inbound ----------------------------------------------------------
-    def datagram_received(self, data: bytes, addr: Address) -> None:
+    def datagram_received(self, data: bytes, addr: Address, now: float) -> None:
         try:
             frame = decode_frame(data)
         except FrameError as error:
-            self.frame_errors += 1
-            _count_frame_error(error)
+            self._discard(error.reason)
             return
         self.frames_received += 1
         _count_rx(frame.packet)
         packet = frame.packet
-        now = asyncio.get_running_loop().time()
         if isinstance(packet, SessionAnnounce):
             self._on_announce(packet, frame.session_id)
+        elif self.session_id is None or frame.session_id != self.session_id:
             return
-        if self.session_id is None or frame.session_id != self.session_id:
-            return
-        if isinstance(packet, (DataPacket, ParityPacket, Retransmission)):
+        elif isinstance(packet, (DataPacket, ParityPacket, Retransmission)):
             self._on_payload(packet, now)
+        elif not control_intact(packet):
+            self.control_corrupt_discarded += 1
         elif isinstance(packet, Poll):
-            if not control_intact(packet):
-                self.control_corrupt_discarded += 1
-                return
             self._on_poll(packet, now)
         elif isinstance(packet, GroupAbort):
-            if not control_intact(packet):
-                self.control_corrupt_discarded += 1
-                return
             self._on_abort(packet)
         elif isinstance(packet, SessionFin):
-            if not control_intact(packet):
-                self.control_corrupt_discarded += 1
-                return
             self.fin_reason = packet.reason
-            self.done.set()
+            self.done = True
         elif isinstance(packet, TraceContextPacket):
             if self.trace_id is None and is_trace_id(packet.trace_id):
                 self.trace_id = packet.trace_id
@@ -386,22 +429,29 @@ class _ReceiverProtocol:
             return
         if self.announce is not None:
             return  # duplicate announce (join retry crossed the reply)
+        try:
+            codec = create_codec(announce.codec, announce.k, announce.h)
+        except (KeyError, ValueError):
+            # an unknown codec or impossible geometry: without a codec no
+            # payload can be decoded, so wait for a usable announce
+            self._discard("bad_announce")
+            return
         self.announce = announce
         self.session_id = session_id
-        self.codec = create_codec(announce.codec, announce.k, announce.h)
-        self.announced.set()
-
-    def _decoder(self, tg: int) -> BlockDecoder:
-        decoder = self.decoders.get(tg)
-        if decoder is None:
-            decoder = self.decoders[tg] = BlockDecoder(
-                self.announce.k, self.codec
-            )
-        return decoder
+        self.codec = codec
 
     def _on_payload(self, packet, now: float) -> None:
         tg = packet.tg
-        if not 0 <= tg < self.announce.n_groups:
+        announce = self.announce
+        if not 0 <= tg < announce.n_groups:
+            return
+        # the wire decoder cannot know the session's geometry: a frame
+        # outside it would poison the group's decoder
+        if packet.index >= announce.k + announce.h:
+            self._discard("bad_index")
+            return
+        if len(packet.payload) != announce.packet_size:
+            self._discard("bad_length")
             return
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
@@ -415,7 +465,10 @@ class _ReceiverProtocol:
         payload = packet.payload
         if self.codec.field.m in (8, 16):
             payload = payload_symbols(packet, self.codec.field)
-        if self._decoder(tg).add(packet.index, payload):
+        decoder = self.decoders.get(tg)
+        if decoder is None:
+            decoder = self.decoders[tg] = BlockDecoder(announce.k, self.codec)
+        if decoder.add(packet.index, payload):
             self.delivered.add(tg)
             self.scheduler.forget(tg)
             self._check_done()
@@ -562,7 +615,7 @@ class _ReceiverProtocol:
         self.rejoins += 1
         if obs.is_enabled():
             obs.counter("net.rejoins").inc()
-        self.done.clear()
+        self.done = False
         self.fin_reason = None
         for tg in self.missing_groups():
             if tg not in self.abandoned:
@@ -571,11 +624,8 @@ class _ReceiverProtocol:
         self.send(SessionJoin(group=self.group, nonce=self.nonce))
 
     def _check_done(self) -> None:
-        if self.announce is None:
-            return
-        settled = len(self.delivered) + len(self.abandoned)
-        if settled >= self.announce.n_groups:
-            self.done.set()
+        if len(self.delivered) + len(self.abandoned) >= self.announce.n_groups:
+            self.done = True
 
     # -- reassembly -------------------------------------------------------
     def assemble(self) -> bytes:
@@ -611,24 +661,32 @@ async def fetch(
     Raises :class:`TransferTimeout` when ``deadline`` elapses and
     :class:`TransferStalled` when the join or NAK solicitation budget runs
     dry or the sender ejects this receiver — both with a
-    :class:`StallReport` attached.
+    :class:`StallReport` attached.  This coroutine is the receiver's one
+    driver: the socket callback feeds the machine and checks the alarm
+    the phases below sleep on.
     """
     loop = asyncio.get_running_loop()
     protocol = _ReceiverProtocol(config, group)
+    alarm = _Alarm()
+
+    def received(data: bytes, addr: Address) -> None:
+        protocol.datagram_received(data, addr, loop.time())
+        alarm.check()
+
     transport = protocol.transport = await open_datagram(
-        protocol.datagram_received, remote=(host, port)
+        received, remote=(host, port)
     )
     start = protocol.last_stream_rx = loop.time()
     try:
         with obs.span("net.fetch", side="receiver", group=group) as sp:
-            await _join(protocol, config, start, deadline)
-            await _recover(protocol, config, start, deadline)
+            await _join(protocol, alarm, start, deadline)
+            await _recover(protocol, alarm, start, deadline)
             # the trace id arrives mid-span (behind the announce), so it
             # is attached to the already-open span rather than passed in
             if protocol.trace_id is not None and hasattr(sp, "attrs"):
                 sp.attrs.setdefault("trace", protocol.trace_id)
             data = protocol.assemble()
-            await _complete(protocol, config)
+            await _complete(protocol, alarm)
     finally:
         transport.close()
     duration = loop.time() - start
@@ -652,9 +710,7 @@ async def fetch(
     )
 
 
-def _stall_report(
-    protocol: _ReceiverProtocol, config: NetConfig, start: float
-) -> StallReport:
+def _stall_report(protocol: _ReceiverProtocol, start: float) -> StallReport:
     loop = asyncio.get_running_loop()
     return StallReport(
         protocol="net-np",
@@ -673,48 +729,45 @@ def _stall_report(
         ),
         abandoned_groups=tuple(sorted(protocol.abandoned)),
         injected_faults={},
-        seed=config.seed,
+        seed=protocol.config.seed,
         fault_plan=None,
     )
 
 
 async def _join(
-    protocol: _ReceiverProtocol,
-    config: NetConfig,
-    start: float,
-    deadline: float,
+    protocol: _ReceiverProtocol, alarm: _Alarm, start: float, deadline: float
 ) -> None:
     """Solicit membership under the join retry budget."""
     loop = asyncio.get_running_loop()
-    policy = config.join_retry
+    policy = protocol.config.join_retry
     join = SessionJoin(group=protocol.group, nonce=protocol.nonce)
+
+    def joined() -> bool:
+        return protocol.announce is not None
+
     for attempt in range(1, policy.retries + 2):
         protocol.send(join)
         wait = min(
             policy.delay(attempt, protocol.rng),
             max(0.01, deadline - (loop.time() - start)),
         )
-        try:
-            await asyncio.wait_for(protocol.announced.wait(), timeout=wait)
+        await alarm.sleep(loop.time() + wait, joined)
+        if joined():
             return
-        except asyncio.TimeoutError:
-            if loop.time() - start > deadline:
-                raise TransferTimeout(
-                    "net fetch: no announce before the deadline",
-                    _stall_report(protocol, config, start),
-                ) from None
+        if loop.time() - start > deadline:
+            raise TransferTimeout(
+                "net fetch: no announce before the deadline",
+                _stall_report(protocol, start),
+            )
     raise TransferStalled(
         f"net fetch: join solicitation exhausted after "
         f"{policy.retries + 1} attempts",
-        _stall_report(protocol, config, start),
+        _stall_report(protocol, start),
     )
 
 
 async def _recover(
-    protocol: _ReceiverProtocol,
-    config: NetConfig,
-    start: float,
-    deadline: float,
+    protocol: _ReceiverProtocol, alarm: _Alarm, start: float, deadline: float
 ) -> None:
     """Drive the NAK watchdog until delivery, ejection or exhaustion.
 
@@ -724,29 +777,26 @@ async def _recover(
     member and serves repairs for whatever is still missing.
     """
     loop = asyncio.get_running_loop()
-    rejoins_left = config.rejoin_attempts
+    rejoins_left = protocol.config.rejoin_attempts
     while True:
-        while not protocol.done.is_set():
+        while not protocol.done:
             now = loop.time()
             if now - start > deadline:
                 raise TransferTimeout(
                     f"net fetch: deadline of {deadline}s elapsed with "
                     f"{len(protocol.missing_groups())} groups missing",
-                    _stall_report(protocol, config, start),
+                    _stall_report(protocol, start),
                 )
             protocol.solicit(now)
             if protocol.budget_exhausted(now):
                 raise TransferStalled(
                     "net fetch: NAK retry budget exhausted with the stream "
                     "silent",
-                    _stall_report(protocol, config, start),
+                    _stall_report(protocol, start),
                 )
-            try:
-                await asyncio.wait_for(
-                    protocol.done.wait(), timeout=protocol.scan_delay(now)
-                )
-            except asyncio.TimeoutError:
-                pass
+            await alarm.sleep(
+                now + protocol.scan_delay(now), lambda: protocol.done
+            )
         if protocol.fin_reason == "ejected" and rejoins_left > 0:
             rejoins_left -= 1
             protocol.rejoin(loop.time())
@@ -755,29 +805,27 @@ async def _recover(
             raise TransferStalled(
                 f"net fetch: sender closed the session "
                 f"({protocol.fin_reason})",
-                _stall_report(protocol, config, start),
+                _stall_report(protocol, start),
             )
         return
 
 
-async def _complete(protocol: _ReceiverProtocol, config: NetConfig) -> None:
+async def _complete(protocol: _ReceiverProtocol, alarm: _Alarm) -> None:
     """Tell the sender we are done; tolerate a lost fin."""
+    loop = asyncio.get_running_loop()
     complete = SessionComplete(
         delivered=len(protocol.delivered), failed=len(protocol.abandoned)
     )
-    protocol.done.clear()
+    protocol.done = False
     protocol.fin_reason = None
     # a fin answers a complete sooner than repairs answer a NAK (no
     # aggregation window), so the measured NAK response time is patience
     # enough between repeats
     wait = min(_COMPLETE_WAIT, protocol.scheduler.rto or _COMPLETE_WAIT)
-    for _ in range(config.complete_repeats):
+    for _ in range(protocol.config.complete_repeats):
         protocol.send(complete)
-        try:
-            await asyncio.wait_for(protocol.done.wait(), timeout=wait)
-        except asyncio.TimeoutError:
-            continue
-        if protocol.fin_reason == "complete":
+        await alarm.sleep(loop.time() + wait, lambda: protocol.done)
+        if protocol.done and protocol.fin_reason == "complete":
             return
     # fin never arrived — the data is delivered regardless; the sender's
     # member timeout will reap us

@@ -1,54 +1,52 @@
 """Per-session sender state machine for the UDP transport.
 
-One :class:`SenderSession` serves one transfer group (one set of members
-who joined under the same group tag); the server multiplexes many of them
-by session id.  The machine runs the NP recovery loop from the paper over
+One :class:`SenderSession` serves one transfer group (the members who
+joined under the same group tag); the server multiplexes many of them by
+session id.  The machine runs the NP recovery loop from the paper over
 unicast fan-out:
 
 ``GATHERING -> STREAMING -> DRAINING -> DONE``
 
-* **GATHERING** — the join window is open; joins with the session's group
-  tag add members.
-* **STREAMING** — every transmission group goes out once: ``k`` data
-  packets then ``POLL(tg, k, 1)``, paced by the
-  :class:`~repro.net.supervision.Pacer`.
+* **GATHERING** — joins with the session's group tag add members, until
+  :meth:`~SenderSession.start` closes the join window.
+* **STREAMING** — the stream cursor hands out every transmission group
+  once: ``k`` data packets then ``POLL(tg, k, 1)``.
 * **DRAINING** — repair rounds.  The first NAK of a round opens a short
-  aggregation window; at close, ``max(needed)`` repair packets are sent —
-  fresh parities while they last (encoded on a group's first repair
-  request, as protocol NP does; a clean transfer encodes none), then ARQ
-  fallback (data packets with a bumped ``generation``) — followed by the
-  next round's poll.  Stale NAKs
-  (an earlier round's number) re-solicit with the current poll instead of
-  triggering duplicate repairs.  A group that trips ``max_rounds``
-  (0 = unlimited) is abandoned with a
+  aggregation window; when it closes, ``max(needed)`` repairs — fresh
+  parities while they last (encoded on a group's first repair request,
+  as protocol NP does), then ARQ fallback (data packets with a bumped
+  ``generation``) — and the next round's poll join the repair queue.
+  Until that poll has left the queue the group opens no second window.
+  Stale NAKs (an earlier round's number) buy a re-poll, not repairs.  A
+  group that trips ``max_rounds`` (0 = unlimited) is abandoned with a
   :class:`~repro.protocols.packets.GroupAbort`.
-* **DONE** — every member completed or was ejected; the
+* **DONE** — every member completed or was ejected (silent for
+  ``member_timeout`` while the session drains: ``SessionFin("ejected")``),
+  or ``session_deadline`` passed (``SessionFin("aborted")``); the
   :class:`SessionReport` records which.
 
-Degraded completion: a member silent for ``member_timeout`` with work
-outstanding is *ejected* (told via ``SessionFin("ejected")``) so one dead
-receiver cannot pin a session open; ``session_deadline`` bounds the whole
-session the same way (``SessionFin("aborted")``).
-
-The session is transport-agnostic for testability: it talks through a
-``send(packet, addr)`` callable and a ``now()`` clock supplied by the
-server.  It is not asyncio-free, though: besides the ``run()`` coroutine,
-``_on_nak`` and ``_spawn_flush`` call ``asyncio.get_running_loop()`` (to
-arm the aggregation timer and spawn the flush task), ``_flush_repairs``
-is a coroutine that awaits the pacer, and the constructor builds an
-``asyncio.Event`` — a current-round NAK can only be handled inside a
-running loop.
+One machine, one send queue, no I/O and no clock of its own, like
+``NPSender`` on the simulator: the repair queue is served ahead of the
+stream cursor, so repairs jump the rest of the stream.  Inbound handlers
+take ``now``; :meth:`~SenderSession.wake` acts on every deadline that
+has passed (aggregation windows close in the order they open, then
+member timeouts, the session deadline and the revive grace) and
+:meth:`~SenderSession.next_wake` says when the next one falls.  The
+driver (:class:`~repro.net.endpoints.NetServer`) gates each
+:meth:`~SenderSession.pop` on the session's pacer and fans the frame
+out; immediate control replies (announce, fin, re-poll, abort) go
+straight out through the injected ``send(packet, addr)``.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro import obs
 from repro.fec.block import BlockEncoder
-from repro.net.supervision import NetConfig, Pacer
+from repro.net.supervision import NetConfig
 from repro.net.wire import TraceContextPacket
 from repro.protocols.packets import (
     DataPacket,
@@ -59,7 +57,6 @@ from repro.protocols.packets import (
     SessionAnnounce,
     SessionComplete,
     SessionFin,
-    SessionJoin,
     control_intact,
 )
 
@@ -78,8 +75,6 @@ class MemberState:
     """Sender-side view of one joined receiver."""
 
     addr: Address
-    nonce: int
-    joined_at: float
     last_heard: float
     complete: bool = False
     ejected: bool = False
@@ -116,24 +111,7 @@ class SessionReport:
     revived: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "group": self.group,
-            "outcome": self.outcome,
-            "members": self.members,
-            "completed": self.completed,
-            "ejected": self.ejected,
-            "abandoned_groups": list(self.abandoned_groups),
-            "rounds_served": self.rounds_served,
-            "parities_sent": self.parities_sent,
-            "arq_fallbacks": self.arq_fallbacks,
-            "naks_received": self.naks_received,
-            "stale_naks": self.stale_naks,
-            "repolls": self.repolls,
-            "control_corrupt_discarded": self.control_corrupt_discarded,
-            "duration": self.duration,
-            "revived": self.revived,
-        }
+        return dict(asdict(self), abandoned_groups=list(self.abandoned_groups))
 
 
 @dataclass
@@ -144,12 +122,12 @@ class _GroupState:
     sent_last_round: int = 0
     #: max shortfall reported for the current round (aggregation window)
     pending_needed: int = 0
-    #: the round's window is open, or its flush has not sent its poll yet
+    #: the round's window is open, or its poll has not left the queue yet
     flush_armed: bool = False
     next_parity: int = 0
     fallback_cursor: int = 0
     generation: int = 0
-    last_repoll: float = field(default=-1.0)
+    last_repoll: float = -1.0
     abandoned: bool = False
 
 
@@ -163,14 +141,13 @@ class SenderSession:
         data: bytes,
         config: NetConfig,
         send: Callable[[object, Address], None],
-        now: Callable[[], float],
+        now: float,
         trace_id: str | None = None,
     ):
         self.session_id = session_id
         self.group = group
         self.config = config
         self.send = send
-        self.now = now
         #: telemetry trace id shared with every member (None = untraced)
         self.trace_id = trace_id
         self.state = GATHERING
@@ -182,10 +159,14 @@ class SenderSession:
             codec=config.codec,
         )
         self.members: dict[Address, MemberState] = {}
-        self.pacer = Pacer(config.pace_interval, config.pace_burst)
         self._groups = [_GroupState() for _ in range(len(self.encoder))]
-        self._started_at = now()
-        self._finished = asyncio.Event()
+        self._started_at = now
+        #: frames of closed aggregation windows, served ahead of the stream
+        self._repairs: deque = deque()
+        #: ``(close_at, tg)`` of the open windows, in closing order
+        self._windows: deque[tuple[float, int]] = deque()
+        #: stream frames handed out so far (``k + 1`` per group)
+        self._streamed = 0
         self.report: SessionReport | None = None
         # counters surfaced in the report
         self.rounds_served = 0
@@ -214,14 +195,10 @@ class SenderSession:
             packet_size=self.config.packet_size,
             n_groups=self.n_groups,
             total_length=self.encoder.total_length,
-            codec=(
-                self.config.codec
-                if isinstance(self.config.codec, str)
-                else type(self.config.codec).__name__
-            ),
+            codec=self.config.codec,
         )
 
-    def add_member(self, addr: Address, join: SessionJoin) -> bool:
+    def add_member(self, addr: Address, now: float) -> bool:
         """Admit (or re-announce to) a joiner; False once streaming began.
 
         A duplicate join from a known address is always answered with a
@@ -232,26 +209,19 @@ class SenderSession:
         Once the session is DONE the join is refused so the server can
         spawn a fresh session for the stray instead.
         """
-        timestamp = self.now()
         member = self.members.get(addr)
         if member is not None:
             if member.ejected:
                 if self.state == DONE:
                     return False
-                member.ejected = False
-                self.revived += 1
+                self._revive(member)
                 self._settled_at = None  # an active member again
-                if obs.is_enabled():
-                    obs.counter("net.members_revived").inc()
-            member.last_heard = timestamp
+            member.last_heard = now
             self._send_announce(addr)
             return True
         if self.state != GATHERING:
             return False
-        self.members[addr] = MemberState(
-            addr=addr, nonce=join.nonce, joined_at=timestamp,
-            last_heard=timestamp,
-        )
+        self.members[addr] = MemberState(addr=addr, last_heard=now)
         self._send_announce(addr)
         return True
 
@@ -266,20 +236,26 @@ class SenderSession:
         if self.trace_id is not None:
             self.send(TraceContextPacket(self.trace_id), addr)
 
-    def _fanout(self, packet) -> None:
+    def _revive(self, member: MemberState) -> None:
+        member.ejected = False
+        self.revived += 1
+        if obs.is_enabled():
+            obs.counter("net.members_revived").inc()
+
+    def fanout(self, packet) -> None:
         """Unicast emulation of a multicast send: every active member."""
         for member in self.members.values():
             if member.active:
                 self.send(packet, member.addr)
 
     # ------------------------------------------------------------------
-    # inbound frames (called from datagram_received, inside the loop)
+    # inbound frames
     # ------------------------------------------------------------------
-    def on_frame(self, packet, addr: Address) -> None:
+    def on_frame(self, packet, addr: Address, now: float) -> None:
         member = self.members.get(addr)
         if member is None:
             return  # not a member of this session: ignore
-        member.last_heard = self.now()
+        member.last_heard = now
         if isinstance(packet, Nak):
             if not control_intact(packet):
                 self.control_corrupt_discarded += 1
@@ -289,12 +265,11 @@ class SenderSession:
                 # fate (the fins were eaten by the same blackout that got
                 # it ejected): re-tell it, rate-limited, so its rejoin
                 # logic can fire instead of NAK-ing into the void
-                timestamp = self.now()
-                if timestamp - member.last_fin >= self.config.nak_aggregation:
-                    member.last_fin = timestamp
+                if now - member.last_fin >= self.config.nak_aggregation:
+                    member.last_fin = now
                     self.send(SessionFin("ejected"), addr)
                 return
-            self._on_nak(packet)
+            self._on_nak(packet, now)
         elif isinstance(packet, SessionComplete):
             if not control_intact(packet):
                 self.control_corrupt_discarded += 1
@@ -304,17 +279,14 @@ class SenderSession:
                 # ejected for silence while its last repairs were in
                 # flight: a completion proves delivery, so it is neither
                 # counted as lost nor waited for in the revive window
-                member.ejected = False
-                self.revived += 1
-                if obs.is_enabled():
-                    obs.counter("net.members_revived").inc()
+                self._revive(member)
             # idempotent ack — repeated completes re-trigger the fin so a
             # lost fin is recovered by the receiver's repeats
             self.send(SessionFin("complete"), addr)
-            self._check_finished()
+            self._check_finished(now)
         # joins are handled by the server; payload types never come back
 
-    def _on_nak(self, nak: Nak) -> None:
+    def _on_nak(self, nak: Nak, now: float) -> None:
         if self.state not in (STREAMING, DRAINING):
             return
         if not 0 <= nak.tg < self.n_groups:
@@ -322,24 +294,22 @@ class SenderSession:
         group = self._groups[nak.tg]
         if group.abandoned:
             # the abort datagram can be lost too: re-tell, rate-limited
-            timestamp = self.now()
-            if timestamp - group.last_repoll >= self.config.nak_aggregation:
-                group.last_repoll = timestamp
-                self._fanout(GroupAbort(nak.tg, group.round))
+            if now - group.last_repoll >= self.config.nak_aggregation:
+                group.last_repoll = now
+                self.fanout(GroupAbort(nak.tg, group.round))
             return
         self.naks_received += 1
         if nak.round < group.round:
             # stale: the receiver missed this round's poll — re-solicit
             # with the current round instead of re-repairing
             self.stale_naks += 1
-            timestamp = self.now()
             if (
                 not group.flush_armed
-                and timestamp - group.last_repoll >= self.config.nak_aggregation
+                and now - group.last_repoll >= self.config.nak_aggregation
             ):
-                group.last_repoll = timestamp
+                group.last_repoll = now
                 self.repolls += 1
-                self._fanout(Poll(nak.tg, group.sent_last_round, group.round))
+                self.fanout(Poll(nak.tg, group.sent_last_round, group.round))
             return
         # current (or ahead-of-us, clamped) round: aggregate the shortfall.
         # ``needed`` is a peer-supplied u32; a receiver is never short more
@@ -351,48 +321,82 @@ class SenderSession:
         )
         if not group.flush_armed:
             group.flush_armed = True
-            loop = asyncio.get_running_loop()
-            loop.call_later(
-                self.config.nak_aggregation, self._spawn_flush, nak.tg
-            )
+            self._windows.append((now + self.config.nak_aggregation, nak.tg))
 
-    def _spawn_flush(self, tg: int) -> None:
+    # ------------------------------------------------------------------
+    # the send queue
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Close the gathering window: the stream begins."""
+        if self.state == GATHERING:
+            self.state = STREAMING
+
+    @property
+    def has_frame(self) -> bool:
+        """Whether :meth:`pop` has a frame to hand out."""
+        return self.state == STREAMING or (
+            self.state == DRAINING and bool(self._repairs)
+        )
+
+    def pop(self):
+        """The next frame to fan out — repairs first — or ``None``."""
         if self.state == DONE:
-            return
-        task = asyncio.get_running_loop().create_task(self._flush_repairs(tg))
-        task.add_done_callback(_log_task_error)
+            return None
+        if self._repairs:
+            packet = self._repairs.popleft()
+            kind = type(packet)
+            if kind is ParityPacket:
+                self.parities_sent += 1
+            elif kind is DataPacket:
+                self.arq_fallbacks += 1
+            else:  # the round's closing poll: the next round begins
+                group = self._groups[packet.tg]
+                group.round = packet.round
+                group.sent_last_round = packet.sent
+                group.pending_needed = 0
+                group.flush_armed = False
+            return packet
+        if self.state != STREAMING:
+            return None
+        k = self.config.k
+        tg, index = divmod(self._streamed, k + 1)
+        self._streamed += 1
+        if index < k:
+            if obs.is_enabled():
+                # loss-free fanout baseline: observed E[M] for the live
+                # transport is (data+parity frames_tx) / this counter
+                obs.counter("net.stream_data_tx").inc(
+                    sum(1 for m in self.members.values() if m.active)
+                )
+            return DataPacket(tg, index, self.encoder.data_packet(tg, index))
+        self._groups[tg].sent_last_round = k
+        if tg == self.n_groups - 1:
+            self.state = DRAINING
+        return Poll(tg, k, 1)
 
-    async def _flush_repairs(self, tg: int) -> None:
-        """Close the aggregation window: send repairs + the next poll.
+    def _close_window(self, tg: int) -> None:
+        """Queue the round's ``max(needed)`` repairs and its closing poll.
 
-        The window stays closed until the poll is out: a same-round NAK
-        that arrives while the flush waits on the pacer asks for the
-        shortfall this flush is serving, and the poll will re-solicit
+        The round stays open until the poll leaves the queue: a NAK of
+        it that arrives meanwhile asks for the shortfall these repairs
+        serve, so it opens no second window, and the poll re-solicits
         whatever the repairs do not cover.
         """
         group = self._groups[tg]
-        try:
-            await self._serve_round(tg, group)
-        finally:
-            group.pending_needed = 0
-            group.flush_armed = False
-
-    async def _serve_round(self, tg: int, group: _GroupState) -> None:
-        needed = group.pending_needed
-        if needed <= 0 or group.abandoned or self.state == DONE:
-            return
         config = self.config
         if config.max_rounds and group.round >= config.max_rounds:
-            self._abandon_group(tg)  # max_rounds == 0 means unlimited
+            # abandoned like the simulator's eject policy (0 = unlimited)
+            group.abandoned = True
+            self.fanout(GroupAbort(tg, group.round))
+            if obs.is_enabled():
+                obs.counter("net.groups_abandoned").inc()
             return
         self.rounds_served += 1
-        sent = 0
+        needed = group.pending_needed
         for _ in range(needed):
-            await self.pacer.gate()
             if group.next_parity < config.h:
                 index = config.k + group.next_parity
                 group.next_parity += 1
-                self.parities_sent += 1
                 packet = ParityPacket(
                     tg, index, self.encoder.parity_packet(tg, index - config.k)
                 )
@@ -403,103 +407,62 @@ class SenderSession:
                 group.fallback_cursor += 1
                 if index == 0:
                     group.generation += 1
-                self.arq_fallbacks += 1
                 packet = DataPacket(
                     tg,
                     index,
                     self.encoder.data_packet(tg, index),
                     generation=group.generation,
                 )
-            self._fanout(packet)
-            sent += 1
-        group.round += 1
-        group.sent_last_round = sent
-        await self.pacer.gate()
-        self._fanout(Poll(tg, sent, group.round))
+            self._repairs.append(packet)
+        self._repairs.append(Poll(tg, needed, group.round + 1))
 
-    def _abandon_group(self, tg: int) -> None:
-        group = self._groups[tg]
-        if group.abandoned:
+    # ------------------------------------------------------------------
+    # deadlines
+    # ------------------------------------------------------------------
+    def wake(self, now: float) -> None:
+        """Act on every deadline that has passed by ``now``."""
+        if self.state == DONE:
             return
-        group.abandoned = True
-        self._fanout(GroupAbort(tg, group.round))
-        if obs.is_enabled():
-            obs.counter("net.groups_abandoned").inc()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def run(self) -> SessionReport:
-        """Stream, drain, supervise; returns the final report."""
-        attrs: dict = {"side": "sender", "session": self.session_id}
-        if self.trace_id is not None:
-            attrs["trace"] = self.trace_id
-        try:
-            with obs.span("net.serve.session", **attrs):
-                await self._stream()
-                await self._drain()
-        finally:
-            if self.report is None:
-                self._finish("aborted")
-        return self.report
-
-    async def _stream(self) -> None:
-        self.state = STREAMING
+        windows = self._windows
+        while windows and windows[0][0] <= now:
+            self._close_window(windows.popleft()[1])
         config = self.config
-        for tg in range(self.n_groups):
-            if self.state == DONE:
-                return
-            for index in range(config.k):
-                await self.pacer.gate()
-                if obs.is_enabled():
-                    # loss-free fanout baseline: observed E[M] for the live
-                    # transport is (data+parity frames_tx) / this counter
-                    obs.counter("net.stream_data_tx").inc(
-                        sum(1 for m in self.members.values() if m.active)
-                    )
-                self._fanout(
-                    DataPacket(tg, index, self.encoder.data_packet(tg, index))
-                )
-            await self.pacer.gate()
-            self._fanout(Poll(tg, config.k, 1))
-            self._groups[tg].sent_last_round = config.k
-        self.state = DRAINING
-
-    async def _drain(self) -> None:
-        """Serve repair rounds until every member completes or is ejected."""
-        tick = min(0.1, max(0.01, self.config.member_timeout / 8.0))
-        while self.state != DONE:
-            self._check_finished()
-            if self.state == DONE:
-                return
-            timestamp = self.now()
-            if timestamp - self._started_at > self.config.session_deadline:
-                for member in self.members.values():
-                    if member.active:
-                        member.ejected = True
-                        self.send(SessionFin("aborted"), member.addr)
-                self._finish("aborted")
-                return
+        if now >= self._started_at + config.session_deadline:
             for member in self.members.values():
-                if (
-                    member.active
-                    and timestamp - member.last_heard > self.config.member_timeout
-                ):
+                if member.active:
                     member.ejected = True
-                    # a few copies: the fin itself crosses the lossy wire
-                    for _ in range(self.config.complete_repeats):
-                        self.send(SessionFin("ejected"), member.addr)
-                    if obs.is_enabled():
-                        obs.counter("net.members_ejected").inc()
-            self._check_finished()
-            if self.state == DONE:
-                return
-            try:
-                await asyncio.wait_for(self._finished.wait(), timeout=tick)
-            except asyncio.TimeoutError:
-                pass
+                    self.send(SessionFin("aborted"), member.addr)
+            self._finish("aborted", now)
+            return
+        if self.state != DRAINING:
+            return  # no member is ejected, nor settled, before the drain
+        for member in self.members.values():
+            if member.active and now >= member.last_heard + config.member_timeout:
+                member.ejected = True
+                # a few copies: the fin itself crosses the lossy wire
+                for _ in range(config.complete_repeats):
+                    self.send(SessionFin("ejected"), member.addr)
+                if obs.is_enabled():
+                    obs.counter("net.members_ejected").inc()
+        self._check_finished(now)
 
-    def _check_finished(self) -> None:
+    def next_wake(self) -> float | None:
+        """When :meth:`wake` next has work; ``None`` once DONE."""
+        if self.state == DONE:
+            return None
+        config = self.config
+        wake = self._started_at + config.session_deadline
+        if self._windows:
+            wake = min(wake, self._windows[0][0])
+        if self.state == DRAINING:
+            for member in self.members.values():
+                if member.active:
+                    wake = min(wake, member.last_heard + config.member_timeout)
+        if self._settled_at is not None:
+            wake = min(wake, self._settled_at + config.revive_window)
+        return wake
+
+    def _check_finished(self, now: float) -> None:
         if self.state == DONE:
             return
         if self.members and all(
@@ -509,19 +472,19 @@ class SenderSession:
             if ejected and self.config.revive_window > 0:
                 # hold the session open so an eclipsed member can rejoin
                 # and resume; the grace runs from the settle instant and
-                # is still bounded by session_deadline in _drain
+                # is still bounded by session_deadline
                 if self._settled_at is None:
-                    self._settled_at = self.now()
+                    self._settled_at = now
                     return
-                if self.now() - self._settled_at < self.config.revive_window:
+                if now - self._settled_at < self.config.revive_window:
                     return
             abandoned = any(group.abandoned for group in self._groups)
             outcome = "degraded" if (ejected or abandoned) else "complete"
-            self._finish(outcome)
+            self._finish(outcome, now)
         else:
             self._settled_at = None
 
-    def _finish(self, outcome: str) -> None:
+    def _finish(self, outcome: str, now: float) -> None:
         self.state = DONE
         self.report = SessionReport(
             session_id=self.session_id,
@@ -540,18 +503,8 @@ class SenderSession:
             stale_naks=self.stale_naks,
             repolls=self.repolls,
             control_corrupt_discarded=self.control_corrupt_discarded,
-            duration=self.now() - self._started_at,
+            duration=now - self._started_at,
             revived=self.revived,
         )
         if obs.is_enabled():
             obs.counter("net.sessions", outcome=outcome).inc()
-        self._finished.set()
-
-
-def _log_task_error(task: asyncio.Task) -> None:
-    # repair flushes are fire-and-forget; surface their tracebacks instead
-    # of letting asyncio swallow them silently
-    if not task.cancelled() and task.exception() is not None:
-        task.get_loop().call_exception_handler(
-            {"message": "repair flush failed", "exception": task.exception()}
-        )

@@ -6,11 +6,10 @@ repo so one mental model covers simulator, campaign and transport:
 * :class:`NetConfig` — every knob of a transfer session, validated at
   construction like :class:`~repro.protocols.np_protocol.NPConfig`.
 * :class:`Pacer` — sender-side pacing/backpressure: one deadline
-  schedule per session, awaited (``gate()``) before every frame its
-  stream or any repair flush sends, which bounds the session's bursts
-  and yields the event loop so feedback is read *during* the stream
-  (without it, a large transfer would starve the socket reader and
-  every NAK would look stale).
+  schedule per session, awaited (``gate()``) by the session's driver
+  before every frame of its one send queue, which bounds the session's
+  bursts and yields the event loop so feedback is read *during* the
+  stream (without it, every NAK would look stale).
 * :class:`NakScheduler` — per-group NAK solicitation state on the
   receiver: deadline, seeded exponential backoff with jitter, and a hard
   retry budget, driven by the same
@@ -49,13 +48,11 @@ class NetConfig:
     bound the transport's patience:
 
     ``pace_interval``/``pace_burst`` shape the sender's downstream rate:
-    one schedule per session (:class:`Pacer`), shared by the stream and
-    every repair flush, sends at most ``pace_burst`` frames per
-    ``pace_interval * pace_burst`` seconds (an even spacing of
-    ``pace_interval`` per frame, amortized) on absolute deadlines.  Even
-    at ``pace_interval=0`` the schedule yields the event loop every
-    burst, so feedback is processed mid-stream — that yield *is* the
-    backpressure.
+    one schedule per session (:class:`Pacer`) over its one send queue,
+    stream and repairs alike, sends at most ``pace_burst`` frames per
+    ``pace_interval * pace_burst`` seconds on absolute deadlines.  Even
+    at ``pace_interval=0`` it yields the event loop every burst, so
+    feedback is processed mid-stream — that yield *is* the backpressure.
 
     ``join_window`` is the sender's gathering window: joins with the same
     group tag arriving within it share a session (the unicast fan-out
@@ -153,19 +150,17 @@ class NetConfig:
 class Pacer:
     """One session's send schedule: bounded bursts on absolute deadlines.
 
-    Every frame a session sends -- its stream and all of its repair
-    flushes -- awaits :meth:`gate` on the session's one pacer, so
-    together they send at most ``burst`` frames per ``interval * burst``
-    seconds.  Frames are counted from 1 and frame ``n`` belongs to burst
-    ``n // burst``; burst 0 is due at the first gate, the frame that
-    opens each later burst sets its deadline one period after the last
-    one's, and every frame of the burst waits for it.  Deadlines are absolute, so a late wake-up costs no rate, but
-    a burst is never due before the moment it is opened: after a stall
-    only the rest of the interrupted burst is owed -- at most one burst
-    of debt -- never the periods the stall swallowed.  The opening frame
-    yields the loop even when its deadline has passed (``interval == 0``
-    included), so inbound datagrams are read between bursts: that yield
-    *is* the backpressure.
+    The session's driver awaits :meth:`gate` before every frame it pops,
+    stream and repairs alike, so the session sends at most ``burst``
+    frames per ``interval * burst`` seconds.  Frame ``n`` (counted from
+    1) belongs to burst ``n // burst``; burst 0 is due at the first gate,
+    each later burst one period after the last, and every frame of a
+    burst waits for its deadline.  A burst is never due before it is
+    opened, so after a stall at most one burst of debt is owed, never
+    the periods the stall swallowed.  The opening frame yields the loop
+    even when its deadline has passed (``interval == 0`` included), so
+    inbound datagrams are read between bursts: that yield *is* the
+    backpressure.
     """
 
     def __init__(self, interval: float, burst: int):

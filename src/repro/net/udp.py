@@ -1,11 +1,10 @@
 """The package's one UDP read path: drain the socket on every wake-up.
 
 asyncio's datagram transport reads one datagram per socket per loop
-turn.  When a sender's bursts land in the same turn (a session's stream
-and its repair flushes, or four members' fan-out through one proxy) the
-queue grows by a burst per turn and shrinks by one, and the kernel drops
-what no longer fits in the receive buffer -- loss the channel never
-made.  :class:`DatagramSocket` is a non-blocking socket watched with the
+turn.  When a sender's bursts land in the same turn (four members'
+fan-out through one proxy, or several sessions' bursts) the queue
+grows by a burst per turn and shrinks by one, and the kernel drops what
+no longer fits in the receive buffer -- loss the channel never made.  :class:`DatagramSocket` is a non-blocking socket watched with the
 public ``loop.add_reader``; each time it becomes readable the callback
 reads every queued datagram, up to :data:`DRAIN_CAP`, before the loop
 moves on.
@@ -84,9 +83,6 @@ class DatagramSocket:
         if self._sock is None:
             raise RuntimeError("socket closed")
         return self._sock.getsockname()
-
-    def is_closing(self) -> bool:
-        return self._sock is None
 
     def _drain(self) -> None:
         sock, deliver = self._sock, self._on_datagram

@@ -10,8 +10,6 @@ the NAKs that reached its open window, stale NAKs buy at most a poll, and
 a group's round number only moves forward.
 """
 
-import asyncio
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,14 +20,14 @@ from repro.protocols.packets import (
     Nak,
     ParityPacket,
     Poll,
-    SessionJoin,
 )
 
 K, H, GROUPS = 4, 2, 3  # h < k: a round can cross into the ARQ fallback
 MEMBERS = [("127.0.0.1", 40001 + i) for i in range(4)]
 
-#: windows close as soon as the loop turns, and a flush never yields
-#: mid-way, so the driver decides exactly which NAKs share a window
+#: windows close as soon as the session is woken, and a "turn" fans out
+#: everything queued, so the script decides exactly which NAKs share a
+#: window
 CONFIG = NetConfig(
     k=K, h=H, packet_size=16, max_rounds=0,
     nak_aggregation=0.0, pace_interval=0.0, pace_burst=10_000,
@@ -46,20 +44,20 @@ naks = st.tuples(
 steps = st.lists(st.one_of(naks, st.just(("turn",))), max_size=40)
 
 
-async def settle(session: SenderSession) -> None:
-    """Let every armed window close and its flush run to the end."""
-    me = asyncio.current_task()
-    for _ in range(100):
-        await asyncio.sleep(0)
-        busy = any(group.flush_armed for group in session._groups) or any(
-            task is not me for task in asyncio.all_tasks()
-        )
-        if not busy:
-            return
-    raise AssertionError("repair flushes did not settle")
+NOW = 100.0
 
 
-async def drive(script, members: int, state: str):
+def settle(session: SenderSession) -> None:
+    """Close every armed window and fan out its flush to the end (the
+    stream cursor, in STREAMING, stays where it is)."""
+    session.wake(NOW)
+    while session._repairs:
+        session.fanout(session.pop())
+    if any(group.flush_armed for group in session._groups):
+        raise AssertionError("repair flushes did not settle")
+
+
+def drive(script, members: int, state: str):
     sent: list = []
     session = SenderSession(
         session_id=1,
@@ -67,10 +65,10 @@ async def drive(script, members: int, state: str):
         data=bytes(K * 16 * GROUPS),
         config=CONFIG,
         send=lambda packet, addr: sent.append((packet, addr)),
-        now=lambda: 100.0,
+        now=NOW,
     )
     for addr in MEMBERS[:members]:
-        assert session.add_member(addr, SessionJoin(group=0, nonce=1))
+        assert session.add_member(addr, NOW)
     session.state = state
     del sent[:]
 
@@ -79,10 +77,10 @@ async def drive(script, members: int, state: str):
     window: dict[int, int] = {}
     repairs = served = 0
 
-    async def close_windows():
+    def close_windows():
         nonlocal repairs, served
         before = len(sent)
-        await settle(session)
+        settle(session)
         flushed = sent[before:]
         for tg, needed in window.items():
             frames = [
@@ -99,7 +97,7 @@ async def drive(script, members: int, state: str):
 
     for step in script:
         if step[0] == "turn":
-            await close_windows()
+            close_windows()
             continue
         _, member, tg, needed, offset, copies = step
         if member >= members:
@@ -107,7 +105,7 @@ async def drive(script, members: int, state: str):
         before = len(sent)
         nak = Nak(tg, needed, rounds[tg] + offset)
         for _ in range(copies):
-            session.on_frame(nak, MEMBERS[member])
+            session.on_frame(nak, MEMBERS[member], NOW)
         if offset < 0:
             # a round behind: re-polled at most, never repaired
             repoll = Poll(
@@ -119,7 +117,7 @@ async def drive(script, members: int, state: str):
             window[tg] = max(window.get(tg, 0), needed)
         observed = [group.round for group in session._groups]
         assert observed == rounds, "rounds only move when a window closes"
-    await close_windows()
+    close_windows()
 
     assert session.rounds_served == served
     assert session.parities_sent + session.arq_fallbacks == repairs
@@ -141,4 +139,4 @@ async def drive(script, members: int, state: str):
 def test_each_round_sends_exactly_its_windows_largest_shortfall(
     script, members, state
 ):
-    asyncio.run(drive(script, members, state))
+    drive(script, members, state)

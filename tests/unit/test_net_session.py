@@ -1,9 +1,7 @@
-"""Unit tests: the transport-agnostic sender session, driven without
-sockets through its ``send`` / ``now`` callables, and the receiver's
-recovery rules, driven the same way through a fake transport and the
-``now`` argument of its handlers."""
-
-import asyncio
+"""Unit tests: the clock-driven sender session, driven without sockets
+or a loop through its ``send`` callable and the ``now`` argument of its
+handlers, and the receiver's recovery rules, driven the same way through
+a fake transport."""
 
 import pytest
 
@@ -22,14 +20,13 @@ from repro.protocols.packets import (
     SessionAnnounce,
     SessionComplete,
     SessionFin,
-    SessionJoin,
 )
 
 ADDR = ("127.0.0.1", 40001)
+NOW = 100.0
 
 
 def make_session(config: NetConfig, data: bytes = bytes(range(256))):
-    clock = [100.0]
     sent: list = []
     session = SenderSession(
         session_id=1,
@@ -37,9 +34,16 @@ def make_session(config: NetConfig, data: bytes = bytes(range(256))):
         data=data,
         config=config,
         send=lambda packet, addr: sent.append((packet, addr)),
-        now=lambda: clock[0],
+        now=NOW,
     )
-    return session, sent, clock
+    return session, sent
+
+
+def flush(session: SenderSession) -> None:
+    """What the driver does between inbound frames: fan out every frame
+    the session has, as fast as an unpaced pacer lets it."""
+    while (packet := session.pop()) is not None:
+        session.fanout(packet)
 
 
 class TestEjectedMemberCompletes:
@@ -48,11 +52,13 @@ class TestEjectedMemberCompletes:
         # its SessionComplete arrives: it has the bytes, so the session is
         # complete — not "degraded", and not held open for a revive
         config = NetConfig(k=4, h=4, packet_size=16, revive_window=30.0)
-        session, sent, _ = make_session(config)
-        assert session.add_member(ADDR, SessionJoin(group=0, nonce=7))
+        session, sent = make_session(config)
+        assert session.add_member(ADDR, NOW)
         session.members[ADDR].ejected = True
 
-        session.on_frame(SessionComplete(delivered=session.n_groups), ADDR)
+        session.on_frame(
+            SessionComplete(delivered=session.n_groups), ADDR, NOW
+        )
 
         assert session.state == DONE, "no revive wait for a delivered member"
         report = session.report
@@ -63,13 +69,15 @@ class TestEjectedMemberCompletes:
 
     def test_other_ejected_members_still_degrade_the_session(self):
         config = NetConfig(k=4, h=4, packet_size=16)
-        session, _, _ = make_session(config)
+        session, _ = make_session(config)
         other = ("127.0.0.1", 40002)
         for addr in (ADDR, other):
-            assert session.add_member(addr, SessionJoin(group=0, nonce=1))
+            assert session.add_member(addr, NOW)
             session.members[addr].ejected = True
 
-        session.on_frame(SessionComplete(delivered=session.n_groups), ADDR)
+        session.on_frame(
+            SessionComplete(delivered=session.n_groups), ADDR, NOW
+        )
 
         report = session.report
         assert report.outcome == "degraded"
@@ -83,7 +91,7 @@ class TestParitiesOnDemand:
         config = NetConfig(k=4, h=8, packet_size=16)
         RSECodec(config.k, config.h)  # the generator matrix is built once
         with obs.capture() as registry:
-            session, _, _ = make_session(config)
+            session, _ = make_session(config)
             counters = registry.snapshot().counter_values()
         assert not any(
             metric in ("rse.blocks_encoded", "galois.matmul_calls")
@@ -103,18 +111,14 @@ class TestMaxRounds:
             k=4, h=4, packet_size=16, max_rounds=0,
             nak_aggregation=0.0, pace_interval=0.0,
         )
-
-        async def one_nak():
-            session, sent, _ = make_session(config)
-            assert session.add_member(ADDR, SessionJoin(group=0, nonce=7))
-            session.state = DRAINING
-            del sent[:]
-            session.on_frame(Nak(tg=0, needed=1, round=1), ADDR)
-            for _ in range(5):  # the aggregation timer, then the flush task
-                await asyncio.sleep(0)
-            return session, [packet for packet, _ in sent]
-
-        session, packets = asyncio.run(one_nak())
+        session, sent = make_session(config)
+        assert session.add_member(ADDR, NOW)
+        session.state = DRAINING
+        del sent[:]
+        session.on_frame(Nak(tg=0, needed=1, round=1), ADDR, NOW)
+        session.wake(NOW)  # the aggregation window closes at once
+        flush(session)
+        packets = [packet for packet, _ in sent]
         assert [type(packet) for packet in packets] == [ParityPacket, Poll]
         assert packets[0].tg == 0 and packets[0].index == config.k
         assert packets[1] == Poll(0, 1, 2)
@@ -123,38 +127,35 @@ class TestMaxRounds:
 
 class TestMidFlushWindow:
     def test_same_round_nak_during_a_flush_opens_no_second_window(self):
-        """A round-1 NAK that lands while round 1's flush sleeps in the
-        pacer asks for the shortfall that flush is serving: it must not
+        """A round-1 NAK that lands while round 1's flush waits in the
+        queue asks for the shortfall that flush is serving: it must not
         open a second window and serve it again in round 2."""
         config = NetConfig(
             k=4, h=4, packet_size=16, pace_burst=1, pace_interval=0.004
         )
-
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            sent: list = []
-            session = SenderSession(
-                session_id=1,
-                group=0,
-                data=bytes(range(256)),
-                config=config,
-                send=lambda packet, addr: sent.append(packet),
-                now=loop.time,
-            )
-            assert session.add_member(ADDR, SessionJoin(group=0, nonce=7))
-            session.state = DRAINING
-            del sent[:]
-            session.on_frame(Nak(tg=0, needed=2, round=1), ADDR)
-            for _ in range(1000):  # the first parity: the flush now sleeps
-                if sent:
-                    break
-                await asyncio.sleep(0.001)
-            assert [type(packet) for packet in sent] == [ParityPacket]
-            session.on_frame(Nak(tg=0, needed=2, round=1), ADDR)
-            await asyncio.sleep(0.1)
-            return session, sent
-
-        session, sent = asyncio.run(scenario())
+        sent: list = []
+        session = SenderSession(
+            session_id=1,
+            group=0,
+            data=bytes(range(256)),
+            config=config,
+            send=lambda packet, addr: sent.append(packet),
+            now=NOW,
+        )
+        assert session.add_member(ADDR, NOW)
+        session.state = DRAINING
+        del sent[:]
+        session.on_frame(Nak(tg=0, needed=2, round=1), ADDR, NOW)
+        now = NOW + config.nak_aggregation
+        session.wake(now)
+        session.fanout(session.pop())  # the first parity; the rest wait
+        assert [type(packet) for packet in sent] == [ParityPacket]
+        session.on_frame(Nak(tg=0, needed=2, round=1), ADDR, now)
+        for _ in range(25):  # 100 ms of the driver: one frame per gate
+            now += config.pace_interval
+            session.wake(now)
+            if (packet := session.pop()) is not None:
+                session.fanout(packet)
         assert [type(packet) for packet in sent] == [
             ParityPacket, ParityPacket, Poll,
         ]
@@ -168,9 +169,6 @@ class _FakeTransport:
 
     def __init__(self):
         self.sent: list = []
-
-    def is_closing(self) -> bool:
-        return False
 
     def sendto(self, data: bytes) -> None:
         self.sent.append(decode_frame(data).packet)
@@ -345,7 +343,7 @@ class TestLastGroupsPoll:
         assert rx.protocol.implicit_polls == 1
         assert rx.protocol.early_renaks == 0
         rx.parity(self.LAST, heard_at + rto + 0.012)
-        assert rx.protocol.done.is_set()
+        assert rx.protocol.done
         assert rx.protocol.scheduler.retries_granted == 0
         assert rto + 0.012 < rx.base_delay
 
@@ -359,7 +357,7 @@ class TestLastGroupsPoll:
             rx.data(self.LAST, index, now)
             now += rto * 0.9
             rx.protocol.solicit(now - 0.0001)
-        assert len(rx.naks) == 1 and rx.protocol.done.is_set()
+        assert len(rx.naks) == 1 and rx.protocol.done
 
     def test_an_earlier_group_mid_stream_is_not_owed_an_answer(self):
         rx = ReceiverHarness()
@@ -390,3 +388,50 @@ class TestScanDelay:
         rx = ReceiverHarness()
         now = rx.stream(0, 50.0, lose={0})  # no sample: watchdog only
         assert rx.protocol.scan_delay(now) == rx.protocol.scheduler.tick
+
+
+class TestUnusableFrames:
+    """Frames that pass the wire's CRC but not the session: each is one
+    discard, counted under ``net.frame_errors{reason}``, and the transfer
+    goes on as if it had been lost."""
+
+    def test_an_announce_with_an_unknown_codec_is_discarded(self):
+        protocol = _ReceiverProtocol(NetConfig(), group=0)
+        good = SessionAnnounce(
+            k=4, h=4, packet_size=32, n_groups=1, total_length=128
+        )
+        bad = SessionAnnounce(
+            k=4, h=4, packet_size=32, n_groups=1, total_length=128,
+            codec="no-such-codec",
+        )
+        with obs.capture() as registry:
+            protocol._on_announce(bad, session_id=1)
+            snapshot = registry.snapshot()
+        assert snapshot.value("net.frame_errors", reason="bad_announce") == 1
+        assert protocol.announce is None and protocol.frame_errors == 1
+        # the server's re-announce is not taken for a duplicate
+        protocol._on_announce(good, session_id=1)
+        assert protocol.announce == good
+        protocol._on_payload(DataPacket(0, 0, bytes(32)), 50.0)
+        assert protocol._missing(0) == 3
+
+    def test_an_index_past_the_block_is_discarded(self):
+        rx = ReceiverHarness()
+        with obs.capture() as registry:
+            rx.protocol._on_payload(DataPacket(0, 9000, bytes(32)), 50.0)
+            rx.stream(0, 50.0)
+            snapshot = registry.snapshot()
+        assert snapshot.value("net.frame_errors", reason="bad_index") == 1
+        assert 0 in rx.protocol.delivered
+        assert rx.protocol.frame_errors == 1
+
+    def test_a_payload_of_the_wrong_length_is_discarded(self):
+        rx = ReceiverHarness()
+        with obs.capture() as registry:
+            rx.protocol._on_payload(DataPacket(0, 1, bytes(5)), 50.0)
+            rx.stream(0, 50.0)
+            snapshot = registry.snapshot()
+        assert snapshot.value("net.frame_errors", reason="bad_length") == 1
+        assert 0 in rx.protocol.delivered
+        group = ReceiverHarness.K * ReceiverHarness.SIZE
+        assert rx.protocol.assemble()[:group] == rx.payload[:group]
