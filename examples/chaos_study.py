@@ -32,7 +32,6 @@ def hardened_config() -> NPConfig:
     return NPConfig(
         k=4, h=4, packet_size=64, packet_interval=0.005, slot_time=0.02,
         nak_watchdog=0.3, watchdog_retry_limit=12, max_rounds=60,
-        degradation_policy="eject",
     )
 
 

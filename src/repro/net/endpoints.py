@@ -264,7 +264,8 @@ class NetServer:
     async def _drive(self, session: SenderSession) -> None:
         """A session's one driver: wait out the join window, then fan out
         every frame the session hands out, each behind the pacer's gate,
-        and sleep until its next deadline whenever it has none."""
+        and whenever it has none sleep until its next deadline, or until
+        an inbound frame queues one or moves that deadline in."""
         loop = asyncio.get_running_loop()
         alarm = self._alarms[session.session_id]
         pacer = Pacer(self.config.pace_interval, self.config.pace_burst)
@@ -288,7 +289,8 @@ class NetServer:
                     until = session.next_wake()
                     await alarm.sleep(
                         until,
-                        lambda: (wake := session.next_wake()) is None
+                        lambda: session.has_frame
+                        or (wake := session.next_wake()) is None
                         or wake < until,
                     )
             self.reports.append(session.report)

@@ -1,46 +1,39 @@
-"""Per-session sender state machine for the UDP transport.
+"""Per-session sender for the UDP transport.
 
 One :class:`SenderSession` serves one transfer group (the members who
 joined under the same group tag); the server multiplexes many of them by
-session id.  The machine runs the NP recovery loop from the paper over
-unicast fan-out:
+session id.  The NP repair rounds — the stream, the aggregation windows,
+the repair queue, parities then ARQ copies, re-polls and group aborts —
+are :class:`~repro.protocols.np_machine.NPRepairMachine`'s, the machine
+the simulator's ``NPSender`` runs too; the session drives it with a
+window of ``nak_aggregation`` over unicast fan-out and keeps what only a
+socket sender has: membership, deadlines, fins and the report.
 
 ``GATHERING -> STREAMING -> DRAINING -> DONE``
 
 * **GATHERING** — joins with the session's group tag add members, until
   :meth:`~SenderSession.start` closes the join window.
-* **STREAMING** — the stream cursor hands out every transmission group
-  once: ``k`` data packets then ``POLL(tg, k, 1)``.
-* **DRAINING** — repair rounds.  The first NAK of a round opens a short
-  aggregation window; when it closes, ``max(needed)`` repairs — fresh
-  parities while they last (encoded on a group's first repair request,
-  as protocol NP does), then ARQ fallback (data packets with a bumped
-  ``generation``) — and the next round's poll join the repair queue.
-  Until that poll has left the queue the group opens no second window.
-  Stale NAKs (an earlier round's number) buy a re-poll, not repairs.  A
-  group that trips ``max_rounds`` (0 = unlimited) is abandoned with a
-  :class:`~repro.protocols.packets.GroupAbort`.
+* **STREAMING** — the machine's stream cursor hands out every
+  transmission group once: ``k`` data packets then ``POLL(tg, k, 1)``.
+* **DRAINING** — repair rounds only.
 * **DONE** — every member completed or was ejected (silent for
   ``member_timeout`` while the session drains: ``SessionFin("ejected")``),
   or ``session_deadline`` passed (``SessionFin("aborted")``); the
   :class:`SessionReport` records which.
 
-One machine, one send queue, no I/O and no clock of its own, like
-``NPSender`` on the simulator: the repair queue is served ahead of the
-stream cursor, so repairs jump the rest of the stream.  Inbound handlers
-take ``now``; :meth:`~SenderSession.wake` acts on every deadline that
-has passed (aggregation windows close in the order they open, then
-member timeouts, the session deadline and the revive grace) and
+No I/O and no clock of its own: inbound handlers take ``now``;
+:meth:`~SenderSession.wake` acts on every deadline that has passed (the
+machine's windows close in the order they open, then member timeouts,
+the session deadline and the revive grace) and
 :meth:`~SenderSession.next_wake` says when the next one falls.  The
 driver (:class:`~repro.net.endpoints.NetServer`) gates each
 :meth:`~SenderSession.pop` on the session's pacer and fans the frame
-out; immediate control replies (announce, fin, re-poll, abort) go
-straight out through the injected ``send(packet, addr)``.
+out; immediate control replies (announce, fin, group abort) go straight
+out through the injected ``send(packet, addr)``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -48,12 +41,10 @@ from repro import obs
 from repro.fec.block import BlockEncoder
 from repro.net.supervision import NetConfig
 from repro.net.wire import TraceContextPacket
+from repro.protocols.np_machine import NPRepairMachine
 from repro.protocols.packets import (
     DataPacket,
-    GroupAbort,
     Nak,
-    ParityPacket,
-    Poll,
     SessionAnnounce,
     SessionComplete,
     SessionFin,
@@ -114,25 +105,20 @@ class SessionReport:
         return dict(asdict(self), abandoned_groups=list(self.abandoned_groups))
 
 
-@dataclass
-class _GroupState:
-    """Repair-round bookkeeping for one transmission group."""
-
-    round: int = 1
-    sent_last_round: int = 0
-    #: max shortfall reported for the current round (aggregation window)
-    pending_needed: int = 0
-    #: the round's window is open, or its poll has not left the queue yet
-    flush_armed: bool = False
-    next_parity: int = 0
-    fallback_cursor: int = 0
-    generation: int = 0
-    last_repoll: float = -1.0
-    abandoned: bool = False
+def _counter(name: str) -> property:
+    return property(lambda self: getattr(self.machine, name))
 
 
 class SenderSession:
-    """One transfer session: members, stream, repair rounds, ejection."""
+    """One transfer session: members, deadlines and fins around the machine."""
+
+    # the machine's counters, surfaced in the report
+    rounds_served = _counter("rounds_served")
+    parities_sent = _counter("parities_sent")
+    arq_fallbacks = _counter("arq_fallbacks")
+    naks_received = _counter("naks_received")
+    stale_naks = _counter("stale_naks")
+    repolls = _counter("repolls")
 
     def __init__(
         self,
@@ -158,23 +144,12 @@ class SenderSession:
             packet_size=config.packet_size,
             codec=config.codec,
         )
+        self.machine = NPRepairMachine(
+            self.encoder, config.max_rounds, config.nak_aggregation, self.fanout
+        )
         self.members: dict[Address, MemberState] = {}
-        self._groups = [_GroupState() for _ in range(len(self.encoder))]
         self._started_at = now
-        #: frames of closed aggregation windows, served ahead of the stream
-        self._repairs: deque = deque()
-        #: ``(close_at, tg)`` of the open windows, in closing order
-        self._windows: deque[tuple[float, int]] = deque()
-        #: stream frames handed out so far (``k + 1`` per group)
-        self._streamed = 0
         self.report: SessionReport | None = None
-        # counters surfaced in the report
-        self.rounds_served = 0
-        self.parities_sent = 0
-        self.arq_fallbacks = 0
-        self.naks_received = 0
-        self.stale_naks = 0
-        self.repolls = 0
         self.control_corrupt_discarded = 0
         self.revived = 0
         #: when every member first became settled (complete/ejected) while
@@ -269,7 +244,8 @@ class SenderSession:
                     member.last_fin = now
                     self.send(SessionFin("ejected"), addr)
                 return
-            self._on_nak(packet, now)
+            if self.state in (STREAMING, DRAINING):
+                self.machine.on_nak(packet.tg, packet.needed, packet.round, now)
         elif isinstance(packet, SessionComplete):
             if not control_intact(packet):
                 self.control_corrupt_discarded += 1
@@ -286,43 +262,6 @@ class SenderSession:
             self._check_finished(now)
         # joins are handled by the server; payload types never come back
 
-    def _on_nak(self, nak: Nak, now: float) -> None:
-        if self.state not in (STREAMING, DRAINING):
-            return
-        if not 0 <= nak.tg < self.n_groups:
-            return
-        group = self._groups[nak.tg]
-        if group.abandoned:
-            # the abort datagram can be lost too: re-tell, rate-limited
-            if now - group.last_repoll >= self.config.nak_aggregation:
-                group.last_repoll = now
-                self.fanout(GroupAbort(nak.tg, group.round))
-            return
-        self.naks_received += 1
-        if nak.round < group.round:
-            # stale: the receiver missed this round's poll — re-solicit
-            # with the current round instead of re-repairing
-            self.stale_naks += 1
-            if (
-                not group.flush_armed
-                and now - group.last_repoll >= self.config.nak_aggregation
-            ):
-                group.last_repoll = now
-                self.repolls += 1
-                self.fanout(Poll(nak.tg, group.sent_last_round, group.round))
-            return
-        # current (or ahead-of-us, clamped) round: aggregate the shortfall.
-        # ``needed`` is a peer-supplied u32; a receiver is never short more
-        # than k, so a forged value must not size the repair fan-out.
-        if nak.needed < 1:
-            return
-        group.pending_needed = max(
-            group.pending_needed, min(nak.needed, self.config.k)
-        )
-        if not group.flush_armed:
-            group.flush_armed = True
-            self._windows.append((now + self.config.nak_aggregation, nak.tg))
-
     # ------------------------------------------------------------------
     # the send queue
     # ------------------------------------------------------------------
@@ -335,86 +274,27 @@ class SenderSession:
     def has_frame(self) -> bool:
         """Whether :meth:`pop` has a frame to hand out."""
         return self.state == STREAMING or (
-            self.state == DRAINING and bool(self._repairs)
+            self.state == DRAINING and self.machine.has_repair
         )
 
     def pop(self):
-        """The next frame to fan out — repairs first — or ``None``."""
-        if self.state == DONE:
+        """The machine's next frame — repairs first — or ``None``."""
+        if not self.has_frame:
             return None
-        if self._repairs:
-            packet = self._repairs.popleft()
-            kind = type(packet)
-            if kind is ParityPacket:
-                self.parities_sent += 1
-            elif kind is DataPacket:
-                self.arq_fallbacks += 1
-            else:  # the round's closing poll: the next round begins
-                group = self._groups[packet.tg]
-                group.round = packet.round
-                group.sent_last_round = packet.sent
-                group.pending_needed = 0
-                group.flush_armed = False
-            return packet
-        if self.state != STREAMING:
-            return None
-        k = self.config.k
-        tg, index = divmod(self._streamed, k + 1)
-        self._streamed += 1
-        if index < k:
-            if obs.is_enabled():
-                # loss-free fanout baseline: observed E[M] for the live
-                # transport is (data+parity frames_tx) / this counter
-                obs.counter("net.stream_data_tx").inc(
-                    sum(1 for m in self.members.values() if m.active)
-                )
-            return DataPacket(tg, index, self.encoder.data_packet(tg, index))
-        self._groups[tg].sent_last_round = k
-        if tg == self.n_groups - 1:
+        packet = self.machine.pop()
+        if self.state == STREAMING and self.machine.streamed:
             self.state = DRAINING
-        return Poll(tg, k, 1)
-
-    def _close_window(self, tg: int) -> None:
-        """Queue the round's ``max(needed)`` repairs and its closing poll.
-
-        The round stays open until the poll leaves the queue: a NAK of
-        it that arrives meanwhile asks for the shortfall these repairs
-        serve, so it opens no second window, and the poll re-solicits
-        whatever the repairs do not cover.
-        """
-        group = self._groups[tg]
-        config = self.config
-        if config.max_rounds and group.round >= config.max_rounds:
-            # abandoned like the simulator's eject policy (0 = unlimited)
-            group.abandoned = True
-            self.fanout(GroupAbort(tg, group.round))
-            if obs.is_enabled():
-                obs.counter("net.groups_abandoned").inc()
-            return
-        self.rounds_served += 1
-        needed = group.pending_needed
-        for _ in range(needed):
-            if group.next_parity < config.h:
-                index = config.k + group.next_parity
-                group.next_parity += 1
-                packet = ParityPacket(
-                    tg, index, self.encoder.parity_packet(tg, index - config.k)
-                )
-            else:
-                # parity budget dry: ARQ fallback — cycle the originals
-                # with a bumped generation so receivers see fresh copies
-                index = group.fallback_cursor % config.k
-                group.fallback_cursor += 1
-                if index == 0:
-                    group.generation += 1
-                packet = DataPacket(
-                    tg,
-                    index,
-                    self.encoder.data_packet(tg, index),
-                    generation=group.generation,
-                )
-            self._repairs.append(packet)
-        self._repairs.append(Poll(tg, needed, group.round + 1))
+        if (
+            type(packet) is DataPacket
+            and packet.generation == 0
+            and obs.is_enabled()
+        ):
+            # loss-free fanout baseline: observed E[M] for the live
+            # transport is (data+parity frames_tx) / this counter
+            obs.counter("net.stream_data_tx").inc(
+                sum(1 for m in self.members.values() if m.active)
+            )
+        return packet
 
     # ------------------------------------------------------------------
     # deadlines
@@ -423,9 +303,7 @@ class SenderSession:
         """Act on every deadline that has passed by ``now``."""
         if self.state == DONE:
             return
-        windows = self._windows
-        while windows and windows[0][0] <= now:
-            self._close_window(windows.popleft()[1])
+        self.machine.wake(now)
         config = self.config
         if now >= self._started_at + config.session_deadline:
             for member in self.members.values():
@@ -452,8 +330,9 @@ class SenderSession:
             return None
         config = self.config
         wake = self._started_at + config.session_deadline
-        if self._windows:
-            wake = min(wake, self._windows[0][0])
+        window = self.machine.next_wake()
+        if window is not None:
+            wake = min(wake, window)
         if self.state == DRAINING:
             for member in self.members.values():
                 if member.active:
@@ -478,7 +357,7 @@ class SenderSession:
                     return
                 if now - self._settled_at < self.config.revive_window:
                     return
-            abandoned = any(group.abandoned for group in self._groups)
+            abandoned = self.machine.abandoned_groups
             outcome = "degraded" if (ejected or abandoned) else "complete"
             self._finish(outcome, now)
         else:
@@ -493,9 +372,7 @@ class SenderSession:
             members=len(self.members),
             completed=sum(1 for m in self.members.values() if m.complete),
             ejected=sum(1 for m in self.members.values() if m.ejected),
-            abandoned_groups=tuple(
-                tg for tg, group in enumerate(self._groups) if group.abandoned
-            ),
+            abandoned_groups=self.machine.abandoned_groups,
             rounds_served=self.rounds_served,
             parities_sent=self.parities_sent,
             arq_fallbacks=self.arq_fallbacks,

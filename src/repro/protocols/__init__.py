@@ -1,7 +1,9 @@
 """Event-driven reliable-multicast protocol implementations.
 
 * :mod:`repro.protocols.np_protocol` — protocol **NP**, the paper's hybrid
-  ARQ with parity retransmission and per-TG NAKs (Section 5.1);
+  ARQ with parity retransmission and per-TG NAKs (Section 5.1), whose
+  sender drives :mod:`repro.protocols.np_machine`, the repair rounds the
+  socket sender runs too;
 * :mod:`repro.protocols.n2` — the no-FEC baseline **N2**;
 * :mod:`repro.protocols.layered` — FEC layer beneath a retransmitting RM
   layer (Section 3.1);
@@ -18,13 +20,7 @@ from repro.protocols.feedback import NakSlotter, SlotterStats
 from repro.protocols.harness import PROTOCOLS, TransferReport, run_transfer
 from repro.protocols.layered import LayeredReceiver, LayeredSender
 from repro.protocols.n2 import N2Receiver, N2Sender
-from repro.protocols.np_protocol import (
-    NPConfig,
-    NPReceiver,
-    NPSender,
-    ParityExhaustedError,
-    RoundLimitExceeded,
-)
+from repro.protocols.np_protocol import NPConfig, NPReceiver, NPSender
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
@@ -41,8 +37,6 @@ __all__ = [
     "NPConfig",
     "NPSender",
     "NPReceiver",
-    "ParityExhaustedError",
-    "RoundLimitExceeded",
     "N2Sender",
     "N2Receiver",
     "LayeredSender",

@@ -17,9 +17,10 @@ Two threads in the paper motivate this extension:
 observed per-group feedback: a NAK for a fresh group bumps the proactive
 budget toward the observed shortfall (additive increase by need); a run of
 silent groups decays it (multiplicative-ish decrease by one).
-:class:`AdaptiveNPSender` plugs the controller into protocol NP — groups
-are framed lazily so each one is provisioned with the budget in force at
-its transmission time.  Receivers are stock :class:`NPReceiver`\\ s.
+:class:`AdaptiveNPSender` plugs the controller into protocol NP through
+the repair machine's one stream-time hook, so each group is provisioned
+with the budget in force when the stream reaches it.  Receivers are stock
+:class:`NPReceiver`\\ s.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ class AdaptiveNPSender(NPSender):
 
     Differences from the base sender:
 
-    * groups are enqueued as lazy headers and framed — ``k`` data packets
-      plus ``a`` proactive parities, where ``a`` is the controller's
-      *current* budget — only when transmission reaches them;
+    * each group streams ``k`` data packets plus ``a`` proactive parities,
+      where ``a`` is the controller's budget when the stream reaches the
+      group (the machine's stream-time hook);
     * a first-round NAK reports its shortfall to the controller; groups
       whose first round passes with no NAK report silence (detected
       lazily when the sender moves two groups past them).
@@ -126,37 +127,11 @@ class AdaptiveNPSender(NPSender):
         self._first_round_nak: set[int] = set()
         self._accounted: set[int] = set()
 
-    def start(self) -> None:
-        """Enqueue lazy group headers instead of pre-framed packets."""
-        for tg in range(self.n_groups):
-            self._data_queue.append(("group", tg))
-            self._current_round[tg] = 1
-            self._next_parity.setdefault(tg, 0)
-            self._fallback_cursor.setdefault(tg, 0)
-        self._arm_pump()
-
-    def _pop_item(self):
-        item = super()._pop_item()
-        if item is not None and item[0] == "group":
-            tg = item[1]
-            budget = min(self.controller.proactive_count(), self.config.h)
-            self._frame_group(tg, budget)
-            item = super()._pop_item()
-        return item
-
-    def _frame_group(self, tg: int, proactive: int) -> None:
-        """Expand a group header into data + proactive parities + poll."""
-        items: list[tuple] = [
-            ("data", tg, index, 0) for index in range(self.config.k)
-        ]
-        for offset in range(proactive):
-            items.append(("parity", tg, self.config.k + offset))
-        self._next_parity[tg] = proactive
-        self.proactive_sent += proactive
-        items.append(("poll", tg, self.config.k + proactive, 1))
-        # push to the FRONT of the data queue, preserving order
-        for entry in reversed(items):
-            self._data_queue.appendleft(entry)
+    def _proactive(self, available: int) -> int:
+        """The controller's budget for the group the stream reaches."""
+        budget = min(self.controller.proactive_count(), available)
+        self.proactive_sent += budget
+        return budget
 
     def _on_poll_sent(self, tg: int, sent: int, round_index: int) -> None:
         """Arm the silence deadline for the group's first round.

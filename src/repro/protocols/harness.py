@@ -33,12 +33,7 @@ from repro.protocols.adaptive import AdaptiveNPSender
 from repro.protocols.fec1 import Fec1Receiver, Fec1Sender
 from repro.protocols.layered import LayeredReceiver, LayeredSender
 from repro.protocols.n2 import N2Receiver, N2Sender
-from repro.protocols.np_protocol import (
-    NPConfig,
-    NPReceiver,
-    NPSender,
-    RoundLimitExceeded,
-)
+from repro.protocols.np_protocol import NPConfig, NPReceiver, NPSender
 from repro.resilience.errors import (
     DeliveryCorrupt,
     TransferStalled,
@@ -265,9 +260,8 @@ def run_transfer(
         The simulated clock crossed ``max_sim_time`` with receivers still
         incomplete.
     TransferStalled
-        The event queue drained, the event budget was exhausted, or the
-        sender tripped its round cap under ``degradation_policy="error"``,
-        with receivers still incomplete.
+        The event queue drained or the event budget was exhausted with
+        receivers still incomplete.
     DeliveryCorrupt
         A receiver reassembled different bytes than were sent.
 
@@ -384,11 +378,6 @@ def run_transfer(
                     queue_drained = True
                     break
         except SimulationError as exc:
-            raise TransferStalled(
-                f"{protocol}: {len(pending)} receivers incomplete — {exc}",
-                diagnose(),
-            ) from exc
-        except RoundLimitExceeded as exc:
             raise TransferStalled(
                 f"{protocol}: {len(pending)} receivers incomplete — {exc}",
                 diagnose(),

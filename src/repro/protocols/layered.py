@@ -101,7 +101,7 @@ class LayeredSender:
         self._queue: deque = deque()
         self._blocks: dict[int, list[tuple[OrigId | None, bytes]]] = {}
         self._next_block = 0
-        self._current_round: dict[int, int] = {}
+        self._rounds: dict[int, int] = {}
         self._retrans_pool: deque[OrigId] = deque()
         self._pooled: set[OrigId] = set()
         self._pump_handle: EventHandle | None = None
@@ -173,7 +173,7 @@ class LayeredSender:
         block_id = self._next_block
         self._next_block += 1
         self._blocks[block_id] = slots
-        self._current_round[block_id] = 1
+        self._rounds[block_id] = 1
         composition = tuple(orig for orig, _ in slots)
         parities = self.codec.encode([payload for _, payload in slots])
         self.stats.parities_encoded += config.h
@@ -241,7 +241,7 @@ class LayeredSender:
         slots = self._blocks.get(block_id)
         if slots is None or not packet.slots:
             return
-        current = self._current_round.get(block_id, 1)
+        current = self._rounds.get(block_id, 1)
         if packet.round != current:
             # Stale feedback after a suppression miss: the served round may
             # not have covered this receiver's originals.  Re-poll so it can
@@ -253,7 +253,7 @@ class LayeredSender:
                 self._queue.append(("poll", block_id, 0, current))
                 self._arm_pump()
             return
-        self._current_round[block_id] = current + 1
+        self._rounds[block_id] = current + 1
         added = False
         for slot in packet.slots:
             if not 0 <= slot < self.config.k:

@@ -61,7 +61,7 @@ class N2Sender:
 
         self._repair_queue: deque = deque()
         self._data_queue: deque = deque()
-        self._current_round: dict[int, int] = {}
+        self._rounds: dict[int, int] = {}
         # indices already queued for retransmission in the current round,
         # so overlapping NAKs from a suppression miss don't double-send
         self._queued_repairs: dict[int, set[int]] = {}
@@ -80,7 +80,7 @@ class N2Sender:
         for tg in range(self.n_groups):
             for index in range(self.config.k):
                 self._data_queue.append(("data", tg, index))
-            self._current_round[tg] = 1
+            self._rounds[tg] = 1
             self._data_queue.append(("poll", tg, self.config.k, 1))
             self._queued_repairs[tg] = set()
         self._arm_pump()
@@ -145,7 +145,7 @@ class N2Sender:
         tg = packet.tg
         if tg < 0 or tg >= self.n_groups or not packet.missing:
             return
-        current = self._current_round.get(tg, 1)
+        current = self._rounds.get(tg, 1)
         if packet.round != current:
             self.stats.naks_stale += 1
             if not any(item[1] == tg for item in self._repair_queue):
@@ -163,7 +163,7 @@ class N2Sender:
         self._queued_repairs[tg].update(fresh)
         for index in fresh:
             self._repair_queue.append(("retransmission", tg, index))
-        self._current_round[tg] = current + 1
+        self._rounds[tg] = current + 1
         self._repair_queue.append(("poll", tg, len(fresh), current + 1))
         self.stats.rounds_served += 1
         self._arm_pump()

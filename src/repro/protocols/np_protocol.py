@@ -1,7 +1,6 @@
 """Protocol NP — reliable multicast with parity retransmission (Section 5.1).
 
-The paper's hybrid-ARQ protocol, implemented as event-driven sender and
-receiver state machines on :class:`repro.sim.MulticastNetwork`:
+The paper's hybrid-ARQ protocol on :class:`repro.sim.MulticastNetwork`:
 
 * The sender streams the ``k`` data packets of each transmission group at
   ``Delta`` spacing, follows each group with ``POLL(i, k)`` and moves on to
@@ -18,17 +17,20 @@ receiver state machines on :class:`repro.sim.MulticastNetwork`:
 * A receiver reconstructs a group as soon as it holds any ``k`` of its
   packets (systematic RSE decode, cost proportional to losses).
 
+The sender's rounds live in :class:`~repro.protocols.np_machine.NPRepairMachine`,
+the machine the socket sender (:class:`~repro.net.session.SenderSession`)
+runs too; :class:`NPSender` is its simulator driver.
+
 Deviations from the paper, all documented in DESIGN.md: when the ``h``
 available parities are exhausted the sender falls back to cycling the
-original data packets (the paper assumes ``h`` large enough or ejects
-receivers; both behaviours are configurable), and an optional watchdog
-timer re-sends NAKs to survive feedback loss (the paper assumes lossless
-feedback).
+original data packets (the paper assumes ``h`` large enough), an optional
+round cap abandons a group (the paper's "receivers requiring more can be
+ejected"), and an optional watchdog timer re-sends NAKs to survive
+feedback loss (the paper assumes lossless feedback).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,34 +39,20 @@ from repro.fec.block import BlockDecoder, BlockEncoder
 from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
 from repro.protocols.feedback import NakSlotter
+from repro.protocols.np_machine import NPRepairMachine
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
     Nak,
     ParityPacket,
     Poll,
-    checksum_of,
     control_intact,
     payload_intact,
 )
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import MulticastNetwork
 
-__all__ = [
-    "NPConfig",
-    "NPSender",
-    "NPReceiver",
-    "ParityExhaustedError",
-    "RoundLimitExceeded",
-]
-
-
-class ParityExhaustedError(RuntimeError):
-    """Raised when parities run out under the ``error`` exhaustion policy."""
-
-
-class RoundLimitExceeded(RuntimeError):
-    """A group hit ``max_rounds`` under the ``error`` degradation policy."""
+__all__ = ["NPConfig", "NPSender", "NPReceiver"]
 
 
 @dataclass(frozen=True)
@@ -73,10 +61,9 @@ class NPConfig:
 
     ``k``/``h`` are the TG size and per-group parity budget; the paper's
     appendix assumes ``h`` large enough that the sender never runs out.
-    ``exhaustion_policy`` picks the fallback otherwise: ``"arq"`` cycles
-    original data packets (a new "generation" of the group), ``"error"``
-    raises.  ``packet_interval`` is the paper's ``Delta``, ``slot_time`` the
-    NAK slot ``Ts``.
+    Otherwise the sender cycles the original data packets (each pass a
+    new "generation" of the group).  ``packet_interval`` is the paper's
+    ``Delta``, ``slot_time`` the NAK slot ``Ts``.
 
     Robustness knobs (the paper assumes lossless feedback and unlimited
     patience; these bound what happens without either):
@@ -91,11 +78,10 @@ class NPConfig:
     the receiver goes quiet and the stall is diagnosed by the harness.
 
     ``max_rounds`` (0 = unlimited) caps the repair rounds the sender grants
-    any one group.  On exceedance, ``degradation_policy`` decides:
-    ``"eject"`` abandons the group — the sender multicasts
-    :class:`~repro.protocols.packets.GroupAbort` and the harness ejects the
-    receivers that still needed it (the paper's own fallback), reporting
-    partial delivery — while ``"error"`` raises :class:`RoundLimitExceeded`.
+    any one group.  On exceedance the sender abandons the group — it
+    multicasts :class:`~repro.protocols.packets.GroupAbort` and the harness
+    ejects the receivers that still needed it (the paper's own fallback),
+    reporting partial delivery.
     """
 
     k: int = 7
@@ -104,7 +90,6 @@ class NPConfig:
     packet_interval: float = 0.040
     slot_time: float = 0.050
     nak_watchdog: float = 0.0
-    exhaustion_policy: str = "arq"
     pre_encode: bool = False
     interleave_depth: int = 1
     watchdog_backoff: float = 2.0
@@ -112,7 +97,6 @@ class NPConfig:
     watchdog_max_interval: float = 0.0
     watchdog_retry_limit: int = 30
     max_rounds: int = 0
-    degradation_policy: str = "eject"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -121,11 +105,6 @@ class NPConfig:
             raise ValueError(f"h must be >= 0, got {self.h}")
         if self.packet_interval <= 0:
             raise ValueError("packet_interval must be positive")
-        if self.exhaustion_policy not in ("arq", "error"):
-            raise ValueError(
-                f"unknown exhaustion policy {self.exhaustion_policy!r}; "
-                f"expected 'arq' or 'error'"
-            )
         if self.interleave_depth < 1:
             raise ValueError("interleave_depth must be >= 1")
         if self.watchdog_backoff < 1.0:
@@ -142,11 +121,6 @@ class NPConfig:
             raise ValueError("watchdog_retry_limit must be >= 0")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if self.degradation_policy not in ("eject", "error"):
-            raise ValueError(
-                f"unknown degradation policy {self.degradation_policy!r}; "
-                f"expected 'eject' or 'error'"
-            )
 
 
 @dataclass
@@ -171,7 +145,14 @@ class SenderStats:
 
 
 class NPSender:
-    """Sender state machine for protocol NP."""
+    """Protocol NP's sender on the simulator: a driver of the repair machine.
+
+    The machine (:class:`~repro.protocols.np_machine.NPRepairMachine`)
+    decides every frame; this driver runs it on the simulated clock with
+    an aggregation window of 0, wakes it right after each NAK, and pumps
+    its frames at ``packet_interval`` spacing — polls go out without
+    taking a transmission slot.
+    """
 
     def __init__(
         self,
@@ -193,18 +174,18 @@ class NPSender:
             codec=self.codec,
             pre_encode=config.pre_encode,
         )
-        self.stats = SenderStats()
+        self.machine = NPRepairMachine(
+            self.encoder,
+            config.max_rounds,
+            window=0.0,
+            tell=lambda packet: network.multicast_control(packet, kind="abort"),
+            stamp=True,
+            proactive=self._proactive,
+        )
+        self._stats = SenderStats()
         network.attach_sender(self.on_feedback)
-
-        self._repair_queue: deque = deque()  # NAK-triggered, high priority
-        self._data_queue: deque = deque()  # initial group transmissions
-        self._next_parity: dict[int, int] = {}
-        self._fallback_cursor: dict[int, int] = {}
-        self._current_round: dict[int, int] = {}
         self._pump_handle: EventHandle | None = None
         self._next_tx_time = 0.0
-        #: groups given up under the ``max_rounds`` cap ("eject" policy)
-        self.abandoned_groups: set[int] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -215,76 +196,63 @@ class NPSender:
     def total_data_packets(self) -> int:
         return self.n_groups * self.config.k
 
-    def start(self) -> None:
-        """Enqueue every transmission group and begin pumping packets."""
-        for tg in range(self.n_groups):
-            for index in range(self.config.k):
-                self._data_queue.append(("data", tg, index, 0))
-            self._current_round[tg] = 1
-            self._data_queue.append(("poll", tg, self.config.k, 1))
-            self._next_parity.setdefault(tg, 0)
-            self._fallback_cursor.setdefault(tg, 0)
-        self._arm_pump()
+    @property
+    def stats(self) -> SenderStats:
+        """The driver's frame tallies plus the machine's round counters."""
+        stats, machine = self._stats, self.machine
+        stats.naks_received = machine.naks_received
+        stats.naks_stale = machine.stale_naks
+        stats.rounds_served = machine.rounds_served
+        stats.groups_abandoned = len(machine.abandoned_groups)
+        return stats
 
     @property
-    def idle(self) -> bool:
-        return not self._repair_queue and not self._data_queue
+    def abandoned_groups(self) -> tuple[int, ...]:
+        """Groups given up under the ``max_rounds`` cap."""
+        return self.machine.abandoned_groups
+
+    def start(self) -> None:
+        """Begin pumping the stream."""
+        self._arm_pump()
+
+    def _proactive(self, available: int) -> int:
+        """Hook: parities to stream with the next group's data (none)."""
+        return 0
 
     # ------------------------------------------------------------------
     # transmit pipeline
     # ------------------------------------------------------------------
     def _arm_pump(self) -> None:
-        if self._pump_handle is not None or self.idle:
+        if self._pump_handle is not None or not self.machine.has_frame:
             return
         delay = max(0.0, self._next_tx_time - self.sim.now)
         self._pump_handle = self.sim.schedule(delay, self._pump)
 
     def _pump(self) -> None:
         self._pump_handle = None
-        sent_payload = False
-        while not sent_payload:
-            item = self._pop_item()
-            if item is None:
+        stats, network = self._stats, self.network
+        while True:
+            packet = self.machine.pop()
+            if packet is None:
                 return
-            kind = item[0]
-            if kind == "poll":
-                _, tg, sent, round_index = item
-                self.network.multicast_control(Poll(tg, sent, round_index), kind="poll")
-                self.stats.polls_sent += 1
-                self._on_poll_sent(tg, sent, round_index)
+            kind = type(packet)
+            if kind is Poll:
+                network.multicast_control(packet, kind="poll")
+                stats.polls_sent += 1
+                self._on_poll_sent(packet.tg, packet.sent, packet.round)
                 continue  # polls don't occupy a transmission slot
-            sent_payload = True
-            if kind == "data":
-                _, tg, index, generation = item
-                payload = self.encoder.data_packet(tg, index)
-                wire_kind = "data" if generation == 0 else "retransmission"
-                self.network.multicast(
-                    DataPacket(tg, index, payload, generation, checksum_of(payload)),
-                    kind=wire_kind,
-                )
-                if generation == 0:
-                    self.stats.data_sent += 1
-                else:
-                    self.stats.retransmissions_sent += 1
-            elif kind == "parity":
-                _, tg, index = item
-                payload = self.encoder.parity_packet(tg, index - self.config.k)
-                self.network.multicast(
-                    ParityPacket(tg, index, payload, checksum_of(payload)),
-                    kind="parity",
-                )
-                self.stats.parity_sent += 1
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown queue item {item!r}")
+            if kind is ParityPacket:
+                network.multicast(packet, kind="parity")
+                stats.parity_sent += 1
+            elif packet.generation == 0:
+                network.multicast(packet, kind="data")
+                stats.data_sent += 1
+            else:
+                network.multicast(packet, kind="retransmission")
+                stats.retransmissions_sent += 1
+            break
         self._next_tx_time = self.sim.now + self.config.packet_interval
         self._arm_pump()
-
-    def _pop_item(self):
-        if self._repair_queue:
-            return self._repair_queue.popleft()
-        if self._data_queue:
-            return self._data_queue.popleft()
-        return None
 
     def _on_poll_sent(self, tg: int, sent: int, round_index: int) -> None:
         """Hook: a POLL just went out (subclasses observe feedback timing)."""
@@ -299,83 +267,12 @@ class NPSender:
             # a corrupted NAK must be dropped, not acted on: its tg/needed
             # fields are untrustworthy (the watchdog keeps the real
             # solicitation alive)
-            self.stats.control_corrupt_discarded += 1
+            self._stats.control_corrupt_discarded += 1
             return
-        self.stats.naks_received += 1
-        tg, needed, round_index = packet.tg, packet.needed, packet.round
-        if tg < 0 or tg >= self.n_groups or needed < 1:
-            return
-        if tg in self.abandoned_groups:
-            return  # the group was ejected; its stragglers are on their own
-        current = self._current_round.get(tg, 1)
-        if round_index != current:
-            # Stale feedback (a suppression miss served moments ago, or a
-            # watchdog retry after a lost poll).  Re-polling is cheap and
-            # lets the receiver restate its need under the current round.
-            self.stats.naks_stale += 1
-            if not self._group_in_flight(tg):
-                self._repair_queue.append(("poll", tg, 0, current))
-                self._arm_pump()
-            return
-        # a receiver is never short more than k: clamp forged shortfalls
-        self._serve(tg, min(needed, self.config.k))
-
-    def _group_in_flight(self, tg: int) -> bool:
-        return any(item[1] == tg for item in self._repair_queue)
-
-    def _serve(self, tg: int, needed: int) -> None:
-        """Queue ``needed`` repair packets for ``tg`` plus the next poll."""
-        config = self.config
-        if config.max_rounds and self._current_round.get(tg, 1) >= config.max_rounds:
-            self._abandon(tg)
-            return
-        items: list[tuple] = []
-        cursor = self._next_parity[tg]
-        take = min(needed, config.h - cursor)
-        for offset in range(take):
-            items.append(("parity", tg, config.k + cursor + offset))
-        self._next_parity[tg] = cursor + take
-        self.stats.parities_encoded += take if not config.pre_encode else 0
-
-        shortfall = needed - take
-        if shortfall > 0:
-            if config.exhaustion_policy == "error":
-                raise ParityExhaustedError(
-                    f"group {tg} exhausted its {config.h} parities"
-                )
-            # ARQ fallback: cycle original packets as a new generation.
-            generation = 1 + self._fallback_cursor[tg] // config.k
-            for _ in range(shortfall):
-                index = self._fallback_cursor[tg] % config.k
-                items.append(("data", tg, index, generation))
-                self._fallback_cursor[tg] += 1
-
-        self._current_round[tg] = self._current_round[tg] + 1
-        items.append(("poll", tg, needed, self._current_round[tg]))
-        # Repairs interrupt the ongoing group: they jump the data queue.
-        self._repair_queue.extend(items)
-        self.stats.rounds_served += 1
+        now = self.sim.now
+        self.machine.on_nak(packet.tg, packet.needed, packet.round, now)
+        self.machine.wake(now)
         self._arm_pump()
-
-    def _abandon(self, tg: int) -> None:
-        """Give up on ``tg`` after ``max_rounds`` repair rounds.
-
-        Under the ``"error"`` policy this is a hard failure; under
-        ``"eject"`` the sender declares the group dead on the wire so
-        receivers stop soliciting it and the harness can eject whoever is
-        still short (reported as partial delivery).
-        """
-        if tg in self.abandoned_groups:
-            return
-        if self.config.degradation_policy == "error":
-            raise RoundLimitExceeded(
-                f"group {tg} exceeded the {self.config.max_rounds}-round cap"
-            )
-        self.abandoned_groups.add(tg)
-        self.stats.groups_abandoned += 1
-        self.network.multicast_control(
-            GroupAbort(tg, self._current_round.get(tg, 1)), kind="abort"
-        )
 
 
 @dataclass

@@ -154,20 +154,8 @@ class TestRoundCapDegradation:
     def heavy_loss(self):
         return BernoulliLoss(4, 0.5)
 
-    def test_error_policy_surfaces_as_transfer_stalled(self):
-        config = chaos_config(
-            "np", h=1, max_rounds=3, degradation_policy="error",
-        )
-        with pytest.raises(TransferStalled, match="round cap"):
-            run_transfer(
-                "np", PAYLOAD, self.heavy_loss(), config, rng=60,
-                max_sim_time=MAX_SIM_TIME,
-            )
-
     def test_eject_policy_completes_degraded(self):
-        config = chaos_config(
-            "np", h=1, max_rounds=3, degradation_policy="eject",
-        )
+        config = chaos_config("np", h=1, max_rounds=3)
         report = run_transfer(
             "np", PAYLOAD, self.heavy_loss(), config, rng=60,
             max_sim_time=MAX_SIM_TIME,
@@ -180,9 +168,7 @@ class TestRoundCapDegradation:
         assert report.verified  # completers (if any) hold exact bytes
 
     def test_eject_outcome_is_deterministic(self):
-        config = chaos_config(
-            "np", h=1, max_rounds=3, degradation_policy="eject",
-        )
+        config = chaos_config("np", h=1, max_rounds=3)
 
         def run():
             return run_transfer(

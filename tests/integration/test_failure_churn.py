@@ -45,11 +45,10 @@ def soak_world():
     return tree, generator
 
 
-def soak_config(degradation_policy: str = "eject") -> NPConfig:
+def soak_config() -> NPConfig:
     return NPConfig(
         k=4, h=2, packet_size=64, packet_interval=0.005, slot_time=0.02,
         nak_watchdog=0.3, watchdog_retry_limit=8, max_rounds=6,
-        degradation_policy=degradation_policy,
     )
 
 
@@ -99,23 +98,6 @@ class TestRackOutageSoak:
         _, second = soak_world()
         for leaf in tree.leaves:
             assert first.schedule_for(leaf) == second.schedule_for(leaf)
-
-    def test_error_policy_stall_names_domain(self):
-        tree, generator = soak_world()
-        model = DomainOutageLoss(BernoulliLoss(8, 0.01), tree, generator)
-        with pytest.raises(TransferStalled, match="round cap") as excinfo:
-            run_transfer(
-                "np", PAYLOAD, model, config=soak_config("error"),
-                rng=SOAK_SEED, max_sim_time=100.0,
-            )
-        stalled_by_domain = excinfo.value.report.stalled_by_domain
-        assert "site1/rack0" in stalled_by_domain
-        flat = sorted(
-            r for members in stalled_by_domain.values() for r in members
-        )
-        assert flat == sorted(
-            stall.receiver_id for stall in excinfo.value.report.receivers
-        )
 
 
 class TestCrashChurnReplay:

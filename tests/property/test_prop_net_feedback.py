@@ -51,9 +51,9 @@ def settle(session: SenderSession) -> None:
     """Close every armed window and fan out its flush to the end (the
     stream cursor, in STREAMING, stays where it is)."""
     session.wake(NOW)
-    while session._repairs:
+    while session.machine.has_repair:
         session.fanout(session.pop())
-    if any(group.flush_armed for group in session._groups):
+    if any(group.in_flight for group in session.machine._groups):
         raise AssertionError("repair flushes did not settle")
 
 
@@ -82,6 +82,14 @@ def drive(script, members: int, state: str):
         before = len(sent)
         settle(session)
         flushed = sent[before:]
+        # a NAK a round behind buys at most one re-poll of the round
+        repolls = [
+            packet for packet, addr in flushed
+            if addr == MEMBERS[0] and isinstance(packet, Poll)
+            and packet.sent == 0
+        ]
+        assert all(packet.round == rounds[packet.tg] for packet in repolls)
+        assert len({packet.tg for packet in repolls}) == len(repolls)
         for tg, needed in window.items():
             frames = [
                 packet for packet, addr in flushed
@@ -106,16 +114,11 @@ def drive(script, members: int, state: str):
         nak = Nak(tg, needed, rounds[tg] + offset)
         for _ in range(copies):
             session.on_frame(nak, MEMBERS[member], NOW)
-        if offset < 0:
-            # a round behind: re-polled at most, never repaired
-            repoll = Poll(
-                tg, session._groups[tg].sent_last_round, rounds[tg]
-            )
-            assert all(packet == repoll for packet, _ in sent[before:])
-        else:
-            assert sent[before:] == []  # aggregated, answered at close
+        # aggregated, or (a round behind) re-polled: answered at close
+        assert sent[before:] == []
+        if offset >= 0:
             window[tg] = max(window.get(tg, 0), needed)
-        observed = [group.round for group in session._groups]
+        observed = [group.round for group in session.machine._groups]
         assert observed == rounds, "rounds only move when a window closes"
     close_windows()
 

@@ -1,17 +1,22 @@
-"""Stateful fuzz of the clock-driven sender session.
+"""Stateful fuzz of the clock-driven sender session and its NP machine.
 
 Hypothesis drives ``SenderSession`` directly -- no socket, no loop --
 through any interleaving of what a network and its peers can hand it:
 joins (duplicate, and from addresses that never joined in time), NAKs of
 the current, an earlier or a later round with any ``needed`` a u32 can
-carry and any group number, control frames whose checksum fails,
-completions, trace-context packets, jumps of the clock and the driver's
-pops of the send queue.  After every step:
+carry and any group number, NAKs that arrive while a re-poll of their
+group is queued, control frames whose checksum fails, completions,
+trace-context packets, jumps of the clock and the driver's pops of the
+send queue.  It runs at the sockets' default aggregation window and at
+the simulator's window of 0, so the repair machine both senders share is
+fuzzed under each driver's setting.  After every step:
 
 * the members are a subset of the distinct addresses that joined while
   the session was gathering;
 * a group's round never decreases and never passes ``max_rounds``;
-* each served round queues at most ``k`` repairs plus its one poll;
+* a round's shortfall never passes ``k``, and each served round queues
+  at most ``k`` repairs plus its one poll;
+* each group has at most one re-poll queued;
 * every packet the session emits encodes as a wire frame;
 * once woken at or past ``session_deadline`` the session is DONE, and it
   is DONE exactly when it holds a report with a typed outcome.
@@ -29,11 +34,19 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.net.session import DONE, GATHERING, SenderSession
+from repro.net.session import (
+    DONE,
+    DRAINING,
+    GATHERING,
+    STREAMING,
+    SenderSession,
+)
 from repro.net.supervision import NetConfig
 from repro.net.wire import TraceContextPacket, encode_frame
 from repro.protocols.packets import (
+    DataPacket,
     Nak,
+    ParityPacket,
     Poll,
     SessionComplete,
     control_checksum_of,
@@ -54,6 +67,8 @@ groups = st.integers(0, GROUPS - 1) | st.integers(GROUPS, 2**32 - 1)
 
 
 class SenderSessionMachine(RuleBasedStateMachine):
+    config = CONFIG
+
     @initialize(
         joiners=st.lists(peers, min_size=1, max_size=6),
         streaming=st.booleans(),
@@ -65,7 +80,7 @@ class SenderSessionMachine(RuleBasedStateMachine):
             session_id=SESSION_ID,
             group=0,
             data=bytes(range(K * 16 * GROUPS)),
-            config=CONFIG,
+            config=self.config,
             send=self._send,
             now=self.now,
             trace_id="0123456789abcdef0123456789abcdef",
@@ -76,7 +91,7 @@ class SenderSessionMachine(RuleBasedStateMachine):
         for peer in joiners:  # duplicates included
             self.join(peer)
         if streaming:  # else the first clock jump past it closes it
-            self.now += CONFIG.join_window
+            self.now += self.config.join_window
             self._wake()
 
     def _send(self, packet, addr) -> None:
@@ -110,6 +125,34 @@ class SenderSessionMachine(RuleBasedStateMachine):
         current = self.rounds[tg] if tg < GROUPS else 1
         nak = Nak(tg, needed, max(0, current + offset))
         self.session.on_frame(nak, PEERS[peer], self.now)
+
+    @rule(
+        peer=peers,
+        tg=st.integers(0, GROUPS - 1),
+        needed=st.integers(1, K + 1),
+        stale=st.booleans(),
+    )
+    def nak_behind_a_repoll(self, peer, tg, needed, stale):
+        """A stale NAK queues a re-poll; a second NAK of the group lands
+        before the driver pops it.  A stale one buys no second re-poll (the
+        invariant below), a current one is served."""
+        member = self.session.members.get(PEERS[peer])
+        if (
+            member is None
+            or member.ejected
+            or self.session.state not in (STREAMING, DRAINING)
+        ):
+            return
+        group = self.session.machine._groups[tg]
+        nak = Nak(tg, needed, group.round - 1)
+        self.session.on_frame(nak, PEERS[peer], self.now)
+        if not group.repoll_queued:
+            return  # a round of the group is queued, or it was abandoned
+        served = not stale and not group.in_flight
+        nak = Nak(tg, needed, group.round - stale)
+        self.session.on_frame(nak, PEERS[peer], self.now)
+        if served:
+            assert group.in_flight
 
     @rule(peer=peers)
     def complete(self, peer):
@@ -153,7 +196,7 @@ class SenderSessionMachine(RuleBasedStateMachine):
     def _wake(self):
         if (
             self.session.state == GATHERING
-            and self.now >= START + CONFIG.join_window
+            and self.now >= START + self.config.join_window
         ):
             self.session.start()
         self.session.wake(self.now)
@@ -166,19 +209,41 @@ class SenderSessionMachine(RuleBasedStateMachine):
 
     @invariant()
     def rounds_are_monotone_and_capped(self):
-        for tg, group in enumerate(self.session._groups):
-            assert self.rounds[tg] <= group.round <= CONFIG.max_rounds
+        for tg, group in enumerate(self.session.machine._groups):
+            assert self.rounds[tg] <= group.round <= self.config.max_rounds
             self.rounds[tg] = group.round
 
     @invariant()
     def a_round_queues_at_most_k_repairs_and_one_poll(self):
-        queued = list(self.session._repairs)
-        per_group = Counter(packet.tg for packet in queued)
-        polls = Counter(p.tg for p in queued if isinstance(p, Poll))
-        for tg, frames in per_group.items():
-            assert frames <= K + 1
+        machine = self.session.machine
+        groups = machine._groups
+        queued = list(machine._repairs)
+        repairs = Counter(
+            p.tg for p in queued if isinstance(p, (DataPacket, ParityPacket))
+        )
+        polls = Counter(
+            p.tg for p in queued
+            if isinstance(p, Poll) and p.round > groups[p.tg].round
+        )
+        for tg, frames in repairs.items():
+            assert frames <= K
             assert polls[tg] == 1
-        assert len(self.session._windows) <= GROUPS
+        assert all(count == 1 for count in polls.values())
+        assert len(machine._windows) <= GROUPS
+
+    @invariant()
+    def a_shortfall_is_at_most_k(self):
+        # a forged ``needed`` must not size a round
+        assert all(group.needed <= K for group in self.session.machine._groups)
+
+    @invariant()
+    def a_group_queues_at_most_one_repoll(self):
+        groups = self.session.machine._groups
+        repolls = Counter(
+            p.tg for p in self.session.machine._repairs
+            if isinstance(p, Poll) and p.round == groups[p.tg].round
+        )
+        assert all(count == 1 for count in repolls.values())
 
     @invariant()
     def done_exactly_with_a_report(self):
@@ -188,12 +253,22 @@ class SenderSessionMachine(RuleBasedStateMachine):
             assert session.report.outcome in ("complete", "degraded", "aborted")
         if (
             self.woken_at is not None
-            and self.woken_at >= START + CONFIG.session_deadline
+            and self.woken_at >= START + self.config.session_deadline
         ):
             assert session.state == DONE
 
 
+class ZeroWindowMachine(SenderSessionMachine):
+    """The simulator's setting: every window closes when it opens."""
+
+    config = replace(CONFIG, nak_aggregation=0.0)
+
+
 TestSenderSessionMachine = SenderSessionMachine.TestCase
 TestSenderSessionMachine.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+TestZeroWindowMachine = ZeroWindowMachine.TestCase
+TestZeroWindowMachine.settings = settings(
     max_examples=100, stateful_step_count=40, deadline=None
 )

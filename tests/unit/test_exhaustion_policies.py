@@ -1,11 +1,9 @@
-"""Parity-exhaustion policy coverage for protocol NP.
+"""Parity-exhaustion coverage for protocol NP.
 
 With only ``h`` parities per transmission group, a receiver that loses more
 than ``h`` distinct packets of a group forces the sender past its parity
-budget.  ``NPConfig.exhaustion_policy`` decides what happens next:
-``"error"`` raises :class:`ParityExhaustedError` (the paper's pure-NP
-analysis stops here), ``"arq"`` falls back to cycling original data packets
-as fresh generations until everyone completes.
+budget.  The sender then falls back to cycling original data packets as
+fresh generations (ARQ) until everyone completes.
 """
 
 import os
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.protocols.harness import run_transfer
-from repro.protocols.np_protocol import NPConfig, ParityExhaustedError
+from repro.protocols.np_protocol import NPConfig
 from repro.sim.loss import BernoulliLoss, ScriptedLoss
 
 
@@ -38,22 +36,9 @@ def exhausting_loss():
     return ScriptedLoss(schedule)
 
 
-class TestErrorPolicy:
-    def test_error_policy_raises_parity_exhausted(self):
-        config = tiny_config(exhaustion_policy="error")
-        with pytest.raises(ParityExhaustedError, match="parities"):
-            run_transfer(
-                "np", os.urandom(4 * 32), exhausting_loss(), config, rng=0
-            )
-
-    def test_config_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="exhaustion policy"):
-            tiny_config(exhaustion_policy="retry-forever")
-
-
 class TestArqFallbackPolicy:
     def test_arq_fallback_completes_the_scripted_scenario(self):
-        config = tiny_config(exhaustion_policy="arq")
+        config = tiny_config()
         payload = os.urandom(4 * 32)
         report = run_transfer(
             "np", payload, exhausting_loss(), config, rng=0
@@ -66,18 +51,10 @@ class TestArqFallbackPolicy:
     def test_arq_fallback_delivers_bit_identical_under_heavy_loss(self, seed):
         # p=0.45 with h=1 parity: exhaustion is essentially guaranteed,
         # yet every receiver must still end with the exact payload bytes
-        config = tiny_config(exhaustion_policy="arq")
+        config = tiny_config()
         payload = os.urandom(6 * 4 * 32)
         report = run_transfer(
             "np", payload, BernoulliLoss(4, 0.45), config, rng=seed
         )
         assert report.verified
         assert report.transmissions_per_packet > 1.0
-
-    def test_error_policy_under_heavy_loss_raises_not_hangs(self):
-        config = tiny_config(exhaustion_policy="error")
-        with pytest.raises(ParityExhaustedError):
-            run_transfer(
-                "np", os.urandom(6 * 4 * 32), BernoulliLoss(4, 0.45),
-                config, rng=0,
-            )

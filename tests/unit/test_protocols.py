@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from repro.protocols.n2 import N2Receiver, N2Sender
-from repro.protocols.np_protocol import (
-    NPConfig,
-    NPReceiver,
-    NPSender,
-    ParityExhaustedError,
-)
+from repro.protocols.np_protocol import NPConfig, NPReceiver, NPSender
 from repro.protocols.packets import DataPacket, Nak, ParityPacket, Poll, SelectiveNak
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
@@ -54,8 +49,6 @@ class TestNPConfig:
             NPConfig(h=-1)
         with pytest.raises(ValueError):
             NPConfig(packet_interval=0.0)
-        with pytest.raises(ValueError):
-            NPConfig(exhaustion_policy="panic")
 
 
 class TestNPSender:
@@ -131,7 +124,7 @@ class TestNPSender:
     def test_parity_exhaustion_arq_fallback(self):
         sim, network = make_network()
         sink = RecordingReceiver(network)
-        config = NPConfig(k=2, h=1, packet_size=8, exhaustion_policy="arq")
+        config = NPConfig(k=2, h=1, packet_size=8)
         sender = NPSender(sim, network, b"z" * 16, config)
         sender.start()
         sim.run()
@@ -147,7 +140,7 @@ class TestNPSender:
         k, so a forged count must not size the repair queue."""
         sim, network = make_network()
         sink = RecordingReceiver(network)
-        config = NPConfig(k=3, h=2, packet_size=8, exhaustion_policy="arq")
+        config = NPConfig(k=3, h=2, packet_size=8)
         sender = NPSender(sim, network, b"z" * 24, config)
         sender.start()
         sim.run()
@@ -156,16 +149,6 @@ class TestNPSender:
         assert sender.stats.parity_sent == 2
         assert sender.stats.retransmissions_sent == 1
         assert sink.of_type(Poll)[-1].sent == config.k
-
-    def test_parity_exhaustion_error_policy(self):
-        sim, network = make_network()
-        RecordingReceiver(network)
-        config = NPConfig(k=2, h=0, packet_size=8, exhaustion_policy="error")
-        sender = NPSender(sim, network, b"z" * 16, config)
-        sender.start()
-        sim.run()
-        with pytest.raises(ParityExhaustedError):
-            sender.on_feedback(Nak(0, 1, 1))
 
     def test_nonsense_naks_ignored(self):
         sim, network = make_network()
