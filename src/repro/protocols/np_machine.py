@@ -135,7 +135,8 @@ class NPRepairMachine:
     @property
     def abandoned_groups(self) -> tuple[int, ...]:
         """Groups abandoned at ``max_rounds``, ascending."""
-        return tuple(tg for tg, group in enumerate(self._groups) if group.abandoned)
+        groups = self._groups
+        return tuple(tg for tg, group in enumerate(groups) if group.abandoned)
 
     # ------------------------------------------------------------------
     # frames

@@ -61,7 +61,8 @@ def _frame(now, packet):
     """One emitted frame as (sim time, type, tg, index or round, sent);
     ``generation`` is left out — no simulated receiver reads it."""
     key = packet.index if hasattr(packet, "index") else packet.round
-    return (now, type(packet).__name__, packet.tg, key, getattr(packet, "sent", None))
+    sent = getattr(packet, "sent", None)
+    return (now, type(packet).__name__, packet.tg, key, sent)
 
 
 @pytest.fixture

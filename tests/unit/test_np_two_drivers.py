@@ -109,7 +109,7 @@ def test_both_drivers_put_the_same_frames_on_the_wire():
     simulated = simulator_frames()
     assert simulated == session_frames()
     # the script reached every rule it is meant to
-    kinds = [(name, sent, generation) for name, _, _, _, sent, generation in simulated]
+    kinds = [(f[0], f[4], f[5]) for f in simulated]  # (type, sent, generation)
     assert ("Poll", 0, None) in kinds  # a re-poll
     assert ("DataPacket", None, 2) in kinds  # a second ARQ generation
     assert [f[0] for f in simulated].count("GroupAbort") == 2  # + re-tell
