@@ -11,6 +11,13 @@ network — its simulated time, type, group, index (or round) and ``sent``
 — hashed over the whole run, for NP, adaptive NP, NP on its ARQ path
 (``h=1``) and one churned failure cell.  A sender refactor that is meant
 to keep the simulator's behaviour must leave every one of them in place.
+
+The NAK pins are the receivers' half: every NAK a receiver multicasts —
+its simulated time, origin, group, ``needed`` and round — over the same
+runs.  The sender reads only ``max(needed)`` of a round, so its wire
+cannot see a receiver that NAKs a different shortfall, from a different
+receiver or at a different time.  FEC 1 sends no NAKs; one run of it is
+pinned by its report's counts.
 """
 
 import hashlib
@@ -140,3 +147,99 @@ def test_failure_cell_wire_is_pinned(wire):
     reports = failure_transfers("piecewise", "np", replications=4)
     assert all(report is not None for report in reports)
     assert _digest(wire) == FAILURE_CELL_PIN
+
+
+# ----------------------------------------------------------------------
+# the receivers' NAKs
+# ----------------------------------------------------------------------
+@pytest.fixture
+def naks(monkeypatch):
+    """Every NAK the receivers multicast, as (sim time, origin, tg,
+    needed, round), in emission order."""
+    sent = []
+    multicast_feedback = MulticastNetwork.multicast_feedback
+
+    def record(self, packet, origin, *args, **kwargs):
+        sent.append(
+            (self.sim.now, origin, packet.tg, packet.needed, packet.round)
+        )
+        return multicast_feedback(self, packet, origin, *args, **kwargs)
+
+    monkeypatch.setattr(MulticastNetwork, "multicast_feedback", record)
+    return sent
+
+
+#: (protocol, h, p, seed) -> (NAKs, sha256 of the NAK list)
+NAK_PINS = {
+    ("np", 32, 0.01, 0): (
+        19, "f1a17c46c30559818ec43578ad1065c0aff9a186296d70645264275ce6d49e73"
+    ),
+    ("np", 32, 0.01, 1): (
+        16, "2a68ebb3f65a76b8576472ac10640905d0c8e6d447c8c4a398b0e3293ad8d909"
+    ),
+    ("np", 32, 0.01, 2): (
+        22, "0f992578c3d9f2eb92998c9d9dc717887a0b6491f917cea41de8bd1b7cf9ba57"
+    ),
+    ("np-adaptive", 32, 0.05, 0): (
+        7, "ae0792255cd5990a5e3e23f21aec2bd25da77de0113b8aed5887835d32bd3950"
+    ),
+    ("np-adaptive", 32, 0.05, 1): (
+        17, "e4e3194a3d3f6b8732f8405e6098169bb030523b2e67d72138e6326abb069a55"
+    ),
+    ("np", 1, 0.05, 0): (
+        79, "afb942ba57b9ee5cd8630ed1388d21b770534a9d1b1ad5880c28b18274acd480"
+    ),
+    ("np", 1, 0.05, 1): (
+        62, "1aedfd3b2aedfed49722734288bb8163f76082426d643fee59c7f68a0f7bf431"
+    ),
+}
+
+#: the NAKs of ``failure_transfers("piecewise", "np", replications=4)``
+FAILURE_CELL_NAK_PIN = (
+    290, "5d2eb1220cb2ee56127546d35a0375b62759dc97fc55ac66e419081982d72620"
+)
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_PINS))
+def test_receiver_naks_are_pinned(case, naks):
+    protocol, h, p, seed = case
+    config = NPConfig(k=7, h=h, packet_size=1024)
+    payload = np.random.default_rng(12345).bytes(
+        GROUPS * config.k * config.packet_size
+    )
+    report = run_transfer(
+        protocol, payload, BernoulliLoss(50, p), config, rng=seed
+    )
+    assert report.verified
+    assert _digest(naks) == NAK_PINS[case]
+
+
+def test_failure_cell_naks_are_pinned(naks):
+    reports = failure_transfers("piecewise", "np", replications=4)
+    assert all(report is not None for report in reports)
+    assert _digest(naks) == FAILURE_CELL_NAK_PIN
+
+
+#: FEC 1 at 50 receivers, p=0.05, seed 0: (events_dispatched, data_sent,
+#: parity_sent, retransmissions_sent, duplicates_total,
+#: packets_reconstructed_total, completion_time)
+FEC1_PIN = (4182, 56, 22, 0, 914, 130, 3.100000000000002)
+
+
+def test_fec1_counts_are_pinned():
+    payload = np.random.default_rng(12345).bytes(
+        GROUPS * CONFIG.k * CONFIG.packet_size
+    )
+    report = run_transfer(
+        "fec1", payload, BernoulliLoss(50, 0.05), CONFIG, rng=0
+    )
+    assert report.verified
+    assert (
+        report.events_dispatched,
+        report.data_sent,
+        report.parity_sent,
+        report.retransmissions_sent,
+        report.duplicates_total,
+        report.packets_reconstructed_total,
+        report.completion_time,
+    ) == FEC1_PIN
