@@ -71,8 +71,9 @@ def slice_stream(data: bytes, packet_size: int, k: int) -> list[list[bytes]]:
     return groups
 
 
-def join_stream(groups: list[list[bytes]], total_length: int) -> bytes:
-    """Inverse of :func:`slice_stream` given the original byte length."""
+def join_stream(groups: list[list[bytes]], total_length: int | None) -> bytes:
+    """Inverse of :func:`slice_stream` given the original byte length
+    (``None`` keeps the padding)."""
     flat = b"".join(packet for group in groups for packet in group)
     return flat[:total_length]
 

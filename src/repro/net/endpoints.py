@@ -6,7 +6,8 @@ one server serves many concurrent transfer groups.  :func:`fetch` is the
 receiving side: join handshake with seeded retry/backoff, the NP recovery
 loop (NAK on poll -- heard, or implied by the stream moving past the
 group -- one early re-NAK on the measured response time, then watchdog
-re-NAKs under a bounded budget), reassembly, and completion handshake.
+re-NAKs under a bounded budget) over the groups of an
+:class:`~repro.protocols.np_machine.NPReceiveMachine`, and completion.
 
 Failure taxonomy is shared with the simulator
 (:mod:`repro.resilience.errors`): a transfer that crosses its deadline
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro import obs
-from repro.fec.block import BlockDecoder, join_stream
 from repro.fec.registry import create_codec
 from repro.net.session import DONE, SenderSession, SessionReport
 from repro.net.supervision import NakScheduler, NetConfig, Pacer
@@ -42,6 +42,7 @@ from repro.net.wire import (
 )
 from repro.obs.httpd import MetricsEndpoint
 from repro.obs.tracecontext import is_trace_id, mint_trace_id
+from repro.protocols.np_machine import Arrival, NPReceiveMachine
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
@@ -367,11 +368,8 @@ class _ReceiverProtocol:
         self.session_id: int | None = None
         self.announce: SessionAnnounce | None = None
         self.done = False
-        self.codec = None
-        self.decoders: dict[int, BlockDecoder] = {}
-        self.delivered: set[int] = set()
-        self.abandoned: set[int] = set()
-        self.last_poll_round: dict[int, int] = {}
+        #: the groups; built once the announce gives the geometry
+        self.machine: NPReceiveMachine | None = None
         self.max_tg_seen = -1
         self.last_stream_rx = 0.0
         self.fin_reason: str | None = None
@@ -440,7 +438,9 @@ class _ReceiverProtocol:
             return
         self.announce = announce
         self.session_id = session_id
-        self.codec = codec
+        self.machine = NPReceiveMachine(
+            announce.k, codec, announce.n_groups, announce.packet_size
+        )
 
     def _on_payload(self, packet, now: float) -> None:
         tg = packet.tg
@@ -458,22 +458,20 @@ class _ReceiverProtocol:
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
             self._advance(tg, now)
-        if tg in self.delivered or tg in self.abandoned:
+        machine = self.machine
+        if machine.is_settled(tg):
             return
         self.scheduler.heard(tg, now)
         # Hand the payload to the decoder as a zero-copy symbol view when
         # the field is byte-aligned; the codec's ndarray path skips both
         # the bytes round-trip and (for full-range fields) the value scan.
-        payload = packet.payload
-        if self.codec.field.m in (8, 16):
-            payload = payload_symbols(packet, self.codec.field)
-        decoder = self.decoders.get(tg)
-        if decoder is None:
-            decoder = self.decoders[tg] = BlockDecoder(announce.k, self.codec)
-        if decoder.add(packet.index, payload):
-            self.delivered.add(tg)
+        payload, field = packet.payload, machine.codec.field
+        if field.m in (8, 16):
+            payload = payload_symbols(packet, field)
+        if machine.on_payload(tg, packet.index, payload) is Arrival.DECODED:
             self.scheduler.forget(tg)
-            self._check_done()
+            if machine.settled:
+                self.done = True
 
     def _advance(self, tg: int, now: float) -> None:
         """The stream has reached ``tg``: answer the polls it implies.
@@ -484,15 +482,12 @@ class _ReceiverProtocol:
         heard is answered as if it had been, at this instant -- in-order
         delivery makes ``missing`` exactly what the poll would have found.
         """
+        machine = self.machine
         for behind in range(max(self.max_tg_seen, 0), tg):
-            if (
-                behind not in self.last_poll_round
-                and behind not in self.delivered
-                and behind not in self.abandoned
-            ):
+            if behind not in machine.rounds and not machine.is_settled(behind):
                 self._answer_poll(behind, 1, now, implied=True)
         self.max_tg_seen = tg
-        if tg not in self.delivered and tg not in self.abandoned:
+        if not machine.is_settled(tg):
             self.scheduler.arm(
                 tg, now, final=tg == self.announce.n_groups - 1
             )
@@ -505,7 +500,7 @@ class _ReceiverProtocol:
         self.naks_sent += 1
         if event is not None and obs.is_enabled():
             obs.counter(event).inc()
-        self.send(Nak(tg, self._missing(tg), round_index))
+        self.send(Nak(tg, self.machine.missing(tg), round_index))
 
     def _answer_poll(
         self, tg: int, round_index: int, now: float, implied: bool = False
@@ -518,7 +513,7 @@ class _ReceiverProtocol:
         event = None
         if implied:
             self.implicit_polls += 1
-            self.last_poll_round[tg] = round_index
+            self.machine.on_poll(tg, round_index)
             event = "net.implicit_polls"
         self._nak(tg, round_index, event)
         self.scheduler.nak_sent(tg, now)
@@ -530,29 +525,21 @@ class _ReceiverProtocol:
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
             self._advance(tg, now)
-        self.last_poll_round[tg] = poll.round
-        if tg in self.delivered or tg in self.abandoned:
-            return
+        if not self.machine.on_poll(tg, poll.round):
+            return  # settled
         self.scheduler.heard(tg, now)
         self._answer_poll(tg, poll.round, now)
 
     def _on_abort(self, abort: GroupAbort) -> None:
         tg = abort.tg
-        if not 0 <= tg < self.announce.n_groups:
+        if not 0 <= tg < self.announce.n_groups or tg in self.machine.delivered:
             return
-        if tg in self.delivered:
-            return
-        self.abandoned.add(tg)
+        self.machine.on_abort(tg)
         self.scheduler.forget(tg)
-        self._check_done()
+        if self.machine.settled:
+            self.done = True
 
     # -- recovery loop ----------------------------------------------------
-    def _missing(self, tg: int) -> int:
-        decoder = self.decoders.get(tg)
-        if decoder is None:
-            return self.announce.k
-        return decoder.missing
-
     def _candidates(self, now: float) -> list[int]:
         """Groups worth soliciting right now.
 
@@ -562,30 +549,27 @@ class _ReceiverProtocol:
         gone silent: NAKing group 90 while the sender is still streaming
         group 10 would just burn budget.
         """
-        if self.announce is None:
+        if self.machine is None:
             return []
         if now - self.last_stream_rx > self.config.nak_retry.base_delay:
-            return [
-                tg
-                for tg in range(self.announce.n_groups)
-                if tg not in self.delivered and tg not in self.abandoned
-            ]
+            return self.machine.unsettled_groups()
         return self.scheduler.waiting()
 
     def solicit(self, now: float) -> list[int]:
         """One recovery scan: fire the NAKs that are due; returns the
         groups whose billed (watchdog) re-NAK went out."""
+        rounds = self.machine.rounds
         for tg in self.scheduler.early(now, _NAK_BATCH):
-            if tg in self.last_poll_round:
+            if tg in rounds:
                 self.early_renaks += 1
-                self._nak(tg, self.last_poll_round[tg], "net.early_renaks")
+                self._nak(tg, rounds[tg], "net.early_renaks")
             else:
                 # the stream's last group: nothing follows it to imply
                 # its poll, so its silence does
                 self._answer_poll(tg, 1, now, implied=True)
         due = self.scheduler.due(self._candidates(now), now, _NAK_BATCH)
         for tg in due:
-            self._nak(tg, self.last_poll_round.get(tg, 1), "net.nak_retries")
+            self._nak(tg, self.machine.round(tg), "net.nak_retries")
         return due
 
     def scan_delay(self, now: float) -> float:
@@ -608,9 +592,9 @@ class _ReceiverProtocol:
     def rejoin(self, now: float) -> None:
         """Re-enter the session after an ejection (churn recovery).
 
-        The decoders keep everything received before the blackout, so
-        recovery resumes from the retained :class:`BlockDecoder` state —
-        only the still-missing groups are re-solicited, never the whole
+        The machine keeps everything received before the blackout, so
+        recovery resumes from the retained decoder state — only the
+        still-missing groups are re-solicited, never the whole
         transfer.  The NAK budget of those groups is reset: the ejection
         was the *network's* fault, not evidence the sender is gone.
         """
@@ -619,36 +603,10 @@ class _ReceiverProtocol:
             obs.counter("net.rejoins").inc()
         self.done = False
         self.fin_reason = None
-        for tg in self.missing_groups():
-            if tg not in self.abandoned:
-                self.scheduler.state(tg)  # ensure tracked, then reset
-                self.scheduler.heard(tg, now)
+        for tg in self.machine.unsettled_groups():
+            self.scheduler.state(tg)  # ensure tracked, then reset
+            self.scheduler.heard(tg, now)
         self.send(SessionJoin(group=self.group, nonce=self.nonce))
-
-    def _check_done(self) -> None:
-        if len(self.delivered) + len(self.abandoned) >= self.announce.n_groups:
-            self.done = True
-
-    # -- reassembly -------------------------------------------------------
-    def assemble(self) -> bytes:
-        announce = self.announce
-        groups: list[list[bytes]] = []
-        blank = [b"\x00" * announce.packet_size] * announce.k
-        for tg in range(announce.n_groups):
-            if tg in self.delivered:
-                groups.append(self.decoders[tg].reconstruct())
-            else:
-                groups.append(blank)
-        return join_stream(groups, announce.total_length)
-
-    def missing_groups(self) -> tuple[int, ...]:
-        if self.announce is None:
-            return ()
-        return tuple(
-            tg
-            for tg in range(self.announce.n_groups)
-            if tg not in self.delivered
-        )
 
 
 async def fetch(
@@ -687,7 +645,7 @@ async def fetch(
             # is attached to the already-open span rather than passed in
             if protocol.trace_id is not None and hasattr(sp, "attrs"):
                 sp.attrs.setdefault("trace", protocol.trace_id)
-            data = protocol.assemble()
+            data = protocol.machine.assemble(protocol.announce.total_length)
             await _complete(protocol, alarm)
     finally:
         transport.close()
@@ -697,8 +655,8 @@ async def fetch(
     return FetchResult(
         data=data,
         n_groups=protocol.announce.n_groups,
-        delivered_groups=len(protocol.delivered),
-        failed_groups=tuple(sorted(protocol.abandoned)),
+        delivered_groups=len(protocol.machine.delivered),
+        failed_groups=tuple(sorted(protocol.machine.abandoned)),
         naks_sent=protocol.naks_sent,
         watchdog_retries=protocol.scheduler.retries_granted,
         watchdog_exhaustions=protocol.scheduler.exhaustions,
@@ -713,7 +671,7 @@ async def fetch(
 
 
 def _stall_report(protocol: _ReceiverProtocol, start: float) -> StallReport:
-    loop = asyncio.get_running_loop()
+    loop, machine = asyncio.get_running_loop(), protocol.machine
     return StallReport(
         protocol="net-np",
         sim_time=loop.time() - start,
@@ -722,14 +680,14 @@ def _stall_report(protocol: _ReceiverProtocol, start: float) -> StallReport:
         receivers=(
             ReceiverStall(
                 receiver_id=0,
-                missing_groups=protocol.missing_groups(),
+                missing_groups=machine.missing_groups() if machine else (),
                 last_progress_time=max(0.0, protocol.last_stream_rx - start),
                 watchdog_retries=protocol.scheduler.retries_granted,
                 watchdog_exhaustions=protocol.scheduler.exhaustions,
                 crashes=0,
             ),
         ),
-        abandoned_groups=tuple(sorted(protocol.abandoned)),
+        abandoned_groups=tuple(sorted(machine.abandoned)) if machine else (),
         injected_faults={},
         seed=protocol.config.seed,
         fault_plan=None,
@@ -786,7 +744,7 @@ async def _recover(
             if now - start > deadline:
                 raise TransferTimeout(
                     f"net fetch: deadline of {deadline}s elapsed with "
-                    f"{len(protocol.missing_groups())} groups missing",
+                    f"{len(protocol.machine.missing_groups())} groups missing",
                     _stall_report(protocol, start),
                 )
             protocol.solicit(now)
@@ -815,8 +773,9 @@ async def _recover(
 async def _complete(protocol: _ReceiverProtocol, alarm: _Alarm) -> None:
     """Tell the sender we are done; tolerate a lost fin."""
     loop = asyncio.get_running_loop()
+    machine = protocol.machine
     complete = SessionComplete(
-        delivered=len(protocol.delivered), failed=len(protocol.abandoned)
+        delivered=len(machine.delivered), failed=len(machine.abandoned)
     )
     protocol.done = False
     protocol.fin_reason = None

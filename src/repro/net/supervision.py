@@ -101,7 +101,7 @@ class NetConfig:
     complete_repeats: int = 3
     #: times a receiver that learns it was ejected (``SessionFin``
     #: "ejected" after a blackout) re-joins the live session and resumes
-    #: recovery from its retained ``BlockDecoder`` state instead of
+    #: recovery from its retained decoder state instead of
     #: failing; 0 keeps the pre-churn behaviour (eject is final)
     rejoin_attempts: int = 0
     #: sender-side revive grace: a session whose only unfinished members

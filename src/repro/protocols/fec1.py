@@ -15,17 +15,19 @@ simulation models exactly that with a :class:`GroupMembership` object —
 receivers deregister, and once the group size for TG ``i`` hits zero the
 sender advances to TG ``i+1``.  Membership signalling travels with the
 configured one-way latency, so a slow prune costs extra parities, exactly
-as the paper's proviso warns.
+as the paper's proviso warns.  The receiver's groups live in NP's receive
+machine (:class:`~repro.protocols.np_machine.NPReceiveMachine`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fec.block import BlockDecoder, BlockEncoder
+from repro.fec.block import BlockEncoder
 from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
-from repro.protocols.np_protocol import NPConfig, ReceiverStats, SenderStats
+from repro.protocols.np_machine import Arrival
+from repro.protocols.np_protocol import NPConfig, SenderStats, SimReceiver
 from repro.protocols.packets import (
     DataPacket,
     ParityPacket,
@@ -161,7 +163,7 @@ class Fec1Sender:
         self._arm_tick(config.packet_interval)
 
 
-class Fec1Receiver:
+class Fec1Receiver(SimReceiver):
     """Receiver: buffer, decode at ``k`` packets, leave the group."""
 
     def __init__(
@@ -177,64 +179,27 @@ class Fec1Receiver:
     ):
         if membership is None:
             raise ValueError("Fec1Receiver needs the shared GroupMembership")
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.n_groups = n_groups
-        self.codec = codec if codec is not None else RSECodec(config.k, config.h)
+        super().__init__(sim, network, n_groups, config, codec, on_complete)
         self.membership = membership
-        self.on_complete = on_complete
-        self.stats = ReceiverStats()
-        self.receiver_id = network.attach_receiver(self.on_packet)
-        self._decoders: dict[int, BlockDecoder] = {}
-        self._delivered: dict[int, list[bytes]] = {}
-
-    @property
-    def complete(self) -> bool:
-        return len(self._delivered) == self.n_groups
-
-    def delivered_data(self, total_length: int | None = None) -> bytes:
-        if not self.complete:
-            missing = sorted(set(range(self.n_groups)) - set(self._delivered))
-            raise RuntimeError(f"transfer incomplete; missing groups {missing}")
-        blob = b"".join(
-            packet
-            for tg in range(self.n_groups)
-            for packet in self._delivered[tg]
-        )
-        return blob if total_length is None else blob[:total_length]
 
     def on_packet(self, packet) -> None:
         if not isinstance(packet, (DataPacket, ParityPacket)):
             return
-        self.stats.packets_received += 1
+        stats = self.stats
+        stats.packets_received += 1
         if not payload_intact(packet):
-            self.stats.corrupt_discarded += 1
+            stats.corrupt_discarded += 1
             return
         tg = packet.tg
-        if tg in self._delivered:
-            self.stats.duplicates += 1  # packets that beat our prune
-            return
-        decoder = self._decoders.setdefault(
-            tg, BlockDecoder(self.config.k, self.codec)
-        )
-        before = len(decoder.received)
-        decoder.add(packet.index, packet.payload)
-        if len(decoder.received) == before:
-            self.stats.duplicates += 1
-            return
-        self.stats.last_progress_time = self.sim.now
-        if decoder.decodable:
-            self.stats.packets_reconstructed += decoder.decoding_work()
-            self._delivered[tg] = decoder.reconstruct()
-            self.stats.groups_decoded += 1
-            del self._decoders[tg]
+        arrival = self.machine.on_payload(tg, packet.index, packet.payload)
+        if arrival is Arrival.NEW:
+            stats.last_progress_time = self.sim.now
+        elif arrival is Arrival.DECODED:
             # prune propagates one network latency upstream
             self.sim.schedule(
                 self.network.latency,
                 lambda tg=tg: self.membership.leave(tg, self.receiver_id),
             )
-            if self.complete:
-                self.stats.completion_time = self.sim.now
-                if self.on_complete is not None:
-                    self.on_complete(self.receiver_id)
+            self._decoded()
+        else:
+            stats.duplicates += 1  # packets that beat our prune

@@ -146,12 +146,6 @@ class TransferReport:
         )
 
 
-def _missing_of(receiver) -> tuple[int, ...]:
-    """Best-effort missing-group snapshot (protocols without the hook: ())."""
-    probe = getattr(receiver, "missing_groups", None)
-    return tuple(probe()) if callable(probe) else ()
-
-
 def _by_domain(receivers: set[int] | tuple[int, ...], domains) -> dict:
     """Group receiver ids by their leaf failure domain (sorted both ways)."""
     grouped: dict[str, list[int]] = {}
@@ -177,11 +171,11 @@ def _stall_report(
     stalls = tuple(
         ReceiverStall(
             receiver_id=receiver.receiver_id,
-            missing_groups=_missing_of(receiver),
-            last_progress_time=getattr(receiver.stats, "last_progress_time", 0.0),
-            watchdog_retries=getattr(receiver.stats, "watchdog_retries", 0),
-            watchdog_exhaustions=getattr(receiver.stats, "watchdog_exhaustions", 0),
-            crashes=getattr(receiver.stats, "crashes", 0),
+            missing_groups=receiver.missing_groups(),
+            last_progress_time=receiver.stats.last_progress_time,
+            watchdog_retries=receiver.stats.watchdog_retries,
+            watchdog_exhaustions=receiver.stats.watchdog_exhaustions,
+            crashes=receiver.stats.crashes,
         )
         for receiver in receivers
         if receiver.receiver_id in pending
@@ -391,7 +385,7 @@ def run_transfer(
         # transfer completes *degraded* — partial delivery, ejected
         # receivers named on the report — instead of raising.
         explained = bool(abandoned) and all(
-            set(_missing_of(receiver)) <= abandoned
+            set(receiver.missing_groups()) <= abandoned
             for receiver in receivers
             if receiver.receiver_id in pending
         )
@@ -430,17 +424,12 @@ def run_transfer(
     resilience = ResilienceSummary(
         fault_plan=fault_plan,
         injected=dict(network.stats.injected),
-        corrupt_discarded=sum(
-            getattr(r.stats, "corrupt_discarded", 0) for r in receivers
-        ),
-        watchdog_retries=sum(
-            getattr(r.stats, "watchdog_retries", 0) for r in receivers
-        ),
+        corrupt_discarded=sum(r.stats.corrupt_discarded for r in receivers),
+        watchdog_retries=sum(r.stats.watchdog_retries for r in receivers),
         watchdog_backoff_peak=max(
-            (getattr(r.stats, "watchdog_backoff_peak", 0.0) for r in receivers),
-            default=0.0,
+            (r.stats.watchdog_backoff_peak for r in receivers), default=0.0
         ),
-        crashes=sum(getattr(r.stats, "crashes", 0) for r in receivers),
+        crashes=sum(r.stats.crashes for r in receivers),
         degraded=bool(ejected),
         abandoned_groups=tuple(sorted(abandoned)),
         ejected_receivers=ejected,
@@ -524,17 +513,11 @@ def run_transfer(
     )
     buffered_groups = peak(
         "transfer.peak_buffered_groups",
-        max(
-            (getattr(r.stats, "peak_buffered_groups", 0) for r in receivers),
-            default=0,
-        ),
+        max((r.stats.peak_buffered_groups for r in receivers), default=0),
     )
     buffered_packets = peak(
         "transfer.peak_buffered_packets",
-        max(
-            (getattr(r.stats, "peak_buffered_packets", 0) for r in receivers),
-            default=0,
-        ),
+        max((r.stats.peak_buffered_packets for r in receivers), default=0),
     )
     peak("transfer.completion_time", completion)
     peak("transfer.watchdog_backoff_peak", resilience.watchdog_backoff_peak)

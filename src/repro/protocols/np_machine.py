@@ -1,4 +1,4 @@
-"""The NP sender's repair rounds — one machine, no I/O, no clock.
+"""Protocol NP's sender and receiver machines — no I/O, no clock.
 
 Protocol NP's sender (Section 5.1) has one rule: stream every
 transmission group (TG) once — ``k`` data packets then ``POLL(tg, k, 1)``
@@ -34,6 +34,12 @@ The rules (DESIGN.md §6):
   group: :class:`~repro.protocols.packets.GroupAbort` goes out at once
   through ``tell``, and is re-told, at most once per window, to any NAK
   of the group that follows.
+
+The receiver buffers a group's packets, answers ``POLL(tg, s, r)`` with
+the number it still lacks and decodes once it holds any ``k``; that
+group store is :class:`NPReceiveMachine`.  *When* to NAK is left to its
+drivers: the simulator's :class:`~repro.protocols.np_protocol.NPReceiver`,
+the sockets' fetch receiver and :class:`~repro.protocols.fec1.Fec1Receiver`.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.fec.block import BlockEncoder
+from repro.fec.block import BlockDecoder, BlockEncoder, join_stream
+from repro.fec.code import ErasureCode
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
@@ -51,7 +58,7 @@ from repro.protocols.packets import (
     checksum_of,
 )
 
-__all__ = ["NPRepairMachine"]
+__all__ = ["Arrival", "NPReceiveMachine", "NPRepairMachine"]
 
 
 @dataclass
@@ -254,3 +261,119 @@ class NPRepairMachine:
                 group.copies += 1
                 repairs.append(self._data(tg, copy % k, 1 + copy // k))
         repairs.append(Poll(tg, group.needed, group.round + 1))
+
+
+class Arrival:
+    """What :meth:`NPReceiveMachine.on_payload` did with a packet (plain
+    constants: an ``enum`` member costs several times more to look up on
+    the per-packet path)."""
+
+    VOID = "its group is delivered or abandoned already"
+    DUPLICATE = "its group holds the index already"
+    NEW = "buffered; its group is still short"
+    DECODED = "buffered; its group decoded"
+
+
+class NPReceiveMachine:
+    """NP's receive side over ``n_groups`` groups of ``k`` packets.
+
+    ``delivered`` maps each group to its ``k`` packets, reconstructed
+    when it decodes; ``rounds`` holds the highest poll round heard per
+    group.  A group's decoder opens on its first accepted payload.
+    """
+
+    def __init__(
+        self, k: int, codec: ErasureCode, n_groups: int, packet_size: int
+    ):
+        self.k = k
+        self.codec = codec
+        self.n_groups = n_groups
+        self.packet_size = packet_size
+        self._decoders: dict[int, BlockDecoder] = {}
+        self.buffered_packets = 0
+        self.packets_reconstructed = 0
+        self.delivered: dict[int, list[bytes]] = {}
+        self.abandoned: set[int] = set()
+        self.rounds: dict[int, int] = {}
+
+    @property
+    def open_groups(self) -> int:
+        """Groups holding packets, not yet decoded."""
+        return len(self._decoders)
+
+    @property
+    def complete(self) -> bool:
+        return len(self.delivered) == self.n_groups
+
+    @property
+    def settled(self) -> bool:
+        """Whether every group is delivered or abandoned."""
+        return len(self.delivered) + len(self.abandoned) >= self.n_groups
+
+    def is_settled(self, tg: int) -> bool:
+        return tg in self.delivered or tg in self.abandoned
+
+    def missing_groups(self) -> tuple[int, ...]:
+        """Groups not delivered, abandoned ones included."""
+        delivered = self.delivered
+        return tuple(tg for tg in range(self.n_groups) if tg not in delivered)
+
+    def unsettled_groups(self) -> list[int]:
+        return [tg for tg in range(self.n_groups) if not self.is_settled(tg)]
+
+    def round(self, tg: int) -> int:
+        """The highest poll round heard for ``tg`` (1 before any)."""
+        return self.rounds.get(tg, 1)
+
+    def missing(self, tg: int) -> int:
+        """Packets ``tg`` lacks: ``k`` before its first, 0 once settled."""
+        if tg in self.delivered or tg in self.abandoned:
+            return 0
+        decoder = self._decoders.get(tg)
+        return self.k if decoder is None else decoder.missing
+
+    def on_payload(self, tg: int, index: int, payload) -> str:
+        """Buffer one intact data or parity packet of ``tg``; returns an
+        :class:`Arrival` constant."""
+        if tg in self.delivered or tg in self.abandoned:
+            return Arrival.VOID
+        decoder = self._decoders.get(tg)
+        if decoder is None:
+            decoder = self._decoders[tg] = BlockDecoder(self.k, self.codec)
+        elif index in decoder.received:
+            return Arrival.DUPLICATE
+        if not decoder.add(index, payload):
+            self.buffered_packets += 1
+            return Arrival.NEW
+        self.packets_reconstructed += decoder.decoding_work()
+        self.delivered[tg] = decoder.reconstruct()
+        del self._decoders[tg]
+        self.buffered_packets -= len(decoder.received) - 1
+        return Arrival.DECODED
+
+    def on_poll(self, tg: int, round_index: int) -> int:
+        """Remember the poll's round; returns :meth:`missing`."""
+        self.rounds[tg] = max(self.rounds.get(tg, 1), round_index)
+        return self.missing(tg)
+
+    def on_abort(self, tg: int) -> bool:
+        """The sender gave ``tg`` up; returns whether that settled it."""
+        if tg in self.delivered or tg in self.abandoned:
+            return False
+        self.abandoned.add(tg)
+        decoder = self._decoders.pop(tg, None)
+        if decoder is not None:
+            self.buffered_packets -= len(decoder.received)
+        return True
+
+    def crash(self) -> None:
+        """Forget the open groups and the rounds heard."""
+        self._decoders.clear()
+        self.buffered_packets = 0
+        self.rounds.clear()
+
+    def assemble(self, total_length: int | None = None) -> bytes:
+        """The byte stream, zero-filled over every undelivered group."""
+        blank = [bytes(self.packet_size)] * self.k
+        groups = [self.delivered.get(tg, blank) for tg in range(self.n_groups)]
+        return join_stream(groups, total_length)

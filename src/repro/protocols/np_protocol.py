@@ -17,9 +17,9 @@ The paper's hybrid-ARQ protocol on :class:`repro.sim.MulticastNetwork`:
 * A receiver reconstructs a group as soon as it holds any ``k`` of its
   packets (systematic RSE decode, cost proportional to losses).
 
-The sender's rounds live in :class:`~repro.protocols.np_machine.NPRepairMachine`,
-the machine the socket sender (:class:`~repro.net.session.SenderSession`)
-runs too; :class:`NPSender` is its simulator driver.
+The sender's rounds and the receivers' groups live in the two machines
+of :mod:`repro.protocols.np_machine`, which the sockets run too;
+:class:`NPSender` and :class:`NPReceiver` are their simulator drivers.
 
 Deviations from the paper, all documented in DESIGN.md: when the ``h``
 available parities are exhausted the sender falls back to cycling the
@@ -35,11 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fec.block import BlockDecoder, BlockEncoder
+from repro.fec.block import BlockEncoder
 from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
 from repro.protocols.feedback import NakSlotter
-from repro.protocols.np_machine import NPRepairMachine
+from repro.protocols.np_machine import (
+    Arrival,
+    NPReceiveMachine,
+    NPRepairMachine,
+)
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
@@ -52,7 +56,7 @@ from repro.protocols.packets import (
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import MulticastNetwork
 
-__all__ = ["NPConfig", "NPSender", "NPReceiver"]
+__all__ = ["NPConfig", "NPSender", "NPReceiver", "SimReceiver"]
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,6 @@ class SenderStats:
     groups_abandoned: int = 0
     #: control packets (NAKs) dropped for a failed control checksum
     control_corrupt_discarded: int = 0
-
-    @property
-    def total_payload_sent(self) -> int:
-        return self.data_sent + self.parity_sent + self.retransmissions_sent
 
 
 class NPSender:
@@ -313,8 +313,62 @@ class ReceiverStats:
     last_progress_time: float = 0.0
 
 
-class NPReceiver:
-    """Receiver state machine for protocol NP."""
+class SimReceiver:
+    """A simulated receiver whose groups live in an
+    :class:`~repro.protocols.np_machine.NPReceiveMachine`: the stats, the
+    completion callback and the delivered bytes its protocols share."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: MulticastNetwork,
+        n_groups: int,
+        config: NPConfig,
+        codec: ErasureCode | None,
+        on_complete,
+    ):
+        self.sim = sim
+        self.network = network
+        self.config = config
+        self.n_groups = n_groups
+        self.codec = codec if codec is not None else RSECodec(config.k, config.h)
+        self.on_complete = on_complete
+        self.stats = ReceiverStats()
+        self.receiver_id = network.attach_receiver(self.on_packet)
+        self.machine = NPReceiveMachine(
+            config.k, self.codec, n_groups, config.packet_size
+        )
+
+    @property
+    def complete(self) -> bool:
+        return self.machine.complete
+
+    def missing_groups(self) -> tuple[int, ...]:
+        """Groups not delivered (including sender-abandoned ones)."""
+        return self.machine.missing_groups()
+
+    def delivered_data(self, total_length: int | None = None) -> bytes:
+        """Reassembled byte stream (requires :attr:`complete`)."""
+        if not self.machine.complete:
+            missing = list(self.machine.missing_groups())
+            raise RuntimeError(f"transfer incomplete; missing groups {missing}")
+        return self.machine.assemble(total_length)
+
+    def _decoded(self) -> None:
+        """Count the group the last payload decoded."""
+        stats, now = self.stats, self.sim.now
+        stats.last_progress_time = now
+        stats.packets_reconstructed = self.machine.packets_reconstructed
+        stats.groups_decoded += 1
+        if self.machine.complete:
+            stats.completion_time = now
+            if self.on_complete is not None:
+                self.on_complete(self.receiver_id)
+
+
+class NPReceiver(SimReceiver):
+    """Protocol NP's receiver on the simulator: a driver of the receive
+    machine that adds NAK slotting and damping and the NAK watchdog."""
 
     def __init__(
         self,
@@ -326,64 +380,15 @@ class NPReceiver:
         rng: np.random.Generator | None = None,
         on_complete=None,
     ):
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.n_groups = n_groups
-        self.codec = codec if codec is not None else RSECodec(config.k, config.h)
+        super().__init__(sim, network, n_groups, config, codec, on_complete)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.on_complete = on_complete
-        self.stats = ReceiverStats()
         self.slotter = NakSlotter(sim, self.rng, config.slot_time)
-        self.receiver_id = network.attach_receiver(self.on_packet)
-
-        self._decoders: dict[int, BlockDecoder] = {}
-        #: packets held across every open decoder (the running sum behind
-        #: ``stats.peak_buffered_packets``)
-        self._buffered_packets = 0
-        self._delivered: dict[int, list[bytes]] = {}
         self._watchdogs: dict[int, EventHandle] = {}
         self._watchdog_retries: dict[int, int] = {}
-        self._last_round: dict[int, int] = {}
-        #: groups the sender declared dead (GroupAbort); never delivered
-        self._failed: set[int] = set()
-
-    # ------------------------------------------------------------------
-    @property
-    def complete(self) -> bool:
-        return len(self._delivered) == self.n_groups
-
-    @property
-    def finished(self) -> bool:
-        """Every group is either delivered or sender-abandoned."""
-        return len(self._delivered) + len(self._failed) >= self.n_groups
-
-    def missing_groups(self) -> tuple[int, ...]:
-        """Groups not delivered (including sender-abandoned ones)."""
-        return tuple(sorted(set(range(self.n_groups)) - set(self._delivered)))
 
     def failed_groups(self) -> tuple[int, ...]:
         """Groups the sender abandoned under its round cap."""
-        return tuple(sorted(self._failed))
-
-    def delivered_data(self, total_length: int | None = None) -> bytes:
-        """Reassembled byte stream (requires :attr:`complete`)."""
-        if not self.complete:
-            missing = sorted(set(range(self.n_groups)) - set(self._delivered))
-            raise RuntimeError(f"transfer incomplete; missing groups {missing}")
-        blob = b"".join(
-            packet
-            for tg in range(self.n_groups)
-            for packet in self._delivered[tg]
-        )
-        return blob if total_length is None else blob[:total_length]
-
-    def _decoder_for(self, tg: int) -> BlockDecoder:
-        decoder = self._decoders.get(tg)
-        if decoder is None:
-            decoder = BlockDecoder(self.config.k, self.codec)
-            self._decoders[tg] = decoder
-        return decoder
+        return tuple(sorted(self.machine.abandoned))
 
     # ------------------------------------------------------------------
     # packet handling
@@ -407,73 +412,49 @@ class NPReceiver:
                 self._on_abort(packet)
 
     def _on_payload(self, packet) -> None:
-        self.stats.packets_received += 1
+        stats, machine = self.stats, self.machine
+        stats.packets_received += 1
         tg = packet.tg
         if not payload_intact(packet):
             # detected corruption is demoted to an erasure: drop the packet
             # but keep the group's solicitation alive (the sender clearly
             # is; the missing count is unchanged)
-            self.stats.corrupt_discarded += 1
-            if tg not in self._delivered and tg not in self._failed:
-                self._arm_watchdog(
-                    tg,
-                    self._decoder_for(tg).missing,
-                    self._last_round.get(tg, 1),
-                )
+            stats.corrupt_discarded += 1
+            self._arm_watchdog(tg, machine.round(tg))
             return
         self._feed_watchdog(tg)
-        if tg in self._failed:
-            return  # group was ejected; late repairs are void
-        if tg in self._delivered:
-            self.stats.duplicates += 1
-            return
-        decoder = self._decoder_for(tg)
-        before = len(decoder.received)
-        decodable = decoder.add(packet.index, packet.payload)
-        if len(decoder.received) == before:
-            self.stats.duplicates += 1
-        else:
-            self.stats.last_progress_time = self.sim.now
-            self._buffered_packets += 1
-        if not decodable:
-            # the group is known-incomplete: if the coming poll gets lost
-            # (lossy control plane) this timer keeps us live by NAKing
-            # spontaneously; any later packet or poll re-feeds it
-            self._arm_watchdog(tg, decoder.missing, self._last_round.get(tg, 1))
-            self.stats.peak_buffered_groups = max(
-                self.stats.peak_buffered_groups, len(self._decoders)
-            )
-            self.stats.peak_buffered_packets = max(
-                self.stats.peak_buffered_packets, self._buffered_packets
-            )
-        else:
-            self.stats.packets_reconstructed += decoder.decoding_work()
-            self._delivered[tg] = decoder.reconstruct()
-            self.stats.groups_decoded += 1
+        arrival = machine.on_payload(tg, packet.index, packet.payload)
+        if arrival is Arrival.DECODED:
             self.slotter.cancel_group(tg)
             self._cancel_watchdog(tg)
-            self._drop_decoder(tg)
-            if self.complete:
-                self.stats.completion_time = self.sim.now
-                if self.on_complete is not None:
-                    self.on_complete(self.receiver_id)
+            self._decoded()
+            return
+        if arrival is Arrival.NEW:
+            stats.last_progress_time = self.sim.now
+            stats.peak_buffered_groups = max(
+                stats.peak_buffered_groups, machine.open_groups
+            )
+            stats.peak_buffered_packets = max(
+                stats.peak_buffered_packets, machine.buffered_packets
+            )
+        elif arrival is Arrival.DUPLICATE or tg in machine.delivered:
+            stats.duplicates += 1  # an abandoned group's repairs are void
+        # an open group is known-incomplete: if the coming poll gets lost
+        # (lossy control plane) this timer keeps us live by NAKing
+        # spontaneously; any later packet or poll re-feeds it
+        self._arm_watchdog(tg, machine.round(tg))
 
     def _on_poll(self, poll: Poll) -> None:
         self.stats.polls_received += 1
         tg = poll.tg
-        self._last_round[tg] = max(self._last_round.get(tg, 1), poll.round)
+        needed = self.machine.on_poll(tg, poll.round)
         self._feed_watchdog(tg)
-        if tg in self._delivered or tg in self._failed:
-            return
-        needed = self._decoder_for(tg).missing
         if needed <= 0:
             return
 
         def fire(tg=tg, round_index=poll.round) -> None:
             # Recompute at slot time: repairs may have arrived meanwhile.
-            if tg in self._delivered:
-                return
-            current = self._decoder_for(tg).missing
+            current = self.machine.missing(tg)
             if current > 0:
                 self._send_nak(tg, current, round_index)
 
@@ -483,31 +464,24 @@ class NPReceiver:
         self.network.multicast_feedback(
             Nak(tg, needed, round_index), origin=self.receiver_id
         )
-        self._arm_watchdog(tg, needed, round_index)
+        self._arm_watchdog(tg, round_index)
 
     def _on_abort(self, packet: GroupAbort) -> None:
         """Sender abandoned the group: stop soliciting, mark it failed."""
         tg = packet.tg
-        if tg in self._delivered or tg in self._failed:
+        if not self.machine.on_abort(tg):
             return
-        self._failed.add(tg)
         self.stats.groups_failed += 1
         self.slotter.cancel_group(tg)
         self._cancel_watchdog(tg)
         self._watchdog_retries.pop(tg, None)
-        self._drop_decoder(tg)
-
-    def _drop_decoder(self, tg: int) -> None:
-        decoder = self._decoders.pop(tg, None)
-        if decoder is not None:
-            self._buffered_packets -= len(decoder.received)
 
     # ------------------------------------------------------------------
     # watchdog (feedback-loss robustness; disabled by default)
     # ------------------------------------------------------------------
-    def _arm_watchdog(self, tg: int, needed: int, round_index: int) -> None:
+    def _arm_watchdog(self, tg: int, round_index: int) -> None:
         config = self.config
-        if config.nak_watchdog <= 0 or tg in self._failed:
+        if config.nak_watchdog <= 0 or self.machine.is_settled(tg):
             return
         self._cancel_watchdog(tg)
         retries = self._watchdog_retries.get(tg, 0)
@@ -531,9 +505,7 @@ class NPReceiver:
 
     def _watchdog_fired(self, tg: int, round_index: int) -> None:
         self._watchdogs.pop(tg, None)
-        if tg in self._delivered or tg in self._failed:
-            return
-        needed = self._decoder_for(tg).missing
+        needed = self.machine.missing(tg)
         if needed > 0:
             self._watchdog_retries[tg] = self._watchdog_retries.get(tg, 0) + 1
             self.stats.watchdog_retries += 1
@@ -561,9 +533,7 @@ class NPReceiver:
         everything in flight is gone.
         """
         self.stats.crashes += 1
-        self._decoders.clear()
-        self._buffered_packets = 0
-        self._last_round.clear()
+        self.machine.crash()
         self._watchdog_retries.clear()
         for handle in self._watchdogs.values():
             handle.cancel()
@@ -580,7 +550,5 @@ class NPReceiver:
         """
         if self.config.nak_watchdog <= 0:
             return
-        for tg in range(self.n_groups):
-            if tg in self._delivered or tg in self._failed:
-                continue
-            self._arm_watchdog(tg, self.config.k, self._last_round.get(tg, 1))
+        for tg in self.machine.unsettled_groups():
+            self._arm_watchdog(tg, self.machine.round(tg))

@@ -251,9 +251,9 @@ class TestImplicitPoll:
         # as if Poll(3, k, 1) had been heard, and no later than it would
         assert rx.naks == [Nak(3, 1, 1)]
         assert rx.protocol.implicit_polls == 1
-        assert rx.protocol.last_poll_round[3] == 1
+        assert rx.protocol.machine.rounds[3] == 1
         rx.parity(3, polled_at + 0.011)
-        assert 3 in rx.protocol.delivered
+        assert 3 in rx.protocol.machine.delivered
         assert rx.protocol.scheduler.retries_granted == 0
         assert polled_at + 0.011 - now < rx.base_delay
 
@@ -289,6 +289,23 @@ class TestImplicitPoll:
         assert rx.naks == []
 
 
+class TestRoundMemory:
+    def test_a_late_poll_does_not_roll_the_round_back(self):
+        # round 2's poll overtakes round 1's: re-NAKs must name round 2,
+        # or the sender takes every one of them for stale and re-polls
+        # instead of repairing
+        rx = ReceiverHarness()
+        now = rx.stream(0, 50.0, lose={0, 1}, poll=False)
+        rx.protocol._on_poll(Poll(0, 1, 2), now)
+        rx.protocol._on_poll(Poll(0, 4, 1), now + 0.001)
+        assert rx.naks == [Nak(0, 2, 2), Nak(0, 2, 1)]
+        for step in range(1, 4):
+            rx.protocol.solicit(now + step * 4 * rx.base_delay)
+        retries = [nak for nak in rx.naks[2:] if nak.tg == 0]
+        assert retries
+        assert all(nak.round == 2 for nak in retries)
+
+
 class TestEarlyRenak:
     def test_dropped_nak_is_repeated_once_within_the_response_time(self):
         rx = ReceiverHarness()
@@ -309,7 +326,7 @@ class TestEarlyRenak:
         rx.protocol.solicit(now + rx.base_delay * 0.7)
         assert len(rx.naks) == 3
         rx.parity(3, now + rto + 0.012)
-        assert 3 in rx.protocol.delivered
+        assert 3 in rx.protocol.machine.delivered
         assert rx.protocol.scheduler.retries_granted == 0
         assert rto + 0.012 < rx.base_delay
 
@@ -413,7 +430,7 @@ class TestUnusableFrames:
         protocol._on_announce(good, session_id=1)
         assert protocol.announce == good
         protocol._on_payload(DataPacket(0, 0, bytes(32)), 50.0)
-        assert protocol._missing(0) == 3
+        assert protocol.machine.missing(0) == 3
 
     def test_an_index_past_the_block_is_discarded(self):
         rx = ReceiverHarness()
@@ -422,7 +439,7 @@ class TestUnusableFrames:
             rx.stream(0, 50.0)
             snapshot = registry.snapshot()
         assert snapshot.value("net.frame_errors", reason="bad_index") == 1
-        assert 0 in rx.protocol.delivered
+        assert 0 in rx.protocol.machine.delivered
         assert rx.protocol.frame_errors == 1
 
     def test_a_payload_of_the_wrong_length_is_discarded(self):
@@ -432,6 +449,7 @@ class TestUnusableFrames:
             rx.stream(0, 50.0)
             snapshot = registry.snapshot()
         assert snapshot.value("net.frame_errors", reason="bad_length") == 1
-        assert 0 in rx.protocol.delivered
+        assert 0 in rx.protocol.machine.delivered
         group = ReceiverHarness.K * ReceiverHarness.SIZE
-        assert rx.protocol.assemble()[:group] == rx.payload[:group]
+        assemble = rx.protocol.machine.assemble
+        assert assemble(len(rx.payload))[:group] == rx.payload[:group]
