@@ -2,8 +2,8 @@
 
 * :mod:`repro.protocols.np_protocol` — protocol **NP**, the paper's hybrid
   ARQ with parity retransmission and per-TG NAKs (Section 5.1), whose
-  sender drives :mod:`repro.protocols.np_machine`, the repair rounds the
-  socket sender runs too;
+  sender and receiver drive :mod:`repro.protocols.np_machine`, the
+  machines the sockets run too;
 * :mod:`repro.protocols.n2` — the no-FEC baseline **N2**;
 * :mod:`repro.protocols.layered` — FEC layer beneath a retransmitting RM
   layer (Section 3.1);
