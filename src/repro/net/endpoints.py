@@ -215,6 +215,14 @@ class NetServer:
             session = self.sessions.get(frame.session_id)
             if session is not None:
                 session.on_frame(frame.packet, addr, now)
+            elif isinstance(frame.packet, SessionComplete) and any(
+                report.session_id == frame.session_id
+                for report in self.reports
+            ):
+                # the session ended on this member's complete, and its fin
+                # was lost: ack the repeat, or the member waits out all of
+                # its repeats
+                self._send(SessionFin("complete"), addr, frame.session_id)
         if session is not None:
             # a window opened, a deadline moved in, or the session ended
             self._alarms[session.session_id].check()
@@ -526,7 +534,7 @@ class _ReceiverProtocol:
         if tg > self.max_tg_seen:
             self._advance(tg, now)
         if not self.machine.on_poll(tg, poll.round):
-            return  # settled
+            return  # settled, or a poll of an earlier round than heard
         self.scheduler.heard(tg, now)
         self._answer_poll(tg, poll.round, now)
 

@@ -352,9 +352,12 @@ class NPReceiveMachine:
         return Arrival.DECODED
 
     def on_poll(self, tg: int, round_index: int) -> int:
-        """Remember the poll's round; returns :meth:`missing`."""
-        self.rounds[tg] = max(self.rounds.get(tg, 1), round_index)
-        return self.missing(tg)
+        """Remember the poll's round; returns :meth:`missing`, or 0 for a
+        poll of a round below the highest heard: a NAK quoting that round
+        is stale to the sender, which would answer it with a re-poll."""
+        heard = self.rounds.get(tg, 1)
+        self.rounds[tg] = max(heard, round_index)
+        return 0 if round_index < heard else self.missing(tg)
 
     def on_abort(self, tg: int) -> bool:
         """The sender gave ``tg`` up; returns whether that settled it."""

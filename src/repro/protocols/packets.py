@@ -22,13 +22,25 @@ packet whose checksum fails to verify (:func:`control_intact`).  Because
 stamping happens in ``__post_init__``, call sites never change — but a
 field-tampered copy (``dataclasses.replace`` carries the stale checksum)
 or a bit-flipped wire frame is detected and dropped.
+
+Integrity is verified once per packet object.  The simulator hands one
+packet object to every receiver, so :func:`payload_intact` and
+:func:`control_intact` remember their verdict on the frozen instance,
+under a private ``__dict__`` key that is not a dataclass field: eq, hash,
+``dataclasses.replace`` and ``asdict`` never see it, and a ``replace``d
+copy is a new object that is checked afresh.  A control packet stamped by
+its own ``__post_init__`` is intact by construction (wire-decoded ones
+included: the frame CRC passed first).  Only ``bytes`` payloads are
+remembered; a mutable payload is re-checked on every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import zlib
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,17 +64,33 @@ __all__ = [
 ]
 
 
+#: private ``__dict__`` key of a packet's remembered integrity verdict
+_VERDICT = "_intact"
+
+
 def checksum_of(payload: bytes) -> int:
     """CRC-32 of a packet payload (what senders stamp on the wire)."""
     return zlib.crc32(payload)
 
 
 def payload_intact(packet) -> bool:
-    """True unless ``packet`` carries a checksum that fails to verify."""
+    """True unless ``packet`` carries a checksum that fails to verify.
+
+    The verdict over a ``bytes`` payload is remembered on the packet.
+    """
+    memo = getattr(packet, "__dict__", None)
+    if memo is not None:
+        verdict = memo.get(_VERDICT)
+        if verdict is not None:
+            return verdict
     checksum = getattr(packet, "checksum", None)
     if checksum is None:
         return True
-    return zlib.crc32(packet.payload) == checksum
+    payload = packet.payload
+    verdict = zlib.crc32(payload) == checksum
+    if memo is not None and type(payload) is bytes:
+        memo[_VERDICT] = verdict
+    return verdict
 
 
 def payload_symbols(packet, field) -> np.ndarray:
@@ -94,26 +122,44 @@ def payload_symbols(packet, field) -> np.ndarray:
     return np.frombuffer(payload, dtype=field.dtype)
 
 
-#: control packet class -> its semantic field names, in declaration order
-_SEMANTIC_FIELDS: dict[type, tuple[str, ...]] = {}
+#: control packet class -> (``%`` template of its checksummed string,
+#: getter of its semantic field values in declaration order)
+_TEMPLATES: dict[type, tuple[str, Callable[[Any], tuple]]] = {}
+
+
+def _checksum_template(cls: type) -> tuple[str, Callable[[Any], tuple]]:
+    """The template whose ``%`` with the field values is exactly
+    ``repr((cls.__name__, ((name, value), ...)))``, and their getter."""
+    names = tuple(
+        f.name for f in dataclasses.fields(cls) if f.name != "checksum"
+    )
+    pairs = [f"({name!r}, %r)" for name in names]
+    fields = "(" + ", ".join(pairs) + ("," if len(pairs) == 1 else "") + ")"
+    literal = repr(cls.__name__).replace("%", "%%")
+    if len(names) > 1:
+        values = operator.attrgetter(*names)
+    else:  # attrgetter of one name returns the bare value, of none fails
+        def values(packet) -> tuple:
+            return tuple([getattr(packet, name) for name in names])
+    return f"({literal}, {fields})", values
 
 
 def control_checksum_of(packet) -> int:
     """CRC-32 over a control packet's semantic fields (all but ``checksum``).
 
-    The encoding is the ``repr`` of the type name plus the sorted field
-    values — deterministic across processes for the int/str/tuple fields
-    control packets carry, and independent of the stored checksum itself.
-    The field names are looked up once per class.
+    The encoding is the ``repr`` of the type name plus the ``(name,
+    value)`` pairs in declaration order — deterministic across processes
+    for the int/str/tuple fields control packets carry, and independent of
+    the stored checksum itself.  The string is built from a per-class
+    ``%r`` template rather than by ``repr`` of a fresh tuple; it is the
+    same string.
     """
     cls = type(packet)
-    names = _SEMANTIC_FIELDS.get(cls)
-    if names is None:
-        names = _SEMANTIC_FIELDS[cls] = tuple(
-            f.name for f in dataclasses.fields(packet) if f.name != "checksum"
-        )
-    fields = tuple([(name, getattr(packet, name)) for name in names])
-    return zlib.crc32(repr((cls.__name__, fields)).encode("utf-8"))
+    entry = _TEMPLATES.get(cls)
+    if entry is None:
+        entry = _TEMPLATES[cls] = _checksum_template(cls)
+    template, values = entry
+    return zlib.crc32((template % values(packet)).encode("utf-8"))
 
 
 def control_intact(packet) -> bool:
@@ -121,12 +167,20 @@ def control_intact(packet) -> bool:
 
     Packets without a ``checksum`` field (or with ``None``, e.g. rebuilt by
     old journals) are accepted as unverifiable, mirroring
-    :func:`payload_intact`.
+    :func:`payload_intact`.  The verdict is remembered on the packet.
     """
+    memo = getattr(packet, "__dict__", None)
+    if memo is not None:
+        verdict = memo.get(_VERDICT)
+        if verdict is not None:
+            return verdict
     checksum = getattr(packet, "checksum", None)
     if checksum is None:
         return True
-    return control_checksum_of(packet) == checksum
+    verdict = control_checksum_of(packet) == checksum
+    if memo is not None:
+        memo[_VERDICT] = verdict
+    return verdict
 
 
 class _AutoControlChecksum:
@@ -141,6 +195,8 @@ class _AutoControlChecksum:
     def __post_init__(self) -> None:
         if self.checksum is None:
             object.__setattr__(self, "checksum", control_checksum_of(self))
+            # just computed from the fields it sits beside
+            self.__dict__[_VERDICT] = True
 
 
 @dataclass(frozen=True)

@@ -192,15 +192,21 @@ class MulticastNetwork:
         self._require_wired()
         self.stats.feedback_sent += 1
         self.stats.count_kind(kind)
-        if self.rng.random() >= self.feedback_loss:
+        others = [
+            handler
+            for receiver_id, handler in enumerate(self._receiver_handlers)
+            if receiver_id != origin
+        ]
+        # one draw for the sender, then one per other receiver in order:
+        # the same stream the scalar draws took, in one call
+        draws = self.rng.random(1 + len(others))
+        kept = (draws >= self.feedback_loss).tolist()
+        if kept[0]:
             self.stats.feedback_delivered += 1
             self.sim.schedule(self.latency, _deliver(self._sender_handler, packet))
-        for receiver_id, handler in enumerate(self._receiver_handlers):
-            if receiver_id == origin:
-                continue
-            if self.rng.random() < self.feedback_loss:
-                continue
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+        for handler, keep in zip(others, kept[1:]):
+            if keep:
+                self.sim.schedule(self.latency, _deliver(handler, packet))
 
     def unicast_feedback(self, packet: Any, kind: str = "ack") -> None:
         """Send feedback to the sender only (used by ACK-style extensions)."""

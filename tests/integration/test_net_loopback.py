@@ -218,6 +218,68 @@ class TestHostilePeer:
         assert (report.parities_sent, report.arq_fallbacks) == (2, 2)
 
 
+class TestLostFin:
+    def test_a_complete_after_the_session_ended_is_answered(self):
+        """The last member's complete ends the session, and its fin is
+        lost: the member's repeated complete reaches a server that has
+        filed the session's report.  It must still be acknowledged, or
+        the member waits out every one of its repeats."""
+        config = NetConfig(k=2, h=2, packet_size=64, join_window=0.05)
+        data = payload(2, config)
+
+        async def scenario():
+            server = NetServer(data, config)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            transport, peer = await loop.create_datagram_endpoint(
+                _RawPeer, remote_addr=(host, port)
+            )
+            try:
+                peer.send(SessionJoin(group=0, nonce=1))
+                session_id = (await peer.expect(SessionAnnounce)).session_id
+                await peer.expect(DataPacket)  # the session is streaming
+                complete = SessionComplete(delivered=2)
+                peer.send(complete, session_id)
+                await peer.expect(SessionFin)  # ... and say this one is lost
+                for _ in range(100):
+                    if server.reports:
+                        break
+                    await asyncio.sleep(0.01)
+                assert session_id not in server.sessions
+                peer.send(complete, session_id)
+                fin = await asyncio.wait_for(peer.expect(SessionFin), 2.0)
+            finally:
+                transport.close()
+                await server.close()
+            return session_id, fin, server.reports
+
+        session_id, fin, reports = run_bounded(scenario())
+        assert fin.session_id == session_id
+        assert fin.packet == SessionFin("complete")
+        (report,) = reports
+        assert (report.session_id, report.outcome) == (session_id, "complete")
+
+    def test_a_complete_for_an_unknown_session_is_ignored(self):
+        config = NetConfig(k=2, h=2, packet_size=64)
+
+        async def scenario():
+            server = NetServer(payload(2, config), config)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            transport, peer = await loop.create_datagram_endpoint(
+                _RawPeer, remote_addr=(host, port)
+            )
+            try:
+                peer.send(SessionComplete(delivered=2), 99)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(peer.expect(SessionFin), 0.3)
+            finally:
+                transport.close()
+                await server.close()
+
+        run_bounded(scenario())
+
+
 class _ScriptedSender(_RawPeer):
     """A hand-driven server: streams what the script says, drops what it
     says, and times every NAK that comes back."""

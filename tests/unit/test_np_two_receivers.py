@@ -57,8 +57,9 @@ SCRIPT = [
 ]
 
 #: ``needed`` of the NAK answering each poll of the script, in order
-#: (the polls of a settled group get none)
-POLL_NAKS = [1, 1, K, 2, 1, 1]
+#: (the polls of a settled group get none, nor does the round-1 poll of
+#: group 1 that arrives after its round-2 poll: its NAK would be stale)
+POLL_NAKS = [1, 1, K, 2, 1]
 
 
 def _packet(encoder: BlockEncoder, kind: str, tg: int, arg):

@@ -120,6 +120,30 @@ class TestFeedback:
         sim.run()
         assert 60 < len(received) < 140  # ~100 expected
 
+    @pytest.mark.parametrize("origin", [0, 3, 6, 99])
+    def test_feedback_draws_are_the_scalar_draws(self, origin):
+        # the reference: one rng.random() for the sender, then one per
+        # other receiver in id order, on the network's own stream
+        R, loss, seed = 7, 0.4, 11
+        sim, network = build(R, seed=seed, feedback_loss=loss)
+        got = []
+        network.attach_sender(lambda p: got.append(("sender", p)))
+        for i in range(R):
+            network.attach_receiver(lambda p, i=i: got.append((i, p)))
+        reference = np.random.default_rng(seed)
+        network.loss_model.start(reference)  # the draws the network took
+        expected = []
+        for n in range(30):
+            network.multicast_feedback(n, origin=origin)
+            if reference.random() >= loss:
+                expected.append(("sender", n))
+            for i in range(R):
+                if i != origin and reference.random() >= loss:
+                    expected.append((i, n))
+        sim.run()
+        assert got == expected
+        assert network.rng.random() == reference.random()
+
     def test_unicast_feedback_sender_only(self):
         sim, network = build(2)
         sender_inbox = []
