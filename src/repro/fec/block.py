@@ -225,9 +225,20 @@ class BlockDecoder:
         self.received: dict[int, bytes | np.ndarray] = {}
         self._decoded: list[bytes] | None = None
         self.duplicates = 0
+        # any k packets decode an MDS code: no pattern test needed
+        self._mds = codec.is_mds
 
     def add(self, block_index: int, payload: bytes | np.ndarray) -> bool:
-        """Absorb one packet; returns True if the group is now decodable."""
+        """Absorb one packet; returns True if the group is now decodable.
+
+        Raises :exc:`ValueError` for an index outside the block, which is
+        not stored.
+        """
+        if not 0 <= block_index < self.codec.n:
+            raise ValueError(
+                f"packet index out of range for block length "
+                f"n={self.codec.n}: [{block_index}]"
+            )
         if self._decoded is not None:
             self.duplicates += 1
             return True
@@ -243,7 +254,7 @@ class BlockDecoder:
             return True
         if len(self.received) < self.k:
             return False
-        return self.codec.decodable_from(self.received)
+        return self._mds or self.codec.decodable_from(self.received)
 
     @property
     def missing(self) -> int:

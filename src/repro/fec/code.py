@@ -498,6 +498,16 @@ class ErasureCode(abc.ABC):
             raise DecodeError(
                 f"need at least k={self.k} packets to decode, got {len(indices)}"
             )
+        if self.systematic and indices[-1] == self.k - 1:
+            # exactly the k data packets: nothing to rebuild
+            data = [received[i] for i in indices]
+            if set(map(type, data)) == {bytes}:
+                lengths = set(map(len, data))
+                for length in lengths:
+                    self._byte_symbols(length)
+                if len(lengths) != 1:
+                    raise ValueError("received packets have inconsistent lengths")
+                return data
         # byte payloads are checked but stay bytes; arrays become symbols,
         # whose bytes are what a decode returns for them
         packets: dict[int, bytes | np.ndarray] = {}

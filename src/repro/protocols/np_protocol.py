@@ -383,6 +383,8 @@ class NPReceiver(SimReceiver):
         super().__init__(sim, network, n_groups, config, codec, on_complete)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.slotter = NakSlotter(sim, self.rng, config.slot_time)
+        #: with the watchdog off no packet touches its timers or retry counts
+        self._watchdog = config.nak_watchdog > 0
         self._watchdogs: dict[int, EventHandle] = {}
         self._watchdog_retries: dict[int, int] = {}
 
@@ -420,13 +422,15 @@ class NPReceiver(SimReceiver):
             # but keep the group's solicitation alive (the sender clearly
             # is; the missing count is unchanged)
             stats.corrupt_discarded += 1
-            self._arm_watchdog(tg, machine.round(tg))
+            if self._watchdog:
+                self._arm_watchdog(tg, machine.round(tg))
             return
-        self._feed_watchdog(tg)
+        if self._watchdog:
+            self._feed_watchdog(tg)
         arrival = machine.on_payload(tg, packet.index, packet.payload)
         if arrival is Arrival.DECODED:
+            # the feed above already cancelled the group's watchdog
             self.slotter.cancel_group(tg)
-            self._cancel_watchdog(tg)
             self._decoded()
             return
         if arrival is Arrival.NEW:
@@ -442,13 +446,15 @@ class NPReceiver(SimReceiver):
         # an open group is known-incomplete: if the coming poll gets lost
         # (lossy control plane) this timer keeps us live by NAKing
         # spontaneously; any later packet or poll re-feeds it
-        self._arm_watchdog(tg, machine.round(tg))
+        if self._watchdog:
+            self._arm_watchdog(tg, machine.round(tg))
 
     def _on_poll(self, poll: Poll) -> None:
         self.stats.polls_received += 1
         tg = poll.tg
         needed = self.machine.on_poll(tg, poll.round)
-        self._feed_watchdog(tg)
+        if self._watchdog:
+            self._feed_watchdog(tg)
         if needed <= 0:
             return
 
@@ -464,7 +470,8 @@ class NPReceiver(SimReceiver):
         self.network.multicast_feedback(
             Nak(tg, needed, round_index), origin=self.receiver_id
         )
-        self._arm_watchdog(tg, round_index)
+        if self._watchdog:
+            self._arm_watchdog(tg, round_index)
 
     def _on_abort(self, packet: GroupAbort) -> None:
         """Sender abandoned the group: stop soliciting, mark it failed."""
@@ -473,15 +480,17 @@ class NPReceiver(SimReceiver):
             return
         self.stats.groups_failed += 1
         self.slotter.cancel_group(tg)
-        self._cancel_watchdog(tg)
-        self._watchdog_retries.pop(tg, None)
+        if self._watchdog:
+            self._cancel_watchdog(tg)
+            self._watchdog_retries.pop(tg, None)
 
     # ------------------------------------------------------------------
-    # watchdog (feedback-loss robustness; disabled by default)
+    # watchdog (feedback-loss robustness; disabled by default, and then
+    # none of these run)
     # ------------------------------------------------------------------
     def _arm_watchdog(self, tg: int, round_index: int) -> None:
         config = self.config
-        if config.nak_watchdog <= 0 or self.machine.is_settled(tg):
+        if self.machine.is_settled(tg):
             return
         self._cancel_watchdog(tg)
         retries = self._watchdog_retries.get(tg, 0)
@@ -548,7 +557,7 @@ class NPReceiver(SimReceiver):
         Without a watchdog it waits for whatever polls are still coming
         (and may stall, which the harness will diagnose).
         """
-        if self.config.nak_watchdog <= 0:
+        if not self._watchdog:
             return
         for tg in self.machine.unsettled_groups():
             self._arm_watchdog(tg, self.machine.round(tg))

@@ -6,9 +6,17 @@ minimal: a monotonic simulated clock, a binary-heap event queue with stable
 FIFO ordering for simultaneous events, and cancellable timers — the three
 things a NAK-suppression protocol actually needs.
 
-The heap holds plain ``(time, sequence, handle)`` tuples: ``sequence`` is a
+The heap holds plain ``(time, sequence, entry)`` tuples: ``sequence`` is a
 per-simulator counter, so ties in ``time`` fall back to scheduling order and
-no comparison ever reaches the handle — ordering runs in C, not in Python.
+no comparison ever reaches the entry — ordering runs in C, not in Python.
+An entry is an :class:`EventHandle` (one callback) or a *fan-out*: one
+multicast's deliveries of the same argument to many handlers
+(:meth:`Simulator.schedule_fanout`).  A fan-out is still one event per
+handler — each :meth:`~Simulator.step` runs one delivery, counts it and
+checks the budget before it — but it costs one heap entry and no closure
+per multicast instead of one of each per receiver.  It stays at the head
+until its last handler is dispatched, so its deliveries run back to back,
+exactly as if they had taken consecutive sequence numbers.
 
 Example
 -------
@@ -26,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
+from typing import Any
 
 __all__ = ["Simulator", "EventHandle", "SimulationError"]
 
@@ -49,6 +58,21 @@ class EventHandle:
         self.cancelled = True
 
 
+class _Fanout:
+    """Queued deliveries of ``arg`` to ``handlers[cursor:]``, in order."""
+
+    __slots__ = ("handlers", "arg", "cursor", "last")
+
+    #: a fan-out cannot be cancelled; the heap loop reads this like a handle's
+    cancelled = False
+
+    def __init__(self, handlers, arg):
+        self.handlers = handlers
+        self.arg = arg
+        self.cursor = 0
+        self.last = len(handlers) - 1
+
+
 class Simulator:
     """Discrete-event scheduler with a floating-point clock.
 
@@ -64,8 +88,10 @@ class Simulator:
         self.now = 0.0
         self.max_events = max_events
         self.events_dispatched = 0
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        self._queue: list[tuple[float, int, EventHandle | _Fanout]] = []
         self._sequence = itertools.count()
+        #: undelivered handlers of queued fan-outs beyond their one entry
+        self._fanout_backlog = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` time units from now."""
@@ -83,10 +109,30 @@ class Simulator:
         heapq.heappush(self._queue, (time, next(self._sequence), handle))
         return handle
 
+    def schedule_fanout(
+        self, delay: float, handlers: list[Callable[[Any], None]], arg: Any
+    ) -> None:
+        """Schedule ``handler(arg)`` for every handler, ``delay`` from now.
+
+        The deliveries run in list order, one per :meth:`step`, as if each
+        were scheduled by :meth:`schedule` back to back; they cannot be
+        cancelled.  ``handlers`` is kept, not copied: do not mutate it.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not handlers:
+            return
+        heapq.heappush(
+            self._queue,
+            (self.now + delay, next(self._sequence), _Fanout(handlers, arg)),
+        )
+        self._fanout_backlog += len(handlers) - 1
+
     @property
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return len(self._queue)
+        """Number of queued (possibly cancelled) events; every undelivered
+        handler of a fan-out counts as one."""
+        return len(self._queue) + self._fanout_backlog
 
     def step(self) -> bool:
         """Dispatch the next event; returns False when the queue is empty.
@@ -98,8 +144,8 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _, handle = queue[0]
-            if handle.cancelled:
+            time, _, entry = queue[0]
+            if entry.cancelled:
                 heapq.heappop(queue)
                 continue
             if self.events_dispatched >= self.max_events:
@@ -107,13 +153,24 @@ class Simulator:
                     f"event budget exhausted after {self.max_events} events — "
                     f"likely a protocol livelock "
                     f"(sim clock t={self.now:.3f}, "
-                    f"{len(queue)} events pending, "
+                    f"{self.pending} events pending, "
                     f"{self.events_dispatched} dispatched)"
                 )
-            heapq.heappop(queue)
             self.now = time
             self.events_dispatched += 1
-            handle.callback()
+            if entry.__class__ is _Fanout:
+                # anything a handler schedules sorts after this entry, so it
+                # stays at the head until its last delivery leaves
+                index = entry.cursor
+                if index == entry.last:
+                    heapq.heappop(queue)
+                else:
+                    entry.cursor = index + 1
+                    self._fanout_backlog -= 1
+                entry.handlers[index](entry.arg)
+            else:
+                heapq.heappop(queue)
+                entry.callback()
             return True
         return False
 
@@ -125,8 +182,8 @@ class Simulator:
             return
         queue = self._queue
         while queue:
-            time, _, handle = queue[0]
-            if handle.cancelled:
+            time, _, entry = queue[0]
+            if entry.cancelled:
                 heapq.heappop(queue)
                 continue
             if time > until:

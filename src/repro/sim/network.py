@@ -20,6 +20,7 @@ objects to registered handlers and counts what passed through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable
 
 import numpy as np
@@ -154,11 +155,10 @@ class MulticastNetwork:
         lost = self._loss_sampler.sample(np.array([self.sim.now]))[:, 0]
         self.stats.downstream_sent += 1
         self.stats.count_kind(kind)
-        self.stats.downstream_lost += int(lost.sum())
-        self.stats.downstream_delivered += int((~lost).sum())
-        for receiver_id in np.flatnonzero(~lost):
-            handler = self._receiver_handlers[receiver_id]
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+        handlers = list(compress(self._receiver_handlers, (~lost).tolist()))
+        self.stats.downstream_lost += len(lost) - len(handlers)
+        self.stats.downstream_delivered += len(handlers)
+        self.sim.schedule_fanout(self.latency, handlers, packet)
         return lost
 
     def multicast_control(self, packet: Any, kind: str = "poll") -> None:
@@ -172,12 +172,14 @@ class MulticastNetwork:
         self._require_wired()
         self.stats.downstream_sent += 1
         self.stats.count_kind(kind)
-        for handler in self._receiver_handlers:
-            if self.control_loss and self.rng.random() < self.control_loss:
-                self.stats.downstream_lost += 1
-                continue
-            self.stats.downstream_delivered += 1
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+        handlers = [
+            handler
+            for handler in self._receiver_handlers
+            if not (self.control_loss and self.rng.random() < self.control_loss)
+        ]
+        self.stats.downstream_lost += len(self._receiver_handlers) - len(handlers)
+        self.stats.downstream_delivered += len(handlers)
+        self.sim.schedule_fanout(self.latency, handlers, packet)
 
     # ------------------------------------------------------------------
     # feedback (receiver -> sender + other receivers)
@@ -203,10 +205,9 @@ class MulticastNetwork:
         kept = (draws >= self.feedback_loss).tolist()
         if kept[0]:
             self.stats.feedback_delivered += 1
-            self.sim.schedule(self.latency, _deliver(self._sender_handler, packet))
-        for handler, keep in zip(others, kept[1:]):
-            if keep:
-                self.sim.schedule(self.latency, _deliver(handler, packet))
+        # the sender's delivery first, then the others', as one fan-out
+        handlers = list(compress([self._sender_handler, *others], kept))
+        self.sim.schedule_fanout(self.latency, handlers, packet)
 
     def unicast_feedback(self, packet: Any, kind: str = "ack") -> None:
         """Send feedback to the sender only (used by ACK-style extensions)."""
@@ -215,9 +216,4 @@ class MulticastNetwork:
         self.stats.count_kind(kind)
         if self.rng.random() >= self.feedback_loss:
             self.stats.feedback_delivered += 1
-            self.sim.schedule(self.latency, _deliver(self._sender_handler, packet))
-
-
-def _deliver(handler: Callable[[Any], None], packet: Any) -> Callable[[], None]:
-    """Bind handler+packet without the late-binding lambda pitfall."""
-    return lambda: handler(packet)
+            self.sim.schedule_fanout(self.latency, [self._sender_handler], packet)

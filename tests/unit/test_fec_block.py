@@ -162,6 +162,37 @@ class TestBlockDecoder:
         with pytest.raises(ValueError, match="does not match"):
             BlockDecoder(5, RSECodec(4, 1))
 
+    def test_out_of_range_index_is_rejected_and_not_stored(self, setup):
+        # a stored bad index used to poison the decoder: every later add and
+        # missing raised once k packets were held
+        codec, data, parities = setup
+        decoder = BlockDecoder(4, codec)
+        decoder.add(0, data[0])
+        for bad in (codec.n, 9, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                decoder.add(bad, b"\0" * 50)
+        assert sorted(decoder.received) == [0]
+        assert decoder.missing == 3
+        decoder.add(2, data[2])
+        decoder.add(5, parities[1])
+        assert decoder.add(3, data[3]) is True
+        assert decoder.missing == 0
+        assert decoder.reconstruct() == data
+
+    def test_mds_decodability_needs_no_pattern_test(self, setup, monkeypatch):
+        codec, data, _ = setup
+
+        def unexpected(indices):
+            raise AssertionError("an MDS decoder asked for a pattern verdict")
+
+        monkeypatch.setattr(codec, "decodable_from", unexpected)
+        decoder = BlockDecoder(4, codec)
+        for i in range(3):
+            assert decoder.add(i, data[i]) is False
+        assert decoder.add(3, data[3]) is True
+        assert decoder.decodable
+        assert decoder.reconstruct() == data
+
 
 # ----------------------------------------------------------------------
 # framing against the codec *interface*: registry names, a non-MDS code,

@@ -98,6 +98,13 @@ class TestChecksSurvive:
         with pytest.raises(ValueError, match="inconsistent lengths"):
             codec.decode(received)
 
+    def test_short_data_packet_with_only_the_data(self, packets):
+        codec, packets = packets
+        received = dict(enumerate(packets[:K]))
+        received[K - 1] = received[K - 1][:-2]
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            codec.decode(received)
+
     def test_parity_of_another_length_with_all_data_present(self, packets):
         codec, packets = packets
         received = dict(enumerate(packets))

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +191,70 @@ class TestRunControl:
         assert fired == [0.0]
 
 
+class TestFanout:
+    def test_deliveries_run_in_order_one_per_step(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_fanout(
+            1.5,
+            [lambda arg, i=i: fired.append((i, arg, sim.now)) for i in range(3)],
+            "pkt",
+        )
+        assert sim.pending == 3
+        assert sim.step() is True
+        assert fired == [(0, "pkt", 1.5)]
+        assert sim.pending == 2
+        assert sim.events_dispatched == 1
+        sim.run()
+        assert fired == [(i, "pkt", 1.5) for i in range(3)]
+        assert sim.events_dispatched == 3
+        assert sim.pending == 0
+
+    def test_what_a_handler_schedules_runs_after_the_whole_fanout(self):
+        # the deliveries behave as if they took consecutive sequence numbers:
+        # a zero-delay event a handler schedules, or a plain event scheduled
+        # after the fan-out for the same time, waits for the last delivery
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("before"))
+
+        def first(arg):
+            fired.append(("first", arg))
+            sim.schedule(0.0, lambda: fired.append("child"))
+
+        def second(arg):
+            fired.append(("second", arg))
+
+        sim.schedule_fanout(1.0, [first, second], 7)
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["before", ("first", 7), ("second", 7), "after", "child"]
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.schedule_fanout(-1.0, [lambda arg: None], "pkt")
+
+    def test_budget_trip_between_two_deliveries_leaves_the_rest_pending(self):
+        sim = Simulator(max_events=3)
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("plain"))
+        sim.schedule_fanout(
+            2.0, [lambda arg, i=i: fired.append((i, arg)) for i in range(4)], "p"
+        )
+        with pytest.raises(SimulationError, match="2 events pending"):
+            sim.run()
+        assert fired == ["plain", (0, "p"), (1, "p")]
+        assert sim.events_dispatched == sim.max_events == 3
+        assert sim.now == 2.0
+        assert sim.pending == 2
+        sim.max_events = 10
+        sim.run()
+        assert fired == ["plain", (0, "p"), (1, "p"), (2, "p"), (3, "p")]
+        assert sim.events_dispatched == 5
+        assert sim.pending == 0
+
+
 class ReferenceScheduler:
     """The engine's contract on a sorted list: pop the least ``(time, seq)``.
 
@@ -242,6 +308,7 @@ DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
 OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), DELAYS, st.none() | DELAYS),
+        st.tuples(st.just("fanout"), DELAYS, st.integers(0, 3), st.none() | DELAYS),
         st.tuples(st.just("cancel"), st.integers(0, 40)),
         st.tuples(st.just("run"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])),
         st.tuples(st.just("step")),
@@ -250,8 +317,12 @@ OPERATIONS = st.lists(
 )
 
 
-def drive(scheduler, schedule, cancel, operations):
-    """Apply ``operations``; returns the dispatch log and state trace."""
+def drive(scheduler, schedule, cancel, fanout, operations):
+    """Apply ``operations``; returns the dispatch log and state trace.
+
+    A fan-out's handlers log ``arg`` and their position; the ones given a
+    child delay schedule a plain (cancellable) child event.
+    """
     fired, handles, trace = [], [], []
 
     def plan(label, delay, child_delay):
@@ -266,6 +337,20 @@ def drive(scheduler, schedule, cancel, operations):
         kind = operation[0]
         if kind == "schedule":
             plan(f"e{number}", operation[1], operation[2])
+        elif kind == "fanout":
+            _, delay, count, child_delay = operation
+
+            def handler(arg, position, child_delay=child_delay):
+                label = f"{arg}.{position}"
+                fired.append(label)
+                if child_delay is not None:
+                    plan(label + "'", child_delay, None)
+
+            fanout(
+                delay,
+                [functools.partial(handler, position=i) for i in range(count)],
+                f"f{number}",
+            )
         elif kind == "cancel" and handles:
             cancel(handles[operation[1] % len(handles)])
         elif kind == "run":
@@ -278,12 +363,25 @@ def drive(scheduler, schedule, cancel, operations):
     return trace
 
 
+def model_fanout(model):
+    """A fan-out on the model: one plain event per handler, back to back."""
+
+    def fanout(delay, handlers, arg):
+        for handler in handlers:
+            model.schedule(delay, functools.partial(handler, arg))
+
+    return fanout
+
+
 class TestReferenceModel:
     @given(operations=OPERATIONS)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_sorted_list_model(self, operations):
         sim = Simulator()
         model = ReferenceScheduler()
-        assert drive(sim, sim.schedule, lambda h: h.cancel(), operations) == (
-            drive(model, model.schedule, model.cancel, operations)
+        assert drive(
+            sim, sim.schedule, lambda h: h.cancel(), sim.schedule_fanout,
+            operations,
+        ) == drive(
+            model, model.schedule, model.cancel, model_fanout(model), operations
         )

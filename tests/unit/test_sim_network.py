@@ -81,6 +81,24 @@ class TestDelivery:
         for i in range(200):
             assert counts[i] == (0 if lost[i] else 1)
 
+    def test_each_delivery_is_one_event_in_receiver_order(self):
+        # a multicast is one heap entry, yet every delivery is still one
+        # pending and one dispatched event, in receiver id order
+        sim, network = build(50, p=0.3, seed=9)
+        network.attach_sender(lambda p: None)
+        order = []
+        for i in range(50):
+            network.attach_receiver(lambda p, i=i: order.append((p, i)))
+        lost_a = network.multicast("a")
+        lost_b = network.multicast("b")
+        delivered = int((~lost_a).sum() + (~lost_b).sum())
+        assert sim.pending == delivered == network.stats.downstream_delivered
+        sim.run()
+        assert sim.events_dispatched == delivered
+        assert order == [("a", i) for i in np.flatnonzero(~lost_a)] + [
+            ("b", i) for i in np.flatnonzero(~lost_b)
+        ]
+
     def test_stats_accounting(self):
         sim, network = build(4, p=0.0)
         network.attach_sender(lambda p: None)
