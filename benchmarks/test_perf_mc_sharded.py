@@ -5,7 +5,7 @@ Locks in the two performance claims of the sharded execution layer
 
 * **speedup** — on a Figure-11-shaped workload (layered FEC over a deep
   shared-loss tree) ``jobs=4`` completes >= 3x faster than the inline
-  path, *including* the cost of spawning the campaign workers.  Needs at
+  path, *including* the cost of spawning the pool workers.  Needs at
   least 4 usable cores, so the check skips on smaller hosts (CI runs it
   on 4-vCPU runners) — correctness of the fan-out is covered by the
   regular test suite everywhere.

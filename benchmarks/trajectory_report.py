@@ -9,7 +9,7 @@ shows up as a column of red-flag percentages instead of a diff spelunk.
 Usage::
 
     python benchmarks/trajectory_report.py            # all benches
-    python benchmarks/trajectory_report.py obs_export # one bench
+    python benchmarks/trajectory_report.py mc_sharded # one bench
     python benchmarks/trajectory_report.py --json     # machine-readable
 """
 

@@ -1,87 +1,6 @@
-"""Crash-safe campaign runner: the orchestration layer above transfers.
+"""Bounded retry with exponential backoff and jitter.
 
-The repo's real workload is whole *campaigns* — 18 paper figures plus
-ablations and open-ended sweeps, each a long stochastic simulation.  This
-package supervises them the way a training/eval job runner supervises
-jobs:
-
-* :mod:`repro.campaign.tasks` — declarative, picklable task descriptions
-  derived from the experiment registry and named sweep grids.
-* :mod:`repro.campaign.worker` — one spawned process per attempt; typed
-  transfer errors cross the boundary with their diagnostics intact.
-* :mod:`repro.campaign.retry` — bounded exponential backoff + jitter,
-  the same policy shape as the transfer-level NAK watchdog.
-* :mod:`repro.campaign.journal` — fsync'd append-only JSONL; every
-  supervision event is durable before it is acted on, a torn final line
-  is tolerated, and ``--resume`` rebuilds everything from the file alone.
-* :mod:`repro.campaign.supervisor` — deadlines with SIGTERM→SIGKILL
-  escalation, retry scheduling, quarantine-and-continue degradation.
-* :mod:`repro.campaign.report` — :class:`CampaignReport` with a
-  deterministic ``canonical()`` form (resume must be bit-identical to an
-  uninterrupted run) and a rendered table for humans.
-
-Wired into ``python -m repro.experiments`` via ``--jobs / --timeout /
---retries / --journal / --resume``.
+:class:`~repro.campaign.retry.RetryPolicy` is the only thing here: the
+net transport's NAK and join retries (:mod:`repro.net.supervision`) use
+it.  Importing this package imports nothing else.
 """
-
-from repro.campaign.journal import (
-    JOURNAL_VERSION,
-    JournalError,
-    JournalState,
-    JournalWriter,
-    TaskLedger,
-    load_journal,
-    payload_digest,
-    read_journal,
-    replay_journal,
-)
-from repro.campaign.report import CampaignReport, TaskOutcome
-from repro.campaign.retry import RetryPolicy
-from repro.campaign.status import (
-    CampaignStatus,
-    TaskStatus,
-    campaign_status,
-    render_status,
-)
-from repro.campaign.supervisor import CampaignRunner, run_campaign
-from repro.campaign.tasks import (
-    SWEEP_GRIDS,
-    CampaignTask,
-    callable_task,
-    deserialize_result,
-    execute_task,
-    experiment_task,
-    serialize_result,
-    sweep_grid_tasks,
-    tasks_from_registry,
-)
-
-__all__ = [
-    "CampaignRunner",
-    "run_campaign",
-    "CampaignReport",
-    "TaskOutcome",
-    "CampaignTask",
-    "RetryPolicy",
-    "experiment_task",
-    "callable_task",
-    "tasks_from_registry",
-    "sweep_grid_tasks",
-    "SWEEP_GRIDS",
-    "execute_task",
-    "serialize_result",
-    "deserialize_result",
-    "JournalWriter",
-    "JournalError",
-    "JournalState",
-    "TaskLedger",
-    "JOURNAL_VERSION",
-    "read_journal",
-    "replay_journal",
-    "load_journal",
-    "payload_digest",
-    "CampaignStatus",
-    "TaskStatus",
-    "campaign_status",
-    "render_status",
-]

@@ -1,13 +1,13 @@
-"""Bounded retry with exponential backoff + jitter for campaign tasks.
+"""Bounded retry with exponential backoff + jitter.
 
-Deliberately the same policy *shape* as the NAK watchdog in
-:class:`repro.protocols.np_protocol.NPConfig` (base interval, multiplicative
-backoff >= 1, interval cap, jitter as a fraction of the interval, bounded
-budget): one retry vocabulary across the transfer layer and the campaign
-layer.  The jitter draw is seeded per ``(campaign seed, task id, attempt)``
-by the supervisor, so a re-run of the same campaign schedules identical
-delays — retries are part of the reproducible record, not operational
-noise.
+The net transport's NAK and join retries (:class:`repro.net.NetConfig`'s
+``nak_retry`` / ``join_retry``) use it.  Deliberately the same policy
+*shape* as the NAK watchdog in
+:class:`repro.protocols.np_protocol.NPConfig` (base interval,
+multiplicative backoff >= 1, interval cap, jitter as a fraction of the
+interval, bounded budget): one retry vocabulary on both clocks.  The
+caller passes the jitter's generator, so a seeded transfer schedules
+identical delays on every run.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how patiently a failed task is re-run.
+    """How often and how patiently a failed attempt is repeated.
 
-    ``retries`` is the budget *after* the first attempt: a task is run at
-    most ``retries + 1`` times before quarantine.
+    ``retries`` is the budget *after* the first attempt: at most
+    ``retries + 1`` attempts are made.
     """
 
     retries: int = 1

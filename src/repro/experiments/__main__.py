@@ -6,31 +6,17 @@ Examples::
     python -m repro.experiments fig05 fig18
     python -m repro.experiments --all --csv results/
 
-Campaign mode (supervised, parallel, crash-safe; see
-:mod:`repro.campaign`) engages whenever any of ``--jobs``, ``--timeout``,
-``--retries``, ``--journal`` or ``--resume`` is given::
-
-    python -m repro.experiments --all --jobs 4 --journal campaign.jsonl
-    python -m repro.experiments --resume campaign.jsonl
-
 Transport mode (the real UDP transport; see :mod:`repro.net`) engages
 when the first positional is ``serve`` or ``fetch``::
 
     python -m repro.experiments serve --bind 127.0.0.1:9000 --size 65536
     python -m repro.experiments fetch --connect 127.0.0.1:9000 --out f.bin
 
-Inspecting a campaign (read-only; see DESIGN.md section 17): ``--status``
-prints the journal's state once, ``watch`` is the live view::
-
-    python -m repro.experiments --status campaign.jsonl
-    python -m repro.experiments watch --journal campaign.jsonl \
-        --metrics 127.0.0.1:9200
-
-Each task then runs in its own spawned process with a wall-clock budget
-and a retry allowance; completed work is journaled so a killed campaign
-resumes where it stopped.  The exit status is 0 only when every requested
-figure produced a result — failed or quarantined figure ids are printed
-and reflected in a nonzero exit code.
+Figures run one after another in this process; ``--mc-jobs N`` fans each
+simulated point's chunks out to N worker processes without changing a
+bit of it.  The exit status is 0 only when every requested figure
+produced a result — failed figure ids are printed and reflected in a
+nonzero exit code.
 """
 
 from __future__ import annotations
@@ -46,7 +32,6 @@ from repro.experiments.registry import (
     experiment_ids,
     run_experiment,
 )
-from repro.experiments.series import FigureResult
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,37 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="also write <DIR>/<figure>.csv for each figure run",
     )
-    campaign = parser.add_argument_group(
-        "campaign mode (supervised subprocess execution)"
-    )
-    campaign.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="run figures as a campaign with N parallel workers",
-    )
-    campaign.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="per-task wall-clock budget (campaign mode; default 600)",
-    )
-    campaign.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        help="re-runs allowed per failed task before quarantine (default 1)",
-    )
-    campaign.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="append-only JSONL journal for crash-safe resume",
-    )
-    campaign.add_argument(
-        "--resume",
-        metavar="PATH",
-        help="resume a campaign from its journal (skips completed tasks)",
-    )
     mc = parser.add_argument_group(
         "Monte-Carlo (figures 11/12/15/16; see repro.mc.sharded)"
     )
@@ -102,8 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="SEED",
-        help="figure seed forwarded to every simulation runner, in every "
-        "mode (default 0)",
+        help="figure seed forwarded to every simulation runner (default 0)",
     )
     mc.add_argument(
         "--mc-jobs",
@@ -153,28 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="enable telemetry and write the merged metric registry to "
         "PATH on exit as exact NDJSON rows (repro.obs.read_telemetry reads "
-        "them back); campaign and sharded-MC workers ship their metrics "
-        "home for the merge",
-    )
-    observability.add_argument(
-        "--status",
-        metavar="PATH",
-        help="print the current state of the campaign journal at PATH "
-        "(read-only, works while a runner is live) and exit",
-    )
-    observability.add_argument(
-        "--metrics-port",
-        type=int,
-        metavar="PORT",
-        help="campaign mode: serve live OpenMetrics on "
-        "http://127.0.0.1:PORT/metrics while the campaign runs "
-        "(0 picks a free port; implies telemetry capture)",
-    )
-    observability.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        help="campaign mode: append delta NDJSON telemetry (plus drift "
-        "alerts) to PATH while the campaign runs (implies capture)",
+        "them back); sharded-MC workers ship their metrics home for the "
+        "merge",
     )
     return parser
 
@@ -195,19 +128,6 @@ def _mc_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _campaign_mode(args: argparse.Namespace) -> bool:
-    return any(
-        value is not None
-        for value in (
-            args.jobs,
-            args.timeout,
-            args.retries,
-            args.journal,
-            args.resume,
-        )
-    )
-
-
 def _render_fig13() -> None:
     # the timing diagram: rendered, not computed
     from repro.experiments.fig13_timing import render_timing_diagram
@@ -217,16 +137,10 @@ def _render_fig13() -> None:
     print()
 
 
-def _write_csv(csv_dir: pathlib.Path, figure_id: str, result) -> None:
-    path = csv_dir / f"{figure_id}.csv"
-    path.write_text(result.to_csv())
-    print(f"wrote {path}")
-
-
 def _run_sequential(
     targets: list[str], csv_dir: pathlib.Path | None, runner_kwargs: dict
 ) -> int:
-    """The classic in-process path; now failure-aware (nonzero exit)."""
+    """Run each figure in this process; nonzero exit if any failed."""
     failed: list[str] = []
     for figure_id in targets:
         if figure_id == "fig13":
@@ -252,84 +166,11 @@ def _run_sequential(
         print(f"[{figure_id} completed in {elapsed:.1f}s]")
         print()
         if csv_dir is not None:
-            _write_csv(csv_dir, figure_id, result)
+            path = csv_dir / f"{figure_id}.csv"
+            path.write_text(result.to_csv())
+            print(f"wrote {path}")
     if failed:
         print(f"failed figures: {' '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_campaign(
-    args: argparse.Namespace,
-    targets: list[str],
-    csv_dir: pathlib.Path | None,
-) -> int:
-    from repro.campaign import (
-        CampaignRunner,
-        RetryPolicy,
-        deserialize_result,
-        tasks_from_registry,
-    )
-
-    capture = args.metrics_out is not None
-    telemetry = {}
-    if args.metrics_port is not None:
-        telemetry["metrics_port"] = args.metrics_port
-    if args.telemetry_out is not None:
-        telemetry["telemetry_path"] = args.telemetry_out
-    if args.resume:
-        overrides = dict(telemetry)
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.timeout is not None:
-            overrides["timeout"] = args.timeout
-        if args.retries is not None:
-            overrides["retry"] = RetryPolicy(retries=args.retries)
-        if capture:
-            overrides["capture_metrics"] = True
-        runner = CampaignRunner.resume(args.resume, **overrides)
-    else:
-        if "fig13" in targets:
-            # rendered, not computed: satisfy it inline, supervise the rest
-            _render_fig13()
-            targets = [t for t in targets if t != "fig13"]
-            if not targets:
-                return 0
-        tasks = tasks_from_registry(targets, seed=args.seed, **_mc_kwargs(args))
-        runner = CampaignRunner(
-            tasks,
-            jobs=args.jobs if args.jobs is not None else 1,
-            timeout=args.timeout if args.timeout is not None else 600.0,
-            retry=RetryPolicy(
-                retries=args.retries if args.retries is not None else 1
-            ),
-            journal_path=args.journal,
-            seed=args.seed,
-            campaign_id="experiments",
-            capture_metrics=capture,
-            **telemetry,
-        )
-    if runner.metrics_port is not None or runner.telemetry_path is not None:
-        # the supervisor process records too (campaign.* instruments),
-        # so the live exports cover both sides of the worker boundary
-        from repro import obs
-
-        obs.enable()
-    report = runner.run()
-    if capture:
-        from repro import obs
-
-        obs.merge_snapshot(runner.worker_metrics)
-    print(report.render_table())
-    if csv_dir is not None:
-        for task_id, payload in sorted(runner.results.items()):
-            result = deserialize_result(payload)
-            if isinstance(result, FigureResult):
-                _write_csv(csv_dir, task_id, result)
-    if report.status != "ok":
-        print(
-            f"failed figures: {' '.join(report.quarantined)}", file=sys.stderr
-        )
         return 1
     return 0
 
@@ -342,11 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.net.cli import main as net_main
 
         return net_main(argv)
-    if argv and argv[0] == "watch":
-        # live dashboard over a journal + metrics endpoint
-        from repro.experiments.watch import main as watch_main
-
-        return watch_main(argv[1:])
     parser = _build_parser()
     args = parser.parse_args(argv)
 
@@ -356,62 +192,37 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{figure_id}  [{experiment.method:11s}]  {experiment.paper_caption}")
         return 0
 
-    if args.status:
-        from repro.campaign import JournalError, campaign_status, render_status
-
-        try:
-            print(render_status(campaign_status(args.status)))
-        except (OSError, JournalError) as exc:
-            print(f"error: cannot read journal {args.status}: {exc}",
-                  file=sys.stderr)
-            return 2
-        return 0
-
     if args.metrics_out:
         from repro import obs
 
         obs.enable()
 
-    if args.resume:
-        if args.figures or args.all:
-            parser.print_usage()
-            print(
-                "error: --resume takes its task list from the journal; "
-                "do not pass figure ids",
-                file=sys.stderr,
-            )
-            return 2
-        targets: list[str] = []
-    else:
-        targets = experiment_ids() if args.all else args.figures
-        if not targets:
-            parser.print_usage()
-            print("error: give figure ids, --all, or --list", file=sys.stderr)
-            return 2
-        unknown = [
-            figure_id
-            for figure_id in targets
-            if figure_id != "fig13" and figure_id not in EXPERIMENTS
-        ]
-        if unknown:
-            parser.print_usage()
-            print(
-                f"error: unknown experiment(s) {' '.join(unknown)}; "
-                f"known: {' '.join(experiment_ids())}",
-                file=sys.stderr,
-            )
-            return 2
+    targets = experiment_ids() if args.all else args.figures
+    if not targets:
+        parser.print_usage()
+        print("error: give figure ids, --all, or --list", file=sys.stderr)
+        return 2
+    unknown = [
+        figure_id
+        for figure_id in targets
+        if figure_id != "fig13" and figure_id not in EXPERIMENTS
+    ]
+    if unknown:
+        parser.print_usage()
+        print(
+            f"error: unknown experiment(s) {' '.join(unknown)}; "
+            f"known: {' '.join(experiment_ids())}",
+            file=sys.stderr,
+        )
+        return 2
 
     csv_dir = pathlib.Path(args.csv) if args.csv else None
     if csv_dir is not None:
         csv_dir.mkdir(parents=True, exist_ok=True)
 
-    if _campaign_mode(args):
-        status = _run_campaign(args, targets, csv_dir)
-    else:
-        status = _run_sequential(
-            targets, csv_dir, {**_mc_kwargs(args), "rng": args.seed}
-        )
+    status = _run_sequential(
+        targets, csv_dir, {**_mc_kwargs(args), "rng": args.seed}
+    )
 
     if args.metrics_out:
         from repro import obs

@@ -12,8 +12,9 @@ costs the NP protocol:
   :class:`~repro.sim.loss.BernoulliLoss` matched to the *same mean
   marginal loss rate*, so any gap is attributable to the correlation
   structure alone, not to the loss volume.
-* :func:`failure_em` — one (generator, protocol) cell of the campaign's
-  ``failure_em`` sweep grid: churned transfers driven by
+* :func:`failure_em` — E[M] under one (generator, protocol) pair;
+  looping it over the four worlds and both churned protocols sweeps the
+  whole correlated-failure matrix.  Churned transfers are driven by
   :func:`~repro.sim.failure.churn_fault_plan`, reporting E[M] and the
   degraded-completion count.
 

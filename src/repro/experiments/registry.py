@@ -245,9 +245,7 @@ def run_experiment(figure_id: str, **kwargs) -> FigureResult:
     """Run one experiment by id, forwarding runner-specific kwargs.
 
     Each run is wrapped in an obs span (``figure.<id>``), so with
-    telemetry enabled figure wall-times land in the exported registry —
-    including runs inside campaign workers, whose snapshots merge into
-    the supervisor's rollup.
+    telemetry enabled figure wall-times land in the exported registry.
     """
     try:
         experiment = EXPERIMENTS[figure_id]

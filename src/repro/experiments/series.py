@@ -104,8 +104,7 @@ class FigureResult:
         return [series.label for series in self.series]
 
     def to_json(self) -> dict:
-        """JSON-serializable dict (campaign journals persist figures this
-        way, so a resumed campaign can rebuild results without re-running)."""
+        """JSON-serializable dict; :meth:`from_json` restores an equal figure."""
         return {
             "figure_id": self.figure_id,
             "title": self.title,

@@ -2,7 +2,7 @@
 
 The registry is the single place the rest of the tree — `BlockEncoder` /
 `BlockDecoder`, the MC simulators, the protocol harness's ``codec=`` knob,
-the experiment CLI's ``--codec`` flag and the campaign grids — resolves a
+and the experiment CLI's ``--codec`` flag — resolves a
 codec name into a constructed :class:`~repro.fec.code.ErasureCode`.  Names
 are plain strings, so they cross process boundaries (the sharded MC kernels
 receive ``codec="lrc"`` in their params dict, never a live object).

@@ -14,14 +14,13 @@ chunk kernels as **shard-parallel streaming jobs** with three guarantees:
   split, any completion order, and ``jobs=1`` versus ``jobs>1``.
 * **Streaming moments.**  Shards fold samples into
   :class:`~repro.mc.streaming.StreamingMoments` (exact, mergeable) instead
-  of shipping sample vectors: memory is O(chunk) per worker and O(1) at
-  the supervisor, however many replications run.
-* **Supervised fan-out.**  ``jobs > 1`` reuses the campaign primitives of
-  :mod:`repro.campaign` — spawned worker processes, wall-clock deadlines,
-  bounded retry — so a wedged or crashed shard costs one bounded retry,
-  never the run.  Retried shards recompute *identical* samples (the seed
-  tree makes shard execution idempotent), so retries cannot bias the
-  estimate.
+  of shipping sample vectors: memory is O(chunk) per worker and O(1) in
+  the parent, however many replications run.
+* **Pooled fan-out.**  ``jobs > 1`` sends the same chunks to one spawned
+  :class:`~concurrent.futures.ProcessPoolExecutor` per call.  A chunk's
+  samples depend only on its replication indices, so where it runs cannot
+  move a bit; a chunk that fails raises, and no partial estimate is ever
+  returned.
 
 **Adaptive stopping** (``target_ci=``) runs chunks until the 95% CI
 half-width of the running estimate drops to the target or the replication
@@ -38,8 +37,11 @@ Loss models cross the process boundary as JSON specs
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
 import numbers
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -339,7 +341,7 @@ def _chunk_rngs(
 
 
 # ----------------------------------------------------------------------
-# the worker cell (runs inside a spawned campaign worker — or inline)
+# the worker cell (runs inside a spawned pool worker)
 # ----------------------------------------------------------------------
 def shard_cell(
     *,
@@ -354,9 +356,8 @@ def shard_cell(
 ) -> dict:
     """Run replications ``[start, start + count)`` and return exact moments.
 
-    This is the campaign ``callable`` target for process fan-out; every
-    argument is plain data so the task survives the spawn boundary and the
-    JSONL journal unchanged.  The return value is
+    This is what a pool worker runs for one chunk; every argument is plain
+    data so it crosses the spawn boundary as is.  The return value is
     :meth:`StreamingMoments.to_json` — O(1) size however large the chunk.
     """
     spec = SIMULATORS[simulator]
@@ -434,8 +435,6 @@ def run_sharded(
     target_ci: float | None = None,
     rng: np.random.SeedSequence | np.random.Generator | int | None = 0,
     timing: Timing = PAPER_TIMING,
-    timeout: float = 600.0,
-    retries: int = 1,
 ) -> MCResult:
     """Sharded, streaming Monte-Carlo estimate of E[M].
 
@@ -458,9 +457,9 @@ def run_sharded(
         set, stopping happens at chunk boundaries, so the default is a
         jobs-independent constant to keep stopped counts deterministic.
     jobs:
-        ``1`` runs chunks inline; ``N > 1`` fans chunks out to ``N``
-        spawned, supervised worker processes (campaign machinery:
-        deadlines, bounded retry).  Identical results either way.
+        ``1`` runs chunks inline; ``N > 1`` fans chunks out to a pool of
+        up to ``N`` spawned worker processes.  Identical results either
+        way.
     target_ci:
         Optional 95% CI half-width target: stop as soon as the running
         estimate is at least this tight (checked at chunk boundaries, in
@@ -468,8 +467,6 @@ def run_sharded(
     rng:
         Root of the seed tree: an int seed, a ``SeedSequence``, None
         (fresh entropy) or a ``Generator`` (one entropy draw is taken).
-    timeout, retries:
-        Per-shard wall-clock budget and retry allowance (``jobs > 1``).
     """
     try:
         spec = SIMULATORS[simulator]
@@ -494,16 +491,7 @@ def run_sharded(
     if jobs == 1:
         return _run_inline(spec, loss_model, params, chunks, root, timing, target_ci)
     return _run_fanout(
-        spec,
-        loss_model,
-        params,
-        chunks,
-        root,
-        timing,
-        target_ci,
-        jobs,
-        timeout,
-        retries,
+        spec, loss_model, params, chunks, root, timing, target_ci, jobs
     )
 
 
@@ -516,7 +504,7 @@ def _run_inline(
     timing: Timing,
     target_ci: float | None,
 ) -> MCResult:
-    """Single-process path: same chunks, same seeds, no campaign."""
+    """Single-process path: same chunks, same seeds, no worker processes."""
     moments = StreamingMoments()
     for start, count in chunks:
         with obs.span(
@@ -544,17 +532,8 @@ def _run_fanout(
     timing: Timing,
     target_ci: float | None,
     jobs: int,
-    timeout: float,
-    retries: int,
 ) -> MCResult:
-    """Process-parallel path via the campaign supervisor."""
-    from repro.campaign import (
-        CampaignRunner,
-        RetryPolicy,
-        callable_task,
-        deserialize_result,
-    )
-
+    """Process-parallel path: the same chunks over one spawned pool."""
     try:
         model_spec = loss_model.to_spec()
     except NotImplementedError as exc:
@@ -562,74 +541,57 @@ def _run_fanout(
             f"{type(loss_model).__name__} cannot cross the process "
             f"boundary ({exc}); run with jobs=1"
         ) from None
-
-    def make_task(index: int, start: int, count: int):
-        return callable_task(
-            f"chunk{index:05d}",
-            "repro.mc.sharded:shard_cell",
-            timeout=timeout,
-            simulator=spec.name,
-            model=model_spec,
-            params=params,
-            entropy=root.entropy,
-            spawn_key=list(root.spawn_key),
-            start=start,
-            count=count,
-            timing={
-                "packet_interval": timing.packet_interval,
-                "round_gap": timing.round_gap,
-            },
-        )
-
+    cell = functools.partial(
+        _pool_cell,
+        # workers inherit this process's telemetry switch; their snapshots
+        # merge here, so the rollup looks exactly like an inline run's
+        # (modulo wall-clock histograms)
+        obs.is_enabled(),
+        simulator=spec.name,
+        model=model_spec,
+        params=params,
+        entropy=root.entropy,
+        spawn_key=list(root.spawn_key),
+        timing={
+            "packet_interval": timing.packet_interval,
+            "round_gap": timing.round_gap,
+        },
+    )
     moments = StreamingMoments()
     # Fixed-count runs dispatch everything at once; adaptive runs go in
     # waves of `jobs` chunks so a tight CI stops after bounded overshoot.
     wave_size = len(chunks) if target_ci is None else jobs
-    next_chunk = 0
-    while next_chunk < len(chunks):
-        wave = chunks[next_chunk : next_chunk + wave_size]
-        tasks = [
-            make_task(next_chunk + offset, start, count)
-            for offset, (start, count) in enumerate(wave)
-        ]
-        runner = CampaignRunner(
-            tasks,
-            jobs=min(jobs, len(tasks)),
-            timeout=timeout,
-            retry=RetryPolicy(retries=retries),
-            campaign_id=f"mc-{spec.name}",
-            # shard workers inherit this process's telemetry switch; their
-            # snapshots merge here, so the rollup looks exactly like an
-            # inline run's (modulo wall-clock histograms)
-            capture_metrics=obs.is_enabled(),
-        )
-        report = runner.run()
-        if obs.is_enabled() and runner.worker_metrics:
-            obs.merge_snapshot(runner.worker_metrics)
-        if report.status != "ok":
-            details = "; ".join(
-                f"{outcome.task_id}: {outcome.error_type}: {outcome.error_message}"
-                for outcome in report.outcomes
-                if outcome.status != "ok"
-            )
-            raise RuntimeError(
-                f"sharded MC run lost {len(report.quarantined)} shard(s) "
-                f"after retries — statistics would be biased ({details})"
-            )
-        stopped = False
-        for offset in range(len(wave)):
-            task_id = f"chunk{next_chunk + offset:05d}"
-            chunk_moments = StreamingMoments.from_json(
-                deserialize_result(runner.results[task_id])
-            )
-            moments.merge(chunk_moments)
-            # evaluate the stop rule at every chunk boundary in index
-            # order; chunks computed beyond the stop point are discarded
-            # so the stopped count never depends on jobs or wave size
-            if _ci_reached(moments, target_ci):
-                stopped = True
-                break
-        if stopped:
-            break
-        next_chunk += len(wave)
+    pool = ProcessPoolExecutor(
+        min(jobs, len(chunks)), mp_context=multiprocessing.get_context("spawn")
+    )
+    try:
+        for first in range(0, len(chunks), wave_size):
+            futures = []
+            for start, count in chunks[first : first + wave_size]:
+                if obs.is_enabled():
+                    # the perf ledger reads this as mc.fanout_spawns
+                    obs.counter("campaign.attempts").inc()
+                futures.append(pool.submit(cell, start=start, count=count))
+            results = [future.result() for future in futures]
+            for _, metrics in results:
+                if metrics is not None:
+                    obs.merge_snapshot(obs.MetricsSnapshot.from_json(metrics))
+            for chunk_json, _ in results:
+                moments.merge(StreamingMoments.from_json(chunk_json))
+                # evaluate the stop rule at every chunk boundary in index
+                # order; chunks computed beyond the stop point are discarded
+                # so the stopped count never depends on jobs or wave size
+                if _ci_reached(moments, target_ci):
+                    return moments.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return moments.result()
+
+
+def _pool_cell(capture: bool, **cell) -> tuple[dict, dict | None]:
+    """:func:`shard_cell` in a pool worker, plus the chunk's telemetry
+    snapshot when ``capture`` is on."""
+    if not capture:
+        return shard_cell(**cell), None
+    with obs.capture():
+        return shard_cell(**cell), obs.snapshot().to_json()

@@ -52,7 +52,7 @@ class StreamingMoments:
     :meth:`merge` commutes and associates *exactly* (see module docstring).
 
     Only finite samples are accepted; NaN/inf raise ``ValueError`` at
-    ``update`` time rather than silently poisoning the campaign.
+    ``update`` time rather than silently poisoning the estimate.
     """
 
     __slots__ = ("count", "_s1", "_s2")
@@ -157,7 +157,7 @@ class StreamingMoments:
         return MCResult(self.mean, self.stderr, self.count)
 
     # ------------------------------------------------------------------
-    # serialization (worker -> supervisor pipe, campaign journal)
+    # serialization (pool worker -> parent)
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         """JSON-safe state; the big integers travel as decimal strings."""

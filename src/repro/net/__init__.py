@@ -10,8 +10,7 @@ vocabulary over real datagram sockets:
 * :mod:`repro.net.supervision` — :class:`~repro.net.supervision.NetConfig`
   plus the robustness machinery: pacing/backpressure, per-group NAK
   solicitation with seeded exponential backoff and a bounded retry budget
-  (the same :class:`~repro.campaign.retry.RetryPolicy` vocabulary the
-  campaign runner uses).
+  (a :class:`~repro.campaign.retry.RetryPolicy`).
 * :mod:`repro.net.session` — per-session sender state machine, multiplexed
   by session id so one server serves many concurrent transfer groups.
 * :mod:`repro.net.endpoints` — the endpoints:

@@ -85,14 +85,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="serve for SECONDS then exit (default: until interrupted)",
     )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live OpenMetrics on http://127.0.0.1:PORT/metrics "
-        "(0 picks a free port; also enables telemetry recording)",
-    )
     return parser
 
 
@@ -161,22 +153,11 @@ def _run_serve(argv: list[str]) -> int:
         )
     except ValueError as exc:
         return _usage_error(parser, str(exc))
-    if args.metrics_port is not None:
-        if not 0 <= args.metrics_port <= 65535:
-            return _usage_error(parser, "--metrics-port outside 0..65535")
-        from repro import obs
-
-        obs.enable()  # a scrape endpoint without recording would be empty
 
     async def run() -> None:
-        server = NetServer(
-            data, config, bind=bind, metrics_port=args.metrics_port
-        )
+        server = NetServer(data, config, bind=bind)
         host, port = await server.start()
         print(f"serving {len(data)} bytes on {host}:{port}", flush=True)
-        if server.metrics_address is not None:
-            mhost, mport = server.metrics_address
-            print(f"metrics on http://{mhost}:{mport}/metrics", flush=True)
         try:
             await server.serve(duration=args.duration)
         finally:

@@ -40,7 +40,6 @@ from repro.net.wire import (
     encode_frame,
     frame_kind,
 )
-from repro.obs.httpd import MetricsEndpoint
 from repro.obs.tracecontext import is_trace_id, mint_trace_id
 from repro.protocols.np_machine import Arrival, NPReceiveMachine
 from repro.protocols.packets import (
@@ -134,7 +133,6 @@ class NetServer:
         data: bytes,
         config: NetConfig = NetConfig(),
         bind: Address = ("127.0.0.1", 0),
-        metrics_port: int | None = None,
     ):
         self.data = data
         self.config = config
@@ -148,17 +146,6 @@ class NetServer:
         self._socket: DatagramSocket | None = None
         self._tasks: set[asyncio.Task] = set()
         self._closed = asyncio.Event()
-        #: optional HTTP pull endpoint for scrapers (None = disabled;
-        #: 0 = bind an ephemeral port, reported by ``metrics_address``)
-        self._metrics_port = metrics_port
-        self._metrics: MetricsEndpoint | None = None
-
-    @property
-    def metrics_address(self) -> Address | None:
-        """Bound address of the metrics endpoint, if one is serving."""
-        if self._metrics is None:
-            return None
-        return self._metrics.address
 
     @property
     def address(self) -> Address:
@@ -168,9 +155,6 @@ class NetServer:
 
     async def start(self) -> Address:
         self._socket = await open_datagram(self._datagram, local=self.bind)
-        if self._metrics_port is not None:
-            self._metrics = MetricsEndpoint(port=self._metrics_port)
-            await self._metrics.start()
         return self.address
 
     async def close(self) -> None:
@@ -179,9 +163,6 @@ class NetServer:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._metrics is not None:
-            await self._metrics.stop()
-            self._metrics = None
         if self._socket is not None:
             self._socket.close()
             self._socket = None

@@ -1,7 +1,7 @@
 """Robustness machinery for the UDP transport: pacing, deadlines, backoff.
 
 Three pieces, all deliberately sharing vocabulary with the rest of the
-repo so one mental model covers simulator, campaign and transport:
+repo so one mental model covers simulator and transport:
 
 * :class:`NetConfig` — every knob of a transfer session, validated at
   construction like :class:`~repro.protocols.np_protocol.NPConfig`.
@@ -12,8 +12,8 @@ repo so one mental model covers simulator, campaign and transport:
   stream (without it, every NAK would look stale).
 * :class:`NakScheduler` — per-group NAK solicitation state on the
   receiver: deadline, seeded exponential backoff with jitter, and a hard
-  retry budget, driven by the same
-  :class:`~repro.campaign.retry.RetryPolicy` the campaign supervisor uses.
+  retry budget, driven by a
+  :class:`~repro.campaign.retry.RetryPolicy`.
   When every outstanding group has exhausted its budget the transfer is
   declared stalled (typed failure), never silently hung.  Beside that
   configured patience it keeps a measured one: an RFC 6298 estimate of

@@ -2,15 +2,12 @@
 
 Zero-dependency observability for the whole stack: exactly-mergeable
 metric instruments (:mod:`repro.obs.metrics`), nested monotonic span
-tracing (:mod:`repro.obs.spans`), a per-process runtime switch
-(:mod:`repro.obs.runtime`), and the live telemetry plane — exact
-NDJSON metric rows and a render-only OpenMetrics exporter
-(:mod:`repro.obs.export`), an HTTP pull endpoint
-(:mod:`repro.obs.httpd`), deterministic trace stitching
-(:mod:`repro.obs.tracecontext`) and paper-model drift SLOs
-(:mod:`repro.obs.slo`).  Off by default; ``obs.enable()`` or the
-experiments CLI's ``--metrics-out PATH`` turns it on.  See DESIGN.md
-sections 12 (merge contract, overhead budget) and 17 (telemetry plane).
+tracing (:mod:`repro.obs.spans`), a per-process runtime switch with the
+exact NDJSON metric rows of ``--metrics-out`` (:mod:`repro.obs.runtime`),
+and deterministic trace stitching (:mod:`repro.obs.tracecontext`).  Off
+by default; ``obs.enable()`` or the experiments CLI's ``--metrics-out
+PATH`` turns it on.  See DESIGN.md sections 12 (merge contract, overhead
+budget) and 17 (trace context).
 """
 
 from repro.obs.metrics import (
@@ -33,6 +30,7 @@ from repro.obs.runtime import (
     histogram,
     is_enabled,
     merge_snapshot,
+    read_telemetry,
     recorder,
     registry,
     reset,
@@ -40,19 +38,6 @@ from repro.obs.runtime import (
     span,
 )
 from repro.obs.spans import Span, SpanRecord, SpanRecorder, TimerSpan
-from repro.obs.export import (
-    TelemetryFlusher,
-    read_telemetry,
-    snapshot_delta,
-    to_openmetrics,
-)
-from repro.obs.httpd import MetricsEndpoint
-from repro.obs.slo import (
-    DriftAlert,
-    DriftMonitor,
-    EmDriftSLO,
-    GoodputDriftSLO,
-)
 from repro.obs.tracecontext import (
     current_trace_id,
     export_trace,
@@ -85,21 +70,12 @@ __all__ = [
     "histogram",
     "is_enabled",
     "merge_snapshot",
+    "read_telemetry",
     "recorder",
     "registry",
     "reset",
     "snapshot",
     "span",
-    # telemetry plane
-    "TelemetryFlusher",
-    "read_telemetry",
-    "snapshot_delta",
-    "to_openmetrics",
-    "MetricsEndpoint",
-    "DriftAlert",
-    "DriftMonitor",
-    "EmDriftSLO",
-    "GoodputDriftSLO",
     "current_trace_id",
     "export_trace",
     "mint_trace_id",

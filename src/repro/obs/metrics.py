@@ -3,10 +3,10 @@
 The observability layer's counterpart to
 :class:`repro.mc.streaming.StreamingMoments`: every instrument's snapshot
 obeys the same **partition-invariance contract** — observing a multiset of
-samples split across any number of processes, shards, or resumed campaign
-attempts and merging the snapshots yields bit-identical state, whatever
-the split or merge order.  That is what lets a ``--jobs 4`` campaign and a
-serial run report the *same* packet/NAK/retransmission totals.
+samples split across any number of processes or shards and merging the
+snapshots yields bit-identical state, whatever the split or merge order.
+That is what lets a ``--mc-jobs 2`` run and a serial run report the
+*same* replication and chunk totals.
 
 Three instruments:
 
@@ -22,8 +22,8 @@ Three instruments:
 Instruments are identified by ``(name, labels)`` where labels are
 stringified key/value pairs; a :class:`MetricRegistry` hands out live
 instruments, and :class:`MetricsSnapshot` is the frozen, JSON-safe,
-mergeable form that crosses process boundaries (campaign journal,
-``run_sharded`` shard results) and lands in ``--metrics-out`` files.
+mergeable form that crosses process boundaries (``run_sharded`` pool
+workers) and lands in ``--metrics-out`` files.
 
 Everything here is stdlib-only and never touches any RNG.
 """
@@ -52,7 +52,7 @@ _SHIFT = 1080
 
 #: Default buckets for duration histograms (seconds): log-spaced from
 #: 10 microseconds to 10 minutes, the range spanned by a GF matmul at one
-#: end and a quarantined campaign task at the other.
+#: end and a whole figure run at the other.
 DEFAULT_DURATION_BOUNDS: tuple[float, ...] = (
     1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 60.0, 600.0,
 )
@@ -332,8 +332,8 @@ class MetricRegistry:
     def merge_snapshot(self, snapshot: "MetricsSnapshot") -> None:
         """Fold a snapshot's state into this registry's live instruments.
 
-        Used by supervisors to roll worker snapshots up into their own
-        registry; instruments are created on first sight.
+        Used to roll worker snapshots up into the parent's registry;
+        instruments are created on first sight.
         """
         for (name, labels), entry in snapshot._entries.items():
             kind = entry["type"]

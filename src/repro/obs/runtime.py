@@ -13,9 +13,9 @@ Instrumented code throughout the repo asks two cheap questions::
 Everything is **off by default**: ``is_enabled()`` is a module-level
 boolean read, ``span()`` returns a bare :class:`~repro.obs.spans.TimerSpan`
 when disabled, and no instrument objects exist until something records.
-``enable()`` flips the switch; workers spawned with telemetry capture
-call it on startup, snapshot at exit, and ship the snapshot home where
-the supervisor merges it (`repro.obs.metrics` guarantees the merge is
+``enable()`` flips the switch; a sharded Monte-Carlo pool worker
+records each chunk under :func:`capture` and ships the snapshot home,
+where the parent merges it (`repro.obs.metrics` guarantees the merge is
 partition-invariant).  Nothing here reads or seeds any RNG, so enabling
 observability can never perturb seeded experiment streams.
 
@@ -27,6 +27,7 @@ not shared memory.
 from __future__ import annotations
 
 import contextlib
+import json
 import pathlib
 from typing import Any, Iterator
 
@@ -37,6 +38,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricRegistry,
     MetricsSnapshot,
+    labels_key,
 )
 from repro.obs.spans import Span, SpanRecorder, TimerSpan
 from repro.obs.tracecontext import current_trace_id
@@ -57,6 +59,7 @@ __all__ = [
     "capture",
     "export_metrics",
     "export_spans",
+    "read_telemetry",
 ]
 
 _enabled = False
@@ -144,10 +147,10 @@ def snapshot() -> MetricsSnapshot:
 
     Bounded-recorder truncation is never silent: the recorder's dropped
     count is levelled into an ``obs.spans_dropped`` counter here, so
-    every export path (NDJSON dumps, the flusher, the pull endpoint,
-    worker-shipped snapshots) carries it.  Nothing is injected while
-    telemetry is disabled and nothing was dropped, preserving the
-    "disabled runs observe nothing" contract.
+    every export path (``--metrics-out`` rows, worker-shipped snapshots)
+    carries it.  Nothing is injected while telemetry is disabled and
+    nothing was dropped, preserving the "disabled runs observe nothing"
+    contract.
     """
     dropped = _recorder.dropped
     if _enabled or dropped:
@@ -186,21 +189,42 @@ def export_metrics(
 ) -> int:
     """Dump a snapshot (default: this process's) to ``path``.
 
-    Writes the exact ``{"record": "metric", ...}`` NDJSON rows of one
-    :class:`~repro.obs.export.TelemetryFlusher` flush, whatever the
-    suffix, so :func:`~repro.obs.export.read_telemetry` folds the file
-    back to ``snap`` bit-for-bit.  Returns the number of instruments
-    written.
+    Writes one exact ``{"record": "metric", "seq": 0, ...}`` NDJSON row
+    per instrument, in key order, whatever the suffix: histogram sums stay
+    decimal strings, so :func:`read_telemetry` folds the file back to
+    ``snap`` bit-for-bit.  Returns the number of instruments written.
     """
-    from repro.obs.export import TelemetryFlusher
-
     if snap is None:
         snap = snapshot()
-    flusher = TelemetryFlusher(path, source=lambda: snap)
-    try:
-        return flusher.flush()
-    finally:
-        flusher.close()
+    with open(path, "w") as fh:
+        for key in sorted(snap._entries):
+            row = {"record": "metric", "seq": 0, **snap._entries[key]}
+            fh.write(json.dumps(row, sort_keys=True))
+            fh.write("\n")
+    return len(snap._entries)
+
+
+def read_telemetry(path: str | pathlib.Path) -> MetricsSnapshot:
+    """Fold the ``metric`` rows of an NDJSON file into one snapshot.
+
+    The merge is exact and order-independent.  Lines that are not metric
+    rows (a torn tail, pasted Prometheus text) are skipped.
+    """
+    registry = MetricRegistry()
+    with open(path) as fh:
+        for line in fh:
+            try:
+                row = json.loads(line)
+                if row.get("record") != "metric":
+                    continue
+                entry = {
+                    k: v for k, v in row.items() if k not in ("record", "seq")
+                }
+                key = (str(entry["name"]), labels_key(entry.get("labels", {})))
+                registry.merge_snapshot(MetricsSnapshot({key: entry}))
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # not a metric row: skip it
+    return registry.snapshot()
 
 
 def export_spans(path: str | pathlib.Path, mode: str = "w") -> int:

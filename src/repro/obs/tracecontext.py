@@ -1,18 +1,17 @@
 """Trace context: deterministic trace ids, ambient propagation, stitching.
 
 A *trace* ties together every span that served one logical unit of work —
-a campaign task attempt, or one net transfer session observed from both
-the sender and the receiver side.  Trace ids are minted deterministically
-(:func:`mint_trace_id` is a keyed hash of the caller's identifying parts,
-never an RNG read), travel across process boundaries next to the metrics
-snapshot in the worker success message, and across the UDP wire in a
-dedicated control packet (``repro.net.wire.TraceContextPacket``).
+one net transfer session observed from both the sender and the receiver
+side.  Trace ids are minted deterministically (:func:`mint_trace_id` is a
+keyed hash of the caller's identifying parts, never an RNG read) and
+travel across the UDP wire in a dedicated control packet
+(``repro.net.wire.TraceContextPacket``).
 
 Inside a process the id propagates *ambiently*: :func:`set_trace_id` /
 :func:`use_trace` install it as module state, and the obs runtime stamps
 it onto every span started while it is set (``attrs["trace"]``).  The
-ambient slot is per-process and single-valued — right for the synchronous
-campaign worker, wrong for a server multiplexing many sessions on one
+ambient slot is per-process and single-valued — right for synchronous
+code, wrong for a server multiplexing many sessions on one
 event loop, which is why the net layer passes ``trace=...`` explicitly as
 a span attribute instead.
 
@@ -60,8 +59,7 @@ _current: str | None = None
 def mint_trace_id(*parts: Any) -> str:
     """A deterministic 32-hex trace id from the caller's identity parts.
 
-    Same parts, same id — a resumed campaign attempt or a re-announced
-    session keeps its trace.  Uses ``blake2b`` over the ``repr`` of each
+    Same parts, same id — a re-announced session keeps its trace.  Uses ``blake2b`` over the ``repr`` of each
     part; no RNG is touched, so minting ids can never perturb seeded
     experiment streams.
     """

@@ -111,9 +111,8 @@ class TransferReport:
     def to_json(self) -> dict:
         """JSON-serializable dict; :meth:`from_json` restores an equal report.
 
-        Used by the campaign journal so transfer-level outcomes are
-        self-contained in the record (including the nested resilience
-        section and its replay ``fault_plan``).
+        The record is self-contained, including the nested resilience
+        section and its replay ``fault_plan``.
         """
         data = {
             f.name: getattr(self, f.name)
@@ -442,8 +441,8 @@ def run_transfer(
     # Registry-backed measurement (repro.obs): every count on the report
     # is recorded into a per-transfer MetricRegistry and read back out,
     # so the report and a ``--metrics-out`` rollup share one source of
-    # truth — a campaign's merged ``transfer.*`` counters sum exactly the
-    # values reported here.  The local registry always exists (a couple
+    # truth — merged ``transfer.*`` counters sum exactly the values
+    # reported here.  The local registry always exists (a couple
     # dozen cheap instruments per transfer); it merges into the process-
     # global registry only when telemetry is enabled.
     registry = MetricRegistry()

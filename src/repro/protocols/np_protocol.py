@@ -435,12 +435,17 @@ class NPReceiver(SimReceiver):
             return
         if arrival is Arrival.NEW:
             stats.last_progress_time = self.sim.now
-            stats.peak_buffered_groups = max(
-                stats.peak_buffered_groups, machine.open_groups
-            )
-            stats.peak_buffered_packets = max(
-                stats.peak_buffered_packets, machine.buffered_packets
-            )
+            # a new packet raises the packet count by one; every open
+            # group holds a packet, so the group count can pass its peak
+            # only while the packet count is above that peak too
+            buffered = machine.buffered_packets
+            if buffered > stats.peak_buffered_packets:
+                stats.peak_buffered_packets = buffered
+            if (
+                buffered > stats.peak_buffered_groups
+                and machine.open_groups > stats.peak_buffered_groups
+            ):
+                stats.peak_buffered_groups = machine.open_groups
         elif arrival is Arrival.DUPLICATE or tg in machine.delivered:
             stats.duplicates += 1  # an abandoned group's repairs are void
         # an open group is known-incomplete: if the coming poll gets lost

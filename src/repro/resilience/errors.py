@@ -16,16 +16,15 @@ The taxonomy the harness raises:
 All subclass :class:`TransferError`, itself a ``RuntimeError`` so existing
 ``except RuntimeError`` callers keep working.
 
-Two transport guarantees matter to the campaign runner, which moves these
-errors between processes and persists them in journals:
+Two transport guarantees hold for every member:
 
 * **Pickling** preserves the attached :class:`StallReport`: a typed error
-  raised in a spawned worker arrives in the supervisor with its diagnosis
+  raised in a spawned worker arrives in the parent with its diagnosis
   intact (``__reduce__`` rebuilds from the pre-summary message + report,
   so the summary is not appended twice).
 * **JSON** (:meth:`TransferError.to_json` / :func:`failure_from_json`)
   round-trips the full failure including the replay ``(seed, fault_plan)``
-  pair, so a journaled chaos failure is replayable from the record alone.
+  pair, so a recorded chaos failure is replayable from the record alone.
 """
 
 from __future__ import annotations
@@ -90,10 +89,9 @@ _TAXONOMY: dict[str, type[TransferError]] = {
 def failure_from_json(data: dict) -> TransferError:
     """Rebuild a typed failure from :meth:`TransferError.to_json` output.
 
-    Unknown ``error_type`` tags (e.g. a plain ``ValueError`` serialized by
-    the campaign journal) come back as the base :class:`TransferError` with
-    the original type name folded into the message, so journals written by
-    newer code still load.
+    Unknown ``error_type`` tags (e.g. a plain ``ValueError``) come back as
+    the base :class:`TransferError` with the original type name folded
+    into the message, so records written by newer code still load.
     """
     error_type = data.get("error_type", "TransferError")
     error_cls = _TAXONOMY.get(error_type)

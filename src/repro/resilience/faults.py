@@ -174,9 +174,9 @@ class FaultPlan:
     def to_json(self) -> dict:
         """JSON-serializable dict; :meth:`from_json` restores an equal plan.
 
-        The round trip is what makes campaign journal records
-        self-contained: any chaos failure can be replayed from the journal
-        alone (plan + seed travel with the failure record).
+        The round trip is what makes failure records self-contained: any
+        chaos failure can be replayed from the record alone (plan + seed
+        travel with the failure record).
         """
         return {
             "seed": self.seed,

@@ -14,7 +14,7 @@ processes into the same vocabulary the rest of the repo speaks:
   ``schedule_for(entity)`` is a pure function of ``(seed, entity)``,
   independent of call order, instance identity or process, so the same
   spec replays the same outage world in the simulator, on the real UDP
-  loopback and across campaign worker processes.
+  loopback and across worker processes.
 * **Failure domains** (:class:`DomainTree`): receivers attach to the
   leaves of a site → rack → machine tree; an outage of any domain takes
   down its whole subtree at once.
@@ -635,7 +635,7 @@ def _synthetic_trace(horizon: float, n_entities: int = 16) -> dict:
 def named_generator(
     name: str, seed: int = 0, horizon: float = 1000.0, time_scale: float = 1.0
 ) -> AvailabilityGenerator:
-    """A canned generator by name (the CLI/campaign ``--failure`` worlds).
+    """A canned generator by name (the CLI's ``--failure`` worlds).
 
     The canned parameters target ~0.88–0.97 availability with outages a
     few percent of the horizon; ``time_scale`` multiplies every duration

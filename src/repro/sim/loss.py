@@ -219,8 +219,8 @@ class LossModel(ABC):
         """JSON-safe description rebuildable by :func:`loss_model_from_spec`.
 
         The sharded Monte-Carlo engine ships loss models to spawned worker
-        processes through campaign tasks (plain-data JSON), so every model
-        that should parallelise across processes must round-trip here.
+        processes as these plain-data specs, so every model that should
+        parallelise across processes must round-trip here.
         Models that cannot (e.g. :class:`TreeLoss`, which wraps a live
         ``networkx`` graph) raise ``NotImplementedError`` and are still
         usable in-process (``jobs=1``).

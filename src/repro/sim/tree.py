@@ -35,7 +35,7 @@ def _root_only() -> nx.DiGraph:
 
     Every builder starts here, and this is where ``networkx`` is imported:
     it costs ~135 ms and only the builders and ``TreeLoss`` need it, so
-    ``import repro`` (every campaign worker, every MC shard) stays cheap.
+    ``import repro`` (every MC pool worker) stays cheap.
     """
     import networkx as nx
 

@@ -88,58 +88,6 @@ class TestCliFailureExit:
         assert "fig05" in captured.out and "completed in" in captured.out
 
 
-class TestCliCampaignMode:
-    def test_campaign_success_exit_zero(self, capsys, tmp_path):
-        journal = tmp_path / "cli.jsonl"
-        csv_dir = tmp_path / "csv"
-        code = main(
-            [
-                "fig05",
-                "--jobs",
-                "1",
-                "--journal",
-                str(journal),
-                "--csv",
-                str(csv_dir),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "campaign" in out and "fig05" in out
-        assert journal.exists()
-        assert (csv_dir / "fig05.csv").read_text().startswith(
-            "figure,series,x,y,stderr"
-        )
-
-    def test_campaign_failure_exits_nonzero(self, capsys):
-        # a 1ms budget cannot even spawn the worker: guaranteed timeout,
-        # no retries -> quarantine -> degraded -> exit 1
-        code = main(["fig05", "--timeout", "0.001", "--retries", "0"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "DEGRADED" in captured.out
-        assert "failed figures: fig05" in captured.err
-
-    def test_resume_completes_finished_campaign(self, capsys, tmp_path):
-        journal = tmp_path / "resume.jsonl"
-        assert main(["fig05", "--journal", str(journal)]) == 0
-        capsys.readouterr()
-        assert main(["--resume", str(journal)]) == 0
-        out = capsys.readouterr().out
-        assert "fig05" in out
-        assert "resumed" in out
-
-    def test_resume_rejects_figure_ids(self, capsys, tmp_path):
-        assert main(["fig05", "--resume", str(tmp_path / "j.jsonl")]) == 2
-        err = capsys.readouterr().err
-        assert "task list from the journal" in err
-
-    def test_fig13_is_rendered_inline_in_campaign_mode(self, capsys):
-        assert main(["fig13", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "timing of the different approaches" in out
-
-
 class TestCliSeed:
     def test_seed_reaches_the_runner_in_every_mode(self, capsys, tmp_path):
         def fig15_csv(*flags):
@@ -150,5 +98,3 @@ class TestCliSeed:
 
         sequential = fig15_csv("--seed", "7")
         assert sequential != fig15_csv("--seed", "0")
-        # one set of bytes per seed: supervised worker == in-process run
-        assert sequential == fig15_csv("--seed", "7", "--jobs", "1")

@@ -1,19 +1,12 @@
-"""Property-based tests of the exact metrics format and delta exactness.
+"""Property-based tests of the exact metrics format.
 
-The promises under test extend the obs merge laws to the export layer:
-
-* ``MetricsSnapshot.from_json(json.loads(json.dumps(s.to_json()))) == s``
-  bit-for-bit — including exact fixed-point histogram sums whose decimal
-  strings run to hundreds of digits, "never observed" gauges, and label
-  values holding quotes, backslashes and newlines.  The same entries are
-  the NDJSON rows of ``--metrics-out`` and ``--telemetry-out`` files, so
-  ``read_telemetry`` folds an :func:`repro.obs.export_metrics` dump back
-  to the snapshot exactly.
-* Merging every :func:`snapshot_delta` of a run, **in any order**,
-  reconstructs the final cumulative snapshot exactly.
-
-OpenMetrics text is render-only (nothing reads it back), so its only
-property here is that rendering is a pure function of the snapshot.
+The promise under test extends the obs merge laws to the export layer:
+``MetricsSnapshot.from_json(json.loads(json.dumps(s.to_json()))) == s``
+bit-for-bit — including exact fixed-point histogram sums whose decimal
+strings run to hundreds of digits, "never observed" gauges, and label
+values holding quotes, backslashes and newlines.  The same entries are
+the NDJSON rows of ``--metrics-out`` files, so ``read_telemetry`` folds
+an :func:`repro.obs.export_metrics` dump back to the snapshot exactly.
 """
 
 import json
@@ -25,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import MetricRegistry, MetricsSnapshot
-from repro.obs.export import read_telemetry, snapshot_delta, to_openmetrics
 
 # JSON carries any label text; surrogates are excluded only because they
 # cannot be encoded at all.
@@ -99,21 +91,8 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "metrics.ndjson"
             assert obs.export_metrics(path, snapshot) == len(snapshot)
-            rebuilt, alerts = read_telemetry(path)
+            rebuilt = obs.read_telemetry(path)
         assert rebuilt == snapshot
-        assert alerts == []
-
-    @given(events=event_lists)
-    @settings(max_examples=30, deadline=None)
-    def test_render_is_deterministic_and_reparse_stable(self, events):
-        """OpenMetrics text is a pure function of the snapshot, so a
-        snapshot re-parsed from its JSON renders the same text."""
-        registry = MetricRegistry()
-        _apply(registry, events)
-        snapshot = registry.snapshot()
-        text = to_openmetrics(snapshot)
-        assert to_openmetrics(_json_transport(snapshot)) == text
-        assert text.endswith("# EOF\n")
 
     @given(
         exponents=st.lists(
@@ -134,43 +113,3 @@ class TestRoundTrip:
         key = ("h", ())
         assert parsed._entries[key]["sum"] == snapshot._entries[key]["sum"]
         assert parsed == snapshot
-
-
-class TestDeltaLaws:
-    @given(
-        rounds=st.lists(event_lists, min_size=1, max_size=5),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merging_deltas_in_any_order_reconstructs(self, rounds, data):
-        registry = MetricRegistry()
-        deltas = []
-        previous = MetricsSnapshot()
-        for events in rounds:
-            _apply(registry, events)
-            current = registry.snapshot()
-            deltas.append(snapshot_delta(previous, current))
-            previous = current
-        shuffled = data.draw(st.permutations(deltas))
-        rebuilt = MetricRegistry()
-        for delta in shuffled:
-            rebuilt.merge_snapshot(delta)
-        assert rebuilt.snapshot() == registry.snapshot()
-
-    @given(events=event_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_delta_of_identical_snapshots_is_empty(self, events):
-        registry = MetricRegistry()
-        _apply(registry, events)
-        assert (
-            snapshot_delta(registry.snapshot(), registry.snapshot())._entries
-            == {}
-        )
-
-    @given(events=event_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_delta_from_empty_is_the_snapshot(self, events):
-        registry = MetricRegistry()
-        _apply(registry, events)
-        snapshot = registry.snapshot()
-        assert snapshot_delta(MetricsSnapshot(), snapshot) == snapshot

@@ -1,10 +1,10 @@
-"""Property tests: JSON round trips for every journaled record type.
+"""Property tests: JSON round trips for every serializable record type.
 
-The campaign journal is only as good as its serializers — a lossy
-``to_json``/``from_json`` pair would make "replayable from the journal
-alone" silently false.  Every type a journal record can carry round-trips
-to an *equal* object here, through an actual JSON encode/decode (not just
-dict copying), across randomized instances.
+A record is only as good as its serializers — a lossy
+``to_json``/``from_json`` pair would make "replayable from the record
+alone" silently false.  Every such type round-trips to an *equal* object
+here, through an actual JSON encode/decode (not just dict copying),
+across randomized instances.
 """
 
 import json
@@ -12,8 +12,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import CampaignTask, RetryPolicy
-from repro.campaign.report import CampaignReport, TaskOutcome
+from repro.campaign.retry import RetryPolicy
 from repro.experiments.series import FigureResult, Series
 from repro.protocols.harness import TransferReport
 from repro.resilience import (
@@ -241,7 +240,7 @@ class TestFigureResultRoundTrip:
         assert roundtrip(figure, FigureResult) == figure
 
 
-class TestCampaignTypesRoundTrip:
+class TestRetryPolicyRoundTrip:
     @given(
         retries=st.integers(0, 10),
         base=probs,
@@ -261,73 +260,3 @@ class TestCampaignTypesRoundTrip:
             jitter=jitter,
         )
         assert roundtrip(policy, RetryPolicy) == policy
-
-    @given(
-        task_id=labels,
-        seed=st.one_of(st.none(), st.integers(0, 2**31)),
-        timeout=st.one_of(
-            st.none(),
-            st.floats(
-                min_value=0.1,
-                max_value=1e4,
-                allow_nan=False,
-                allow_infinity=False,
-            ),
-        ),
-        kwargs=st.dictionaries(
-            labels, st.one_of(st.integers(0, 100), probs, labels), max_size=3
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_campaign_task(self, task_id, seed, timeout, kwargs):
-        task = CampaignTask(
-            task_id=task_id,
-            kind="callable",
-            spec={"target": "repro.campaign.testing:tiny_figure", "kwargs": kwargs},
-            seed=seed,
-            timeout=timeout,
-        )
-        assert roundtrip(task, CampaignTask) == task
-
-    @given(
-        statuses=st.lists(
-            st.tuples(labels, st.booleans(), st.integers(1, 4), finite),
-            min_size=1,
-            max_size=5,
-            unique_by=lambda t: t[0],
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_campaign_report(self, statuses):
-        outcomes = []
-        for task_id, ok, attempts, duration in statuses:
-            if ok:
-                outcomes.append(
-                    TaskOutcome(
-                        task_id=task_id,
-                        status="ok",
-                        attempts=attempts,
-                        duration=duration,
-                        seed=0,
-                        result_digest="d" * 64,
-                    )
-                )
-            else:
-                outcomes.append(
-                    TaskOutcome(
-                        task_id=task_id,
-                        status="quarantined",
-                        attempts=attempts,
-                        duration=duration,
-                        failure_kinds=("timeout",) * attempts,
-                        error_type="TaskTimeout",
-                        error_message="too slow",
-                    )
-                )
-        report = CampaignReport(
-            campaign_id="prop", outcomes=outcomes, wall_clock=1.0
-        )
-        rebuilt = roundtrip(report, CampaignReport)
-        assert rebuilt == report
-        # the canonical form is stable under the round trip too
-        assert rebuilt.canonical_json() == report.canonical_json()

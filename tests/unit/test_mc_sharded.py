@@ -10,6 +10,7 @@ statistical agreement suite in ``tests/integration`` covers it at scale.
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -288,3 +289,16 @@ class TestProcessFanout:
         # ...but fan-out refuses loudly instead of failing in a worker
         with pytest.raises(ValueError, match="jobs=1"):
             run_sharded("nofec", model, replications=4, jobs=2)
+
+    def test_a_failed_chunk_raises_and_leaves_no_worker(self):
+        class Unbuildable(BernoulliLoss):
+            def to_spec(self):
+                return {"kind": "no_such_model"}
+
+        # the rebuild fails inside each worker: the run raises rather
+        # than return an estimate over the chunks that survived
+        with pytest.raises(ValueError, match="no_such_model"):
+            run_sharded("nofec", Unbuildable(3, 0.1), replications=8, jobs=2)
+        assert multiprocessing.active_children() == []
+        run_sharded("nofec", small_model(), replications=8, jobs=2)
+        assert multiprocessing.active_children() == []

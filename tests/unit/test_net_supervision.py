@@ -1,5 +1,5 @@
-"""Unit tests: transport supervision (pacing, NAK budget) and chaos
-schedule determinism."""
+"""Unit tests: transport supervision (pacing, retry policy, NAK budget)
+and chaos schedule determinism."""
 
 import asyncio
 import time
@@ -38,6 +38,47 @@ class TestNetConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetConfig(**kwargs)
+
+
+class TestRetryPolicy:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="retries"):
+            RetryPolicy(retries=-1)
+        with pytest.raises(ValueError, match="backoff"):
+            RetryPolicy(backoff=0.5)
+        with pytest.raises(ValueError, match="jitter"):
+            RetryPolicy(jitter=1.5)
+        with pytest.raises(ValueError, match="base_delay"):
+            RetryPolicy(base_delay=-1)
+
+    def test_delay_grows_exponentially_and_caps(self):
+        policy = RetryPolicy(
+            retries=8, base_delay=1.0, backoff=2.0, max_delay=5.0, jitter=0.0
+        )
+        rng = np.random.default_rng(0)
+        delays = [policy.delay(a, rng) for a in range(1, 6)]
+        assert delays == [1.0, 2.0, 4.0, 5.0, 5.0]
+
+    def test_jitter_only_shortens(self):
+        policy = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.5)
+        rng = np.random.default_rng(42)
+        for attempt in range(1, 20):
+            delay = policy.delay(attempt, rng)
+            assert 0.5 <= delay <= 1.0
+
+    def test_jitter_is_seed_deterministic(self):
+        policy = RetryPolicy(jitter=0.9)
+        a = [policy.delay(i, np.random.default_rng(7)) for i in range(1, 5)]
+        b = [policy.delay(i, np.random.default_rng(7)) for i in range(1, 5)]
+        assert a == b
+
+    def test_zero_base_delay_means_immediate(self):
+        policy = RetryPolicy(base_delay=0.0)
+        assert policy.delay(3, np.random.default_rng(0)) == 0.0
+
+    def test_attempts_are_one_based(self):
+        with pytest.raises(ValueError, match="1-based"):
+            RetryPolicy().delay(0, np.random.default_rng(0))
 
 
 class TestPacer:

@@ -179,7 +179,6 @@ class TestExport:
         """``--metrics-out`` rows carry the exact entry state: the
         histogram sum stays the fixed-point decimal string."""
         from repro import obs
-        from repro.obs.export import read_telemetry
 
         path = tmp_path / "metrics.ndjson"
         snapshot = _sample_snapshot()
@@ -194,4 +193,4 @@ class TestExport:
         assert by_name["latency"]["sum"] == (
             snapshot._entries[("latency", ())]["sum"]
         )
-        assert read_telemetry(path)[0] == snapshot
+        assert obs.read_telemetry(path) == snapshot

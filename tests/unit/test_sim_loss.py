@@ -313,7 +313,7 @@ class TestSpecRoundTrip:
 
         model = self.representative_models()[kind]
         spec = model.to_spec()
-        # the spec must survive a real JSON hop (campaign wire format)
+        # the spec must survive a real JSON hop
         rebuilt = loss_model_from_spec(json.loads(json.dumps(spec)))
         assert rebuilt.to_spec() == spec
         times = np.linspace(0.0, 10.0, 50)

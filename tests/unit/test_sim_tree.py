@@ -87,7 +87,7 @@ class TestOtherShapes:
 
 class TestLazyNetworkx:
     def test_import_repro_does_not_import_networkx(self):
-        """Every ledger child, campaign worker and MC shard imports repro;
+        """Every ledger child and MC pool worker imports repro;
         only the tree builders and TreeLoss may pay for networkx."""
         code = (
             "import sys\n"
