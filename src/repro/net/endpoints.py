@@ -24,6 +24,7 @@ chaos proxy can mangle anything it likes and the endpoints shrug.
 from __future__ import annotations
 
 import asyncio
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,7 +55,6 @@ from repro.protocols.packets import (
     SessionFin,
     SessionJoin,
     control_intact,
-    payload_symbols,
 )
 from repro.resilience.errors import TransferStalled, TransferTimeout
 from repro.resilience.report import ReceiverStall, StallReport
@@ -72,9 +72,9 @@ _MIN_SCAN = 0.001
 _COMPLETE_WAIT = 0.1
 
 
-def _count_tx(packet) -> None:
+def _count_tx(packet, datagrams: int = 1) -> None:
     if obs.is_enabled():
-        obs.counter("net.frames_tx", kind=frame_kind(packet)).inc()
+        obs.counter("net.frames_tx", kind=frame_kind(packet)).inc(datagrams)
 
 
 def _count_rx(packet) -> None:
@@ -175,11 +175,15 @@ class NetServer:
             pass
 
     # -- inbound ----------------------------------------------------------
-    def _send(self, packet, addr: Address, session_id: int) -> None:
-        if self._socket is None:
+    def _send(self, session_id: int, packet, *addrs: Address) -> None:
+        """Send ``packet`` to each of ``addrs``: one frame, encoded once."""
+        if self._socket is None or not addrs:
             return
-        _count_tx(packet)
-        self._socket.sendto(encode_frame(packet, session_id), addr)
+        frame = encode_frame(packet, session_id)
+        _count_tx(packet, len(addrs))
+        sendto = self._socket.sendto
+        for addr in addrs:
+            sendto(frame, addr)
 
     def _datagram(self, data: bytes, addr: Address) -> None:
         try:
@@ -203,7 +207,7 @@ class NetServer:
                 # the session ended on this member's complete, and its fin
                 # was lost: ack the repeat, or the member waits out all of
                 # its repeats
-                self._send(SessionFin("complete"), addr, frame.session_id)
+                self._send(frame.session_id, SessionFin("complete"), addr)
         if session is not None:
             # a window opened, a deadline moved in, or the session ended
             self._alarms[session.session_id].check()
@@ -233,9 +237,7 @@ class NetServer:
             group=join.group,
             data=self.data,
             config=self.config,
-            send=lambda packet, to, sid=session_id: self._send(
-                packet, to, sid
-            ),
+            send=functools.partial(self._send, session_id),
             now=now,
             # deterministic: the same (seed, session id, group) always
             # stitches under the same trace
@@ -271,7 +273,8 @@ class NetServer:
                     if session.state == DONE:
                         break
                     if session.has_frame:
-                        await pacer.gate()
+                        if (wait := pacer.delay()) is not None:
+                            await asyncio.sleep(wait)
                         packet = session.pop()
                         if packet is not None:
                             session.fanout(packet)
@@ -391,24 +394,28 @@ class _ReceiverProtocol:
             self._discard(error.reason)
             return
         self.frames_received += 1
-        _count_rx(frame.packet)
         packet = frame.packet
-        if isinstance(packet, SessionAnnounce):
+        _count_rx(packet)
+        kind = type(packet)
+        # the decoder builds exactly these classes, so type() dispatches
+        if kind in (DataPacket, ParityPacket, Retransmission):
+            # no session yet (None) matches no frame's id
+            if frame.session_id == self.session_id:
+                self._on_payload(packet, now)
+        elif kind is SessionAnnounce:
             self._on_announce(packet, frame.session_id)
         elif self.session_id is None or frame.session_id != self.session_id:
             return
-        elif isinstance(packet, (DataPacket, ParityPacket, Retransmission)):
-            self._on_payload(packet, now)
         elif not control_intact(packet):
             self.control_corrupt_discarded += 1
-        elif isinstance(packet, Poll):
+        elif kind is Poll:
             self._on_poll(packet, now)
-        elif isinstance(packet, GroupAbort):
+        elif kind is GroupAbort:
             self._on_abort(packet)
-        elif isinstance(packet, SessionFin):
+        elif kind is SessionFin:
             self.fin_reason = packet.reason
             self.done = True
-        elif isinstance(packet, TraceContextPacket):
+        elif kind is TraceContextPacket:
             if self.trace_id is None and is_trace_id(packet.trace_id):
                 self.trace_id = packet.trace_id
 
@@ -447,17 +454,14 @@ class _ReceiverProtocol:
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
             self._advance(tg, now)
+        # the decoder gets the wire's ``bytes``: a group that arrives whole
+        # is delivered as those objects, unconverted to symbols
         machine = self.machine
-        if machine.is_settled(tg):
-            return
+        arrival = machine.on_payload(tg, packet.index, packet.payload)
+        if arrival is Arrival.VOID:
+            return  # delivered or abandoned already
         self.scheduler.heard(tg, now)
-        # Hand the payload to the decoder as a zero-copy symbol view when
-        # the field is byte-aligned; the codec's ndarray path skips both
-        # the bytes round-trip and (for full-range fields) the value scan.
-        payload, field = packet.payload, machine.codec.field
-        if field.m in (8, 16):
-            payload = payload_symbols(packet, field)
-        if machine.on_payload(tg, packet.index, payload) is Arrival.DECODED:
+        if arrival is Arrival.DECODED:
             self.scheduler.forget(tg)
             if machine.settled:
                 self.done = True

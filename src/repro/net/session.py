@@ -29,7 +29,8 @@ the session deadline and the revive grace) and
 driver (:class:`~repro.net.endpoints.NetServer`) gates each
 :meth:`~SenderSession.pop` on the session's pacer and fans the frame
 out; immediate control replies (announce, fin, group abort) go straight
-out through the injected ``send(packet, addr)``.
+out through the injected ``send(packet, *addrs)``, which sends one
+packet to each address it is given.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class SenderSession:
         group: int,
         data: bytes,
         config: NetConfig,
-        send: Callable[[object, Address], None],
+        send: Callable[..., None],
         now: float,
         trace_id: str | None = None,
     ):
@@ -219,9 +220,9 @@ class SenderSession:
 
     def fanout(self, packet) -> None:
         """Unicast emulation of a multicast send: every active member."""
-        for member in self.members.values():
-            if member.active:
-                self.send(packet, member.addr)
+        self.send(
+            packet, *[m.addr for m in self.members.values() if m.active]
+        )
 
     # ------------------------------------------------------------------
     # inbound frames

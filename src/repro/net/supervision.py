@@ -150,11 +150,12 @@ class NetConfig:
 class Pacer:
     """One session's send schedule: bounded bursts on absolute deadlines.
 
-    The session's driver awaits :meth:`gate` before every frame it pops,
-    stream and repairs alike, so the session sends at most ``burst``
-    frames per ``interval * burst`` seconds.  Frame ``n`` (counted from
-    1) belongs to burst ``n // burst``; burst 0 is due at the first gate,
-    each later burst one period after the last, and every frame of a
+    The session's driver sleeps what :meth:`delay` returns (what
+    :meth:`gate` awaits) before every frame it pops, stream and repairs
+    alike, so the session sends at most ``burst`` frames per
+    ``interval * burst`` seconds.  Frame ``n`` (counted from 1) belongs
+    to burst ``n // burst``; burst 0 is due at the first gate, each
+    later burst one period after the last, and every frame of a
     burst waits for its deadline.  A burst is never due before it is
     opened, so after a stall at most one burst of debt is owed, never
     the periods the stall swallowed.  The opening frame yields the loop
@@ -177,23 +178,28 @@ class Pacer:
         self.frames = 0
         self.sleeps = 0
 
-    async def gate(self) -> None:
-        """Await before sending one frame."""
+    def delay(self) -> float | None:
+        """Count one frame: the seconds to sleep before sending it, or
+        ``None`` to send it without yielding the loop."""
         self.frames += 1
         opens = self.frames % self.burst == 0
         if opens:
             self.sleeps += 1
         if not self.period:
-            if opens:
-                await asyncio.sleep(0)  # no deadlines: the yield is all
-            return
+            return 0.0 if opens else None  # no deadlines: the yield is all
         now = asyncio.get_running_loop().time()
         if self._due is None:
             self._due = now
         if opens:
             self._due = max(self._due + self.period, now)
         if opens or self._due > now:
-            await asyncio.sleep(self._due - now)
+            return self._due - now
+        return None
+
+    async def gate(self) -> None:
+        """Await before sending one frame."""
+        if (wait := self.delay()) is not None:
+            await asyncio.sleep(wait)
 
 
 @dataclass

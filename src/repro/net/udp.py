@@ -38,7 +38,9 @@ class DatagramSocket:
     """A UDP socket whose reader empties the receive queue per wake-up.
 
     ``on_datagram(data, addr)`` is called for each datagram, inside the
-    running loop the socket was built in.  Errors the kernel reports on
+    running loop the socket was built in.  A connected socket hears only
+    its peer, so it reads with ``recv`` and passes the peer's address
+    instead of building one per datagram.  Errors the kernel reports on
     a read or a send (a connected peer that went away) cost that one
     datagram, as asyncio's ``error_received`` did here.
     """
@@ -52,6 +54,10 @@ class DatagramSocket:
         self._sock: socket.socket | None = sock
         self._fd = sock.fileno()
         self._on_datagram = on_datagram
+        try:
+            self._peer: Address | None = sock.getpeername()
+        except OSError:
+            self._peer = None  # not connected
         self._loop = asyncio.get_running_loop()
         #: datagrams waiting for room in the send buffer
         self._backlog: deque[tuple[bytes, Address | None]] = deque()
@@ -85,10 +91,13 @@ class DatagramSocket:
         return self._sock.getsockname()
 
     def _drain(self) -> None:
-        sock, deliver = self._sock, self._on_datagram
+        sock, deliver, peer = self._sock, self._on_datagram, self._peer
         for _ in range(DRAIN_CAP):
             try:
-                data, addr = sock.recvfrom(_MAX_DATAGRAM)
+                if peer is None:
+                    data, addr = sock.recvfrom(_MAX_DATAGRAM)
+                else:
+                    data, addr = sock.recv(_MAX_DATAGRAM), peer
             except BlockingIOError:
                 return
             except OSError:

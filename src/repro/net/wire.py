@@ -24,10 +24,10 @@ re-stamps — payload packets get ``checksum_of(payload)``, control packets
 auto-stamp at construction — so a decoded packet always verifies intact
 (frames that were damaged on the wire never decode at all).
 
-``decode_frame`` copies a datagram once: the frame CRC runs over a
-``memoryview``, the per-type decoders read their fields in place with
-``unpack_from`` at the body offset, and the payload slice is the only
-``bytes`` object cut from the datagram.
+Each direction copies a payload once: ``encode_frame`` chains the CRC
+over header and payload into one ``join`` (a fan-out sends those bytes to
+every member), and ``decode_frame`` runs the CRC over a ``memoryview``,
+reads the fields in place with ``unpack_from`` and cuts only the payload.
 
 Forward compatibility lever: the version byte is load-bearing and frozen
 at 1; *new control surface* is added as new type discriminators instead.
@@ -59,6 +59,7 @@ from repro.protocols.packets import (
     SessionFin,
     SessionJoin,
     checksum_of,
+    direct_init,
 )
 
 __all__ = [
@@ -102,6 +103,7 @@ class FrameError(ValueError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+@direct_init
 @dataclass(frozen=True)
 class Frame:
     """A decoded frame: the session id and the packet it carried."""
@@ -110,6 +112,7 @@ class Frame:
     packet: Any
 
 
+@direct_init
 @dataclass(frozen=True)
 class TraceContextPacket:
     """Telemetry control packet: the sender session's 32-hex trace id.
@@ -126,7 +129,6 @@ class TraceContextPacket:
 # ----------------------------------------------------------------------
 # per-type body codecs
 # ----------------------------------------------------------------------
-_U32 = struct.Struct("!I")
 _DATA = struct.Struct("!III")  # tg, index, generation
 _PARITY = struct.Struct("!II")  # tg, index
 _POLL = struct.Struct("!III")  # tg, sent, round
@@ -139,13 +141,8 @@ _COMPLETE = struct.Struct("!II")  # delivered, failed
 _FIN = struct.Struct("!B")  # reason code
 
 
-def _pack(fmt: struct.Struct, *values: int) -> bytes:
-    try:
-        return fmt.pack(*values)
-    except struct.error as exc:
-        raise FrameError("overflow", str(exc)) from exc
-
-
+# Encoders return a body's fixed fields and what trails them (``b""`` for
+# most control packets); ``encode_frame`` types ``struct.error`` overflow.
 # Decoders take the whole datagram and ``end``, the offset of its CRC: the
 # body is ``data[_BODY:end]``, read in place.
 def _exact(fmt: struct.Struct, data: bytes, end: int) -> tuple:
@@ -164,8 +161,8 @@ def _prefix(fmt: struct.Struct, data: bytes, end: int) -> tuple:
     return fmt.unpack_from(data, _BODY)
 
 
-def _encode_data(p: DataPacket) -> bytes:
-    return _pack(_DATA, p.tg, p.index, p.generation) + p.payload
+def _encode_data(p: DataPacket) -> tuple[bytes, bytes]:
+    return _DATA.pack(p.tg, p.index, p.generation), p.payload
 
 
 def _decode_data(data: bytes, end: int) -> DataPacket:
@@ -174,8 +171,8 @@ def _decode_data(data: bytes, end: int) -> DataPacket:
     return DataPacket(tg, index, payload, generation, checksum_of(payload))
 
 
-def _encode_parity(p: ParityPacket) -> bytes:
-    return _pack(_PARITY, p.tg, p.index) + p.payload
+def _encode_parity(p: ParityPacket) -> tuple[bytes, bytes]:
+    return _PARITY.pack(p.tg, p.index), p.payload
 
 
 def _decode_parity(data: bytes, end: int) -> ParityPacket:
@@ -184,41 +181,38 @@ def _decode_parity(data: bytes, end: int) -> ParityPacket:
     return ParityPacket(tg, index, payload, checksum_of(payload))
 
 
-def _encode_retransmission(p: Retransmission) -> bytes:
-    return _pack(_PARITY, p.tg, p.index) + p.payload
-
-
 def _decode_retransmission(data: bytes, end: int) -> Retransmission:
     tg, index = _prefix(_PARITY, data, end)
     payload = data[_BODY + _PARITY.size: end]
     return Retransmission(tg, index, payload, checksum_of(payload))
 
 
-def _encode_poll(p: Poll) -> bytes:
-    return _pack(_POLL, p.tg, p.sent, p.round)
+def _encode_poll(p: Poll) -> tuple[bytes, bytes]:
+    return _POLL.pack(p.tg, p.sent, p.round), b""
 
 
 def _decode_poll(data: bytes, end: int) -> Poll:
     return Poll(*_exact(_POLL, data, end))
 
 
-def _encode_nak(p: Nak) -> bytes:
-    return _pack(_NAK, p.tg, p.needed, p.round)
+def _encode_nak(p: Nak) -> tuple[bytes, bytes]:
+    return _NAK.pack(p.tg, p.needed, p.round), b""
 
 
 def _decode_nak(data: bytes, end: int) -> Nak:
     return Nak(*_exact(_NAK, data, end))
 
 
-def _encode_selective_nak(p: SelectiveNak) -> bytes:
-    head = _pack(_SNAK, p.tg, p.round, len(p.missing))
-    return head + b"".join(_pack(_U32, index) for index in p.missing)
+def _encode_selective_nak(p: SelectiveNak) -> tuple[bytes, bytes]:
+    count = len(p.missing)
+    head = _SNAK.pack(p.tg, p.round, count)
+    return head, struct.pack(f"!{count}I", *p.missing)
 
 
 def _index_list(data: bytes, end: int, count: int, what: str) -> tuple:
     """The ``count`` u32 values trailing a ``_SNAK`` head, read in place."""
     start = _BODY + _SNAK.size
-    if end - start != count * _U32.size:
+    if end - start != 4 * count:
         raise FrameError(
             "malformed",
             f"{what} declares {count} entries, carries {end - start} "
@@ -233,9 +227,10 @@ def _decode_selective_nak(data: bytes, end: int) -> SelectiveNak:
     return SelectiveNak(tg, missing, round_index)
 
 
-def _encode_slot_nak(p: SlotNak) -> bytes:
-    head = _pack(_SNAK, p.block, p.round, len(p.slots))
-    return head + b"".join(_pack(_U32, slot) for slot in p.slots)
+def _encode_slot_nak(p: SlotNak) -> tuple[bytes, bytes]:
+    count = len(p.slots)
+    head = _SNAK.pack(p.block, p.round, count)
+    return head, struct.pack(f"!{count}I", *p.slots)
 
 
 def _decode_slot_nak(data: bytes, end: int) -> SlotNak:
@@ -244,16 +239,16 @@ def _decode_slot_nak(data: bytes, end: int) -> SlotNak:
     return SlotNak(block, slots, round_index)
 
 
-def _encode_abort(p: GroupAbort) -> bytes:
-    return _pack(_ABORT, p.tg, p.round)
+def _encode_abort(p: GroupAbort) -> tuple[bytes, bytes]:
+    return _ABORT.pack(p.tg, p.round), b""
 
 
 def _decode_abort(data: bytes, end: int) -> GroupAbort:
     return GroupAbort(*_exact(_ABORT, data, end))
 
 
-def _encode_join(p: SessionJoin) -> bytes:
-    return _pack(_JOIN, p.group, p.nonce)
+def _encode_join(p: SessionJoin) -> tuple[bytes, bytes]:
+    return _JOIN.pack(p.group, p.nonce), b""
 
 
 def _decode_join(data: bytes, end: int) -> SessionJoin:
@@ -261,7 +256,7 @@ def _decode_join(data: bytes, end: int) -> SessionJoin:
     return SessionJoin(group=group, nonce=nonce)
 
 
-def _encode_announce(p: SessionAnnounce) -> bytes:
+def _encode_announce(p: SessionAnnounce) -> tuple[bytes, bytes]:
     try:
         name = p.codec.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -269,8 +264,8 @@ def _encode_announce(p: SessionAnnounce) -> bytes:
     if len(name) > _MAX_CODEC_NAME:
         raise FrameError("overflow", f"codec name {p.codec!r} too long")
     return (
-        _pack(_ANNOUNCE, p.k, p.h, p.packet_size, p.n_groups, p.total_length)
-        + name
+        _ANNOUNCE.pack(p.k, p.h, p.packet_size, p.n_groups, p.total_length),
+        name,
     )
 
 
@@ -293,8 +288,8 @@ def _decode_announce(data: bytes, end: int) -> SessionAnnounce:
     )
 
 
-def _encode_complete(p: SessionComplete) -> bytes:
-    return _pack(_COMPLETE, p.delivered, p.failed)
+def _encode_complete(p: SessionComplete) -> tuple[bytes, bytes]:
+    return _COMPLETE.pack(p.delivered, p.failed), b""
 
 
 def _decode_complete(data: bytes, end: int) -> SessionComplete:
@@ -306,14 +301,14 @@ def _decode_complete(data: bytes, end: int) -> SessionComplete:
 _TRACE_ID_BYTES = 16
 
 
-def _encode_trace(p: TraceContextPacket) -> bytes:
+def _encode_trace(p: TraceContextPacket) -> tuple[bytes, bytes]:
     try:
         raw = bytes.fromhex(p.trace_id)
     except (ValueError, TypeError) as exc:
         raise FrameError("overflow", f"trace id {p.trace_id!r}") from exc
     if len(raw) != _TRACE_ID_BYTES:
         raise FrameError("overflow", f"trace id {p.trace_id!r} wrong width")
-    return raw
+    return raw, b""
 
 
 def _decode_trace(data: bytes, end: int) -> TraceContextPacket:
@@ -325,8 +320,8 @@ def _decode_trace(data: bytes, end: int) -> TraceContextPacket:
     return TraceContextPacket(data[_BODY:end].hex())
 
 
-def _encode_fin(p: SessionFin) -> bytes:
-    return _pack(_FIN, SessionFin.REASONS.index(p.reason))
+def _encode_fin(p: SessionFin) -> tuple[bytes, bytes]:
+    return _FIN.pack(SessionFin.REASONS.index(p.reason)), b""
 
 
 def _decode_fin(data: bytes, end: int) -> SessionFin:
@@ -336,44 +331,32 @@ def _decode_fin(data: bytes, end: int) -> SessionFin:
     return SessionFin(SessionFin.REASONS[code])
 
 
-#: type discriminator -> (packet class, encoder, decoder)
-_TYPES: dict[int, tuple[type, Callable, Callable]] = {
-    1: (DataPacket, _encode_data, _decode_data),
-    2: (ParityPacket, _encode_parity, _decode_parity),
-    3: (Retransmission, _encode_retransmission, _decode_retransmission),
-    4: (Poll, _encode_poll, _decode_poll),
-    5: (Nak, _encode_nak, _decode_nak),
-    6: (SelectiveNak, _encode_selective_nak, _decode_selective_nak),
-    7: (GroupAbort, _encode_abort, _decode_abort),
-    8: (SlotNak, _encode_slot_nak, _decode_slot_nak),
-    9: (SessionJoin, _encode_join, _decode_join),
-    10: (SessionAnnounce, _encode_announce, _decode_announce),
-    11: (SessionComplete, _encode_complete, _decode_complete),
-    12: (SessionFin, _encode_fin, _decode_fin),
-    13: (TraceContextPacket, _encode_trace, _decode_trace),
+#: type discriminator -> (packet class, metric kind, encoder, decoder)
+_TYPES: dict[int, tuple[type, str, Callable, Callable]] = {
+    1: (DataPacket, "data", _encode_data, _decode_data),
+    2: (ParityPacket, "parity", _encode_parity, _decode_parity),
+    # a retransmission's body is laid out as a parity's
+    3: (Retransmission, "retransmission", _encode_parity,
+        _decode_retransmission),
+    4: (Poll, "poll", _encode_poll, _decode_poll),
+    5: (Nak, "nak", _encode_nak, _decode_nak),
+    6: (SelectiveNak, "nak", _encode_selective_nak, _decode_selective_nak),
+    7: (GroupAbort, "abort", _encode_abort, _decode_abort),
+    8: (SlotNak, "nak", _encode_slot_nak, _decode_slot_nak),
+    9: (SessionJoin, "join", _encode_join, _decode_join),
+    10: (SessionAnnounce, "announce", _encode_announce, _decode_announce),
+    11: (SessionComplete, "complete", _encode_complete, _decode_complete),
+    12: (SessionFin, "fin", _encode_fin, _decode_fin),
+    13: (TraceContextPacket, "trace", _encode_trace, _decode_trace),
 }
-
-_TYPE_OF_CLASS = {cls: type_id for type_id, (cls, _, _) in _TYPES.items()}
-_KIND_OF_CLASS = {
-    DataPacket: "data",
-    ParityPacket: "parity",
-    Retransmission: "retransmission",
-    Poll: "poll",
-    Nak: "nak",
-    SelectiveNak: "nak",
-    SlotNak: "nak",
-    GroupAbort: "abort",
-    SessionJoin: "join",
-    SessionAnnounce: "announce",
-    SessionComplete: "complete",
-    SessionFin: "fin",
-    TraceContextPacket: "trace",
-}
+#: packet class -> (type discriminator, encoder)
+_ENCODERS = {cls: (tid, enc) for tid, (cls, _, enc, _) in _TYPES.items()}
+_KIND_OF_CLASS = {cls: kind for cls, kind, _, _ in _TYPES.values()}
 
 
 def wire_types() -> tuple[type, ...]:
     """Every packet class the codec can carry (for conformance tests)."""
-    return tuple(cls for cls, _, _ in _TYPES.values())
+    return tuple(cls for cls, *_ in _TYPES.values())
 
 
 def frame_kind(packet: Any) -> str:
@@ -383,17 +366,19 @@ def frame_kind(packet: Any) -> str:
 
 def encode_frame(packet: Any, session_id: int = 0) -> bytes:
     """Serialize ``packet`` into a self-delimiting, CRC-protected frame."""
-    if not 0 <= session_id <= MAX_SESSION_ID:
-        raise FrameError("overflow", f"session id {session_id}")
-    type_id = _TYPE_OF_CLASS.get(type(packet))
-    if type_id is None:
+    entry = _ENCODERS.get(type(packet))
+    if entry is None:
         raise FrameError(
             "unencodable", f"no wire mapping for {type(packet).__name__}"
         )
-    _, encoder, _ = _TYPES[type_id]
-    head = _HEADER.pack(MAGIC, VERSION, type_id, session_id)
-    frame = head + encoder(packet)
-    return frame + _CRC.pack(zlib.crc32(frame))
+    type_id, encoder = entry
+    try:
+        fixed, trailer = encoder(packet)
+        head = _HEADER.pack(MAGIC, VERSION, type_id, session_id) + fixed
+    except struct.error as exc:  # a field, or the session id, too wide
+        raise FrameError("overflow", str(exc)) from exc
+    crc = zlib.crc32(trailer, zlib.crc32(head))
+    return b"".join((head, trailer, _CRC.pack(crc)))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -413,7 +398,7 @@ def decode_frame(data: bytes) -> Frame:
     if entry is None:
         raise FrameError("unknown_type", str(type_id))
     try:
-        packet = entry[2](data, end)
+        packet = entry[3](data, end)
     except FrameError:
         raise
     except Exception as exc:  # defensive: decoder bugs stay typed

@@ -39,13 +39,10 @@ from repro.obs.runtime import (
 )
 from repro.obs.spans import Span, SpanRecord, SpanRecorder, TimerSpan
 from repro.obs.tracecontext import (
-    current_trace_id,
     export_trace,
     mint_trace_id,
-    set_trace_id,
     stitch_traces,
     to_trace_events,
-    use_trace,
 )
 
 __all__ = [
@@ -76,11 +73,8 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
-    "current_trace_id",
     "export_trace",
     "mint_trace_id",
-    "set_trace_id",
     "stitch_traces",
     "to_trace_events",
-    "use_trace",
 ]

@@ -41,7 +41,6 @@ from repro.obs.metrics import (
     labels_key,
 )
 from repro.obs.spans import Span, SpanRecorder, TimerSpan
-from repro.obs.tracecontext import current_trace_id
 
 __all__ = [
     "is_enabled",
@@ -127,15 +126,11 @@ def _span_finished(record) -> None:
 def span(name: str, **attrs: Any) -> Span | TimerSpan:
     """A timing context: recording when enabled, a bare timer otherwise.
 
-    When an ambient trace id is installed (`repro.obs.tracecontext`),
-    it is stamped onto the span as ``attrs["trace"]`` unless the caller
-    passed an explicit ``trace`` attribute.
+    A span that belongs to a trace (`repro.obs.tracecontext`) is given
+    its id as the ``trace`` attribute.
     """
     if not _enabled:
         return TimerSpan()
-    trace = current_trace_id()
-    if trace is not None:
-        attrs.setdefault("trace", trace)
     return Span(name, _recorder, attrs, on_finish=_span_finished)
 
 

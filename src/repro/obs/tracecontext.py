@@ -1,4 +1,4 @@
-"""Trace context: deterministic trace ids, ambient propagation, stitching.
+"""Trace context: deterministic trace ids and stitching.
 
 A *trace* ties together every span that served one logical unit of work —
 one net transfer session observed from both the sender and the receiver
@@ -7,13 +7,8 @@ keyed hash of the caller's identifying parts, never an RNG read) and
 travel across the UDP wire in a dedicated control packet
 (``repro.net.wire.TraceContextPacket``).
 
-Inside a process the id propagates *ambiently*: :func:`set_trace_id` /
-:func:`use_trace` install it as module state, and the obs runtime stamps
-it onto every span started while it is set (``attrs["trace"]``).  The
-ambient slot is per-process and single-valued — right for synchronous
-code, wrong for a server multiplexing many sessions on one
-event loop, which is why the net layer passes ``trace=...`` explicitly as
-a span attribute instead.
+Inside a process a span joins a trace through its ``trace`` attribute
+(``obs.span(..., trace=...)``): one event loop serves many sessions.
 
 Stitching (:func:`stitch_traces`) groups finished span records by trace
 id, and :func:`to_trace_events` renders them as Chrome/Perfetto
@@ -29,19 +24,15 @@ Stdlib-only, like the rest of ``repro.obs``.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import pathlib
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 __all__ = [
     "TRACE_ID_BYTES",
     "mint_trace_id",
     "is_trace_id",
-    "current_trace_id",
-    "set_trace_id",
-    "use_trace",
     "trace_of",
     "stitch_traces",
     "to_trace_events",
@@ -52,8 +43,6 @@ __all__ = [
 TRACE_ID_BYTES = 16
 
 _HEX = set("0123456789abcdef")
-
-_current: str | None = None
 
 
 def mint_trace_id(*parts: Any) -> str:
@@ -79,33 +68,6 @@ def is_trace_id(value: Any) -> bool:
         and len(value) == 2 * TRACE_ID_BYTES
         and set(value) <= _HEX
     )
-
-
-# ----------------------------------------------------------------------
-# ambient propagation (per-process, single-valued)
-# ----------------------------------------------------------------------
-def current_trace_id() -> str | None:
-    """The ambient trace id, if one is installed."""
-    return _current
-
-
-def set_trace_id(trace_id: str | None) -> None:
-    """Install (or clear, with ``None``) the ambient trace id."""
-    global _current
-    if trace_id is not None and not is_trace_id(trace_id):
-        raise ValueError(f"malformed trace id: {trace_id!r}")
-    _current = trace_id
-
-
-@contextlib.contextmanager
-def use_trace(trace_id: str | None) -> Iterator[str | None]:
-    """Scoped ambient trace id; the previous value is restored on exit."""
-    previous = _current
-    set_trace_id(trace_id)
-    try:
-        yield trace_id
-    finally:
-        set_trace_id(previous)
 
 
 # ----------------------------------------------------------------------

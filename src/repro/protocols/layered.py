@@ -32,6 +32,7 @@ from repro.protocols.packets import (
     _AutoControlChecksum,
     checksum_of,
     control_intact,
+    direct_init,
     payload_intact,
 )
 from repro.sim.engine import EventHandle, Simulator
@@ -43,6 +44,7 @@ __all__ = ["LayeredSender", "LayeredReceiver", "BlockData", "BlockParity", "Slot
 OrigId = tuple[int, int]
 
 
+@direct_init
 @dataclass(frozen=True)
 class BlockData:
     """Data slot of an FEC block; ``orig`` is None for padding slots."""
@@ -54,6 +56,7 @@ class BlockData:
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class BlockParity:
     """Parity slot; carries the block's slot->original composition."""
@@ -65,6 +68,7 @@ class BlockParity:
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class SlotNak(_AutoControlChecksum):
     """RM-layer NAK naming the block slots still needed."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import zlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -61,11 +61,38 @@ __all__ = [
     "payload_symbols",
     "control_checksum_of",
     "control_intact",
+    "direct_init",
 ]
 
 
 #: private ``__dict__`` key of a packet's remembered integrity verdict
 _VERDICT = "_intact"
+
+
+def direct_init(cls: type) -> type:
+    """Give frozen dataclass ``cls`` an ``__init__`` that fills the
+    instance ``__dict__`` directly, not one ``object.__setattr__`` per
+    field: same parameters and defaults, ``__post_init__`` called."""
+    fields = dataclasses.fields(cls)
+    if any(
+        not f.init or f.kw_only or f.default_factory is not MISSING
+        for f in fields
+    ):
+        raise TypeError(f"{cls.__name__}: direct_init takes plain fields")
+    names = [f.name for f in fields]
+    head = f"def __init__(self, {', '.join(names)}):"
+    lines = [head, "state = self.__dict__"]
+    lines += [f"state[{name!r}] = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    namespace = {"__name__": cls.__module__}
+    exec("\n    ".join(lines), namespace)
+    init, generated = namespace["__init__"], cls.__init__
+    init.__defaults__ = generated.__defaults__
+    init.__qualname__ = generated.__qualname__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 def checksum_of(payload: bytes) -> int:
@@ -194,11 +221,13 @@ class _AutoControlChecksum:
 
     def __post_init__(self) -> None:
         if self.checksum is None:
-            object.__setattr__(self, "checksum", control_checksum_of(self))
+            state = self.__dict__
+            state["checksum"] = control_checksum_of(self)
             # just computed from the fields it sits beside
-            self.__dict__[_VERDICT] = True
+            state[_VERDICT] = True
 
 
+@direct_init
 @dataclass(frozen=True)
 class DataPacket:
     """An original data packet: position ``index < k`` of group ``tg``.
@@ -214,6 +243,7 @@ class DataPacket:
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class ParityPacket:
     """A parity packet: position ``index >= k`` of group ``tg``'s FEC block."""
@@ -224,6 +254,7 @@ class ParityPacket:
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class Poll(_AutoControlChecksum):
     """Sender's end-of-round poll ``POLL(i, s)`` (Section 5.1).
@@ -239,6 +270,7 @@ class Poll(_AutoControlChecksum):
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class Nak(_AutoControlChecksum):
     """Receiver feedback ``NAK(i, l)``: ``needed`` packets still missing.
@@ -253,6 +285,7 @@ class Nak(_AutoControlChecksum):
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class SelectiveNak(_AutoControlChecksum):
     """Per-packet feedback used by the non-FEC baseline N2.
@@ -271,6 +304,7 @@ class SelectiveNak(_AutoControlChecksum):
         return len(self.missing)
 
 
+@direct_init
 @dataclass(frozen=True)
 class Retransmission:
     """A retransmitted original (N2 repair), distinct for accounting."""
@@ -281,6 +315,7 @@ class Retransmission:
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class GroupAbort(_AutoControlChecksum):
     """Sender control packet: group ``tg`` was abandoned under the round cap.
@@ -300,6 +335,7 @@ class GroupAbort(_AutoControlChecksum):
 # ----------------------------------------------------------------------
 # session control (the real transport, repro.net)
 # ----------------------------------------------------------------------
+@direct_init
 @dataclass(frozen=True)
 class SessionJoin(_AutoControlChecksum):
     """Receiver -> sender: request membership in a transfer session.
@@ -316,6 +352,7 @@ class SessionJoin(_AutoControlChecksum):
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class SessionAnnounce(_AutoControlChecksum):
     """Sender -> receiver: transfer metadata, the reply to a join.
@@ -335,6 +372,7 @@ class SessionAnnounce(_AutoControlChecksum):
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class SessionComplete(_AutoControlChecksum):
     """Receiver -> sender: every group is delivered (or sender-abandoned)."""
@@ -344,6 +382,7 @@ class SessionComplete(_AutoControlChecksum):
     checksum: int | None = None
 
 
+@direct_init
 @dataclass(frozen=True)
 class SessionFin(_AutoControlChecksum):
     """Sender -> receiver: the session is over.

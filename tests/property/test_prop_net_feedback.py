@@ -64,7 +64,9 @@ def drive(script, members: int, state: str):
         group=0,
         data=bytes(K * 16 * GROUPS),
         config=CONFIG,
-        send=lambda packet, addr: sent.append((packet, addr)),
+        send=lambda packet, *addrs: sent.extend(
+            (packet, addr) for addr in addrs
+        ),
         now=NOW,
     )
     for addr in MEMBERS[:members]:

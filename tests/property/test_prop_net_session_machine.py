@@ -94,10 +94,10 @@ class SenderSessionMachine(RuleBasedStateMachine):
             self.now += self.config.join_window
             self._wake()
 
-    def _send(self, packet, addr) -> None:
-        assert addr in self.session.members
+    def _send(self, packet, *addrs) -> None:
+        assert all(addr in self.session.members for addr in addrs)
         encode_frame(packet, SESSION_ID)  # raises FrameError if not
-        self.sent.append((packet, addr))
+        self.sent.extend((packet, addr) for addr in addrs)
 
     # -- the network ------------------------------------------------------
     @rule(peer=peers)

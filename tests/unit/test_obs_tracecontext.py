@@ -1,4 +1,4 @@
-"""Unit tests for trace ids, ambient propagation, and trace stitching."""
+"""Unit tests for trace ids and trace stitching."""
 
 import json
 
@@ -7,15 +7,12 @@ import pytest
 from repro import obs
 from repro.obs.tracecontext import (
     TRACE_ID_BYTES,
-    current_trace_id,
     export_trace,
     is_trace_id,
     mint_trace_id,
-    set_trace_id,
     stitch_traces,
     to_trace_events,
     trace_of,
-    use_trace,
 )
 
 
@@ -55,42 +52,6 @@ class TestIsTraceId:
 
     def test_accepts(self):
         assert is_trace_id("0123456789abcdef" * 2)
-
-
-class TestAmbient:
-    def test_set_get_clear(self):
-        trace = mint_trace_id("t")
-        set_trace_id(trace)
-        try:
-            assert current_trace_id() == trace
-        finally:
-            set_trace_id(None)
-        assert current_trace_id() is None
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            set_trace_id("not-a-trace-id")
-
-    def test_use_trace_restores_previous(self):
-        outer, inner = mint_trace_id("outer"), mint_trace_id("inner")
-        with use_trace(outer):
-            with use_trace(inner):
-                assert current_trace_id() == inner
-            assert current_trace_id() == outer
-        assert current_trace_id() is None
-
-    def test_runtime_spans_pick_up_ambient_trace(self):
-        trace = mint_trace_id("spanned")
-        with obs.capture():
-            with use_trace(trace):
-                with obs.span("work.unit"):
-                    pass
-            with obs.span("work.untraced"):
-                pass
-            records = [record.to_json() for record in obs.recorder()]
-        by_name = {row["name"]: row for row in records}
-        assert by_name["work.unit"]["attrs"]["trace"] == trace
-        assert "trace" not in (by_name["work.untraced"]["attrs"] or {})
 
 
 def span_row(name, trace, start, side=None, duration=0.5):
@@ -149,10 +110,11 @@ class TestTraceEvents:
         trace = mint_trace_id("exported")
         path = tmp_path / "trace.json"
         with obs.capture():
-            with use_trace(trace):
-                with obs.span("outer"):
-                    with obs.span("inner"):
-                        pass
+            with obs.span("outer", trace=trace):
+                with obs.span("inner", trace=trace):
+                    pass
+            with obs.span("untraced"):
+                pass
             assert export_trace(path) == 2
         document = json.loads(path.read_text())
         spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
