@@ -75,13 +75,3 @@ class RetryPolicy:
             "max_delay": self.max_delay,
             "jitter": self.jitter,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RetryPolicy":
-        return cls(
-            retries=int(data.get("retries", 1)),
-            base_delay=float(data.get("base_delay", 0.5)),
-            backoff=float(data.get("backoff", 2.0)),
-            max_delay=float(data.get("max_delay", 30.0)),
-            jitter=float(data.get("jitter", 0.25)),
-        )

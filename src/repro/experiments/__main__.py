@@ -78,16 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="replications per point (the cap, with --target-ci)",
     )
-    from repro.fec.registry import codec_names
-
-    mc.add_argument(
-        "--codec",
-        choices=codec_names(),
-        metavar="NAME",
-        help="erasure code for layered-FEC figures (11/15): one of "
-        f"{{{', '.join(codec_names())}}}; non-default codecs clamp h onto "
-        "their supported geometry (default: rse)",
-    )
     from repro.sim.failure import GENERATOR_NAMES
 
     mc.add_argument(
@@ -121,8 +111,6 @@ def _mc_kwargs(args: argparse.Namespace) -> dict:
         kwargs["target_ci"] = args.target_ci
     if args.mc_replications is not None:
         kwargs["replications"] = args.mc_replications
-    if args.codec is not None:
-        kwargs["codec"] = args.codec
     if args.failure is not None:
         kwargs["failure"] = args.failure
     return kwargs

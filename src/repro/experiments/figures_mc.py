@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.analysis import fbt, integrated, layered, nofec
 from repro.experiments.series import FigureResult, Series
-from repro.fec.registry import DEFAULT_CODEC, get_codec
 from repro.mc import MCResult, PAPER_TIMING, burst_length_histogram, run_sharded
 from repro.mc._common import resolve_rng
 from repro.mc.sharded import root_sequence
@@ -147,41 +146,17 @@ def fig11(
     rng: np.random.SeedSequence | np.random.Generator | int | None = 0,
     mc_jobs: int = 1,
     target_ci: float | None = None,
-    codec: str = DEFAULT_CODEC,
 ) -> FigureResult:
-    """Figure 11: layered FEC vs no FEC under independent and FBT shared loss.
-
-    ``codec`` selects the erasure code driving per-receiver decodability
-    (registry name; see :mod:`repro.fec.registry`).  The default ``rse``
-    counts ``>= k`` received packets (ideal MDS); other codecs clamp ``h``
-    onto their supported lattice and simulate with honest (possibly
-    non-MDS) recoverability.
-    """
+    """Figure 11: layered FEC vs no FEC under independent and FBT shared loss."""
     engine = FigurePoints("fig11", rng, mc_jobs, target_ci)
-    use_codec = codec != DEFAULT_CODEC
-    h_eff = get_codec(codec).nearest_h(k, h)
-    layered_label = (
-        f"layered FEC [{codec} {k}+{h_eff}] FBT loss"
-        if use_codec
-        else "layered FEC FBT loss"
-    )
     depths = list(range(0, 18, 2)) if depths is None else depths
     sizes = [2**d for d in depths]
     xs = list(map(float, sizes))
     trees = [FullBinaryTreeLoss(depth, p) for depth in depths]
     caps = _scaled_reps(replications, trees)
-    notes = (
-        "independent-loss and FBT-exact curves analytical; "
-        "FBT loss curves simulated"
-    )
-    if use_codec:
-        notes += (
-            f"; codec = {codec} (requested h={h} -> effective h={h_eff}; "
-            "indep. curve assumes ideal MDS at the effective geometry)"
-        )
     return FigureResult(
         figure_id="fig11",
-        title=f"Layered FEC, p = {p}, k = {k}, h = {h_eff}: "
+        title=f"Layered FEC, p = {p}, k = {k}, h = {h}: "
         "independent vs FBT loss",
         x_label="R",
         y_label="transmissions E[M]",
@@ -195,17 +170,13 @@ def fig11(
                 "layered FEC indep. loss",
                 xs,
                 [
-                    layered.expected_transmissions(k, k + h_eff, p, r)
+                    layered.expected_transmissions(k, k + h, p, r)
                     for r in sizes
                 ],
             ),
             engine.curve("nofec", trees, {}, "non-FEC FBT loss", caps),
             engine.curve(
-                "layered",
-                trees,
-                {"k": k, "h": h_eff, "codec": codec if use_codec else None},
-                layered_label,
-                caps,
+                "layered", trees, {"k": k, "h": h}, "layered FEC FBT loss", caps
             ),
             Series(
                 "non-FEC FBT exact",
@@ -213,7 +184,10 @@ def fig11(
                 [fbt.expected_transmissions_nofec(d, p) for d in depths],
             ),
         ],
-        notes=notes,
+        notes=(
+            "independent-loss and FBT-exact curves analytical; "
+            "FBT loss curves simulated"
+        ),
     )
 
 
@@ -325,35 +299,22 @@ def fig15(
     rng: np.random.SeedSequence | np.random.Generator | int | None = 0,
     mc_jobs: int = 1,
     target_ci: float | None = None,
-    codec: str = DEFAULT_CODEC,
 ) -> FigureResult:
-    """Figure 15: burst loss — layered FEC (7+1), (7+3) vs no FEC.
-
-    ``codec`` selects the erasure code (registry name).  The default
-    ``rse`` is the ideal-MDS (7+1)/(7+3) pair; other codecs clamp each
-    requested parity count onto their supported lattice and deduplicate
-    geometries that coincide (e.g. ``xor`` collapses both to a single
-    7+1 series, ``rect`` to a single 7+6 series).
-    """
+    """Figure 15: burst loss — layered FEC (7+1), (7+3) vs no FEC."""
     engine = FigurePoints("fig15", rng, mc_jobs, target_ci)
-    use_codec = codec != DEFAULT_CODEC
     k = 7
     models = _burst_models(sizes, p, mean_burst)
     caps = _scaled_reps(replications, models)
     series = [engine.curve("nofec", models, {}, "no FEC", caps)]
-    nearest_h = get_codec(codec).nearest_h
-    for h in dict.fromkeys(nearest_h(k, h_req) for h_req in (1, 3)):
-        label = (
-            f"FEC layer {codec} ({k}+{h})" if use_codec else f"FEC layer ({k}+{h})"
+    for h in (1, 3):
+        series.append(
+            engine.curve(
+                "layered", models, {"k": k, "h": h}, f"FEC layer ({k}+{h})", caps
+            )
         )
-        params = {"k": k, "h": h, "codec": codec if use_codec else None}
-        series.append(engine.curve("layered", models, params, label, caps))
-    title = f"Burst loss and FEC layer, p = {p}, b = {mean_burst:g}"
-    if use_codec:
-        title += f", codec = {codec}"
     return FigureResult(
         figure_id="fig15",
-        title=title,
+        title=f"Burst loss and FEC layer, p = {p}, b = {mean_burst:g}",
         x_label="R",
         y_label="transmissions E[M]",
         series=series,

@@ -56,20 +56,6 @@ class Series:
             ),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Series":
-        errors = data.get("errors")
-        replications = data.get("replications")
-        return cls(
-            label=data["label"],
-            x=list(data["x"]),
-            y=list(data["y"]),
-            errors=None if errors is None else list(errors),
-            replications=(
-                None if replications is None else list(replications)
-            ),
-        )
-
     def value_at(self, x: float) -> float:
         """The y value measured at exactly ``x`` (KeyError style lookup)."""
         for xi, yi in zip(self.x, self.y):
@@ -104,7 +90,7 @@ class FigureResult:
         return [series.label for series in self.series]
 
     def to_json(self) -> dict:
-        """JSON-serializable dict; :meth:`from_json` restores an equal figure."""
+        """JSON-serializable dict."""
         return {
             "figure_id": self.figure_id,
             "title": self.title,
@@ -113,17 +99,6 @@ class FigureResult:
             "series": [series.to_json() for series in self.series],
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FigureResult":
-        return cls(
-            figure_id=data["figure_id"],
-            title=data.get("title", ""),
-            x_label=data.get("x_label", ""),
-            y_label=data.get("y_label", ""),
-            series=[Series.from_json(s) for s in data.get("series", ())],
-            notes=data.get("notes", ""),
-        )
 
     # ------------------------------------------------------------------
     # rendering

@@ -1,11 +1,8 @@
-"""Erasure coding layer (the paper's Section 2), behind a pluggable registry.
+"""Erasure coding layer (the paper's Section 2).
 
-* :class:`repro.fec.ErasureCode` — the code-agnostic contract every codec
-  implements; :class:`repro.fec.RSECodec` is the paper's systematic
-  any-k-of-n coder and the registry default.
-* ``repro.fec.registry`` — string-keyed codec registry (``rse``, ``xor``,
-  ``rect``, ``lrc``) used by the framing layer, the MC simulators, the
-  protocol harness and the experiment CLI;
+* :class:`repro.fec.RSECodec` — the paper's systematic any-k-of-n coder,
+  the only erasure code; :func:`repro.fec.create_codec` turns the code name
+  a session announce carries (``"rse"``) into one;
 * :class:`repro.fec.BlockEncoder` / :class:`repro.fec.BlockDecoder` —
   transmission-group framing and receive buffers;
 * :class:`repro.fec.BlockInterleaver` — burst-loss interleaving (Section 4.2).
@@ -22,45 +19,25 @@ from repro.fec.code import (
     CodecStats,
     CodeGeometryError,
     DecodeError,
-    ErasureCode,
     max_block_length,
 )
 from repro.fec.interleaver import BlockInterleaver, Deinterleaver, interleave_indices
-from repro.fec.lrc import LRCCodec
-from repro.fec.rect import RectangularCodec
-from repro.fec.registry import (
-    DEFAULT_CODEC,
-    codec_names,
-    create_codec,
-    get_codec,
-    register_codec,
-    resolve_codec,
-)
 from repro.fec.rse import (
     InverseCache,
     RSECodec,
+    create_codec,
     default_inverse_cache,
 )
-from repro.fec.xor import XORCodec
 
 __all__ = [
-    "ErasureCode",
     "RSECodec",
-    "XORCodec",
-    "RectangularCodec",
-    "LRCCodec",
     "DecodeError",
     "CodeGeometryError",
     "CodecStats",
     "InverseCache",
     "default_inverse_cache",
     "max_block_length",
-    "DEFAULT_CODEC",
-    "register_codec",
-    "codec_names",
-    "get_codec",
     "create_codec",
-    "resolve_codec",
     "BlockEncoder",
     "BlockDecoder",
     "TransmissionGroup",

@@ -12,15 +12,7 @@ provides the sender- and receiver-side bookkeeping around the codec:
 * :class:`BlockDecoder` is the per-TG receive buffer: it absorbs data and
   parity packets in any order, reports how many packets are still missing
   (the quantity carried in the paper's ``NAK(i, l)``), and reconstructs the
-  group once a decodable set of packets has arrived.
-
-Both sides work against the :class:`~repro.fec.code.ErasureCode` contract:
-``codec`` may be a live instance or a registry name (``"rse"``, ``"xor"``,
-``"rect"``, ``"lrc"``).  Non-systematic codes are supported: the sender
-transmits the *coded* block prefix in place of the raw data packets, and
-the receiver's decodability test defers to the codec's honest
-:meth:`~repro.fec.code.ErasureCode.decodable_from` claim rather than a bare
-``>= k`` count (these only differ for non-MDS codes).
+  group once any ``k`` packets have arrived.
 """
 
 from __future__ import annotations
@@ -29,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fec.code import DecodeError, ErasureCode
-from repro.fec.registry import create_codec
+from repro.fec.code import DecodeError
 from repro.fec.rse import RSECodec
 
 __all__ = [
@@ -80,16 +71,11 @@ def join_stream(groups: list[list[bytes]], total_length: int | None) -> bytes:
 
 @dataclass
 class TransmissionGroup:
-    """One sender-side TG: data packets plus (possibly partial) parities.
-
-    For non-systematic codecs :attr:`coded` holds the transformed first
-    ``k`` on-the-wire packets; :meth:`packet` serves from it when present.
-    """
+    """One sender-side TG: data packets plus (possibly partial) parities."""
 
     index: int
     data: list[bytes]
     parities: list[bytes] = field(default_factory=list)
-    coded: list[bytes] | None = None
 
     @property
     def k(self) -> int:
@@ -98,8 +84,6 @@ class TransmissionGroup:
     def packet(self, block_index: int) -> bytes:
         """Packet by FEC-block index (``0..k-1`` data, ``k..`` parity)."""
         if block_index < self.k:
-            if self.coded is not None:
-                return self.coded[block_index]
             return self.data[block_index]
         parity_index = block_index - self.k
         if parity_index >= len(self.parities):
@@ -119,14 +103,11 @@ class BlockEncoder:
     packet_size:
         Payload bytes per packet.
     codec:
-        Optional shared :class:`~repro.fec.code.ErasureCode` instance or
-        registry name; an :class:`RSECodec` is built if omitted.
+        Optional shared :class:`RSECodec`; one is built if omitted.
     pre_encode:
         If true, all ``h`` parities of every group are produced at
         construction time (the paper's "pre-encoding" variant that removes
-        encoding from the sender's critical path).  Non-systematic codecs
-        always encode eagerly: their on-the-wire data prefix is itself a
-        coding product.
+        encoding from the sender's critical path).
     """
 
     def __init__(
@@ -135,11 +116,9 @@ class BlockEncoder:
         k: int,
         h: int,
         packet_size: int,
-        codec: ErasureCode | str | None = None,
+        codec: RSECodec | None = None,
         pre_encode: bool = False,
     ):
-        if isinstance(codec, str):
-            codec = create_codec(codec, k, h)
         self.codec = codec if codec is not None else RSECodec(k, h)
         if self.codec.k != k or self.codec.h < h:
             raise ValueError(
@@ -153,12 +132,7 @@ class BlockEncoder:
             TransmissionGroup(index=i, data=group)
             for i, group in enumerate(slice_stream(data, packet_size, k))
         ]
-        if not self.codec.systematic:
-            for group in self.groups:
-                block = self.codec.encode_block(group.data)
-                group.coded = block[:k]
-                group.parities = block[k:k + h]
-        elif pre_encode and h > 0:
+        if pre_encode and h > 0:
             # all groups share the packet size, so the whole stream is one
             # batched (B, k, S) encode instead of a per-group Python loop
             all_parities = self.codec.encode_many(
@@ -171,11 +145,7 @@ class BlockEncoder:
         return len(self.groups)
 
     def data_packet(self, tg_index: int, block_index: int) -> bytes:
-        """On-the-wire packet for block index ``0..k-1``.
-
-        For systematic codecs this is the raw data packet; for
-        non-systematic codecs it is the coded packet carrying that slot.
-        """
+        """Data packet ``block_index`` (``0..k-1``) of group ``tg_index``."""
         if not 0 <= block_index < self.k:
             raise IndexError(f"data index {block_index} outside 0..{self.k - 1}")
         return self.groups[tg_index].packet(block_index)
@@ -203,18 +173,11 @@ class BlockDecoder:
 
     Mirrors the FEC-receiver behaviour of Section 3.1 and protocol NP's
     receiver (Section 5.1): store whatever arrives, expose the number of
-    packets still needed (``l`` in ``NAK(i, l)``) and decode once the codec
-    claims the held pattern decodable (any ``k`` packets for MDS codes).
+    packets still needed (``l`` in ``NAK(i, l)``) and decode once any ``k``
+    packets are held.
     """
 
-    def __init__(self, k: int, codec: ErasureCode | str, h: int | None = None):
-        if isinstance(codec, str):
-            if h is None:
-                raise ValueError(
-                    "resolving a codec name needs the block's parity count: "
-                    "pass h= alongside the registry name"
-                )
-            codec = create_codec(codec, k, h)
+    def __init__(self, k: int, codec: RSECodec):
         if codec.k != k:
             raise ValueError(f"codec k={codec.k} does not match group k={k}")
         self.k = k
@@ -225,8 +188,6 @@ class BlockDecoder:
         self.received: dict[int, bytes | np.ndarray] = {}
         self._decoded: list[bytes] | None = None
         self.duplicates = 0
-        # any k packets decode an MDS code: no pattern test needed
-        self._mds = codec.is_mds
 
     def add(self, block_index: int, payload: bytes | np.ndarray) -> bool:
         """Absorb one packet; returns True if the group is now decodable.
@@ -250,27 +211,14 @@ class BlockDecoder:
 
     @property
     def decodable(self) -> bool:
-        if self._decoded is not None:
-            return True
-        if len(self.received) < self.k:
-            return False
-        return self._mds or self.codec.decodable_from(self.received)
+        return self._decoded is not None or len(self.received) >= self.k
 
     @property
     def missing(self) -> int:
-        """Packets still required to reconstruct the group (``l``).
-
-        For non-MDS codecs this is a *lower bound*: a stalled pattern
-        (``>= k`` packets held but structurally unrecoverable) still
-        reports 1 so the receiver keeps soliciting — returning 0 there
-        would silence the NAK loop and stall the transfer.  The true
-        requirement surfaces as more packets arrive.
-        """
+        """Packets still required to reconstruct the group (``l``)."""
         if self._decoded is not None:
             return 0
-        if len(self.received) >= self.k:
-            return 0 if self.decodable else 1
-        return self.k - len(self.received)
+        return max(self.k - len(self.received), 0)
 
     def reconstruct(self) -> list[bytes]:
         """Decode and return the ``k`` data packets (cached after first call)."""
@@ -283,11 +231,5 @@ class BlockDecoder:
         return self._decoded
 
     def decoding_work(self) -> int:
-        """Number of data packets that decoding had to reconstruct.
-
-        Non-systematic codecs rebuild the whole group from coded packets,
-        so their work is always ``k`` once any decode happens.
-        """
-        if not self.codec.systematic:
-            return self.k
+        """Number of data packets that decoding had to reconstruct."""
         return sum(1 for i in range(self.k) if i not in self.received)

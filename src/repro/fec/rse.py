@@ -6,12 +6,13 @@ group* (TG) of ``k`` equal-length data packets is extended with ``h`` parity
 packets; a receiver that obtains **any** ``k`` of the ``n = k + h`` packets of
 the FEC block reconstructs all ``k`` data packets.
 
-:class:`RSECodec` is the reference (and default) implementation of the
-:class:`~repro.fec.code.ErasureCode` contract — the only MDS code in the
-registry with ``h > 1`` support; the cheap-decode alternatives live in
-``repro.fec.{xor,rect,lrc}``.  ``DecodeError``, ``CodecStats`` and
-``max_block_length`` moved to ``repro.fec.code`` and are re-exported here
-for compatibility.
+:class:`RSECodec` is the tree's only erasure code.  The paper's loss
+recovery assumes an ideal MDS code, and no non-MDS code of equal
+redundancy beats it on E[M], so there is no codec interface to plug
+others into.  :func:`create_codec` is the one place a code *name* (the
+``codec`` field of the wire's session announce) becomes a codec; it
+accepts ``"rse"`` only.  ``DecodeError``, ``CodecStats`` and
+``max_block_length`` live in ``repro.fec.code`` and are re-exported here.
 
 Design notes
 ------------
@@ -49,15 +50,14 @@ from repro.fec.code import (
     CodecStats,
     CodeGeometryError,
     DecodeError,
-    ErasureCode,
     max_block_length,
 )
-from repro.fec.registry import register_codec
 from repro.galois.field import GF256, GaloisField
 from repro.galois.matrix import invert, systematic_generator
 
 __all__ = [
     "RSECodec",
+    "create_codec",
     "DecodeError",
     "CodecStats",
     "CodeGeometryError",
@@ -137,8 +137,7 @@ def default_inverse_cache() -> InverseCache:
     return _DEFAULT_INVERSE_CACHE
 
 
-@register_codec
-class RSECodec(ErasureCode):
+class RSECodec:
     """Encoder/decoder for one ``(k, k + h)`` systematic RSE code.
 
     Parameters
@@ -153,13 +152,10 @@ class RSECodec(ErasureCode):
         Bounded LRU for per-erasure-pattern decode plans; defaults to the
         process-wide shared cache (safe: keys carry field and geometry).
 
-    The codec is stateless apart from :attr:`stats`; one instance can safely
-    encode and decode any number of blocks.
+    Impossible geometry raises :exc:`CodeGeometryError` before any work.
+    The codec is stateless apart from :attr:`stats` and its caches; one
+    instance can safely encode and decode any number of blocks.
     """
-
-    name = "rse"
-    is_mds = True
-    systematic = True
 
     def __init__(
         self,
@@ -168,7 +164,28 @@ class RSECodec(ErasureCode):
         field: GaloisField = GF256,
         inverse_cache: InverseCache | None = None,
     ):
-        super().__init__(k, h, field=field)
+        if k < 1:
+            raise CodeGeometryError(
+                f"transmission group size k must be >= 1, got {k}"
+            )
+        if h < 0:
+            raise CodeGeometryError(f"parity count h must be >= 0, got {h}")
+        limit = max_block_length(field)
+        if k + h > limit:
+            raise CodeGeometryError(
+                f"block length n={k + h} exceeds limit {limit} "
+                f"for GF(2^{field.m}); use a wider field"
+            )
+        self.k = k
+        self.h = h
+        self.n = k + h
+        self.field = field
+        self._symbol_bytes = field.dtype.itemsize
+        # The symbol range scan only matters when the dtype has headroom
+        # above the field order (e.g. uint8 symbols for GF(2^4)); decided
+        # once here because _to_symbols runs per packet on the hot path.
+        self._scan_symbol_range = field.order <= np.iinfo(field.dtype).max
+        self.stats = CodecStats()
         self.generator = _cached_generator(field, k, self.n)
         self.inverse_cache = (
             inverse_cache if inverse_cache is not None else _DEFAULT_INVERSE_CACHE
@@ -177,6 +194,96 @@ class RSECodec(ErasureCode):
         # parity coefficient (systematic generators are dense, but count
         # honestly rather than assuming h * k)
         self._parity_ops = int(np.count_nonzero(self.generator[self.k:]))
+
+    # ------------------------------------------------------------------
+    # packet <-> symbol conversion
+    # ------------------------------------------------------------------
+    # Byte payloads map onto field symbols as in Section 2.2: m = 8 uses
+    # one byte per symbol, m = 16 two bytes, m = 4 packs two symbols per
+    # byte (nibbles).  Other widths support the symbol-level API only.
+
+    def _to_symbols(
+        self, packet: bytes | bytearray | memoryview | np.ndarray
+    ) -> np.ndarray:
+        if isinstance(packet, np.ndarray):
+            arr = np.ascontiguousarray(packet, dtype=self.field.dtype)
+            # For full-range fields like GF(2^8)-over-uint8 every
+            # representable value is a valid symbol and scanning would touch
+            # every byte of every packet on the encode hot path for nothing.
+            # Aligned same-dtype inputs pass through ascontiguousarray
+            # without a copy, keeping this branch zero-copy end to end.
+            if (
+                self._scan_symbol_range
+                and arr.size
+                and int(arr.max()) >= self.field.order
+            ):
+                raise ValueError(
+                    f"symbol value exceeds GF(2^{self.field.m}) range"
+                )
+            return arr
+        raw = bytes(packet)
+        self._byte_symbols(len(raw))
+        if self.field.m == 4:
+            octets = np.frombuffer(raw, dtype=np.uint8)
+            symbols = np.empty(2 * octets.size, dtype=np.uint8)
+            symbols[0::2] = octets >> 4
+            symbols[1::2] = octets & 0x0F
+            return symbols
+        return np.frombuffer(raw, dtype=self.field.dtype)
+
+    def _byte_symbols(self, length: int) -> int:
+        """Symbols in a ``length``-byte payload; rejects unconvertible ones."""
+        m = self.field.m
+        if m == 4:
+            return 2 * length
+        if m not in (8, 16):
+            raise ValueError(
+                f"byte payloads are only supported for m in (4, 8, 16); "
+                f"use encode_symbols/decode_symbols for GF(2^{m})"
+            )
+        if length % self._symbol_bytes:
+            raise ValueError(
+                f"packet length {length} is not a multiple of the "
+                f"{self._symbol_bytes}-byte symbol size of GF(2^{m})"
+            )
+        return length // self._symbol_bytes
+
+    def _to_bytes(self, symbols: np.ndarray) -> bytes:
+        if self.field.m == 4:
+            symbols = symbols.astype(np.uint8, copy=False)
+            octets = (symbols[0::2] << 4) | symbols[1::2]
+            return octets.tobytes()
+        return symbols.astype(self.field.dtype, copy=False).tobytes()
+
+    def _stack(self, data_packets: list[bytes]) -> np.ndarray:
+        if len(data_packets) != self.k:
+            raise ValueError(
+                f"expected exactly k={self.k} data packets, got {len(data_packets)}"
+            )
+        rows = [self._to_symbols(p) for p in data_packets]
+        lengths = {row.shape[0] for row in rows}
+        if len(lengths) != 1:
+            raise ValueError(
+                f"all packets in a transmission group must have equal length; "
+                f"saw symbol counts {sorted(lengths)}"
+            )
+        return np.vstack(rows)
+
+    def _check_symbols(self, data: np.ndarray, rows_axis: int) -> np.ndarray:
+        """Validate a symbol array's row count and value range."""
+        if data.shape[rows_axis] != self.k:
+            raise ValueError(
+                f"expected k={self.k} rows, got {data.shape[rows_axis]}"
+            )
+        # dtypes wider than the field (e.g. uint8 for GF(2^4)) can smuggle
+        # out-of-range symbols into the lookup tables; reject them here
+        if self._scan_symbol_range:
+            data = np.ascontiguousarray(data, dtype=self.field.dtype)
+            if data.size and int(data.max()) >= self.field.order:
+                raise ValueError(
+                    f"symbol value exceeds GF(2^{self.field.m}) range"
+                )
+        return np.asarray(data, dtype=self.field.dtype)
 
     def _observe_encode(self, n_blocks: int) -> None:
         """Registry-side mirror of one encode call (telemetry enabled)."""
@@ -248,6 +355,25 @@ class RSECodec(ErasureCode):
         self.stats.parities_produced += self.h
         self.stats.symbols_multiplied += operations
         return parities
+
+    def encode(self, data_packets: list[bytes]) -> list[bytes]:
+        """Produce the ``h`` parity packets for ``k`` equal-length packets.
+
+        The data packets followed by the returned parities form the FEC
+        block ``d_1 .. d_k, p_1 .. p_h`` of Section 2.1.
+        """
+        symbols = self.encode_symbols(self._stack(data_packets))
+        return [self._to_bytes(row) for row in symbols]
+
+    def encode_many(self, groups: list[list[bytes]]) -> list[list[bytes]]:
+        """Byte-level batch encode: parities for many equal-shape groups."""
+        if not groups:
+            return []
+        stacked = np.stack([self._stack(group) for group in groups])
+        parities = self.encode_blocks(stacked)
+        return [
+            [self._to_bytes(row) for row in block] for block in parities
+        ]
 
     # ------------------------------------------------------------------
     # decode
@@ -373,5 +499,86 @@ class RSECodec(ErasureCode):
         self.stats.packets_decoded += len(missing)
         return out
 
+    def decode(self, received: dict[int, bytes]) -> list[bytes]:
+        """Reconstruct the ``k`` data packets from the received packets.
+
+        Parameters
+        ----------
+        received:
+            Mapping from block index (``0..n-1``; indices ``>= k`` are
+            parities) to packet payload: ``bytes``-like or a symbol array.
+            Any ``k`` entries decode.
+
+        Returns
+        -------
+        The ``k`` data packets, in order.  Only lost data packets are
+        rebuilt; a received data packet comes back as ``bytes(payload)``
+        without being converted to symbols and back.
+
+        Raises
+        ------
+        DecodeError
+            If fewer than ``k`` distinct packets were supplied.
+        """
+        if not received:
+            raise DecodeError("no packets received")
+        indices = sorted(received)
+        if indices[0] < 0 or indices[-1] >= self.n:
+            raise ValueError(
+                f"packet index out of range for block length n={self.n}: {indices}"
+            )
+        if len(indices) < self.k:
+            raise DecodeError(
+                f"need at least k={self.k} packets to decode, got {len(indices)}"
+            )
+        if indices[-1] == self.k - 1:
+            # exactly the k data packets: nothing to rebuild
+            data = [received[i] for i in indices]
+            if set(map(type, data)) == {bytes}:
+                lengths = set(map(len, data))
+                for length in lengths:
+                    self._byte_symbols(length)
+                if len(lengths) != 1:
+                    raise ValueError("received packets have inconsistent lengths")
+                return data
+        # byte payloads are checked but stay bytes; arrays become symbols,
+        # whose bytes are what a decode returns for them
+        packets: dict[int, bytes | np.ndarray] = {}
+        lengths = set()
+        for index, packet in received.items():
+            if isinstance(packet, np.ndarray):
+                packet = self._to_symbols(packet)
+                lengths.add(packet.shape[0])
+            else:
+                packet = bytes(packet)
+                lengths.add(self._byte_symbols(len(packet)))
+            packets[index] = packet
+        if len(lengths) != 1:
+            raise ValueError("received packets have inconsistent lengths")
+
+        lost = [i for i in range(self.k) if i not in packets]
+        if lost:
+            decoded = self.decode_symbols(
+                {i: self._to_symbols(p) for i, p in packets.items()}
+            )
+            for i in lost:
+                packets[i] = decoded[i]
+        return [
+            packet if isinstance(packet, bytes) else self._to_bytes(packet)
+            for packet in (packets[i] for i in range(self.k))
+        ]
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RSECodec(k={self.k}, h={self.h}, GF(2^{self.field.m}))"
+
+
+def create_codec(name: str, k: int, h: int, **kwargs) -> RSECodec:
+    """The codec a session announce names, for geometry ``(k, h)``.
+
+    ``"rse"`` is the only code; any other name raises :exc:`KeyError`, an
+    impossible geometry :exc:`CodeGeometryError`.  Extra keyword arguments
+    (``field=``, ``inverse_cache=``) go to :class:`RSECodec`.
+    """
+    if name != "rse":
+        raise KeyError(f"unknown codec {name!r}; the only code is 'rse'")
+    return RSECodec(k, h, **kwargs)

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fec.rse import RSECodec, create_codec
+
 __all__ = [
     "Timing",
     "PAPER_TIMING",
     "MCResult",
     "PayloadVerifier",
+    "block_verifier",
     "resolve_rng",
 ]
 
@@ -144,16 +147,14 @@ class PayloadVerifier:
     The MC loops track only *which* packets each receiver got; passing a
     codec to a simulator additionally pushes real payloads through the
     codec's batched paths: one reference block is encoded per verifier (via
-    :meth:`~repro.fec.code.ErasureCode.encode_blocks`), and every *distinct*
-    erasure pattern the codec claims decodable (its honest
-    :meth:`~repro.fec.code.ErasureCode.decodable_mask`, which for non-MDS
-    codes is stricter than a ``>= k`` count) is replayed through
-    :meth:`~repro.fec.code.ErasureCode.decode_symbols` and checked
+    :meth:`~repro.fec.rse.RSECodec.encode_blocks`), and every *distinct*
+    erasure pattern with at least ``k`` packets is replayed through
+    :meth:`~repro.fec.rse.RSECodec.decode_symbols` and checked
     bit-for-bit against the data.  Patterns are deduplicated here per
-    verifier, and any codec-side plan cache (RSE's :class:`InverseCache`)
+    verifier, and the codec's :class:`~repro.fec.rse.InverseCache`
     deduplicates the algebra across replications and simulator calls —
     across 10^6 simulated receivers the same few patterns recur constantly,
-    which is exactly the case those caches are built for.
+    which is exactly the case that cache is built for.
 
     Parameters
     ----------
@@ -175,11 +176,9 @@ class PayloadVerifier:
             0, codec.field.order, size=(1, codec.k, symbols)
         ).astype(codec.field.dtype)
         parities = codec.encode_blocks(self.data)
-        #: the full FEC block as transmitted, coded rows then parity rows:
-        #: (n, symbols).  For systematic codecs the coded rows are the data.
-        self.block = np.concatenate(
-            [codec.coded_symbols(self.data[0]), parities[0]]
-        )
+        #: the full FEC block as transmitted, data rows then parity rows:
+        #: (n, symbols)
+        self.block = np.concatenate([self.data[0], parities[0]])
         self.patterns_verified = 0
         self._seen: set[tuple[int, ...]] = set()
 
@@ -188,7 +187,7 @@ class PayloadVerifier:
 
         ``received`` is a boolean ``(R, n)`` (or ``(n,)``) matrix of
         per-receiver reception indicators over the first ``n <= codec.n``
-        packets of a block.  Patterns the codec claims decodable are
+        packets of a block.  Patterns of at least ``k`` packets are
         decoded and compared against the reference data; returns the
         number of *new* patterns verified.
 
@@ -206,7 +205,7 @@ class PayloadVerifier:
                 f"pattern covers {n} packets but the codec block is only "
                 f"n={self.codec.n}"
             )
-        decodable = self.codec.decodable_mask(received)
+        decodable = received.sum(axis=1) >= self.codec.k
         if not decodable.any():
             return 0
         fresh = 0
@@ -226,3 +225,28 @@ class PayloadVerifier:
             fresh += 1
         self.patterns_verified += fresh
         return fresh
+
+
+def block_verifier(
+    codec: RSECodec | str | None, k: int, h: int
+) -> PayloadVerifier | None:
+    """The opt-in :class:`PayloadVerifier` for a ``k + h`` block.
+
+    ``codec`` is None (no check), a live codec with ``k`` data packets
+    and at least ``h`` parities, or the name ``"rse"`` -- the form that
+    crosses the sharded engine's process boundary -- built at ``(k, h)``.
+    The verifier draws its reference block from a dedicated generator:
+    drawing it from the simulation's stream would perturb the loss
+    samples, making a verified run statistically different from a plain
+    one.
+    """
+    if codec is None:
+        return None
+    if isinstance(codec, str):
+        codec = create_codec(codec, k, h)
+    if codec.k != k or codec.h < h:
+        raise ValueError(
+            f"codec {codec!r} does not fit the simulated block "
+            f"(k={k}, h={h})"
+        )
+    return PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))

@@ -51,9 +51,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.fec.code import ErasureCode
-from repro.fec.registry import create_codec, get_codec
-from repro.mc._common import MCResult, PAPER_TIMING, PayloadVerifier, Timing
+from repro.fec.rse import RSECodec
+from repro.mc._common import (
+    MCResult,
+    PAPER_TIMING,
+    PayloadVerifier,
+    Timing,
+    block_verifier,
+)
 from repro.sim.loss import LossChunk, LossModel
 
 __all__ = [
@@ -279,45 +284,6 @@ def _rounds_group(
     return sent / k, lost
 
 
-def _first_burst_verifier(
-    codec: ErasureCode | str | None,
-    k: int,
-    initial_parities: int,
-) -> PayloadVerifier | None:
-    """Build the opt-in payload verifier for the integrated kernels.
-
-    Integrated FEC keeps sending *fresh* parities for as long as any
-    receiver is missing packets, so the tail of the transmission has no
-    fixed block length; only the first burst (``k`` data packets plus
-    ``initial_parities`` parities) maps onto a single codec block.  The
-    verifier therefore replays first-burst erasure patterns only.
-
-    ``codec`` is a live instance with at least ``initial_parities``
-    parities, or a registry name (the form that crosses the sharded
-    engine's process boundary), built at the codec's supported parity
-    count nearest ``initial_parities``.
-    """
-    if codec is None:
-        return None
-    if isinstance(codec, str):
-        h = get_codec(codec).nearest_h(k, initial_parities)
-        codec = create_codec(codec, k, h)
-    if codec.k != k:
-        raise ValueError(
-            f"codec geometry (k={codec.k}) does not match the simulated "
-            f"block (k={k})"
-        )
-    if initial_parities > codec.h:
-        raise ValueError(
-            f"first burst carries {initial_parities} parities but the codec "
-            f"only encodes h={codec.h}"
-        )
-    # dedicated payload RNG: drawing the reference block from the
-    # simulation's stream would perturb the loss samples, making the
-    # codec-verified run statistically different from the plain one
-    return PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))
-
-
 def _validate_integrated(k: int, initial_parities: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -332,7 +298,7 @@ def _sample_chunk(
     rngs: Iterable[np.random.Generator],
     k: int,
     initial_parities: int,
-    codec: ErasureCode | str | None,
+    codec: RSECodec | str | None,
 ) -> np.ndarray:
     """One sample per generator: the chunk's replications stepped in
     lockstep, in consecutive groups whose steps fit :data:`STEP_BYTES`.
@@ -342,7 +308,9 @@ def _sample_chunk(
     the widest step lost.
     """
     _validate_integrated(k, initial_parities)
-    verifier = _first_burst_verifier(codec, k, initial_parities)
+    # only the first burst (k data packets plus initial_parities parities)
+    # maps onto one codec block: the fresh-parity tail has no fixed length
+    verifier = block_verifier(codec, k, initial_parities)
     offsets = _packet_offsets(timing, k, initial_parities)
     first_burst = k + initial_parities
     rngs = iter(rngs)
@@ -369,14 +337,15 @@ def sample_chunk_immediate(
     *,
     k: int,
     initial_parities: int = 0,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> np.ndarray:
     """Chunk-shaped kernel for integrated FEC 1 (continuous parity tail).
 
     One E[M] sample per rng in ``rngs``; see
     :func:`repro.mc.layered.sample_chunk` for the sharding contract.
-    ``codec`` (optional) payload-verifies the first-burst erasure
-    patterns (:func:`_first_burst_verifier`); statistics are unchanged.
+    ``codec`` (optional, as in :func:`repro.mc.layered.sample_chunk`)
+    payload-verifies the first-burst erasure patterns; statistics are
+    unchanged.
     """
     return _sample_chunk(
         _immediate_group, loss_model, timing, rngs, k, initial_parities, codec
@@ -390,7 +359,7 @@ def sample_chunk_rounds(
     *,
     k: int,
     initial_parities: int = 0,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> np.ndarray:
     """Chunk-shaped kernel for integrated FEC 2 (NAK-driven parity rounds).
 
@@ -408,15 +377,15 @@ def simulate_integrated_immediate(
     timing: Timing = PAPER_TIMING,
     rng: np.random.SeedSequence | np.random.Generator | int | None = None,
     initial_parities: int = 0,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> MCResult:
     """Integrated FEC 1: continuous parity tail at rate ``1/Delta``.
 
     Exactly ``run_sharded("integrated_immediate", ...)`` at a fixed
     replication count: ``rng`` roots the replication seed tree.  ``codec``
     (optional) enables end-to-end payload verification of the first-burst
-    erasure patterns through the real batched decode path — see
-    :func:`_first_burst_verifier`; statistics are unchanged.
+    erasure patterns through the real batched decode path; statistics are
+    unchanged.
     """
     from repro.mc.sharded import run_sharded
 
@@ -437,7 +406,7 @@ def simulate_integrated_rounds(
     timing: Timing = PAPER_TIMING,
     rng: np.random.SeedSequence | np.random.Generator | int | None = None,
     initial_parities: int = 0,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> MCResult:
     """Integrated FEC 2: NAK-driven parity rounds spaced ``Delta + T``.
 

@@ -19,14 +19,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.fec.code import ErasureCode
-from repro.fec.registry import resolve_codec
+from repro.fec.rse import RSECodec
 from repro.mc._common import (
     MCResult,
     PAPER_TIMING,
     PayloadVerifier,
     Timing,
     _row_counts,
+    block_verifier,
 )
 from repro.sim.loss import LossModel
 
@@ -48,7 +48,6 @@ def _one_replication(
     offsets: np.ndarray,
     rng: np.random.Generator,
     verifier: PayloadVerifier | None = None,
-    codec: ErasureCode | None = None,
 ) -> float:
     """One transmission group; ``offsets`` is ``i * Delta`` for ``i < k + h``."""
     n = k + h
@@ -61,13 +60,7 @@ def _one_replication(
         times = base + offsets
         lost = sampler.sample(times)  # (R, n)
         received = ~lost
-        if codec is not None:
-            # codec-aware decodability: identical to the >= k count for MDS
-            # codes, stricter for non-MDS codes (rect/lrc patterns the code
-            # cannot actually repair don't count as recovered)
-            decodable = codec.decodable_mask(received)  # (R,)
-        else:
-            decodable = _row_counts(received) >= k  # (R,)
+        decodable = _row_counts(received) >= k  # (R,)
         if verifier is not None:
             # replay each distinct decodable pattern through the real
             # batched codec (cache-backed, so repeats cost a lookup)
@@ -90,7 +83,7 @@ def sample_chunk(
     *,
     k: int,
     h: int,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> np.ndarray:
     """Chunk-shaped kernel: one layered-FEC E[M] sample per rng in ``rngs``.
 
@@ -99,25 +92,17 @@ def sample_chunk(
     is fully determined by the seeds it is handed — independent of how the
     replication range was split.
 
-    ``codec`` may be a registry name (the form that crosses the sharded
-    engine's process boundary), a live instance, or None for the ideal-MDS
-    count; when given, the chunk also payload-verifies every distinct
-    decodable pattern.
+    ``codec`` (optional: ``"rse"``, the form that crosses the sharded
+    engine's process boundary, or a live codec) payload-verifies every
+    distinct decodable pattern (:func:`repro.mc._common.block_verifier`);
+    statistics are unchanged.
     """
     _validate_geometry(k, h)
-    codec = resolve_codec(codec, k, h)
-    verifier = None
-    if codec is not None:
-        # dedicated payload RNG: drawing the reference block from the
-        # simulation's stream would perturb the loss samples, making the
-        # codec-verified run statistically different from the plain one
-        verifier = PayloadVerifier(codec, rng=np.random.default_rng(0x5EED))
+    verifier = block_verifier(codec, k, h)
     offsets = np.arange(k + h) * timing.packet_interval
     return np.array(
         [
-            _one_replication(
-                loss_model, k, h, timing, offsets, rng, verifier, codec
-            )
+            _one_replication(loss_model, k, h, timing, offsets, rng, verifier)
             for rng in rngs
         ],
         dtype=float,
@@ -131,7 +116,7 @@ def simulate_layered(
     replications: int = 200,
     timing: Timing = PAPER_TIMING,
     rng: np.random.SeedSequence | np.random.Generator | int | None = None,
-    codec: ErasureCode | str | None = None,
+    codec: RSECodec | str | None = None,
 ) -> MCResult:
     """Estimate layered-FEC E[M] (transmissions per data packet).
 
@@ -146,15 +131,11 @@ def simulate_layered(
     timing:
         ``Delta`` and ``T`` of Figure 13 — only material under burst loss.
     codec:
-        Optional :class:`~repro.fec.code.ErasureCode` instance or registry
-        name (``"rse"``, ``"xor"``, ``"rect"``, ``"lrc"``) with matching
-        ``(k, h)``.  When given, per-receiver decodability uses the codec's
-        honest :meth:`~repro.fec.code.ErasureCode.decodable_mask` (identical
-        to the ideal-MDS ``>= k`` count for MDS codes — the default ``rse``
-        path is statistically unchanged — but stricter for ``rect``/``lrc``),
-        and every distinct decodable erasure pattern sampled is replayed
-        through the codec's decode path and checked against real payloads
-        (see :class:`repro.mc._common.PayloadVerifier`).
+        Optional ``"rse"`` or :class:`~repro.fec.rse.RSECodec` for the
+        block.  When given, every distinct decodable erasure pattern
+        sampled is replayed through the codec's decode path and checked
+        against real payloads (see :class:`repro.mc._common.PayloadVerifier`);
+        statistics are unchanged.
     rng:
         Root of the replication seed tree; the call is exactly
         ``run_sharded("layered", ...)`` at a fixed replication count.

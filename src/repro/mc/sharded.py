@@ -120,7 +120,7 @@ SIMULATORS: dict[str, ShardedSimulator] = {
     spec.name: spec
     for spec in [
         ShardedSimulator("nofec", nofec.sample_chunk),
-        # an optional codec is a registry *name* so the parameter
+        # an optional codec is the *name* "rse" so the parameter
         # survives the spawn boundary as plain data
         ShardedSimulator(
             "layered", layered.sample_chunk, ("k", "h"), ("codec",)

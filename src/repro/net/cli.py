@@ -7,7 +7,7 @@ the transport verbs::
     python -m repro.experiments fetch --connect 127.0.0.1:9000 --out got.bin
 
 Exit-code convention (shared with the figure driver): bad arguments —
-unparsable ``HOST:PORT``, unknown ``--codec``, a missing payload — print
+unparsable ``HOST:PORT``, an impossible geometry, a missing payload — print
 usage and return 2; a transfer that *fails* (timeout, stall, ejection)
 returns 1 with the typed failure's diagnosis on stderr; success returns 0.
 """
@@ -21,8 +21,6 @@ import pathlib
 import sys
 
 import numpy as np
-
-from repro.fec.registry import codec_names
 
 __all__ = ["main", "parse_address"]
 
@@ -70,12 +68,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--packet-size", type=int, default=1024, help="payload bytes/packet"
-    )
-    parser.add_argument(
-        "--codec",
-        choices=codec_names(),
-        default="rse",
-        help="erasure code (default rse)",
     )
     parser.add_argument("--seed", type=int, default=0, help="transport seed")
     parser.add_argument(
@@ -148,7 +140,6 @@ def _run_serve(argv: list[str]) -> int:
             k=args.k,
             h=args.h,
             packet_size=args.packet_size,
-            codec=args.codec,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -215,7 +206,7 @@ def main(argv: list[str]) -> int:
         if command == "fetch":
             return _run_fetch(rest)
     except SystemExit as exc:
-        # argparse exits 2 on unknown flags / bad --codec; keep the driver
+        # argparse exits 2 on unknown flags / bad values; keep the driver
         # convention of *returning* the code so callers can assert on it
         return int(exc.code or 0)
     raise ValueError(f"unknown net command {command!r}")  # pragma: no cover

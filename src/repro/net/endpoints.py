@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro import obs
-from repro.fec.registry import create_codec
+from repro.fec import create_codec
 from repro.net.session import DONE, SenderSession, SessionReport
 from repro.net.supervision import NakScheduler, NetConfig, Pacer
 from repro.net.udp import DatagramSocket, open_datagram

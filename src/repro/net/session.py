@@ -143,7 +143,6 @@ class SenderSession:
             k=config.k,
             h=config.h,
             packet_size=config.packet_size,
-            codec=config.codec,
         )
         self.machine = NPRepairMachine(
             self.encoder, config.max_rounds, config.nak_aggregation, self.fanout

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,9 +44,10 @@ _MIN_TICK = 0.005
 class NetConfig:
     """Parameters of a real-socket transfer session.
 
-    FEC geometry (``k``, ``h``, ``packet_size``, ``codec``) mirrors
-    :class:`~repro.protocols.np_protocol.NPConfig`; the remaining knobs
-    bound the transport's patience:
+    FEC geometry (``k``, ``h``, ``packet_size``) mirrors
+    :class:`~repro.protocols.np_protocol.NPConfig`; ``codec`` is the
+    constant ``"rse"`` the session announce carries, not a knob.  The
+    remaining fields bound the transport's patience:
 
     ``pace_interval``/``pace_burst`` shape the sender's downstream rate:
     one schedule per session (:class:`Pacer`) over its one send queue,
@@ -75,7 +77,7 @@ class NetConfig:
     k: int = 8
     h: int = 16
     packet_size: int = 1024
-    codec: str = "rse"
+    codec: ClassVar[str] = "rse"
     seed: int = 0
     pace_interval: float = 0.0002
     pace_burst: int = 16

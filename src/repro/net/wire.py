@@ -85,7 +85,7 @@ _MIN_FRAME = _HEADER.size + _CRC.size
 _BODY = _HEADER.size
 
 MAX_SESSION_ID = 2**64 - 1
-#: codec registry names are short; anything longer is a malformed frame
+#: codec names are short; anything longer is a malformed frame
 _MAX_CODEC_NAME = 64
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fec.block import BlockEncoder
-from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
 from repro.protocols.np_machine import Arrival
 from repro.protocols.np_protocol import NPConfig, SenderStats, SimReceiver
@@ -73,7 +72,7 @@ class Fec1Sender:
         network: MulticastNetwork,
         data: bytes,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
         membership: GroupMembership | None = None,
     ):
         self.sim = sim
@@ -172,7 +171,7 @@ class Fec1Receiver(SimReceiver):
         network: MulticastNetwork,
         n_groups: int,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
         membership: GroupMembership | None = None,
         rng: np.random.Generator | None = None,
         on_complete=None,

@@ -19,14 +19,12 @@ the run.  Chaos faults are opt-in via the ``fault_plan`` argument.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
-from repro.fec.registry import DEFAULT_CODEC, create_codec, get_codec
-from repro.fec.rse import InverseCache
+from repro.fec.rse import InverseCache, RSECodec
 from repro.mc._common import resolve_rng
 from repro.obs.metrics import MetricRegistry
 from repro.protocols.adaptive import AdaptiveNPSender
@@ -82,9 +80,6 @@ class TransferReport:
     by_kind: dict[str, int] = field(default_factory=dict)
     peak_buffered_groups: int = 0
     peak_buffered_packets: int = 0
-    #: registry name of the erasure code the transfer ran with ("rse" for
-    #: journals written before the codec knob existed)
-    codec: str = "rse"
     #: GF(2^m) scale-accumulate operations performed by the shared codec
     #: (nonzero coefficients only; 0 for the no-FEC ``n2`` baseline)
     codec_symbols_multiplied: int = 0
@@ -109,7 +104,7 @@ class TransferReport:
         return self.naks_suppressed_total / scheduled if scheduled else 0.0
 
     def to_json(self) -> dict:
-        """JSON-serializable dict; :meth:`from_json` restores an equal report.
+        """JSON-serializable dict.
 
         The record is self-contained, including the nested resilience
         section and its replay ``fault_plan``.
@@ -122,18 +117,6 @@ class TransferReport:
         data["by_kind"] = dict(self.by_kind)
         data["resilience"] = self.resilience.to_json()
         return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TransferReport":
-        # keep only known fields so journals written by a newer version
-        # (with added fields) still deserialize
-        known = {f.name for f in dataclasses.fields(cls)}
-        data = {key: value for key, value in data.items() if key in known}
-        data["by_kind"] = dict(data.get("by_kind", {}))
-        data["resilience"] = ResilienceSummary.from_json(
-            data.get("resilience") or {}
-        )
-        return cls(**data)
 
     def summary(self) -> str:
         return (
@@ -206,7 +189,6 @@ def run_transfer(
     control_loss: float = 0.0,
     max_sim_time: float = 1_000_000.0,
     fault_plan: FaultPlan | None = None,
-    codec: str = DEFAULT_CODEC,
     domains=None,
 ) -> TransferReport:
     """Simulate one complete transfer of ``data`` to all receivers.
@@ -235,14 +217,6 @@ def run_transfer(
         summary then also group stragglers/ejections per leaf domain.
         Defaults to the tree of the loss model itself when the loss model
         is a :class:`~repro.sim.failure.DomainOutageLoss`.
-    codec:
-        Registry name of the erasure code shared by sender and receivers
-        (default ``"rse"``; see :func:`repro.fec.registry.codec_names`).
-        The geometry is ``(config.k, config.h)``, so constrained codes need
-        a matching config (``xor`` wants ``h = 1``, ``rect`` wants
-        ``h = rows + cols``); an impossible pairing raises
-        :exc:`~repro.fec.code.CodeGeometryError`.  Ignored by the no-FEC
-        ``n2`` baseline.
 
     Raises
     ------
@@ -305,19 +279,11 @@ def run_transfer(
         network = FaultInjector(sim, network, fault_plan)
     # One shared codec instance: any generator matrix is cached anyway, and
     # sharing mirrors a real deployment where all parties agree on the code.
-    # For codecs with a decode-plan cache (RSE's InverseCache) the cache is
-    # private to the transfer so the reported hit/miss counters are
-    # deterministic for a seed (the process-wide cache would leak warm
-    # entries from earlier transfers into this report).
-    codec_name = codec
-    codec_cls = get_codec(codec_name)
-    codec_kwargs = (
-        {"inverse_cache": InverseCache()}
-        if "inverse_cache" in inspect.signature(codec_cls.__init__).parameters
-        else {}
-    )
+    # Its decode-plan cache is private to the transfer so the reported
+    # hit/miss counters are deterministic for a seed (the process-wide
+    # cache would leak warm entries from earlier transfers into this report).
     codec = (
-        create_codec(codec_name, config.k, config.h, **codec_kwargs)
+        RSECodec(config.k, config.h, inverse_cache=InverseCache())
         if protocol != "n2"
         else None
     )
@@ -547,7 +513,6 @@ def run_transfer(
         by_kind=dict(network.stats.by_kind),
         peak_buffered_groups=int(buffered_groups),
         peak_buffered_packets=int(buffered_packets),
-        codec=codec_name,
         codec_symbols_multiplied=symbols_multiplied,
         decode_cache_hits=cache_hits,
         decode_cache_misses=cache_misses,

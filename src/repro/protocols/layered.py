@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fec.block import slice_stream
-from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
 from repro.protocols.feedback import NakSlotter
 from repro.protocols.np_protocol import NPConfig, ReceiverStats, SenderStats
@@ -92,7 +91,7 @@ class LayeredSender:
         network: MulticastNetwork,
         data: bytes,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
     ):
         self.sim = sim
         self.network = network
@@ -293,7 +292,7 @@ class LayeredReceiver:
         network: MulticastNetwork,
         n_groups: int,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
         rng: np.random.Generator | None = None,
         on_complete=None,
     ):
@@ -408,10 +407,6 @@ class LayeredReceiver:
         # any parity packet provides it, and the all-data case is direct
         missing_data = [s for s in range(self.config.k) if s not in received]
         if any(s not in composition for s in missing_data):
-            return
-        if not self.codec.decodable_from(received):
-            # non-MDS codecs can hold >= k packets in an unrecoverable
-            # pattern; keep NAKing the missing data slots instead of crashing
             return
         decoded = self.codec.decode(dict(received))
         self._decoded_blocks.add(block)

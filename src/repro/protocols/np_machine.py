@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.fec.block import BlockDecoder, BlockEncoder, join_stream
-from repro.fec.code import ErasureCode
+from repro.fec.rse import RSECodec
 from repro.protocols.packets import (
     DataPacket,
     GroupAbort,
@@ -283,7 +283,7 @@ class NPReceiveMachine:
     """
 
     def __init__(
-        self, k: int, codec: ErasureCode, n_groups: int, packet_size: int
+        self, k: int, codec: RSECodec, n_groups: int, packet_size: int
     ):
         self.k = k
         self.codec = codec

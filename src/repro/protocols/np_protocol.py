@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fec.block import BlockEncoder
-from repro.fec.code import ErasureCode
 from repro.fec.rse import RSECodec
 from repro.protocols.feedback import NakSlotter
 from repro.protocols.np_machine import (
@@ -160,7 +159,7 @@ class NPSender:
         network: MulticastNetwork,
         data: bytes,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
     ):
         self.sim = sim
         self.network = network
@@ -324,7 +323,7 @@ class SimReceiver:
         network: MulticastNetwork,
         n_groups: int,
         config: NPConfig,
-        codec: ErasureCode | None,
+        codec: RSECodec | None,
         on_complete,
     ):
         self.sim = sim
@@ -376,7 +375,7 @@ class NPReceiver(SimReceiver):
         network: MulticastNetwork,
         n_groups: int,
         config: NPConfig = NPConfig(),
-        codec: ErasureCode | None = None,
+        codec: RSECodec | None = None,
         rng: np.random.Generator | None = None,
         on_complete=None,
     ):

@@ -19,7 +19,6 @@ from repro.resilience.errors import (
     TransferError,
     TransferStalled,
     TransferTimeout,
-    failure_from_json,
 )
 from repro.resilience.faults import (
     FaultInjector,
@@ -41,5 +40,4 @@ __all__ = [
     "StallReport",
     "ReceiverStall",
     "ResilienceSummary",
-    "failure_from_json",
 ]

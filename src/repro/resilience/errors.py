@@ -22,9 +22,8 @@ Two transport guarantees hold for every member:
   raised in a spawned worker arrives in the parent with its diagnosis
   intact (``__reduce__`` rebuilds from the pre-summary message + report,
   so the summary is not appended twice).
-* **JSON** (:meth:`TransferError.to_json` / :func:`failure_from_json`)
-  round-trips the full failure including the replay ``(seed, fault_plan)``
-  pair, so a recorded chaos failure is replayable from the record alone.
+* **JSON** (:meth:`TransferError.to_json`) records the full failure
+  including the replay ``(seed, fault_plan)`` pair.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "TransferTimeout",
     "TransferStalled",
     "DeliveryCorrupt",
-    "failure_from_json",
 ]
 
 
@@ -77,29 +75,3 @@ class TransferStalled(TransferError):
 
 class DeliveryCorrupt(TransferError):
     """A receiver reassembled bytes that differ from the payload sent."""
-
-
-#: name -> class, for :func:`failure_from_json`
-_TAXONOMY: dict[str, type[TransferError]] = {
-    cls.__name__: cls
-    for cls in (TransferError, TransferTimeout, TransferStalled, DeliveryCorrupt)
-}
-
-
-def failure_from_json(data: dict) -> TransferError:
-    """Rebuild a typed failure from :meth:`TransferError.to_json` output.
-
-    Unknown ``error_type`` tags (e.g. a plain ``ValueError``) come back as
-    the base :class:`TransferError` with the original type name folded
-    into the message, so records written by newer code still load.
-    """
-    error_type = data.get("error_type", "TransferError")
-    error_cls = _TAXONOMY.get(error_type)
-    message = data.get("message", "")
-    if error_cls is None:
-        error_cls = TransferError
-        message = f"[{error_type}] {message}"
-    report = data.get("report")
-    return error_cls(
-        message, None if report is None else StallReport.from_json(report)
-    )

@@ -87,15 +87,6 @@ class OutageWindow:
             ),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "OutageWindow":
-        receivers = data.get("receivers")
-        return cls(
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            receivers=None if receivers is None else tuple(receivers),
-        )
-
 
 @dataclass(frozen=True)
 class ReceiverCrash:
@@ -125,14 +116,6 @@ class ReceiverCrash:
             "at": self.at,
             "downtime": self.downtime,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ReceiverCrash":
-        return cls(
-            receiver=int(data["receiver"]),
-            at=float(data["at"]),
-            downtime=float(data["downtime"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -172,11 +155,10 @@ class FaultPlan:
         )
 
     def to_json(self) -> dict:
-        """JSON-serializable dict; :meth:`from_json` restores an equal plan.
+        """JSON-serializable dict.
 
-        The round trip is what makes failure records self-contained: any
-        chaos failure can be replayed from the record alone (plan + seed
-        travel with the failure record).
+        Plan and seed travel with a failure record, so any chaos failure
+        it reports names what replays it.
         """
         return {
             "seed": self.seed,
@@ -192,29 +174,6 @@ class FaultPlan:
                 window.to_json() for window in self.sender_stalls
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultPlan":
-        return cls(
-            seed=int(data.get("seed", 0)),
-            corrupt_prob=float(data.get("corrupt_prob", 0.0)),
-            duplicate_prob=float(data.get("duplicate_prob", 0.0)),
-            jitter=float(data.get("jitter", 0.0)),
-            outages=tuple(
-                OutageWindow.from_json(w) for w in data.get("outages", ())
-            ),
-            feedback_outages=tuple(
-                OutageWindow.from_json(w)
-                for w in data.get("feedback_outages", ())
-            ),
-            crashes=tuple(
-                ReceiverCrash.from_json(c) for c in data.get("crashes", ())
-            ),
-            sender_stalls=tuple(
-                OutageWindow.from_json(w)
-                for w in data.get("sender_stalls", ())
-            ),
-        )
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]

@@ -52,17 +52,6 @@ class ReceiverStall:
             "crashes": self.crashes,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ReceiverStall":
-        return cls(
-            receiver_id=int(data["receiver_id"]),
-            missing_groups=tuple(data.get("missing_groups", ())),
-            last_progress_time=float(data.get("last_progress_time", 0.0)),
-            watchdog_retries=int(data.get("watchdog_retries", 0)),
-            watchdog_exhaustions=int(data.get("watchdog_exhaustions", 0)),
-            crashes=int(data.get("crashes", 0)),
-        )
-
     def summary(self) -> str:
         return (
             f"receiver {self.receiver_id}: missing {len(self.missing_groups)} "
@@ -116,31 +105,6 @@ class StallReport:
                 for domain, receivers in self.stalled_by_domain.items()
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StallReport":
-        from repro.resilience.faults import FaultPlan  # local: cycle guard
-
-        plan = data.get("fault_plan")
-        return cls(
-            protocol=data["protocol"],
-            sim_time=float(data.get("sim_time", 0.0)),
-            events_dispatched=int(data.get("events_dispatched", 0)),
-            pending_events=int(data.get("pending_events", 0)),
-            receivers=tuple(
-                ReceiverStall.from_json(r) for r in data.get("receivers", ())
-            ),
-            abandoned_groups=tuple(data.get("abandoned_groups", ())),
-            injected_faults=dict(data.get("injected_faults", {})),
-            seed=data.get("seed"),
-            fault_plan=None if plan is None else FaultPlan.from_json(plan),
-            stalled_by_domain={
-                domain: tuple(receivers)
-                for domain, receivers in data.get(
-                    "stalled_by_domain", {}
-                ).items()
-            },
-        )
 
     def summary(self) -> str:
         lines = [
@@ -213,26 +177,3 @@ class ResilienceSummary:
                 for domain, receivers in self.ejected_by_domain.items()
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ResilienceSummary":
-        from repro.resilience.faults import FaultPlan  # local: cycle guard
-
-        plan = data.get("fault_plan")
-        return cls(
-            fault_plan=None if plan is None else FaultPlan.from_json(plan),
-            injected=dict(data.get("injected", {})),
-            corrupt_discarded=int(data.get("corrupt_discarded", 0)),
-            watchdog_retries=int(data.get("watchdog_retries", 0)),
-            watchdog_backoff_peak=float(data.get("watchdog_backoff_peak", 0.0)),
-            crashes=int(data.get("crashes", 0)),
-            degraded=bool(data.get("degraded", False)),
-            abandoned_groups=tuple(data.get("abandoned_groups", ())),
-            ejected_receivers=tuple(data.get("ejected_receivers", ())),
-            ejected_by_domain={
-                domain: tuple(receivers)
-                for domain, receivers in data.get(
-                    "ejected_by_domain", {}
-                ).items()
-            },
-        )

@@ -8,16 +8,17 @@ never values.  These tests pin that at the figure level:
   to the reference product and reconstructions bit-identical to the scalar
   decoder's (fig01 itself reports host-dependent rates, so the outputs the
   timing loop feeds on are compared, not the rates);
-* fig11 — the layered-FEC Monte-Carlo figure, run seeded on a small
-  grid with a real codec in the loop (the payload verifier pushes every
-  decodable erasure pattern through GF encode/decode) — must produce
-  exactly the series it produces with every product run on the reference.
+* fig11's simulated layered-FEC curve, run seeded on a small grid with
+  RSE's payload verifier in the loop (it pushes every decodable erasure
+  pattern through GF encode/decode) — must produce exactly the series it
+  produces with every product run on the reference.
 """
 
 import numpy as np
 
 from repro.fec.rse import InverseCache, RSECodec
 from repro.galois.field import GaloisField
+from repro.mc._common import PayloadVerifier
 
 #: fig01's grid (group_sizes x redundancies), trimmed of duplicates the
 #: h = max(1, round(r * k)) clamp produces.
@@ -55,26 +56,46 @@ def test_fig01_workload_bit_identical():
             assert np.array_equal(decoded[i], data[i])
 
 
-def _series_tuple(result):
-    return [
-        (s.label, tuple(s.x), tuple(s.y), None if s.errors is None
-         else tuple(s.errors))
-        for s in result.series
-    ]
+def _series_tuple(series):
+    return (
+        series.label, tuple(series.x), tuple(series.y), tuple(series.errors)
+    )
 
 
-def _fig11_small():
-    from repro.experiments.figures_mc import fig11
+def _fig11_small(monkeypatch):
+    """fig11's simulated FBT curve at depths 0, 2, 4, RSE-verified.
 
-    # codec="lrc" (non-default) puts a real codec in the MC loop: the
-    # payload verifier replays every distinct decodable erasure
-    # pattern through GF encode/decode, so the kernel actually runs
-    return fig11(depths=[0, 2, 4], replications=12, rng=0, codec="lrc")
+    The verifier replays every distinct decodable erasure pattern through
+    GF encode/decode; the call fails unless one of them lost a data
+    packet, so the decode kernel cannot sit idle.
+    """
+    from repro.experiments.figures_mc import FigurePoints
+    from repro.sim.loss import FullBinaryTreeLoss
+
+    reconstructed = []
+    verify_masks = PayloadVerifier.verify_masks
+
+    def counting(self, received):
+        fresh = verify_masks(self, received)
+        reconstructed.append(self.codec.stats.packets_decoded)
+        return fresh
+
+    monkeypatch.setattr(PayloadVerifier, "verify_masks", counting)
+    trees = [FullBinaryTreeLoss(depth, 0.01) for depth in (0, 2, 4)]
+    series = FigurePoints("fig11", 0).curve(
+        "layered",
+        trees,
+        {"k": 7, "h": 1, "codec": "rse"},
+        "layered FEC FBT loss",
+        [12] * len(trees),
+    )
+    assert max(reconstructed) > 0, "no erasure pattern was decoded"
+    return series
 
 
 def test_fig11_series_identical(monkeypatch):
-    result = _fig11_small()
+    result = _fig11_small(monkeypatch)
     monkeypatch.setattr(GaloisField, "matmul", GaloisField.matmul_reference)
-    assert _series_tuple(result) == _series_tuple(_fig11_small()), (
+    assert _series_tuple(result) == _series_tuple(_fig11_small(monkeypatch)), (
         "fig11 series differ between the kernel and the reference"
     )

@@ -56,6 +56,7 @@ class TestUsageErrors:
         assert "usage:" in err and "--bind" in err
 
     def test_serve_unknown_codec(self, capsys):
+        """serve has no codec choice: ``--codec`` is an unknown flag."""
         assert main(["serve", "--size", "100", "--codec", "bogus"]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "--codec" in err

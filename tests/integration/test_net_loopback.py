@@ -672,14 +672,6 @@ class TestBlackoutDegradation:
         assert stall.watchdog_exhaustions > 0
         assert stall.watchdog_retries > 0
         assert report.seed == 9
-        # JSON round-trip: the failure is journal-ready like the simulator's
-        from repro.resilience.errors import failure_from_json
-
-        rebuilt = failure_from_json(error.to_json())
-        assert isinstance(rebuilt, TransferStalled)
-        assert rebuilt.report.receivers[0].missing_groups == (
-            stall.missing_groups
-        )
         assert reports, "sender session must terminate via ejection"
         assert reports[0].outcome in ("degraded", "aborted")
         assert reports[0].ejected == 1

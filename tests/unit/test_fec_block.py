@@ -178,174 +178,3 @@ class TestBlockDecoder:
         assert decoder.add(3, data[3]) is True
         assert decoder.missing == 0
         assert decoder.reconstruct() == data
-
-    def test_mds_decodability_needs_no_pattern_test(self, setup, monkeypatch):
-        codec, data, _ = setup
-
-        def unexpected(indices):
-            raise AssertionError("an MDS decoder asked for a pattern verdict")
-
-        monkeypatch.setattr(codec, "decodable_from", unexpected)
-        decoder = BlockDecoder(4, codec)
-        for i in range(3):
-            assert decoder.add(i, data[i]) is False
-        assert decoder.add(3, data[3]) is True
-        assert decoder.decodable
-        assert decoder.reconstruct() == data
-
-
-# ----------------------------------------------------------------------
-# framing against the codec *interface*: registry names, a non-MDS code,
-# and a non-systematic code (the toy shift-XOR below)
-# ----------------------------------------------------------------------
-import numpy as np
-
-from repro.fec.code import ErasureCode
-from repro.fec.rect import RectangularCodec
-
-
-class ShiftXORCodec(ErasureCode):
-    """Non-systematic single-parity toy: wire slot ``i`` carries
-    ``data[(i + 1) % k]`` and the parity is the XOR of all data."""
-
-    name = "shift-xor"
-    is_mds = True
-    systematic = False
-
-    def __init__(self, k, h=1, field=None):
-        from repro.galois.field import GF256
-
-        super().__init__(k, h, field=field or GF256)
-
-    @classmethod
-    def nearest_h(cls, k, h):
-        return 1
-
-    def coded_symbols(self, data):
-        data = self._check_symbols(np.asarray(data), rows_axis=0)
-        return np.roll(data, -1, axis=0)
-
-    def encode_symbols(self, data):
-        data = self._check_symbols(np.asarray(data), rows_axis=0)
-        self.stats.packets_encoded += self.k
-        self.stats.parities_produced += self.h
-        self.stats.symbols_multiplied += data.size
-        return np.bitwise_xor.reduce(data, axis=0)[None, :]
-
-    def decode_symbols(self, rows):
-        length = len(next(iter(rows.values())))
-        data = {}
-        for slot in range(self.k):
-            if slot in rows:
-                data[(slot + 1) % self.k] = rows[slot]
-        missing = [i for i in range(self.k) if i not in data]
-        if missing:
-            if len(missing) > 1 or self.k not in rows:
-                raise DecodeError(f"cannot repair data {missing}")
-            acc = np.array(rows[self.k], copy=True)
-            for i, symbols in data.items():
-                acc ^= symbols
-            data[missing[0]] = acc
-            self.stats.packets_decoded += 1
-            self.stats.symbols_multiplied += self.k * length
-        return data
-
-
-class TestRegistryNames:
-    def test_encoder_accepts_codec_name(self):
-        encoder = BlockEncoder(b"payload" * 10, k=7, h=1, packet_size=8,
-                               codec="xor")
-        assert encoder.codec.name == "xor"
-        assert encoder.parity_packet(0, 0)
-
-    def test_decoder_name_requires_h(self):
-        with pytest.raises(ValueError, match="pass h= alongside"):
-            BlockDecoder(7, "rse")
-        decoder = BlockDecoder(7, "rse", h=3)
-        assert decoder.codec.name == "rse"
-        assert (decoder.codec.k, decoder.codec.h) == (7, 3)
-
-
-class TestNonSystematicFraming:
-    """BlockEncoder/Decoder with a codec whose wire prefix is not the data."""
-
-    @pytest.fixture
-    def rng(self):
-        return np.random.default_rng(7)
-
-    def test_wire_packets_are_coded_not_raw(self, rng):
-        payload = rng.bytes(4 * 8)
-        encoder = BlockEncoder(payload, k=4, h=1, packet_size=8,
-                               codec=ShiftXORCodec(4))
-        group = encoder.groups[0]
-        assert group.coded is not None
-        for i in range(4):
-            assert encoder.data_packet(0, i) == group.coded[i]
-            # the shifted slot carries a *different* group member
-            assert encoder.data_packet(0, i) == group.data[(i + 1) % 4]
-
-    def test_parities_eager_despite_lazy_default(self, rng):
-        encoder = BlockEncoder(rng.bytes(32), k=4, h=1, packet_size=8,
-                               codec=ShiftXORCodec(4))
-        assert all(len(g.parities) == 1 for g in encoder.groups)
-
-    def test_round_trip_with_one_wire_loss(self, rng):
-        payload = rng.bytes(4 * 8)
-        codec = ShiftXORCodec(4)
-        encoder = BlockEncoder(payload, k=4, h=1, packet_size=8, codec=codec)
-        decoder = BlockDecoder(4, codec)
-        for i in range(4):
-            if i == 2:  # lose one coded packet
-                continue
-            decoder.add(i, encoder.data_packet(0, i))
-        assert not decoder.decodable
-        assert decoder.add(4, encoder.parity_packet(0, 0))
-        assert decoder.reconstruct() == encoder.groups[0].data
-        # non-systematic: the whole group counts as reconstruction work
-        assert decoder.decoding_work() == 4
-
-    def test_missing_lower_bound(self, rng):
-        codec = ShiftXORCodec(4)
-        encoder = BlockEncoder(rng.bytes(32), k=4, h=1, packet_size=8,
-                               codec=codec)
-        decoder = BlockDecoder(4, codec)
-        decoder.add(0, encoder.data_packet(0, 0))
-        assert decoder.missing == 3
-
-
-class TestNonMDSFraming:
-    """BlockDecoder with the rectangular code: >= k is not enough."""
-
-    @pytest.fixture
-    def setup(self):
-        rng = np.random.default_rng(11)
-        codec = RectangularCodec(6, 5)  # 2x3 grid
-        data = [rng.bytes(8) for _ in range(6)]
-        block = codec.encode_block(data)
-        return codec, data, block
-
-    def test_unrecoverable_pattern_not_decodable(self, setup):
-        codec, data, block = setup
-        decoder = BlockDecoder(6, codec)
-        # four-corner loss {0, 1, 3, 4}: seven packets held but peeling
-        # stalls, so the honest claim is "not decodable"
-        for i in range(codec.n):
-            if i not in (0, 1, 3, 4):
-                decoder.add(i, block[i])
-        assert len(decoder.received) >= codec.k
-        assert not decoder.decodable
-        # stalled pattern: the NAK lower bound stays >= 1 so the receiver
-        # keeps soliciting instead of going silent
-        assert decoder.missing == 1
-        with pytest.raises(DecodeError):
-            decoder.reconstruct()
-
-    def test_extra_packet_resolves_the_stall(self, setup):
-        codec, data, block = setup
-        decoder = BlockDecoder(6, codec)
-        for i in range(codec.n):
-            if i not in (0, 1, 3, 4):
-                decoder.add(i, block[i])
-        assert decoder.add(0, block[0])  # breaks the rectangle
-        assert decoder.reconstruct() == data
-        assert decoder.decoding_work() == 3

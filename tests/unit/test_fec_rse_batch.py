@@ -12,7 +12,7 @@ from repro.fec.rse import (
     default_inverse_cache,
 )
 from repro.galois.field import GF16, GF256, GF65536
-from repro.mc._common import PayloadVerifier
+from repro.mc._common import PayloadVerifier, block_verifier
 
 
 def _block_rows(codec: RSECodec, rng, symbols: int = 8):
@@ -326,6 +326,18 @@ class TestPayloadVerifier:
     def test_symbols_validation(self):
         with pytest.raises(ValueError):
             PayloadVerifier(RSECodec(3, 2), symbols=0)
+
+    def test_block_verifier_fits_the_block(self):
+        assert block_verifier(None, 4, 2) is None
+        verifier = block_verifier("rse", 4, 2)
+        assert (verifier.codec.k, verifier.codec.h) == (4, 2)
+        wide = RSECodec(4, 3)
+        assert block_verifier(wide, 4, 2).codec is wide
+        for misfit in (RSECodec(4, 1), RSECodec(5, 2)):
+            with pytest.raises(ValueError, match="does not fit"):
+                block_verifier(misfit, 4, 2)
+        with pytest.raises(KeyError):
+            block_verifier("xor", 4, 1)
 
 
 class TestHarnessCodecStats:

@@ -412,14 +412,16 @@ class TestUnusableFrames:
     discard, counted under ``net.frame_errors{reason}``, and the transfer
     goes on as if it had been lost."""
 
-    def test_an_announce_with_an_unknown_codec_is_discarded(self):
+    @pytest.mark.parametrize("codec", ["no-such-codec", "xor", "lrc"])
+    def test_an_announce_with_an_unknown_codec_is_discarded(self, codec):
+        # a real code the tree does not build counts like a made-up name
         protocol = _ReceiverProtocol(NetConfig(), group=0)
         good = SessionAnnounce(
             k=4, h=4, packet_size=32, n_groups=1, total_length=128
         )
         bad = SessionAnnounce(
             k=4, h=4, packet_size=32, n_groups=1, total_length=128,
-            codec="no-such-codec",
+            codec=codec,
         )
         with obs.capture() as registry:
             protocol._on_announce(bad, session_id=1)
