@@ -18,6 +18,7 @@ Run with ``pytest benchmarks/test_perf_obs_overhead.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -150,7 +151,7 @@ class TestEnabledOverhead:
     def test_enabled_run_leaves_reports_identical(self):
         """The overhead is the only difference: enabling telemetry must
         not change a single reported number for the same seed."""
-        baseline = _one_transfer(seed=42).to_json()
+        baseline = dataclasses.asdict(_one_transfer(seed=42))
         with obs.capture():
-            recorded = _one_transfer(seed=42).to_json()
+            recorded = dataclasses.asdict(_one_transfer(seed=42))
         assert recorded == baseline

@@ -35,10 +35,10 @@ from repro.core import (
 from repro.fec import RSECodec
 from repro.protocols import NPConfig, TransferReport, run_transfer
 from repro.resilience import (
+    ChaosPlan,
     DeliveryCorrupt,
     FaultInjector,
     FaultPlan,
-    OutageWindow,
     ReceiverCrash,
     ResilienceSummary,
     StallReport,
@@ -62,7 +62,7 @@ __all__ = [
     "run_transfer",
     "FaultPlan",
     "FaultInjector",
-    "OutageWindow",
+    "ChaosPlan",
     "ReceiverCrash",
     "TransferError",
     "TransferTimeout",

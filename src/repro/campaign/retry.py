@@ -66,12 +66,3 @@ class RetryPolicy:
         if self.jitter:
             interval *= 1.0 - self.jitter * float(rng.random())
         return interval
-
-    def to_json(self) -> dict:
-        return {
-            "retries": self.retries,
-            "base_delay": self.base_delay,
-            "backoff": self.backoff,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-        }

@@ -15,7 +15,7 @@ costs the NP protocol:
 * :func:`failure_em` — E[M] under one (generator, protocol) pair;
   looping it over the four worlds and both churned protocols sweeps the
   whole correlated-failure matrix.  Churned transfers are driven by
-  :func:`~repro.sim.failure.churn_fault_plan`, reporting E[M] and the
+  :func:`~repro.sim.failure.member_down_windows`, reporting E[M] and the
   degraded-completion count.
 
 Both keep the availability worlds on simulator timescale: the canned
@@ -32,10 +32,11 @@ from repro.experiments.series import FigureResult, Series
 from repro.protocols.harness import TransferReport, run_transfer
 from repro.protocols.np_protocol import NPConfig
 from repro.resilience.errors import TransferError
+from repro.resilience.faults import FaultPlan
 from repro.sim.failure import (
     DomainOutageLoss,
     DomainTree,
-    churn_fault_plan,
+    member_down_windows,
     named_generator,
 )
 from repro.sim.loss import BernoulliLoss
@@ -82,11 +83,11 @@ def failure_transfers(
     """``replications`` churned transfers of one (generator, protocol) cell.
 
     Each replication derives its own availability world from the base
-    seed, realises it as a :func:`~repro.sim.failure.churn_fault_plan`
+    seed, realises it with :func:`~repro.sim.failure.member_down_windows`
     over a (2, 2) site/rack tree, and runs one small transfer under
-    independent link loss plus the plan.  The NP protocol gets
-    ``mode="crash"`` (it has crash/rejoin hooks); the others get
-    ``mode="outage"`` (partition only, state kept).
+    independent link loss plus the resulting plan.  The NP protocol gets
+    the windows as crashes (it has crash/rejoin hooks); the others get
+    them as down windows (partition only, state kept).
 
     A replication whose transfer dies outright (stall/timeout under a
     brutal schedule — layered RM has no NAK watchdog, so a partition
@@ -104,7 +105,13 @@ def failure_transfers(
             horizon=horizon,
             time_scale=SIM_TIME_SCALE,
         )
-        plan = churn_fault_plan(tree, generator, mode=mode)
+        churn = member_down_windows(
+            generator, n_receivers, tree=tree, mode=mode
+        )
+        if mode == "crash":
+            plan = FaultPlan(crashes=churn)
+        else:
+            plan = FaultPlan(down=churn)
         try:
             reports.append(
                 run_transfer(

@@ -28,7 +28,7 @@ Failures reuse the simulator's typed taxonomy
 and docs/PROTOCOL.md for the wire format and session state machines.
 """
 
-from repro.net.chaos import ChaosPlan, ChaosProxy, FaultSchedule, MemberChurn
+from repro.net.chaos import ChaosPlan, ChaosProxy, FaultSchedule
 from repro.net.endpoints import FetchResult, NetServer, fetch
 from repro.net.session import SenderSession, SessionReport
 from repro.net.supervision import NakScheduler, NetConfig, Pacer
@@ -47,7 +47,6 @@ __all__ = [
     "FetchResult",
     "Frame",
     "FrameError",
-    "MemberChurn",
     "NakScheduler",
     "NetConfig",
     "NetServer",

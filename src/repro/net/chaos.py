@@ -1,42 +1,24 @@
 """Seeded chaos datagram proxy: socket-layer fault injection.
 
-The simulator's fault layer (:mod:`repro.resilience.faults`) mangles
-packets inside the event loop; this module does the same to *real UDP
-datagrams* so the transport's robustness is testable without a WAN.  A
-:class:`ChaosProxy` sits between receivers and a
+:class:`ChaosProxy` applies the fault vocabulary of
+:mod:`repro.resilience.faults`, the one the simulator's injector speaks
+too, to *real UDP datagrams*, so the transport's robustness is testable
+without a WAN.  It sits between receivers and a
 :class:`~repro.net.endpoints.NetServer`::
 
     receiver  <->  proxy (listen)  <->  server (upstream)
 
-and applies seeded faults per direction — ``forward`` is
-server-to-receiver (data, polls, fins), ``backward`` is
-receiver-to-server (joins, NAKs, completes):
-
-* **loss** — the datagram vanishes;
-* **corrupt** — one byte is flipped (the frame CRC turns this into a
-  counted drop at the endpoint);
-* **duplicate** — the datagram is delivered twice;
-* **reorder** — the datagram is held back ``reorder_delay`` seconds so
-  later traffic overtakes it;
-* **jitter** — a uniform random extra delay;
-* **blackouts** — wall-clock windows (seconds since proxy start) during
-  which the direction is silently absorbed; a backward blackout is the
-  paper's nightmare scenario of a feedback channel going dark;
-* **member churn** — per-member eclipse windows (:class:`MemberChurn`):
-  both directions of one client leg go dark while that member's
-  availability schedule says its machine (or rack) is down, the
-  socket-layer realisation of :mod:`repro.sim.failure` schedules.
-
-Determinism: every fault decision comes from a :class:`FaultSchedule`
-seeded by ``(plan.seed, direction)`` that draws a *fixed* number of
-variates per datagram, so the fault verdict for the N-th datagram of a
-direction is a pure function of ``(seed, direction, N)`` — same seed,
-same schedule, regardless of which faults actually fire.  (End-to-end
-*timing* still belongs to the OS; tests assert schedule determinism
-directly and transfer-level invariants elsewhere.)
-
-The proxy is payload-agnostic: it never decodes frames, so it exercises
-the endpoints' strict decoders with genuine garbage.
+Each direction has its own :class:`~repro.resilience.faults.ChaosPlan`:
+``forward`` is server-to-receiver (data, polls, fins), ``backward`` is
+receiver-to-server (joins, NAKs, completes).  Per-member ``down`` windows
+eclipse both directions of one client leg (legs are numbered in arrival
+order): a receiver's machine or rack going down, as the network sees it.
+Windows are seconds since proxy start.  Every verdict comes from a
+:class:`~repro.resilience.faults.FaultSchedule` seeded by ``(plan.seed,
+direction)``, so the N-th datagram of a direction that passes the windows
+gets the same verdict on every run; end-to-end *timing* still belongs to
+the OS.  The proxy never decodes frames, so it exercises the endpoints'
+strict decoders with genuine garbage.
 """
 
 from __future__ import annotations
@@ -44,146 +26,28 @@ from __future__ import annotations
 import asyncio
 import socket
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from repro import obs
 from repro.net.udp import DatagramSocket, open_datagram
+from repro.resilience.faults import (
+    ChaosPlan,
+    FaultDecision,
+    FaultSchedule,
+    Windows,
+    as_windows,
+    covers,
+    flip_byte,
+)
 
-__all__ = [
-    "ChaosPlan",
-    "FaultDecision",
-    "FaultSchedule",
-    "MemberChurn",
-    "ChaosProxy",
-]
+__all__ = ["ChaosPlan", "FaultDecision", "FaultSchedule", "ChaosProxy"]
 
 Address = tuple
-
-_DIRECTIONS = ("forward", "backward")
-
-
-@dataclass(frozen=True)
-class ChaosPlan:
-    """Fault mix for one proxy direction; all probabilities independent."""
-
-    seed: int = 0
-    loss: float = 0.0
-    corrupt: float = 0.0
-    duplicate: float = 0.0
-    reorder: float = 0.0
-    #: how long a reordered datagram is held back (seconds)
-    reorder_delay: float = 0.02
-    #: max uniform extra delay applied to every surviving datagram
-    jitter: float = 0.0
-    #: absolute silence windows, seconds since proxy start: ((lo, hi), ...)
-    blackouts: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("loss", "corrupt", "duplicate", "reorder"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value}")
-        if self.reorder_delay < 0 or self.jitter < 0:
-            raise ValueError("delays must be >= 0")
-        for window in self.blackouts:
-            lo, hi = window
-            if not 0 <= lo < hi:
-                raise ValueError(f"bad blackout window {window}")
-
-    def in_blackout(self, elapsed: float) -> bool:
-        return any(lo <= elapsed < hi for lo, hi in self.blackouts)
-
-
-@dataclass(frozen=True)
-class MemberChurn:
-    """Per-member eclipse windows: the proxy's availability-churn mode.
-
-    Direction blackouts (:attr:`ChaosPlan.blackouts`) silence a whole
-    direction; ``MemberChurn`` instead eclipses *individual members* —
-    both directions of one client leg go dark during that member's
-    windows, which is what a receiver's machine (or its rack) being down
-    looks like from the network.  ``windows[i]`` are the ``(lo, hi)``
-    wall-clock windows (seconds since proxy start) of the ``i``-th client
-    leg in arrival order; members beyond the tuple are never eclipsed.
-    Build the windows from an availability schedule with
-    :func:`repro.sim.failure.member_blackout_windows`.
-    """
-
-    windows: tuple[tuple[tuple[float, float], ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        normalised = tuple(
-            tuple((float(lo), float(hi)) for lo, hi in member)
-            for member in self.windows
-        )
-        object.__setattr__(self, "windows", normalised)
-        for member in self.windows:
-            for lo, hi in member:
-                if not 0 <= lo < hi:
-                    raise ValueError(f"bad churn window ({lo}, {hi})")
-
-    def in_blackout(self, member: int, elapsed: float) -> bool:
-        if not 0 <= member < len(self.windows):
-            return False
-        return any(
-            lo <= elapsed < hi for lo, hi in self.windows[member]
-        )
-
-
-@dataclass(frozen=True)
-class FaultDecision:
-    """The verdict for one datagram."""
-
-    drop: bool = False
-    #: byte position to flip, None for no corruption
-    corrupt_at: int | None = None
-    duplicate: bool = False
-    #: seconds to hold the datagram back (reorder + jitter)
-    delay: float = 0.0
-
-
-class FaultSchedule:
-    """Deterministic per-datagram fault decisions for one direction.
-
-    Draws exactly six variates per :meth:`decide` call whatever the
-    outcome, so decision ``N`` depends only on ``(plan.seed, direction,
-    N)`` — the property the determinism smoke test pins.
-    """
-
-    def __init__(self, plan: ChaosPlan, direction: str):
-        if direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        self.plan = plan
-        self.direction = direction
-        self.rng = np.random.default_rng(
-            [plan.seed, _DIRECTIONS.index(direction)]
-        )
-        self.ordinal = 0
-
-    def decide(self, size: int) -> FaultDecision:
-        """Verdict for the next datagram (of ``size`` bytes)."""
-        plan = self.plan
-        draws = self.rng.random(5)
-        position = int(self.rng.integers(0, max(1, size)))
-        self.ordinal += 1
-        if draws[0] < plan.loss:
-            return FaultDecision(drop=True)
-        delay = 0.0
-        if draws[2] < plan.reorder:
-            delay += plan.reorder_delay
-        if plan.jitter > 0:
-            delay += draws[4] * plan.jitter
-        return FaultDecision(
-            corrupt_at=position if draws[1] < plan.corrupt else None,
-            duplicate=draws[3] < plan.duplicate,
-            delay=delay,
-        )
 
 
 @dataclass
 class _ClientLeg:
-    #: arrival order of this client, indexing :attr:`MemberChurn.windows`
+    #: arrival order of this client, indexing :attr:`ChaosProxy.down`
     index: int
     #: server-facing socket: one per client, so the server can tell
     #: receivers apart by source address
@@ -206,10 +70,11 @@ class ChaosProxy:
         upstream: Address,
         forward: ChaosPlan | None = None,
         backward: ChaosPlan | None = None,
-        churn: MemberChurn | None = None,
+        down: Sequence[Windows] = (),
     ):
         self.upstream = tuple(upstream)
-        self.churn = churn
+        #: ``down[i]``: the down windows of the ``i``-th client leg
+        self.down = tuple(as_windows(member, "down") for member in down)
         self.plans = {
             "forward": forward or ChaosPlan(),
             "backward": backward or ChaosPlan(),
@@ -266,11 +131,11 @@ class ChaosProxy:
 
     # -- traffic ----------------------------------------------------------
     def _eclipsed(self, leg: _ClientLeg, direction: str) -> bool:
-        """Is this member inside one of its churn windows right now?"""
-        if self.churn is None:
+        """Is this member inside one of its down windows right now?"""
+        if leg.index >= len(self.down):
             return False
         elapsed = asyncio.get_running_loop().time() - self._started_at
-        if not self.churn.in_blackout(leg.index, elapsed):
+        if not covers(self.down[leg.index], elapsed):
             return False
         self._count(direction, "member_blackout")
         return True
@@ -322,9 +187,7 @@ class ChaosProxy:
             return
         if decision.corrupt_at is not None and data:
             self._count(direction, "corrupted")
-            flipped = bytearray(data)
-            flipped[decision.corrupt_at % len(data)] ^= 0xFF
-            data = bytes(flipped)
+            data = flip_byte(data, decision.corrupt_at)
         copies = 2 if decision.duplicate else 1
         if decision.duplicate:
             self._count(direction, "duplicated")

@@ -31,6 +31,8 @@ from typing import ClassVar
 import numpy as np
 
 from repro.campaign.retry import RetryPolicy
+from repro.fec.code import max_block_length
+from repro.galois import GF256
 
 __all__ = ["NetConfig", "Pacer", "NakScheduler", "GroupNakState"]
 
@@ -115,10 +117,14 @@ class NetConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 <= self.h <= 0xFFFF:
-            raise ValueError(f"h must be in [0, 65535], got {self.h}")
-        if self.k > 0xFFFF:
-            raise ValueError(f"k must fit u16, got {self.k}")
+        if self.h < 0:
+            raise ValueError(f"h must be >= 0, got {self.h}")
+        limit = max_block_length(GF256)
+        if self.k + self.h > limit:
+            raise ValueError(
+                f"k + h = {self.k + self.h} exceeds {limit}, the longest "
+                f"RSE block GF(2^8) holds"
+            )
         if self.packet_size < 1:
             raise ValueError(
                 f"packet_size must be >= 1, got {self.packet_size}"

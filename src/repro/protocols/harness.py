@@ -18,7 +18,6 @@ the run.  Chaos faults are opt-in via the ``fault_plan`` argument.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,21 +101,6 @@ class TransferReport:
         """Fraction of scheduled NAKs damped before transmission."""
         scheduled = self.naks_sent_total + self.naks_suppressed_total
         return self.naks_suppressed_total / scheduled if scheduled else 0.0
-
-    def to_json(self) -> dict:
-        """JSON-serializable dict.
-
-        The record is self-contained, including the nested resilience
-        section and its replay ``fault_plan``.
-        """
-        data = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "resilience"
-        }
-        data["by_kind"] = dict(self.by_kind)
-        data["resilience"] = self.resilience.to_json()
-        return data
 
     def summary(self) -> str:
         return (

@@ -4,9 +4,11 @@ Built for one guarantee, stated in DESIGN.md's fault-model section: every
 transfer either completes with intact bytes or degrades along a
 documented, diagnosable path — never hangs, never silently corrupts.
 
-* :mod:`repro.resilience.faults` — :class:`FaultPlan` /
-  :class:`FaultInjector`: seeded, deterministic packet corruption,
-  duplication, reordering, partitions, receiver crashes and sender stalls
+* :mod:`repro.resilience.faults` — the one fault vocabulary of the
+  simulator and the socket proxy: :class:`ChaosPlan` (one direction's
+  per-datagram rates and blackouts), :class:`FaultSchedule` (the
+  per-datagram verdict), and :class:`FaultPlan` / :class:`FaultInjector`,
+  which add per-receiver down windows, receiver crashes and sender stalls
   on top of any loss model.
 * :mod:`repro.resilience.errors` — the error taxonomy raised by
   :func:`repro.protocols.harness.run_transfer`.
@@ -21,17 +23,21 @@ from repro.resilience.errors import (
     TransferTimeout,
 )
 from repro.resilience.faults import (
+    ChaosPlan,
+    FaultDecision,
     FaultInjector,
     FaultPlan,
-    OutageWindow,
+    FaultSchedule,
     ReceiverCrash,
 )
 from repro.resilience.report import ReceiverStall, ResilienceSummary, StallReport
 
 __all__ = [
+    "ChaosPlan",
+    "FaultDecision",
+    "FaultSchedule",
     "FaultPlan",
     "FaultInjector",
-    "OutageWindow",
     "ReceiverCrash",
     "TransferError",
     "TransferTimeout",

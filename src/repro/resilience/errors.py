@@ -16,14 +16,11 @@ The taxonomy the harness raises:
 All subclass :class:`TransferError`, itself a ``RuntimeError`` so existing
 ``except RuntimeError`` callers keep working.
 
-Two transport guarantees hold for every member:
-
-* **Pickling** preserves the attached :class:`StallReport`: a typed error
-  raised in a spawned worker arrives in the parent with its diagnosis
-  intact (``__reduce__`` rebuilds from the pre-summary message + report,
-  so the summary is not appended twice).
-* **JSON** (:meth:`TransferError.to_json`) records the full failure
-  including the replay ``(seed, fault_plan)`` pair.
+**Pickling** preserves the attached :class:`StallReport`, and with it the
+replay ``(seed, fault_plan)`` pair: a typed error raised in a spawned
+worker arrives in the parent with its diagnosis intact (``__reduce__``
+rebuilds from the pre-summary message + report, so the summary is not
+appended twice).
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ class TransferError(RuntimeError):
 
     def __init__(self, message: str, report: StallReport | None = None):
         #: the caller's message *before* the report summary is appended —
-        #: what ``__reduce__`` and ``to_json`` persist, so reconstruction
-        #: (which re-appends the summary) stays idempotent
+        #: what ``__reduce__`` persists, so reconstruction (which
+        #: re-appends the summary) stays idempotent
         self.message = message
         if report is not None:
             message = f"{message}\n{report.summary()}"
@@ -55,14 +52,6 @@ class TransferError(RuntimeError):
         # default RuntimeError pickling would rebuild from ``args`` alone,
         # losing ``report``; rebuild from (pre-summary message, report)
         return (self.__class__, (self.message, self.report))
-
-    def to_json(self) -> dict:
-        """JSON form carrying the type tag, message and stall diagnosis."""
-        return {
-            "error_type": type(self).__name__,
-            "message": self.message,
-            "report": None if self.report is None else self.report.to_json(),
-        }
 
 
 class TransferTimeout(TransferError):

@@ -1,91 +1,183 @@
-"""Seeded, deterministic fault injection for the multicast transport.
+"""One fault vocabulary for the event simulator and the socket proxy.
 
-:class:`FaultPlan` is a frozen, declarative description of every fault a
-chaos run injects; :class:`FaultInjector` wraps a
-:class:`repro.sim.network.MulticastNetwork` and applies the plan at the
-points where packets cross the wire.  The injector is strictly opt-in: the
-harness only interposes it when a plan is passed, and a plan with all
-rates at zero and no scheduled events perturbs nothing — the wrapped
-network produces bit-identical transfers (the injector draws from its own
-``seed``-derived generator, never from the transfer's).
+The same seeded faults run on two executors: :class:`FaultInjector` wraps
+the simulator's :class:`~repro.sim.network.MulticastNetwork`, and
+:class:`repro.net.chaos.ChaosProxy` sits between real UDP sockets.  Both
+speak :class:`ChaosPlan` — one direction's per-datagram rates and blackout
+windows — and both take every per-datagram verdict from
+:class:`FaultSchedule`.  ``forward`` is toward receivers (data, polls,
+fins; on the simulator also the NAKs a receiver overhears from another);
+``backward`` is toward the sender (joins, NAKs, completes).
 
-Faults and where they bite:
+One decision rule, applied when a datagram reaches the fault point (on the
+simulator when the link delivers it, after the network latency; on the
+proxy when the proxy reads it):
 
-* **corruption** (``corrupt_prob``) — a random bit of a payload-bearing
-  downstream packet is flipped per delivery.  Headers stay intact (header
-  damage is indistinguishable from loss, which the loss models already
-  produce); receivers detect the damage via the per-packet checksum and
-  demote it to an erasure.
-* **duplication** (``duplicate_prob``) — a delivered packet (downstream or
-  feedback) arrives a second time shortly after the first.
-* **reordering** (``jitter``) — each delivery is delayed by an extra
-  ``U(0, jitter)`` seconds, so consecutive packets overtake each other.
-* **outages** — scheduled windows during which a subset of receivers is
-  partitioned: nothing sent downstream (data, control or overheard
-  feedback) reaches them.
-* **feedback outages** — windows during which the sender is deaf: no NAK
-  reaches it (a feedback blackout; receivers still overhear each other).
-* **crashes** — a receiver dies at ``at``, losing all volatile decoder
-  state (its ``crash()`` hook), receives nothing for ``downtime`` seconds
-  and then rejoins (its ``rejoin()`` hook re-solicits repairs).
-* **sender stalls** — windows during which the sender's own transmissions
-  are held and released, in order, when the window closes.
+1. **member windows** — a datagram to a member inside one of its down
+   windows is absorbed (``member_blackout``); on the proxy a datagram
+   *from* that member is absorbed too;
+2. **blackouts** — inside one of the direction plan's windows the
+   datagram is absorbed (``blackout``; a backward blackout is a deaf
+   sender);
+3. **the verdict** — :meth:`FaultSchedule.decide` makes six draws for
+   every datagram that got this far, whatever the outcome, so verdict
+   ``N`` of a direction depends only on ``(seed, direction, N)``.  It
+   drops the datagram (``dropped``), or flips one payload byte
+   (``corrupted``; headers stay intact, checksums demote the damage to an
+   erasure), delivers it twice (``duplicated``), and holds every copy
+   back ``reorder_delay`` and/or ``U(0, jitter)`` seconds (``delayed``);
+   windows are not checked again when it is released.
 
-Everything injected is counted in ``NetworkStats.injected`` so reports and
-stall diagnoses can cite exactly what the run was subjected to.
+:class:`FaultPlan` adds what only the simulator can inflict: receiver
+**crashes** (the receiver's ``crash()`` hook drops its decoder state at
+``at``, it is down for ``downtime`` seconds, then ``rejoin()`` re-solicits
+repairs) and sender **stalls** (the sender's transmissions are held, in
+order, until the window closes).  Every fault is counted in
+``NetworkStats.injected`` under the proxy's names, ``forward.dropped``,
+``backward.blackout`` and so on, plus ``crashes`` and ``sender_stalled``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.sim.engine import Simulator
-from repro.sim.network import MulticastNetwork, NetworkStats
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.sim.engine import Simulator
+    from repro.sim.network import MulticastNetwork, NetworkStats
 
-__all__ = ["OutageWindow", "ReceiverCrash", "FaultPlan", "FaultInjector"]
+__all__ = [
+    "ChaosPlan",
+    "FaultDecision",
+    "FaultSchedule",
+    "ReceiverCrash",
+    "FaultPlan",
+    "FaultInjector",
+    "as_windows",
+    "covers",
+    "flip_byte",
+]
+
+DIRECTIONS = ("forward", "backward")
+
+#: ``(lo, hi)`` windows, seconds: since proxy start, or simulated time
+Windows = tuple[tuple[float, float], ...]
+
+
+def as_windows(pairs: Iterable[Sequence[float]], what: str) -> Windows:
+    """``pairs`` as float ``(lo, hi)`` windows, each ``0 <= lo < hi``."""
+    windows = tuple((float(lo), float(hi)) for lo, hi in pairs)
+    for lo, hi in windows:
+        if not 0 <= lo < hi:
+            raise ValueError(f"bad {what} window ({lo}, {hi})")
+    return windows
+
+
+def covers(windows: Windows, time: float) -> bool:
+    """Is ``time`` inside one of the ``[lo, hi)`` windows?"""
+    return any(lo <= time < hi for lo, hi in windows)
+
+
+def flip_byte(data: bytes, position: int) -> bytes:
+    """``data`` with the byte at ``position`` (mod its length) inverted."""
+    damaged = bytearray(data)
+    damaged[position % len(damaged)] ^= 0xFF
+    return bytes(damaged)
 
 
 @dataclass(frozen=True)
-class OutageWindow:
-    """A ``[start, start + duration)`` fault window.
+class ChaosPlan:
+    """Fault mix for one direction; all probabilities independent."""
 
-    ``receivers`` limits the window to a subset (None means everyone); the
-    field is ignored for sender-side windows (feedback outages, stalls).
-    """
-
-    start: float
-    duration: float
-    receivers: tuple[int, ...] | None = None
+    seed: int = 0
+    loss: float = 0.0
+    corrupt: float = 0.0
+    duplicate: float = 0.0
+    reorder: float = 0.0
+    #: how long a reordered datagram is held back (seconds)
+    reorder_delay: float = 0.02
+    #: max uniform extra delay applied to every surviving datagram
+    jitter: float = 0.0
+    #: windows in which the whole direction is absorbed: ((lo, hi), ...)
+    blackouts: Windows = ()
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"outage start must be >= 0, got {self.start}")
-        if self.duration <= 0:
-            raise ValueError(
-                f"outage duration must be positive, got {self.duration}"
-            )
-        if self.receivers is not None:
-            object.__setattr__(self, "receivers", tuple(self.receivers))
+        for name in ("loss", "corrupt", "duplicate", "reorder"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {value}")
+        if self.reorder_delay < 0 or self.jitter < 0:
+            raise ValueError("delays must be >= 0")
+        object.__setattr__(
+            self, "blackouts", as_windows(self.blackouts, "blackout")
+        )
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
+    def in_blackout(self, elapsed: float) -> bool:
+        return covers(self.blackouts, elapsed)
 
-    def covers(self, time: float) -> bool:
-        return self.start <= time < self.end
+    def describe(self) -> str:
+        """The faults this direction injects, or "" when it injects none."""
+        parts = [
+            f"{name}={getattr(self, name):.3g}"
+            for name in ("loss", "corrupt", "duplicate", "reorder", "jitter")
+            if getattr(self, name)
+        ]
+        if self.blackouts:
+            parts.append(f"{len(self.blackouts)} blackout(s)")
+        return f"seed={self.seed}, " + ", ".join(parts) if parts else ""
 
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "receivers": (
-                None if self.receivers is None else list(self.receivers)
-            ),
-        }
+
+@dataclass(frozen=True)
+class FaultDecision:
+    """The verdict for one datagram."""
+
+    drop: bool = False
+    #: byte position to flip, None for no corruption
+    corrupt_at: int | None = None
+    duplicate: bool = False
+    #: seconds to hold the datagram back (reorder + jitter)
+    delay: float = 0.0
+
+
+class FaultSchedule:
+    """Deterministic per-datagram fault decisions for one direction.
+
+    Draws exactly six variates per :meth:`decide` call whatever the
+    outcome, so decision ``N`` depends only on ``(plan.seed, direction,
+    N)`` — the property the determinism smoke test pins.
+    """
+
+    def __init__(self, plan: ChaosPlan, direction: str):
+        if direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        self.plan = plan
+        self.direction = direction
+        self.rng = np.random.default_rng(
+            [plan.seed, DIRECTIONS.index(direction)]
+        )
+        self.ordinal = 0
+
+    def decide(self, size: int) -> FaultDecision:
+        """Verdict for the next datagram (of ``size`` bytes)."""
+        plan = self.plan
+        draws = self.rng.random(5)
+        position = int(self.rng.integers(0, max(1, size)))
+        self.ordinal += 1
+        if draws[0] < plan.loss:
+            return FaultDecision(drop=True)
+        delay = 0.0
+        if draws[2] < plan.reorder:
+            delay += plan.reorder_delay
+        if plan.jitter > 0:
+            delay += draws[4] * plan.jitter
+        return FaultDecision(
+            corrupt_at=position if draws[1] < plan.corrupt else None,
+            duplicate=draws[3] < plan.duplicate,
+            delay=delay,
+        )
 
 
 @dataclass(frozen=True)
@@ -110,87 +202,49 @@ class ReceiverCrash:
     def rejoin_at(self) -> float:
         return self.at + self.downtime
 
-    def to_json(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "at": self.at,
-            "downtime": self.downtime,
-        }
-
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Declarative, seeded description of every fault a run injects."""
+    """Every fault one simulated run injects, in the proxy's vocabulary."""
 
-    seed: int = 0
-    corrupt_prob: float = 0.0
-    duplicate_prob: float = 0.0
-    jitter: float = 0.0
-    outages: tuple[OutageWindow, ...] = ()
-    feedback_outages: tuple[OutageWindow, ...] = ()
+    forward: ChaosPlan = ChaosPlan()
+    backward: ChaosPlan = ChaosPlan()
+    #: ``down[i]``: receiver ``i``'s down windows, in which nothing reaches
+    #: it (receivers past the tuple are never down)
+    down: tuple[Windows, ...] = ()
     crashes: tuple[ReceiverCrash, ...] = ()
-    sender_stalls: tuple[OutageWindow, ...] = ()
+    #: windows in which the sender's transmissions are held
+    stalls: Windows = ()
 
     def __post_init__(self) -> None:
-        for name in ("corrupt_prob", "duplicate_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        for name in ("outages", "feedback_outages", "crashes", "sender_stalls"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        down = tuple(as_windows(member, "down") for member in self.down)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "crashes", tuple(self.crashes))
+        object.__setattr__(self, "stalls", as_windows(self.stalls, "stall"))
 
     @property
     def is_noop(self) -> bool:
         """True when the plan injects nothing at all."""
-        return (
-            self.corrupt_prob == 0.0
-            and self.duplicate_prob == 0.0
-            and self.jitter == 0.0
-            and not self.outages
-            and not self.feedback_outages
-            and not self.crashes
-            and not self.sender_stalls
+        return not (
+            self.forward.describe()
+            or self.backward.describe()
+            or any(self.down)
+            or self.crashes
+            or self.stalls
         )
 
-    def to_json(self) -> dict:
-        """JSON-serializable dict.
-
-        Plan and seed travel with a failure record, so any chaos failure
-        it reports names what replays it.
-        """
-        return {
-            "seed": self.seed,
-            "corrupt_prob": self.corrupt_prob,
-            "duplicate_prob": self.duplicate_prob,
-            "jitter": self.jitter,
-            "outages": [window.to_json() for window in self.outages],
-            "feedback_outages": [
-                window.to_json() for window in self.feedback_outages
-            ],
-            "crashes": [crash.to_json() for crash in self.crashes],
-            "sender_stalls": [
-                window.to_json() for window in self.sender_stalls
-            ],
-        }
-
     def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.corrupt_prob:
-            parts.append(f"corrupt={self.corrupt_prob:.3f}")
-        if self.duplicate_prob:
-            parts.append(f"duplicate={self.duplicate_prob:.3f}")
-        if self.jitter:
-            parts.append(f"jitter={self.jitter:.3f}s")
-        if self.outages:
-            parts.append(f"{len(self.outages)} outage(s)")
-        if self.feedback_outages:
-            parts.append(f"{len(self.feedback_outages)} feedback outage(s)")
+        parts = [
+            f"{direction}({text})"
+            for direction in DIRECTIONS
+            if (text := getattr(self, direction).describe())
+        ]
+        if any(self.down):
+            parts.append(f"{sum(map(len, self.down))} member window(s)")
         if self.crashes:
             parts.append(f"{len(self.crashes)} crash(es)")
-        if self.sender_stalls:
-            parts.append(f"{len(self.sender_stalls)} sender stall(s)")
+        if self.stalls:
+            parts.append(f"{len(self.stalls)} sender stall(s)")
         return "FaultPlan(" + ", ".join(parts) + ")"
 
     @classmethod
@@ -204,10 +258,11 @@ class FaultPlan:
     ) -> "FaultPlan":
         """A randomized but fully seed-determined plan for chaos testing.
 
-        ``horizon`` bounds where scheduled events (outages, crashes, stalls)
-        land; ``intensity`` scales the per-packet fault rates.  The same
-        ``(seed, n_receivers, horizon, intensity)`` always yields the same
-        plan, which is what makes chaos failures replayable.
+        ``horizon`` bounds where windows and crashes land; ``intensity``
+        scales the corruption, duplication and jitter both directions
+        share.  An outage hits everyone (a forward blackout) or some
+        receivers (their down windows).  The same arguments always yield
+        the same plan, which is what makes chaos failures replayable.
         """
         if n_receivers < 1:
             raise ValueError(f"need >= 1 receiver, got {n_receivers}")
@@ -218,26 +273,22 @@ class FaultPlan:
         duplicate = float(rng.uniform(0.0, 0.08)) * intensity
         jitter = float(rng.uniform(0.0, 0.04)) * intensity
 
-        outages = []
-        for _ in range(int(rng.integers(0, 3))):
+        def window(shortest: float, longest: float) -> tuple[float, float]:
             start = float(rng.uniform(0.0, horizon))
-            duration = float(rng.uniform(0.05, horizon / 5))
-            victims: tuple[int, ...] | None = None
+            return (start, start + float(rng.uniform(shortest, longest)))
+
+        blackouts = []
+        down = [[] for _ in range(n_receivers)]
+        for _ in range(int(rng.integers(0, 3))):
+            outage = window(0.05, horizon / 5)
             if rng.random() < 0.5 and n_receivers > 1:
                 count = int(rng.integers(1, max(2, n_receivers // 2 + 1)))
-                victims = tuple(
-                    int(r)
-                    for r in rng.choice(n_receivers, size=count, replace=False)
-                )
-            outages.append(OutageWindow(start, duration, victims))
-
-        feedback_outages = []
-        if rng.random() < 0.4:
-            start = float(rng.uniform(0.0, horizon))
-            feedback_outages.append(
-                OutageWindow(start, float(rng.uniform(0.05, horizon / 6)))
-            )
-
+                victims = rng.choice(n_receivers, size=count, replace=False)
+                for victim in victims:
+                    down[int(victim)].append(outage)
+            else:
+                blackouts.append(outage)
+        deaf = [window(0.05, horizon / 6)] if rng.random() < 0.4 else []
         crashes = []
         if include_crashes and rng.random() < 0.5:
             crashes.append(
@@ -247,52 +298,42 @@ class FaultPlan:
                     downtime=float(rng.uniform(0.05, horizon / 6)),
                 )
             )
+        stalls = [window(0.02, horizon / 10)] if rng.random() < 0.3 else []
 
-        sender_stalls = []
-        if rng.random() < 0.3:
-            start = float(rng.uniform(0.0, horizon))
-            sender_stalls.append(
-                OutageWindow(start, float(rng.uniform(0.02, horizon / 10)))
-            )
-
-        return cls(
+        rates = ChaosPlan(
             seed=seed,
-            corrupt_prob=min(1.0, corrupt),
-            duplicate_prob=min(1.0, duplicate),
+            corrupt=min(1.0, corrupt),
+            duplicate=min(1.0, duplicate),
             jitter=jitter,
-            outages=tuple(outages),
-            feedback_outages=tuple(feedback_outages),
-            crashes=tuple(crashes),
-            sender_stalls=tuple(sender_stalls),
+        )
+        return cls(
+            forward=dataclasses.replace(rates, blackouts=blackouts),
+            backward=dataclasses.replace(rates, blackouts=deaf),
+            down=down,
+            crashes=crashes,
+            stalls=stalls,
         )
 
 
-def _covering(windows: Sequence[OutageWindow], time: float) -> bool:
-    return any(window.covers(time) for window in windows)
-
-
-def _corrupt_copy(packet: Any, rng: np.random.Generator) -> Any:
-    """A copy of ``packet`` with one payload bit flipped (header intact)."""
+def _corrupt_copy(packet: Any, position: int) -> Any:
+    """``packet`` with payload byte ``position`` flipped (header intact)."""
     payload = getattr(packet, "payload", b"")
     if not payload:
         return packet
-    damaged = bytearray(payload)
-    position = int(rng.integers(len(damaged)))
-    damaged[position] ^= 1 << int(rng.integers(8))
-    return dataclasses.replace(packet, payload=bytes(damaged))
+    return dataclasses.replace(packet, payload=flip_byte(payload, position))
 
 
 class FaultInjector:
     """Wraps a :class:`MulticastNetwork`, perturbing traffic per a plan.
 
-    Exposes the same surface the protocol state machines use
-    (``attach_*``, ``multicast*``, ``unicast_feedback``, ``n_receivers``,
-    ``stats``, ``latency``) so senders and receivers are none the wiser.
-    Injected faults are counted in ``stats.injected``.
-
-    Crash faults need access to the receiver *objects* (to invoke their
-    ``crash()``/``rejoin()`` hooks); the harness provides them via
-    :meth:`bind_receivers` once construction is done.
+    Exposes the surface the protocol state machines use, so senders and
+    receivers are none the wiser.  Every delivery to a receiver passes
+    the forward rule and every delivery to the sender the backward rule,
+    through the one path :meth:`_deliver` builds.  The injector draws
+    only from its own :class:`FaultSchedule` generators, so a plan that
+    injects nothing leaves the transfer bit-identical.  Crashes call the
+    receiver objects' hooks; the harness hands those over through
+    :meth:`bind_receivers`.
     """
 
     def __init__(
@@ -301,23 +342,28 @@ class FaultInjector:
         network: MulticastNetwork,
         plan: FaultPlan,
     ):
-        for crash in plan.crashes:
-            if crash.receiver >= network.n_receivers:
-                raise ValueError(
-                    f"crash names receiver {crash.receiver}, but the loss "
-                    f"model has only {network.n_receivers} receivers"
-                )
+        named = max([len(plan.down) - 1] + [c.receiver for c in plan.crashes])
+        if named >= network.n_receivers:
+            raise ValueError(
+                f"fault plan names receiver {named}, but the loss model "
+                f"has only {network.n_receivers} receivers"
+            )
         self.sim = sim
         self.inner = network
         self.plan = plan
-        self.rng = np.random.default_rng(plan.seed)
-        # static per-receiver downtime windows derived from crash schedule
-        self._crash_windows: dict[int, list[OutageWindow]] = {}
+        self.schedules = {
+            direction: FaultSchedule(getattr(plan, direction), direction)
+            for direction in DIRECTIONS
+        }
+        # a crashed receiver is down until it rejoins
+        self._down: dict[int, list[tuple[float, float]]] = {
+            receiver: list(windows)
+            for receiver, windows in enumerate(plan.down)
+        }
         for crash in plan.crashes:
-            self._crash_windows.setdefault(crash.receiver, []).append(
-                OutageWindow(crash.at, crash.downtime)
+            self._down.setdefault(crash.receiver, []).append(
+                (crash.at, crash.rejoin_at)
             )
-        self._outages_by_receiver: dict[int, list[OutageWindow]] = {}
         self._receivers: list[Any] = []
         self._attached = 0
 
@@ -336,30 +382,68 @@ class FaultInjector:
     def latency(self) -> float:
         return self.inner.latency
 
-    def _count(self, kind: str) -> None:
-        self.inner.stats.count_injected(kind)
+    def multicast_feedback(self, packet: Any, origin: int, kind: str = "nak") -> None:
+        self.inner.multicast_feedback(packet, origin, kind=kind)
+
+    def unicast_feedback(self, packet: Any, kind: str = "ack") -> None:
+        self.inner.unicast_feedback(packet, kind=kind)
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def attach_sender(self, handler: Callable[[Any], None]) -> None:
-        self.inner.attach_sender(self._wrap_feedback(handler))
+        self.inner.attach_sender(self._deliver("backward", handler))
 
     def attach_receiver(self, handler: Callable[[Any], None]) -> int:
         receiver_id = self._attached
         self._attached += 1
-        windows = [
-            window
-            for window in self.plan.outages
-            if window.receivers is None or receiver_id in window.receivers
-        ]
-        windows.extend(self._crash_windows.get(receiver_id, ()))
-        self._outages_by_receiver[receiver_id] = windows
-        wrapped = self._wrap_receiver(receiver_id, handler)
-        inner_id = self.inner.attach_receiver(wrapped)
+        down = tuple(self._down.get(receiver_id, ()))
+        inner_id = self.inner.attach_receiver(
+            self._deliver("forward", handler, down)
+        )
         assert inner_id == receiver_id
         return receiver_id
 
+    def _deliver(self, direction: str, handler: Callable, down: Windows = ()):
+        """``handler`` behind ``direction``'s rule and ``down`` windows."""
+        sim = self.sim
+        plan = getattr(self.plan, direction)
+        decide = self.schedules[direction].decide
+        count_injected = self.inner.stats.count_injected
+
+        def count(fault: str) -> None:
+            count_injected(f"{direction}.{fault}")
+
+        def deliver(packet: Any) -> None:
+            now = sim.now
+            if covers(down, now):
+                count("member_blackout")
+                return
+            if plan.in_blackout(now):
+                count("blackout")
+                return
+            payload = getattr(packet, "payload", b"")
+            decision = decide(len(payload))
+            if decision.drop:
+                count("dropped")
+                return
+            if decision.corrupt_at is not None and payload:
+                count("corrupted")
+                packet = _corrupt_copy(packet, decision.corrupt_at)
+            if decision.duplicate:
+                count("duplicated")
+            for _ in range(2 if decision.duplicate else 1):
+                if decision.delay > 0:
+                    count("delayed")
+                    sim.schedule(decision.delay, lambda: handler(packet))
+                else:
+                    handler(packet)
+
+        return deliver
+
+    # ------------------------------------------------------------------
+    # crashes
+    # ------------------------------------------------------------------
     def bind_receivers(self, receivers: Sequence[Any]) -> None:
         """Register receiver objects and schedule crash/rejoin events."""
         self._receivers = list(receivers)
@@ -369,149 +453,34 @@ class FaultInjector:
                 lambda crash=crash: self._crash(crash),
             )
 
+    def _hook(self, receiver: int, name: str) -> None:
+        receivers = self._receivers
+        target = receivers[receiver] if receiver < len(receivers) else None
+        hook = getattr(target, name, None)
+        if callable(hook):
+            hook()
+
     def _crash(self, crash: ReceiverCrash) -> None:
-        self._count("crashes")
-        receiver = (
-            self._receivers[crash.receiver]
-            if crash.receiver < len(self._receivers)
-            else None
+        self.inner.stats.count_injected("crashes")
+        self._hook(crash.receiver, "crash")
+        self.sim.schedule(
+            crash.downtime, lambda: self._hook(crash.receiver, "rejoin")
         )
-        hook = getattr(receiver, "crash", None)
-        if callable(hook):
-            hook()
-        self.sim.schedule(crash.downtime, lambda: self._rejoin(crash))
-
-    def _rejoin(self, crash: ReceiverCrash) -> None:
-        receiver = (
-            self._receivers[crash.receiver]
-            if crash.receiver < len(self._receivers)
-            else None
-        )
-        hook = getattr(receiver, "rejoin", None)
-        if callable(hook):
-            hook()
 
     # ------------------------------------------------------------------
-    # downstream path
+    # sender stalls
     # ------------------------------------------------------------------
-    def _stall_delay(self) -> float:
-        """Seconds until the current sender-stall window (if any) closes."""
+    def _send(self, send: Callable, packet: Any, kind: str):
         now = self.sim.now
-        for window in self.plan.sender_stalls:
-            if window.covers(now):
-                return window.end - now
-        return 0.0
+        for lo, hi in self.plan.stalls:
+            if lo <= now < hi:
+                self.inner.stats.count_injected("sender_stalled")
+                self.sim.schedule(hi - now, lambda: send(packet, kind=kind))
+                return None
+        return send(packet, kind=kind)
 
     def multicast(self, packet: Any, kind: str = "data"):
-        delay = self._stall_delay()
-        if delay > 0:
-            self._count("sender_stalled")
-            self.sim.schedule(
-                delay, lambda: self.inner.multicast(packet, kind=kind)
-            )
-            return None
-        return self.inner.multicast(packet, kind=kind)
+        return self._send(self.inner.multicast, packet, kind)
 
     def multicast_control(self, packet: Any, kind: str = "poll") -> None:
-        delay = self._stall_delay()
-        if delay > 0:
-            self._count("sender_stalled")
-            self.sim.schedule(
-                delay, lambda: self.inner.multicast_control(packet, kind=kind)
-            )
-            return
-        self.inner.multicast_control(packet, kind=kind)
-
-    def _wrap_receiver(
-        self, receiver_id: int, handler: Callable[[Any], None]
-    ) -> Callable[[Any], None]:
-        plan = self.plan
-
-        def deliver(packet: Any) -> None:
-            delay = 0.0
-            if plan.jitter > 0.0:
-                delay = float(self.rng.random()) * plan.jitter
-                if delay > 0.0:
-                    self._count("jittered")
-            self._dispatch(receiver_id, handler, packet, delay)
-            if (
-                plan.duplicate_prob > 0.0
-                and self.rng.random() < plan.duplicate_prob
-            ):
-                self._count("duplicated")
-                extra = delay + max(plan.jitter, self.inner.latency) * float(
-                    self.rng.random()
-                )
-                self._dispatch(receiver_id, handler, packet, extra)
-
-        return deliver
-
-    def _dispatch(
-        self,
-        receiver_id: int,
-        handler: Callable[[Any], None],
-        packet: Any,
-        delay: float,
-    ) -> None:
-        plan = self.plan
-        if (
-            plan.corrupt_prob > 0.0
-            and getattr(packet, "payload", b"")
-            and self.rng.random() < plan.corrupt_prob
-        ):
-            self._count("corrupted")
-            packet = _corrupt_copy(packet, self.rng)
-        if delay <= 0.0:
-            self._finish(receiver_id, handler, packet)
-        else:
-            self.sim.schedule(
-                delay, lambda: self._finish(receiver_id, handler, packet)
-            )
-
-    def _finish(
-        self, receiver_id: int, handler: Callable[[Any], None], packet: Any
-    ) -> None:
-        # windows are checked at actual arrival time, so jittered packets
-        # drifting into a partition or downtime are dropped like the rest
-        if _covering(self._outages_by_receiver.get(receiver_id, ()), self.sim.now):
-            self._count("outage_dropped")
-            return
-        handler(packet)
-
-    # ------------------------------------------------------------------
-    # feedback path
-    # ------------------------------------------------------------------
-    def multicast_feedback(self, packet: Any, origin: int, kind: str = "nak") -> None:
-        self.inner.multicast_feedback(packet, origin, kind=kind)
-
-    def unicast_feedback(self, packet: Any, kind: str = "ack") -> None:
-        self.inner.unicast_feedback(packet, kind=kind)
-
-    def _wrap_feedback(
-        self, handler: Callable[[Any], None]
-    ) -> Callable[[Any], None]:
-        plan = self.plan
-
-        def deliver(packet: Any) -> None:
-            if _covering(plan.feedback_outages, self.sim.now):
-                self._count("feedback_dropped")
-                return
-            delay = 0.0
-            if plan.jitter > 0.0:
-                delay = float(self.rng.random()) * plan.jitter
-            if delay <= 0.0:
-                handler(packet)
-            else:
-                self._count("jittered")
-                self.sim.schedule(delay, lambda: handler(packet))
-            if (
-                plan.duplicate_prob > 0.0
-                and self.rng.random() < plan.duplicate_prob
-            ):
-                self._count("duplicated")
-                self.sim.schedule(
-                    delay + self.inner.latency * float(self.rng.random()),
-                    lambda: handler(packet),
-                )
-
-        return deliver
+        self._send(self.inner.multicast_control, packet, kind)

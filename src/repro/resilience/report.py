@@ -42,16 +42,6 @@ class ReceiverStall:
     #: times the receiver crashed and lost its decoder state
     crashes: int
 
-    def to_json(self) -> dict:
-        return {
-            "receiver_id": self.receiver_id,
-            "missing_groups": list(self.missing_groups),
-            "last_progress_time": self.last_progress_time,
-            "watchdog_retries": self.watchdog_retries,
-            "watchdog_exhaustions": self.watchdog_exhaustions,
-            "crashes": self.crashes,
-        }
-
     def summary(self) -> str:
         return (
             f"receiver {self.receiver_id}: missing {len(self.missing_groups)} "
@@ -85,26 +75,6 @@ class StallReport:
     #: failure-domain path -> stalled receivers under it (empty when the
     #: run had no domain tree attached)
     stalled_by_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        """Self-contained JSON form: carries the replay ``(seed, plan)``."""
-        return {
-            "protocol": self.protocol,
-            "sim_time": self.sim_time,
-            "events_dispatched": self.events_dispatched,
-            "pending_events": self.pending_events,
-            "receivers": [stall.to_json() for stall in self.receivers],
-            "abandoned_groups": list(self.abandoned_groups),
-            "injected_faults": dict(self.injected_faults),
-            "seed": self.seed,
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.to_json()
-            ),
-            "stalled_by_domain": {
-                domain: list(receivers)
-                for domain, receivers in self.stalled_by_domain.items()
-            },
-        }
 
     def summary(self) -> str:
         lines = [
@@ -158,22 +128,3 @@ class ResilienceSummary:
     #: failure-domain path -> ejected receivers under it (empty unless the
     #: transfer ran under a domain tree and degraded)
     ejected_by_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.to_json()
-            ),
-            "injected": dict(self.injected),
-            "corrupt_discarded": self.corrupt_discarded,
-            "watchdog_retries": self.watchdog_retries,
-            "watchdog_backoff_peak": self.watchdog_backoff_peak,
-            "crashes": self.crashes,
-            "degraded": self.degraded,
-            "abandoned_groups": list(self.abandoned_groups),
-            "ejected_receivers": list(self.ejected_receivers),
-            "ejected_by_domain": {
-                domain: list(receivers)
-                for domain, receivers in self.ejected_by_domain.items()
-            },
-        }

@@ -47,9 +47,7 @@ from repro.sim.failure import (
     PiecewiseRateAvailability,
     TraceAvailability,
     WeibullAvailability,
-    churn_fault_plan,
-    generator_from_spec,
-    member_blackout_windows,
+    member_down_windows,
     named_generator,
 )
 
@@ -85,10 +83,8 @@ __all__ = [
     "PiecewiseRateAvailability",
     "EmpiricalAvailability",
     "TraceAvailability",
-    "generator_from_spec",
     "named_generator",
     "DomainTree",
     "DomainOutageLoss",
-    "churn_fault_plan",
-    "member_blackout_windows",
+    "member_down_windows",
 ]

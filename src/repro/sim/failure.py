@@ -13,24 +13,23 @@ processes into the same vocabulary the rest of the repo speaks:
   :class:`AvailabilitySchedule` — the **schedule determinism contract**:
   ``schedule_for(entity)`` is a pure function of ``(seed, entity)``,
   independent of call order, instance identity or process, so the same
-  spec replays the same outage world in the simulator, on the real UDP
-  loopback and across worker processes.
+  generator replays the same outage world in the simulator and on the
+  real UDP loopback.
 * **Failure domains** (:class:`DomainTree`): receivers attach to the
   leaves of a site → rack → machine tree; an outage of any domain takes
   down its whole subtree at once.
 * **Composition** (:class:`DomainOutageLoss`): a :class:`LossModel`
   whose loss is *link loss OR any-ancestor-down*, wrapping any existing
-  model — and registered with :func:`repro.sim.loss.loss_model_from_spec`
-  so it crosses process boundaries like every other model.
-* **Churn bridges**: :func:`churn_fault_plan` drives the simulator's
-  crash/rejoin fault layer from the same schedule, and
-  :func:`member_blackout_windows` feeds the net chaos proxy's per-member
-  blackout mode, so one seeded schedule stresses all three stacks.
+  model.  It has no spec, so it runs in-process only (``run_sharded``
+  with ``jobs > 1`` refuses it, as it refuses :class:`TreeLoss`).
+* **The churn bridge** (:func:`member_down_windows`): the same schedule as
+  per-member down windows — for :class:`repro.resilience.FaultPlan` and
+  :class:`repro.net.chaos.ChaosProxy` alike — or as receiver crashes, so
+  one seeded schedule stresses all three stacks.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from abc import ABC, abstractmethod
@@ -41,13 +40,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import obs
-from repro.resilience.faults import FaultPlan, OutageWindow, ReceiverCrash
-from repro.sim.loss import (
-    LossModel,
-    LossSampler,
-    loss_model_from_spec,
-    register_spec_builder,
-)
+from repro.resilience.faults import ReceiverCrash, Windows
+from repro.sim.loss import LossModel, LossSampler
 
 __all__ = [
     "DownWindow",
@@ -58,12 +52,10 @@ __all__ = [
     "EmpiricalAvailability",
     "TraceAvailability",
     "GENERATOR_NAMES",
-    "generator_from_spec",
     "named_generator",
     "DomainTree",
     "DomainOutageLoss",
-    "churn_fault_plan",
-    "member_blackout_windows",
+    "member_down_windows",
 ]
 
 #: names accepted by :func:`named_generator` (and the CLI ``--failure`` knob)
@@ -190,8 +182,7 @@ class AvailabilityGenerator(ABC):
       same inputs, same windows, on any instance, in any order, in any
       process;
     * :meth:`availability` is the configured long-run up-fraction, which
-      the empirical down-fraction of sampled schedules converges to;
-    * :meth:`to_spec` round-trips through :func:`generator_from_spec`.
+      the empirical down-fraction of sampled schedules converges to.
     """
 
     kind: str = ""
@@ -213,10 +204,6 @@ class AvailabilityGenerator(ABC):
     def availability(self) -> float:
         """Configured long-run up-fraction in ``(0, 1]``."""
 
-    @abstractmethod
-    def to_spec(self) -> dict:
-        """JSON-safe dict rebuildable by :func:`generator_from_spec`."""
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"{type(self).__name__}(seed={self.seed}, "
@@ -227,7 +214,8 @@ class AvailabilityGenerator(ABC):
 class _RenewalGenerator(AvailabilityGenerator):
     """Shared alternating up/down renewal skeleton.
 
-    Subclasses supply the per-cycle draws; the skeleton walks the clock
+    Subclasses supply the per-cycle draws, ``_draw_up(rng, now)`` and
+    ``_draw_down(rng, now)``; the skeleton walks the clock
     from 0 to the horizon alternating up and down periods, which keeps
     every generator's schedule shape (and its purity argument) identical.
     """
@@ -246,12 +234,6 @@ class _RenewalGenerator(AvailabilityGenerator):
             )
             t += down
         return AvailabilitySchedule(windows, self.horizon)
-
-    def _draw_up(self, rng: np.random.Generator, now: float) -> float:
-        raise NotImplementedError
-
-    def _draw_down(self, rng: np.random.Generator, now: float) -> float:
-        raise NotImplementedError
 
 
 class WeibullAvailability(_RenewalGenerator):
@@ -299,17 +281,6 @@ class WeibullAvailability(_RenewalGenerator):
         mean_up = self.up_scale * math.gamma(1.0 + 1.0 / self.up_shape)
         mean_down = self.down_scale * math.gamma(1.0 + 1.0 / self.down_shape)
         return mean_up / (mean_up + mean_down)
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "up_shape": self.up_shape,
-            "up_scale": self.up_scale,
-            "down_shape": self.down_shape,
-            "down_scale": self.down_scale,
-        }
 
 
 class PiecewiseRateAvailability(_RenewalGenerator):
@@ -372,14 +343,6 @@ class PiecewiseRateAvailability(_RenewalGenerator):
             for duration, mtbf, mttr in self.phases
         )
         return weighted / self._cycle
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "phases": [list(phase) for phase in self.phases],
-        }
 
 
 class EmpiricalAvailability(_RenewalGenerator):
@@ -447,15 +410,6 @@ class EmpiricalAvailability(_RenewalGenerator):
     def availability(self) -> float:
         return self.mtbf / (self.mtbf + self.mean_repair())
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "mtbf": self.mtbf,
-            "repair_quantiles": [list(q) for q in self.repair_quantiles],
-        }
-
 
 class TraceAvailability(AvailabilityGenerator):
     """Replay of a measured outage log (no randomness at all).
@@ -490,38 +444,6 @@ class TraceAvailability(AvailabilityGenerator):
                         f"and duration > 0, got ({start}, {duration})"
                     )
 
-    @classmethod
-    def from_ndjson(
-        cls, text: str, horizon: float | None = None, seed: int = 0
-    ) -> "TraceAvailability":
-        """Parse an NDJSON outage log.
-
-        One record per line: ``{"entity": ..., "start": ..., "duration":
-        ...}``.  ``horizon`` defaults to the latest outage end, so a raw
-        log is loadable without metadata.
-        """
-        outages: dict[str, list[tuple[float, float]]] = {}
-        latest = 0.0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                entity = str(record["entity"])
-                start = float(record["start"])
-                duration = float(record["duration"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"bad outage record on line {lineno}: {line!r} "
-                    "(need {\"entity\", \"start\", \"duration\"})"
-                ) from None
-            outages.setdefault(entity, []).append((start, duration))
-            latest = max(latest, start + duration)
-        if horizon is None:
-            horizon = latest if latest > 0 else 1.0
-        return cls(outages, horizon, seed=seed)
-
     def schedule_for(self, entity: str) -> AvailabilitySchedule:
         windows = [
             (start, start + duration)
@@ -537,89 +459,6 @@ class TraceAvailability(AvailabilityGenerator):
             for entity in self.outages
         ]
         return float(sum(fractions) / len(fractions))
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "outages": {
-                entity: [list(w) for w in windows]
-                for entity, windows in self.outages.items()
-            },
-        }
-
-
-# ----------------------------------------------------------------------
-# generator spec registry (same ValueError taxonomy as the loss models)
-# ----------------------------------------------------------------------
-_GENERATOR_BUILDERS = {
-    "weibull": lambda spec: WeibullAvailability(
-        seed=int(spec["seed"]),
-        horizon=float(spec["horizon"]),
-        up_shape=float(spec["up_shape"]),
-        up_scale=float(spec["up_scale"]),
-        down_shape=float(spec["down_shape"]),
-        down_scale=float(spec["down_scale"]),
-    ),
-    "piecewise": lambda spec: PiecewiseRateAvailability(
-        seed=int(spec["seed"]),
-        horizon=float(spec["horizon"]),
-        phases=[tuple(phase) for phase in spec["phases"]],
-    ),
-    "gfs": lambda spec: EmpiricalAvailability(
-        seed=int(spec["seed"]),
-        horizon=float(spec["horizon"]),
-        mtbf=float(spec["mtbf"]),
-        repair_quantiles=[tuple(q) for q in spec["repair_quantiles"]],
-    ),
-    "trace": lambda spec: TraceAvailability(
-        outages=spec["outages"],
-        horizon=float(spec["horizon"]),
-        seed=int(spec["seed"]),
-    ),
-}
-
-_GENERATOR_FIELDS = {
-    "weibull": frozenset(
-        {"seed", "horizon", "up_shape", "up_scale", "down_shape",
-         "down_scale"}
-    ),
-    "piecewise": frozenset({"seed", "horizon", "phases"}),
-    "gfs": frozenset({"seed", "horizon", "mtbf", "repair_quantiles"}),
-    "trace": frozenset({"seed", "horizon", "outages"}),
-}
-
-
-def generator_from_spec(spec: dict) -> AvailabilityGenerator:
-    """Rebuild an availability generator from its :meth:`to_spec` dict."""
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(
-            f"not an availability-generator spec: {spec!r}; "
-            f"known kinds: {sorted(_GENERATOR_BUILDERS)}"
-        ) from None
-    if kind not in _GENERATOR_BUILDERS:
-        raise ValueError(
-            f"unknown availability-generator kind {kind!r}; "
-            f"known: {sorted(_GENERATOR_BUILDERS)}"
-        )
-    fields = _GENERATOR_FIELDS[kind]
-    given = set(spec) - {"kind"}
-    unknown = given - fields
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {sorted(unknown)} for availability-generator "
-            f"kind {kind!r}; valid keys: {sorted(fields)}"
-        )
-    missing = fields - given
-    if missing:
-        raise ValueError(
-            f"missing key(s) {sorted(missing)} for availability-generator "
-            f"kind {kind!r}; valid keys: {sorted(fields)}"
-        )
-    return _GENERATOR_BUILDERS[kind](spec)
 
 
 def _synthetic_trace(horizon: float, n_entities: int = 16) -> dict:
@@ -801,21 +640,6 @@ class DomainTree:
                 f"receiver must be in [0, {self.n_receivers}), got {receiver}"
             )
 
-    def to_spec(self) -> dict:
-        return {
-            "n_receivers": self.n_receivers,
-            "branching": list(self.branching),
-            "levels": list(self.levels),
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "DomainTree":
-        return cls(
-            int(spec["n_receivers"]),
-            branching=spec["branching"],
-            levels=spec.get("levels"),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"DomainTree(R={self.n_receivers}, branching={self.branching})"
@@ -901,14 +725,6 @@ class DomainOutageLoss(LossModel):
         )
         return 1.0 - (1.0 - base) * (1.0 - down)
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": "domain_outage",
-            "base": self.base.to_spec(),
-            "tree": self.tree.to_spec(),
-            "generator": self.generator.to_spec(),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"DomainOutageLoss(base={self.base!r}, tree={self.tree!r}, "
@@ -930,90 +746,30 @@ class DomainOutageSampler(LossSampler):
         return base | self.model._down_mask(times)
 
 
-register_spec_builder(
-    "domain_outage",
-    lambda spec: DomainOutageLoss(
-        loss_model_from_spec(spec["base"]),
-        DomainTree.from_spec(spec["tree"]),
-        generator_from_spec(spec["generator"]),
-    ),
-    fields=("base", "tree", "generator"),
-)
-
-
 # ----------------------------------------------------------------------
-# churn bridges: the same schedule drives all three stacks
+# the churn bridge: the same schedule drives all three stacks
 # ----------------------------------------------------------------------
-def churn_fault_plan(
-    tree: DomainTree,
-    generator: AvailabilityGenerator,
-    mode: str = "crash",
-    seed: int | None = None,
-) -> FaultPlan:
-    """A simulator :class:`FaultPlan` realising the domain schedule.
-
-    ``mode="crash"`` turns each of a receiver's merged down-windows into a
-    :class:`ReceiverCrash` (decoder state lost, rejoin re-solicits) — the
-    machine-reboot reading of an outage.  ``mode="outage"`` emits one
-    :class:`OutageWindow` per leaf window instead (partition only, state
-    kept) — the switch-blackout reading, gentler on protocols without
-    crash hooks.  The plan is a pure function of ``(tree, generator,
-    mode)``, so replaying a seed replays the identical churn.
-    """
-    if mode not in ("crash", "outage"):
-        raise ValueError(
-            f"mode must be 'crash' or 'outage', got {mode!r}"
-        )
-    leaf_schedules = _leaf_schedules(tree, generator)
-    crashes: list[ReceiverCrash] = []
-    outages: list[OutageWindow] = []
-    affected: set[int] = set()
-    for leaf, receivers in tree.receivers_by_leaf().items():
-        for window in leaf_schedules[leaf].windows:
-            if mode == "crash":
-                for receiver in receivers:
-                    crashes.append(
-                        ReceiverCrash(
-                            receiver=receiver,
-                            at=window.start,
-                            downtime=window.duration,
-                        )
-                    )
-            else:
-                outages.append(
-                    OutageWindow(
-                        start=window.start,
-                        duration=window.duration,
-                        receivers=receivers,
-                    )
-                )
-            affected.update(receivers)
-    if obs.is_enabled():
-        obs.counter(
-            "churn.receivers_affected", generator=generator.kind, mode=mode
-        ).inc(len(affected))
-    return FaultPlan(
-        seed=generator.seed if seed is None else seed,
-        crashes=tuple(crashes),
-        outages=tuple(outages),
-    )
-
-
-def member_blackout_windows(
+def member_down_windows(
     generator: AvailabilityGenerator,
     n_members: int,
     tree: DomainTree | None = None,
     offset: float = 0.0,
-) -> tuple[tuple[tuple[float, float], ...], ...]:
-    """Per-member blackout windows for the chaos proxy's churn mode.
+    mode: str = "outage",
+) -> tuple[Windows, ...] | tuple[ReceiverCrash, ...]:
+    """Each member's down windows under ``generator``, or its crashes.
 
-    Member ``i`` gets the schedule of entity ``str(i)`` — or, with a
-    ``tree``, the merged schedule of receiver ``i``'s domain chain, so a
-    rack outage eclipses every member behind that rack at once.
-    ``offset`` shifts all windows later (time to let the join handshake
-    land before the first blackout).  Windows are wall-clock seconds
-    since proxy start, matching :class:`repro.net.chaos.ChaosPlan`.
+    Member ``i`` gets the schedule of entity ``str(i)`` or, with a
+    ``tree``, the merged schedule of its domain chain (a rack outage takes
+    down every member behind the rack).  ``offset`` shifts every window
+    later, e.g. past a join handshake.  ``mode="outage"`` returns member
+    ``i``'s ``(lo, hi)`` windows as ``windows[i]``, the partition reading
+    (state kept) for ``FaultPlan.down`` and ``ChaosProxy(down=)``;
+    ``mode="crash"`` returns one :class:`ReceiverCrash` per window, member
+    by member, the reboot reading (decoder state lost) for
+    ``FaultPlan.crashes``.  Pure in its arguments, so a seed replays.
     """
+    if mode not in ("outage", "crash"):
+        raise ValueError(f"mode must be 'outage' or 'crash', got {mode!r}")
     if n_members < 1:
         raise ValueError(f"need >= 1 member, got {n_members}")
     if offset < 0:
@@ -1022,7 +778,7 @@ def member_blackout_windows(
         if tree.n_receivers != n_members:
             raise ValueError(
                 f"domain tree has {tree.n_receivers} receivers, "
-                f"proxy expects {n_members} members"
+                f"expected {n_members} members"
             )
         leaf_schedules = _leaf_schedules(tree, generator)
         schedules = [
@@ -1030,10 +786,18 @@ def member_blackout_windows(
         ]
     else:
         schedules = [generator.schedule_for(str(i)) for i in range(n_members)]
-    return tuple(
-        tuple(
-            (window.start + offset, window.end + offset)
-            for window in schedule.windows
-        )
+    windows = tuple(
+        tuple((w.start + offset, w.end + offset) for w in schedule.windows)
         for schedule in schedules
+    )
+    if obs.is_enabled():
+        obs.counter(
+            "churn.receivers_affected", generator=generator.kind, mode=mode
+        ).inc(sum(1 for member in windows if member))
+    if mode == "outage":
+        return windows
+    return tuple(
+        ReceiverCrash(receiver=i, at=lo, downtime=hi - lo)
+        for i, member in enumerate(windows)
+        for lo, hi in member
     )

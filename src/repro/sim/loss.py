@@ -68,7 +68,6 @@ __all__ = [
     "FullBinaryTreeLoss",
     "TreeLoss",
     "loss_model_from_spec",
-    "register_spec_builder",
     "spec_kinds",
 ]
 
@@ -1009,21 +1008,6 @@ _SPEC_FIELDS = {
 }
 
 
-def register_spec_builder(kind, builder, fields):
-    """Register an external loss-model spec kind (e.g. from an extension
-    module) so :func:`loss_model_from_spec` can rebuild it.
-
-    ``fields`` is the exact set of parameter keys the spec carries beside
-    ``kind``; it powers the same unknown/missing-key validation the
-    built-in kinds get.  Re-registering a kind replaces it, which keeps
-    module reloads idempotent.
-    """
-    if not isinstance(kind, str) or not kind:
-        raise ValueError(f"spec kind must be a non-empty string: {kind!r}")
-    _SPEC_BUILDERS[kind] = builder
-    _SPEC_FIELDS[kind] = frozenset(fields)
-
-
 def spec_kinds() -> tuple[str, ...]:
     """Every registered spec kind, sorted (the round-trippable models)."""
     return tuple(sorted(_SPEC_BUILDERS))
@@ -1048,13 +1032,6 @@ def loss_model_from_spec(spec: dict) -> LossModel:
             f"not a loss-model spec: {spec!r}; "
             f"known kinds: {list(spec_kinds())}"
         ) from None
-    if kind not in _SPEC_BUILDERS:
-        # extension kinds (e.g. "domain_outage") live in modules that are
-        # not imported by default; pull them in before giving up
-        try:
-            import repro.sim.failure  # noqa: F401  (registers its kinds)
-        except ImportError:  # pragma: no cover - failure.py always ships
-            pass
     if kind not in _SPEC_BUILDERS:
         raise ValueError(
             f"unknown loss-model kind {kind!r}; "

@@ -22,8 +22,8 @@ import pytest
 from repro.protocols.harness import run_transfer
 from repro.protocols.np_protocol import NPConfig
 from repro.resilience import (
+    ChaosPlan,
     FaultPlan,
-    OutageWindow,
     ReceiverCrash,
     TransferError,
     TransferStalled,
@@ -110,20 +110,20 @@ class TestChaosMatrix:
             assert str(first[1]) == str(second[1])
 
     def test_corruption_recovers_and_is_accounted(self):
-        plan = FaultPlan(seed=3, corrupt_prob=0.08)
+        plan = FaultPlan(forward=ChaosPlan(seed=3, corrupt=0.08))
         report, error = run_chaos(50, "np", plan)
         assert error is None
         assert report.verified
-        assert report.resilience.injected.get("corrupted", 0) > 0
+        assert report.resilience.injected.get("forward.corrupted", 0) > 0
         # every detected corruption was demoted to an erasure and repaired
         assert (
             report.resilience.corrupt_discarded
-            == report.resilience.injected["corrupted"]
+            == report.resilience.injected["forward.corrupted"]
         )
 
     def test_crash_and_rejoin_recovers_via_watchdog(self):
         plan = FaultPlan(
-            seed=4, crashes=(ReceiverCrash(receiver=2, at=0.08, downtime=0.3),)
+            crashes=(ReceiverCrash(receiver=2, at=0.08, downtime=0.3),)
         )
         report, error = run_chaos(51, "np", plan)
         assert error is None
@@ -138,13 +138,13 @@ class TestFeedbackBlackout:
         # backoff until the retry budget runs dry, then the run terminates
         # as a diagnosed stall — never a hang, never a bare exception
         plan = FaultPlan(
-            seed=6, feedback_outages=(OutageWindow(0.0, 1_000_000.0),)
+            backward=ChaosPlan(seed=6, blackouts=((0.0, 1_000_000.0),))
         )
         report, error = run_chaos(52, "np", plan)
         assert report is None
         assert isinstance(error, TransferStalled)
         stall = error.report
-        assert stall.injected_faults.get("feedback_dropped", 0) > 0
+        assert stall.injected_faults.get("backward.blackout", 0) > 0
         # the bounded backoff is observable on the per-receiver snapshots
         assert any(r.watchdog_retries > 0 for r in stall.receivers)
         assert any(r.watchdog_exhaustions > 0 for r in stall.receivers)

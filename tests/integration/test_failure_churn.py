@@ -18,13 +18,14 @@ import pytest
 from repro import obs
 from repro.protocols.harness import run_transfer
 from repro.protocols.np_protocol import NPConfig
+from repro.resilience import FaultPlan
 from repro.resilience.errors import TransferStalled
 from repro.sim.failure import (
     DomainOutageLoss,
     DomainTree,
     TraceAvailability,
     WeibullAvailability,
-    churn_fault_plan,
+    member_down_windows,
 )
 from repro.sim.loss import BernoulliLoss
 
@@ -119,7 +120,9 @@ class TestCrashChurnReplay:
 
     def run_once(self):
         tree, generator = self.world()
-        plan = churn_fault_plan(tree, generator, mode="crash")
+        plan = FaultPlan(
+            crashes=member_down_windows(generator, 8, tree=tree, mode="crash")
+        )
         return run_transfer(
             "np", PAYLOAD, BernoulliLoss(8, 0.01), config=self.config(),
             rng=3, fault_plan=plan, domains=tree, max_sim_time=200.0,
@@ -155,7 +158,7 @@ class TestCrashChurnReplay:
         trace = TraceAvailability(
             {"site1/rack0": [(0.1, 0.3)]}, horizon=2.0
         )
-        plan = churn_fault_plan(tree, trace, mode="outage")
+        plan = FaultPlan(down=member_down_windows(trace, 8, tree=tree))
 
         def run_once():
             with pytest.raises(TransferStalled) as excinfo:
@@ -169,5 +172,5 @@ class TestCrashChurnReplay:
         first, second = run_once(), run_once()
         assert set(first.stalled_by_domain) == {"site1/rack0"}
         assert first.stalled_by_domain["site1/rack0"] == (4, 5)
-        assert first.injected_faults.get("outage_dropped", 0) > 0
-        assert first.to_json() == second.to_json()
+        assert first.injected_faults.get("forward.member_blackout", 0) > 0
+        assert dataclasses.asdict(first) == dataclasses.asdict(second)

@@ -5,7 +5,7 @@ long enough to be ejected must — given ``rejoin_attempts`` — re-join the
 *live* session and resume from its retained ``BlockDecoder`` state
 instead of failing (or re-requesting groups it already holds).  The
 blackout windows come from a :mod:`repro.sim.failure` availability
-schedule via :func:`member_blackout_windows`, so the same seeded world
+schedule via :func:`member_down_windows`, so the same seeded world
 that drives simulator churn drives the real socket path.
 
 No pytest-asyncio in the container: tests drive their own loop via
@@ -19,9 +19,9 @@ import pytest
 
 from repro import obs
 from repro.campaign.retry import RetryPolicy
-from repro.net import MemberChurn, ChaosProxy, NetConfig, NetServer, fetch
+from repro.net import ChaosProxy, NetConfig, NetServer, fetch
 from repro.resilience.errors import TransferStalled
-from repro.sim.failure import TraceAvailability, member_blackout_windows
+from repro.sim.failure import TraceAvailability, member_down_windows
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -63,7 +63,7 @@ def payload(config: NetConfig, n_groups: int = 40, seed: int = 99) -> bytes:
     )
 
 
-def blackout_churn(n_members: int, eclipsed: int) -> MemberChurn:
+def blackout_churn(n_members: int, eclipsed: int):
     """A schedule-driven churn: one member dark from 0.4s for 1.2s.
 
     The window comes from a replayed outage trace — the same generator
@@ -73,9 +73,7 @@ def blackout_churn(n_members: int, eclipsed: int) -> MemberChurn:
     trace = TraceAvailability(
         {str(eclipsed): [(0.4, 1.2)]}, horizon=3.0
     )
-    return MemberChurn(
-        windows=member_blackout_windows(trace, n_members)
-    )
+    return member_down_windows(trace, n_members)
 
 
 class TestBlackoutRejoin:
@@ -90,7 +88,7 @@ class TestBlackoutRejoin:
             server = NetServer(data, config)
             await server.start()
             proxy = ChaosProxy(
-                server.address, churn=blackout_churn(1, eclipsed=0)
+                server.address, down=blackout_churn(1, eclipsed=0)
             )
             host, port = await proxy.start()
             try:
@@ -136,7 +134,7 @@ class TestBlackoutRejoin:
             server = NetServer(data, config)
             await server.start()
             proxy = ChaosProxy(
-                server.address, churn=blackout_churn(1, eclipsed=0)
+                server.address, down=blackout_churn(1, eclipsed=0)
             )
             host, port = await proxy.start()
             try:
@@ -171,7 +169,7 @@ class TestBlackoutRejoin:
             server = NetServer(data, config)
             await server.start()
             proxy = ChaosProxy(
-                server.address, churn=blackout_churn(3, eclipsed=1)
+                server.address, down=blackout_churn(3, eclipsed=1)
             )
             host, port = await proxy.start()
             try:

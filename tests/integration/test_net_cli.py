@@ -75,6 +75,10 @@ class TestUsageErrors:
         assert main(["serve", "--size", "100", "--k", "0"]) == 2
         assert "k must be" in capsys.readouterr().err
 
+    def test_serve_block_longer_than_gf256_holds(self, capsys):
+        assert main(["serve", "--size", "1000", "--h", "300"]) == 2
+        assert "exceeds 255" in capsys.readouterr().err
+
     def test_unknown_subcommand_still_usage_error(self, capsys):
         # not a transport verb: falls through to the figure driver, which
         # rejects it the same way

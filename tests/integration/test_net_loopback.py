@@ -468,6 +468,9 @@ class TestChaosTransfer:
         local port (Linux), sampled while it runs and before closing."""
         config = self.CONFIG
         data = payload(125, config)  # 125 groups x k=8 -> 1000 data packets
+        loop = asyncio.get_running_loop()
+        # no session of this server outlives its own deadline
+        last_report = loop.time() + config.session_deadline
         server = NetServer(data, config)
         await server.start()
         proxy = ChaosProxy(
@@ -502,9 +505,8 @@ class TestChaosTransfer:
                     for seed in fetch_seeds
                 )
             )
-            for _ in range(100):  # the report trails the last fin
-                if server.reports:
-                    break
+            # the report trails the last fin by the sender's own timers
+            while not server.reports and loop.time() < last_report:
                 await asyncio.sleep(0.02)
         finally:
             if watcher is not None:

@@ -39,6 +39,15 @@ class TestNetConfig:
         with pytest.raises(ValueError):
             NetConfig(**kwargs)
 
+    def test_block_longer_than_gf256_holds_rejected(self):
+        # GF(2^8) addresses at most 255 symbols per RSE block: a longer
+        # geometry would build, then fail every join
+        NetConfig(k=8, h=247)
+        with pytest.raises(ValueError, match="exceeds 255"):
+            NetConfig(k=8, h=248)
+        with pytest.raises(ValueError, match="exceeds 255"):
+            NetConfig(k=8, h=300)
+
 
 class TestRetryPolicy:
     def test_validation(self):

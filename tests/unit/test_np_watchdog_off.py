@@ -16,13 +16,14 @@ import pytest
 from repro.protocols.harness import run_transfer
 from repro.protocols.np_protocol import NPConfig, NPReceiver
 from repro.protocols.packets import DataPacket, GroupAbort, Poll
-from repro.resilience import FaultPlan
+from repro.resilience import ChaosPlan, FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
 
 WATCHDOG_METHODS = ("_feed_watchdog", "_cancel_watchdog", "_arm_watchdog")
 PAYLOAD = os.urandom(4 * 4 * 64)
-PLAN = FaultPlan(seed=3, corrupt_prob=0.05, duplicate_prob=0.05, jitter=0.002)
+RATES = ChaosPlan(seed=3, corrupt=0.05, duplicate=0.05, jitter=0.002)
+PLAN = FaultPlan(forward=RATES, backward=RATES)
 
 
 def config(**overrides):

@@ -237,7 +237,7 @@ class TestCorruptCopyOfAVerifiedPayloadIsDropped:
         packet = signed(DataPacket, 0, 0)
         first.on_packet(packet)
         assert first.stats.corrupt_discarded == 0
-        mangled = _corrupt_copy(packet, np.random.default_rng(7))
+        mangled = _corrupt_copy(packet, 7)
         second.on_packet(mangled)
         first.on_packet(mangled)
         assert second.stats.corrupt_discarded == 1
@@ -250,7 +250,7 @@ class TestCorruptCopyOfAVerifiedPayloadIsDropped:
         receiver = N2Receiver(sim, network, n_groups=1, config=config,
                               rng=np.random.default_rng(2))
         packet = verified(signed(Retransmission, 0, 1))
-        receiver.on_packet(_corrupt_copy(packet, np.random.default_rng(7)))
+        receiver.on_packet(_corrupt_copy(packet, 7))
         assert receiver.stats.corrupt_discarded == 1
 
     def test_layered_receiver_counts_a_block_slot(self):
@@ -260,5 +260,5 @@ class TestCorruptCopyOfAVerifiedPayloadIsDropped:
         receiver = LayeredReceiver(sim, network, n_groups=1, config=config,
                                    rng=np.random.default_rng(3))
         packet = verified(signed(BlockData, 0, 0, (0, 0)))
-        receiver.on_packet(_corrupt_copy(packet, np.random.default_rng(7)))
+        receiver.on_packet(_corrupt_copy(packet, 7))
         assert receiver.stats.corrupt_discarded == 1

@@ -10,15 +10,15 @@ from repro.protocols.harness import run_transfer
 from repro.protocols.np_protocol import NPConfig
 from repro.protocols.packets import DataPacket, checksum_of, payload_intact
 from repro.resilience import (
+    ChaosPlan,
     FaultInjector,
     FaultPlan,
-    OutageWindow,
     ReceiverCrash,
     StallReport,
     TransferStalled,
     TransferTimeout,
 )
-from repro.resilience.faults import _corrupt_copy
+from repro.resilience.faults import _corrupt_copy, covers
 from repro.resilience.report import ReceiverStall
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
@@ -43,24 +43,19 @@ class TestChecksums:
         assert payload_intact(DataPacket(0, 0, b"abc", 0))
         assert payload_intact(DataPacket(0, 0, b"abc", 0, None))
 
-    def test_corrupt_copy_flips_exactly_one_payload_bit(self):
-        rng = np.random.default_rng(0)
+    def test_corrupt_copy_flips_exactly_one_payload_byte(self):
         payload = bytes(64)
         packet = DataPacket(3, 1, payload, 0, checksum_of(payload))
-        mangled = _corrupt_copy(packet, rng)
-        # header fields intact, exactly one bit different in the payload
+        mangled = _corrupt_copy(packet, 13)
+        # header fields intact, byte 13 inverted as the chaos proxy
+        # inverts a datagram's, nothing else touched
         assert (mangled.tg, mangled.index) == (3, 1)
-        diff = sum(
-            bin(a ^ b).count("1")
-            for a, b in zip(packet.payload, mangled.payload)
-        )
-        assert diff == 1
+        assert mangled.payload == bytes(13) + b"\xff" + bytes(50)
         assert not payload_intact(mangled)
 
     def test_corrupt_copy_leaves_empty_payload_alone(self):
-        rng = np.random.default_rng(0)
         packet = DataPacket(0, 0, b"", 0, checksum_of(b""))
-        assert _corrupt_copy(packet, rng) is packet
+        assert _corrupt_copy(packet, 0) is packet
 
 
 # ----------------------------------------------------------------------
@@ -68,29 +63,33 @@ class TestChecksums:
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_default_plan_is_noop(self):
-        assert FaultPlan(seed=5).is_noop
+        assert FaultPlan().is_noop
+        assert FaultPlan(forward=ChaosPlan(seed=5)).is_noop
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"corrupt_prob": -0.1},
-            {"corrupt_prob": 1.5},
-            {"duplicate_prob": 2.0},
+            {"corrupt": -0.1},
+            {"corrupt": 1.5},
+            {"duplicate": 2.0},
             {"jitter": -1.0},
         ],
     )
     def test_bad_rates_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            FaultPlan(seed=0, **kwargs)
+            FaultPlan(forward=ChaosPlan(seed=0, **kwargs))
 
     def test_outage_window_validation(self):
-        with pytest.raises(ValueError, match="duration"):
-            OutageWindow(1.0, 0.0)
-        with pytest.raises(ValueError, match="start"):
-            OutageWindow(-1.0, 2.0)
-        window = OutageWindow(1.0, 2.0)
-        assert window.covers(1.0) and window.covers(2.9)
-        assert not window.covers(3.0) and not window.covers(0.5)
+        with pytest.raises(ValueError, match="bad down window"):
+            FaultPlan(down=(((1.0, 1.0),),))
+        with pytest.raises(ValueError, match="bad stall window"):
+            FaultPlan(stalls=((-1.0, 2.0),))
+        with pytest.raises(ValueError, match="bad blackout window"):
+            FaultPlan(backward=ChaosPlan(blackouts=((3.0, 2.0),)))
+        windows = FaultPlan(down=(((1, 3),),)).down[0]
+        assert windows == ((1.0, 3.0),)
+        assert covers(windows, 1.0) and covers(windows, 2.9)
+        assert not covers(windows, 3.0) and not covers(windows, 0.5)
 
     def test_crash_validation(self):
         with pytest.raises(ValueError, match="downtime"):
@@ -114,7 +113,7 @@ class TestFaultPlan:
 
     def test_describe_names_active_faults(self):
         plan = FaultPlan(
-            seed=9, corrupt_prob=0.1,
+            forward=ChaosPlan(seed=9, corrupt=0.1),
             crashes=(ReceiverCrash(0, 1.0, 0.5),),
         )
         text = plan.describe()
@@ -148,38 +147,36 @@ def data_packet(payload=b"payload-bytes"):
 class TestFaultInjector:
     def test_corruption_is_detectable_and_counted(self):
         sim, injector, _, inboxes = wired_injector(
-            FaultPlan(seed=1, corrupt_prob=1.0)
+            FaultPlan(forward=ChaosPlan(seed=1, corrupt=1.0))
         )
         injector.multicast(data_packet())
         sim.run()
         for inbox in inboxes:
             assert len(inbox) == 1
             assert not payload_intact(inbox[0])
-        assert injector.stats.injected["corrupted"] == 2
+        assert injector.stats.injected["forward.corrupted"] == 2
 
     def test_duplication_delivers_twice_and_counts(self):
         sim, injector, _, inboxes = wired_injector(
-            FaultPlan(seed=1, duplicate_prob=1.0)
+            FaultPlan(forward=ChaosPlan(seed=1, duplicate=1.0))
         )
         injector.multicast(data_packet())
         sim.run()
         for inbox in inboxes:
             assert len(inbox) == 2
-        assert injector.stats.injected["duplicated"] == 2
+        assert injector.stats.injected["forward.duplicated"] == 2
 
     def test_outage_drops_deliveries_for_named_receivers_only(self):
-        plan = FaultPlan(
-            seed=1, outages=(OutageWindow(0.0, 10.0, receivers=(0,)),)
-        )
+        plan = FaultPlan(down=(((0.0, 10.0),),))
         sim, injector, _, inboxes = wired_injector(plan)
         injector.multicast(data_packet())
         sim.run()
         assert inboxes[0] == []
         assert len(inboxes[1]) == 1
-        assert injector.stats.injected["outage_dropped"] == 1
+        assert injector.stats.injected["forward.member_blackout"] == 1
 
     def test_sender_stall_defers_transmission_past_window(self):
-        plan = FaultPlan(seed=1, sender_stalls=(OutageWindow(0.0, 5.0),))
+        plan = FaultPlan(stalls=((0.0, 5.0),))
         sim, injector, _, inboxes = wired_injector(plan, latency=0.02)
         injector.multicast(data_packet())
         sim.run()
@@ -189,17 +186,19 @@ class TestFaultInjector:
         assert injector.stats.injected["sender_stalled"] == 1
 
     def test_feedback_outage_deafens_the_sender(self):
-        plan = FaultPlan(seed=1, feedback_outages=(OutageWindow(0.0, 10.0),))
+        plan = FaultPlan(
+            backward=ChaosPlan(seed=1, blackouts=((0.0, 10.0),))
+        )
         sim, injector, sender_inbox, inboxes = wired_injector(plan)
         injector.multicast_feedback("nak", origin=0)
         sim.run()
         assert sender_inbox == []
         # other receivers still overhear the NAK (suppression must work)
         assert inboxes[1] == ["nak"]
-        assert injector.stats.injected["feedback_dropped"] == 1
+        assert injector.stats.injected["backward.blackout"] == 1
 
     def test_crash_and_rejoin_hooks_fire_in_order(self):
-        plan = FaultPlan(seed=1, crashes=(ReceiverCrash(1, 2.0, 3.0),))
+        plan = FaultPlan(crashes=(ReceiverCrash(1, 2.0, 3.0),))
         sim, injector, _, _ = wired_injector(plan)
         calls = []
 
@@ -220,19 +219,21 @@ class TestFaultInjector:
         inner = MulticastNetwork(
             sim, BernoulliLoss(2, 0.0), np.random.default_rng(0)
         )
-        plan = FaultPlan(seed=1, crashes=(ReceiverCrash(7, 1.0, 1.0),))
+        plan = FaultPlan(crashes=(ReceiverCrash(7, 1.0, 1.0),))
         with pytest.raises(ValueError, match="receiver 7"):
             FaultInjector(sim, inner, plan)
+        with pytest.raises(ValueError, match="receiver 2"):
+            FaultInjector(sim, inner, FaultPlan(down=((), (), ((0, 1),))))
 
     def test_jitter_perturbs_and_counts(self):
         sim, injector, _, inboxes = wired_injector(
-            FaultPlan(seed=1, jitter=0.5)
+            FaultPlan(forward=ChaosPlan(seed=1, jitter=0.5))
         )
         injector.multicast(data_packet())
         sim.run()
         assert all(len(inbox) == 1 for inbox in inboxes)
         assert sim.now > 0.02  # at least one delivery arrived late
-        assert injector.stats.injected["jittered"] >= 1
+        assert injector.stats.injected["forward.delayed"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +254,7 @@ class TestErrorTaxonomy:
             abandoned_groups=(5,),
             injected_faults={"corrupted": 7},
             seed=99,
-            fault_plan=FaultPlan(seed=3, corrupt_prob=0.1),
+            fault_plan=FaultPlan(forward=ChaosPlan(seed=3, corrupt=0.1)),
         )
 
     def test_message_embeds_full_diagnosis(self):
@@ -266,7 +267,7 @@ class TestErrorTaxonomy:
         assert "abandoned groups: [5]" in message
         assert "corrupted" in message
         assert "rng=99" in message
-        assert "FaultPlan(seed=3" in message
+        assert "FaultPlan(forward(seed=3" in message
         assert error.report.seed == 99
 
     def test_errors_are_runtime_errors(self):
@@ -284,8 +285,14 @@ class TestOptInContract:
         data = bytes(range(256)) * 8
         loss = BernoulliLoss(4, 0.1)
         base = run_transfer("np", data, loss, config, rng=11)
-        noop = run_transfer("np", data, loss, config, rng=11,
-                            fault_plan=FaultPlan(seed=999))
+        # the injector still draws a verdict per delivery, from its own
+        # generators: a plan that injects nothing perturbs nothing
+        noop = run_transfer(
+            "np", data, loss, config, rng=11,
+            fault_plan=FaultPlan(
+                forward=ChaosPlan(seed=999), backward=ChaosPlan(seed=999)
+            ),
+        )
         base_fields = dataclasses.asdict(base)
         noop_fields = dataclasses.asdict(noop)
         base_fields.pop("resilience")

@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 from repro.resilience import (
+    ChaosPlan,
     DeliveryCorrupt,
     FaultPlan,
     TransferError,
@@ -37,9 +38,9 @@ def sample_stall_report(seed: int = 0) -> StallReport:
             ),
         ),
         abandoned_groups=(5,),
-        injected_faults={"corrupted": 3, "outage_dropped": 7},
+        injected_faults={"forward.corrupted": 3, "forward.blackout": 7},
         seed=seed,
-        fault_plan=FaultPlan(seed=seed, corrupt_prob=0.01),
+        fault_plan=FaultPlan(forward=ChaosPlan(seed=seed, corrupt=0.01)),
     )
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.resilience.faults import FaultPlan
+from repro.mc import run_sharded
+from repro.resilience.faults import FaultPlan, ReceiverCrash
 from repro.sim.failure import (
     GENERATOR_NAMES,
     AvailabilitySchedule,
@@ -16,12 +17,10 @@ from repro.sim.failure import (
     PiecewiseRateAvailability,
     TraceAvailability,
     WeibullAvailability,
-    churn_fault_plan,
-    generator_from_spec,
-    member_blackout_windows,
+    member_down_windows,
     named_generator,
 )
-from repro.sim.loss import BernoulliLoss, loss_model_from_spec
+from repro.sim.loss import BernoulliLoss
 
 
 class TestDownWindow:
@@ -113,14 +112,6 @@ class TestGenerators:
         availability = _generator(name).availability()
         assert 0.0 < availability <= 1.0
 
-    @pytest.mark.parametrize("name", GENERATOR_NAMES)
-    def test_spec_round_trip(self, name):
-        gen = _generator(name)
-        clone = generator_from_spec(gen.to_spec())
-        assert clone.to_spec() == gen.to_spec()
-        assert clone.availability() == gen.availability()
-        assert clone.schedule_for("m7") == gen.schedule_for("m7")
-
     def test_weibull_availability_formula(self):
         gen = WeibullAvailability(
             seed=0, horizon=50.0, up_shape=1.0, up_scale=9.0,
@@ -142,37 +133,15 @@ class TestGenerators:
 
 
 class TestTraceAvailability:
-    NDJSON = "\n".join(
-        [
-            '{"entity": "rack0", "start": 1.0, "duration": 2.0}',
-            "",
-            '{"entity": "rack1", "start": 4.0, "duration": 1.5}',
-            '{"entity": "rack0", "start": 6.0, "duration": 1.0}',
-        ]
-    )
-
-    def test_from_ndjson(self):
-        trace = TraceAvailability.from_ndjson(self.NDJSON)
-        assert trace.horizon == 7.0  # latest end
-        schedule = trace.schedule_for("rack0")
-        assert [(w.start, w.end) for w in schedule.windows] == [
-            (1.0, 3.0),
-            (6.0, 7.0),
-        ]
+    OUTAGES = {"rack0": [(1.0, 2.0), (6.0, 1.0)], "rack1": [(4.0, 1.5)]}
 
     def test_untraced_entity_is_always_up(self):
-        trace = TraceAvailability.from_ndjson(self.NDJSON)
+        trace = TraceAvailability(self.OUTAGES, horizon=7.0)
         assert trace.schedule_for("elsewhere").windows == ()
 
-    def test_bad_record_names_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            TraceAvailability.from_ndjson(
-                '{"entity": "a", "start": 0, "duration": 1}\n{"nope": 1}'
-            )
-
     def test_seed_changes_nothing(self):
-        a = TraceAvailability.from_ndjson(self.NDJSON, seed=0)
-        b = TraceAvailability.from_ndjson(self.NDJSON, seed=99)
+        a = TraceAvailability(self.OUTAGES, horizon=7.0, seed=0)
+        b = TraceAvailability(self.OUTAGES, horizon=7.0, seed=99)
         assert a.schedule_for("rack0") == b.schedule_for("rack0")
 
     def test_rejects_negative_start(self):
@@ -181,24 +150,6 @@ class TestTraceAvailability:
 
 
 class TestGeneratorSpecErrors:
-    def test_not_a_spec(self):
-        with pytest.raises(ValueError, match="not an availability"):
-            generator_from_spec({"horizon": 5.0})
-
-    def test_unknown_kind_names_known(self):
-        with pytest.raises(ValueError, match="weibull"):
-            generator_from_spec({"kind": "cosmic_rays"})
-
-    def test_missing_keys_named(self):
-        with pytest.raises(ValueError, match=r"missing key"):
-            generator_from_spec({"kind": "weibull", "seed": 0})
-
-    def test_unknown_keys_named(self):
-        spec = _generator("weibull").to_spec()
-        spec["bogus"] = 1
-        with pytest.raises(ValueError, match="bogus"):
-            generator_from_spec(spec)
-
     def test_named_generator_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown failure generator"):
             named_generator("entropy")
@@ -245,12 +196,6 @@ class TestDomainTree:
             tree.receivers_in("site9")
         with pytest.raises(ValueError):
             tree.domain_of(4)
-
-    def test_spec_round_trip(self):
-        tree = DomainTree(12, branching=(3, 2), levels=("dc", "row"))
-        clone = DomainTree.from_spec(tree.to_spec())
-        assert clone.to_spec() == tree.to_spec()
-        assert clone.leaves == tree.leaves
 
     def test_regular_alias(self):
         assert DomainTree.regular(8).leaves == DomainTree(8).leaves
@@ -319,10 +264,15 @@ class TestDomainOutageLoss:
         lost = lossy_sampler.sample(times)
         assert np.all(lost[lossy._down_mask(times)])
 
-    def test_spec_round_trip_via_loss_registry(self):
+    def test_runs_in_process_only(self):
+        # no spec: like TreeLoss, the model cannot cross the process
+        # boundary, so only inline (jobs=1) sharded runs take it
         model = self._model(p=0.02)
-        clone = loss_model_from_spec(model.to_spec())
-        assert clone.to_spec() == model.to_spec()
+        with pytest.raises(NotImplementedError):
+            model.to_spec()
+        run_sharded("nofec", model, replications=4)
+        with pytest.raises(ValueError, match="jobs=1"):
+            run_sharded("nofec", model, replications=4, jobs=2)
 
 
 class TestChurnFaultPlan:
@@ -337,15 +287,15 @@ class TestChurnFaultPlan:
     def test_mode_validation(self):
         tree, generator = self._world()
         with pytest.raises(ValueError, match="mode"):
-            churn_fault_plan(tree, generator, mode="meteor")
+            member_down_windows(generator, 8, tree=tree, mode="meteor")
 
     def test_crash_mode_emits_per_receiver_crashes(self):
         tree, generator = self._world()
-        plan = churn_fault_plan(tree, generator, mode="crash")
-        assert isinstance(plan, FaultPlan)
-        assert plan.outages == ()
-        assert plan.crashes
-        assert plan.seed == generator.seed
+        crashes = member_down_windows(generator, 8, tree=tree, mode="crash")
+        assert crashes
+        assert all(isinstance(crash, ReceiverCrash) for crash in crashes)
+        plan = FaultPlan(crashes=crashes)
+        assert not any(plan.down)
         by_receiver = {}
         for crash in plan.crashes:
             by_receiver.setdefault(crash.receiver, []).append(crash)
@@ -361,28 +311,32 @@ class TestChurnFaultPlan:
 
     def test_outage_mode_partitions_leaf_groups(self):
         tree, generator = self._world()
-        plan = churn_fault_plan(tree, generator, mode="outage")
+        plan = FaultPlan(down=member_down_windows(generator, 8, tree=tree))
         assert plan.crashes == ()
-        assert plan.outages
-        leaf_groups = set(tree.receivers_by_leaf().values())
-        for outage in plan.outages:
-            assert tuple(outage.receivers) in leaf_groups
+        assert any(plan.down)
+        # the outage reading is the crash reading's windows, member by member
+        crashes = member_down_windows(generator, 8, tree=tree, mode="crash")
+        assert [
+            (receiver, lo, hi)
+            for receiver, windows in enumerate(plan.down)
+            for lo, hi in windows
+        ] == [
+            (crash.receiver, crash.at, pytest.approx(crash.rejoin_at))
+            for crash in crashes
+        ]
 
     def test_plan_is_deterministic(self):
         tree, generator = self._world()
-        assert churn_fault_plan(tree, generator) == churn_fault_plan(
-            tree, generator
-        )
-
-    def test_seed_override(self):
-        tree, generator = self._world()
-        assert churn_fault_plan(tree, generator, seed=123).seed == 123
+        for mode in ("outage", "crash"):
+            assert member_down_windows(
+                generator, 8, tree=tree, mode=mode
+            ) == member_down_windows(generator, 8, tree=tree, mode=mode)
 
 
 class TestMemberBlackoutWindows:
     def test_flat_members_use_index_entities(self):
         generator = named_generator("weibull", seed=2, horizon=30.0)
-        windows = member_blackout_windows(generator, 3)
+        windows = member_down_windows(generator, 3)
         assert len(windows) == 3
         for member, member_windows in enumerate(windows):
             schedule = generator.schedule_for(str(member))
@@ -393,23 +347,23 @@ class TestMemberBlackoutWindows:
     def test_tree_members_share_leaf_windows(self):
         generator = named_generator("weibull", seed=2, horizon=30.0)
         tree = DomainTree(8, branching=(2, 2))
-        windows = member_blackout_windows(generator, 8, tree=tree)
+        windows = member_down_windows(generator, 8, tree=tree)
         for members in tree.receivers_by_leaf().values():
             for member in members[1:]:
                 assert windows[member] == windows[members[0]]
 
     def test_offset_shifts_everything(self):
         generator = named_generator("weibull", seed=2, horizon=30.0)
-        base = member_blackout_windows(generator, 2)
-        shifted = member_blackout_windows(generator, 2, offset=1.5)
+        base = member_down_windows(generator, 2)
+        shifted = member_down_windows(generator, 2, offset=1.5)
         for plain, moved in zip(base, shifted):
             assert moved == tuple((lo + 1.5, hi + 1.5) for lo, hi in plain)
 
     def test_validation(self):
         generator = named_generator("weibull", seed=2, horizon=30.0)
         with pytest.raises(ValueError, match="member"):
-            member_blackout_windows(generator, 0)
+            member_down_windows(generator, 0)
         with pytest.raises(ValueError, match="offset"):
-            member_blackout_windows(generator, 2, offset=-1.0)
+            member_down_windows(generator, 2, offset=-1.0)
         with pytest.raises(ValueError, match="receivers"):
-            member_blackout_windows(generator, 4, tree=DomainTree(8))
+            member_down_windows(generator, 4, tree=DomainTree(8))

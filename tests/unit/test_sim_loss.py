@@ -270,11 +270,6 @@ class TestSpecRoundTrip:
     @staticmethod
     def representative_models():
         """One instance per registered spec kind (keep in sync check below)."""
-        from repro.sim.failure import (
-            DomainOutageLoss,
-            DomainTree,
-            WeibullAvailability,
-        )
         from repro.sim.loss import BurstyTreeLoss, ScriptedLoss
 
         schedule = np.zeros((3, 7), dtype=bool)
@@ -288,23 +283,16 @@ class TestSpecRoundTrip:
             "fbt": FullBinaryTreeLoss(3, 0.05),
             "bursty_tree": BurstyTreeLoss(3, 0.05, 4.0, 0.02),
             "scripted": ScriptedLoss(schedule),
-            "domain_outage": DomainOutageLoss(
-                BernoulliLoss(8, 0.02),
-                DomainTree(8, branching=(2, 2)),
-                WeibullAvailability(seed=5, horizon=50.0),
-            ),
         }
 
     def test_every_registered_kind_is_covered(self):
         from repro.sim.loss import spec_kinds
 
-        import repro.sim.failure  # noqa: F401 - registers domain_outage
-
         assert set(self.representative_models()) == set(spec_kinds())
 
     @pytest.mark.parametrize(
         "kind", ["bernoulli", "heterogeneous", "gilbert", "fbt",
-                 "bursty_tree", "scripted", "domain_outage"]
+                 "bursty_tree", "scripted"]
     )
     def test_round_trip_exact(self, kind):
         import json
@@ -362,26 +350,3 @@ class TestSpecRoundTrip:
         for kind in spec_kinds():
             with pytest.raises(ValueError):
                 loss_model_from_spec({"kind": kind})
-
-    def test_domain_outage_registers_lazily(self):
-        """A fresh process can rebuild a domain_outage spec without the
-        caller importing repro.sim.failure first."""
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.sim.loss import loss_model_from_spec\n"
-            "spec = {'kind': 'domain_outage',\n"
-            "        'base': {'kind': 'bernoulli', 'n_receivers': 4,"
-            " 'p': 0.1},\n"
-            "        'tree': {'n_receivers': 4, 'branching': [2, 2],"
-            " 'levels': ['site', 'rack']},\n"
-            "        'generator': {'kind': 'weibull', 'seed': 1,"
-            " 'horizon': 10.0, 'up_shape': 1.5, 'up_scale': 8.0,"
-            " 'down_shape': 0.9, 'down_scale': 0.7}}\n"
-            "model = loss_model_from_spec(spec)\n"
-            "assert model.to_spec() == spec\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, timeout=60
-        )
