@@ -55,8 +55,9 @@ PRODUCTS = {
 SHOOTOUT_SHAPE = ((H, K), (BATCH, K, PACKET_SIZE))
 #: ``(r, s) @ (B, s, c)`` products of the ledger workloads (codec_k100's
 #: encode, decode and decode-plan products; the net/sim encode, pre-encode
-#: and 1-3-row repair products), the inverse-heavy square case and the
-#: shoot-out shape.
+#: and 1-3-row repair products: a round's parities and a receiver's
+#: erasures, 1-2 rows over k in {7, 8}), the inverse-heavy square case
+#: and the shoot-out shape.
 GRID_SHAPES = [
     ((20, 100), (8, 100, 1024)),
     ((20, 100), (1, 100, 1024)),
@@ -67,6 +68,7 @@ GRID_SHAPES = [
     ((3, 8), (1, 8, 1024)),
     ((2, 8), (1, 8, 1024)),
     ((1, 8), (1, 8, 1024)),
+    ((2, 7), (1, 7, 1024)),
     ((1, 7), (1, 7, 1024)),
     ((1, 7), (1, 7, 64)),
     ((8, 8), (1, 8, 256)),

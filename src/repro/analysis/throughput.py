@@ -135,6 +135,11 @@ def np_rates(
     NAK traffic, runs suppression timers for rounds beyond 2 and decodes an
     average of ``k p`` lost packets per TG at ``c_d`` each.
 
+    The implementation charges the same: ``NPRepairMachine`` encodes the
+    parity rows a round sends and no others
+    (:meth:`repro.fec.block.BlockEncoder.encode_parities`), and a decode
+    rebuilds only the erased data packets.
+
     ``nak_per_missing_packet=True`` evaluates the paper's side experiment
     where feedback is *not* aggregated per round: the per-NAK terms scale by
     the expected number of missing packets per round instead of 1.

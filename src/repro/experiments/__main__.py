@@ -34,7 +34,7 @@ from repro.experiments.registry import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce figures from 'Parity-Based Loss Recovery for "
@@ -54,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--seed",
         type=int,
-        default=0,
         metavar="SEED",
-        help="figure seed forwarded to every simulation runner (default 0)",
+        help="seed of every runner that draws at random (default: each "
+        "runner's own); analytic and wall-clock figures ignore it",
     )
     mc.add_argument(
         "--mc-jobs",
@@ -102,9 +102,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mc_kwargs(args: argparse.Namespace) -> dict:
-    """Monte-Carlo flags as runner kwargs (only the ones actually given)."""
+def runner_kwargs(args: argparse.Namespace) -> dict:
+    """Simulation flags as runner kwargs (only the ones actually given).
+
+    Runners take their seed as ``rng``, except ``fail01``,
+    ``abl_suppression`` and ``abl_validation``, which take ``seed``; the
+    seed goes under both names and
+    :func:`~repro.experiments.registry.accepted_kwargs` keeps the one a
+    runner takes.
+    """
     kwargs = {}
+    if args.seed is not None:
+        kwargs["seed"] = kwargs["rng"] = args.seed
     if args.mc_jobs is not None:
         kwargs["mc_jobs"] = args.mc_jobs
     if args.target_ci is not None:
@@ -171,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.net.cli import main as net_main
 
         return net_main(argv)
-    parser = _build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -208,9 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     if csv_dir is not None:
         csv_dir.mkdir(parents=True, exist_ok=True)
 
-    status = _run_sequential(
-        targets, csv_dir, {**_mc_kwargs(args), "rng": args.seed}
-    )
+    status = _run_sequential(targets, csv_dir, runner_kwargs(args))
 
     if args.metrics_out:
         from repro import obs

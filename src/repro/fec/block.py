@@ -6,9 +6,9 @@ provides the sender- and receiver-side bookkeeping around the codec:
 
 * :class:`BlockEncoder` slices an application byte-stream into fixed-size
   packets, pads the tail, groups packets into TGs and produces parities
-  (eagerly or lazily — lazy models protocol NP, which only encodes parities
-  that are actually requested; eager models pre-encoding, Section 5's
-  throughput booster).
+  (eagerly or lazily — lazy models protocol NP, which only encodes the
+  parities its rounds send, ``k (E[M] - 1)`` per TG as Section 5 charges;
+  eager models pre-encoding, Section 5's throughput booster).
 * :class:`BlockDecoder` is the per-TG receive buffer: it absorbs data and
   parity packets in any order, reports how many packets are still missing
   (the quantity carried in the paper's ``NAK(i, l)``), and reconstructs the
@@ -151,21 +151,40 @@ class BlockEncoder:
         return self.groups[tg_index].packet(block_index)
 
     def parity_packet(self, tg_index: int, parity_index: int) -> bytes:
-        """Parity ``parity_index`` of group ``tg_index``, encoding lazily."""
+        """Parity ``parity_index`` of group ``tg_index``, encoding lazily.
+
+        A parity not yet encoded encodes the rest of the group in one
+        product; a caller that knows how many parities it will send asks
+        for them first with :meth:`encode_parities`.
+        """
         if not 0 <= parity_index < self.h:
             raise IndexError(
                 f"parity index {parity_index} outside 0..{self.h - 1}"
             )
         group = self.groups[tg_index]
-        self._ensure_parities(group, parity_index + 1)
+        if parity_index >= len(group.parities):
+            self._extend(group, self.h)
         return group.parities[parity_index]
 
-    def _ensure_parities(self, group: TransmissionGroup, count: int) -> None:
-        if len(group.parities) >= count:
-            return
-        # Parity sets are computed in full on first demand: producing them
-        # incrementally would redo the k multiplies per parity anyway.
-        group.parities = self.codec.encode(group.data)[: self.h]
+    def encode_parities(self, tg_index: int, count: int) -> None:
+        """Make parities ``0..count-1`` of group ``tg_index`` available.
+
+        The ones not yet encoded cost one product of exactly their rows,
+        so a caller that knows a round's parity count asks for it here.
+        """
+        if not 0 <= count <= self.h:
+            raise IndexError(f"parity count {count} outside 0..{self.h}")
+        group = self.groups[tg_index]
+        if count > len(group.parities):
+            self._extend(group, count)
+
+    def _extend(self, group: TransmissionGroup, count: int) -> None:
+        """Encode parities ``len(group.parities)..count-1``.  Each parity
+        is its own generator row, so encoding a prefix in pieces costs
+        the rows of the whole prefix, no more."""
+        group.parities += self.codec.encode(
+            group.data, len(group.parities), count
+        )
 
 
 class BlockDecoder:

@@ -39,6 +39,7 @@ True
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from functools import lru_cache
 from threading import Lock
@@ -190,10 +191,12 @@ class RSECodec:
         self.inverse_cache = (
             inverse_cache if inverse_cache is not None else _DEFAULT_INVERSE_CACHE
         )
-        # scale-accumulate operations per encoded block: one per nonzero
-        # parity coefficient (systematic generators are dense, but count
-        # honestly rather than assuming h * k)
-        self._parity_ops = int(np.count_nonzero(self.generator[self.k:]))
+        # scale-accumulate operations of parities 0..j-1 at index j: one
+        # per nonzero parity coefficient (systematic generators are dense,
+        # but count honestly rather than assuming h * k)
+        self._parity_ops = [0] + np.cumsum(
+            np.count_nonzero(self.generator[self.k:], axis=1)
+        ).tolist()
 
     # ------------------------------------------------------------------
     # packet <-> symbol conversion
@@ -285,33 +288,45 @@ class RSECodec:
                 )
         return np.asarray(data, dtype=self.field.dtype)
 
-    def _observe_encode(self, n_blocks: int) -> None:
-        """Registry-side mirror of one encode call (telemetry enabled)."""
-        labels = {"k": self.k, "h": self.h}
-        obs.counter("rse.blocks_encoded", **labels).inc(n_blocks)
-        obs.counter("rse.parities_produced", **labels).inc(n_blocks * self.h)
-        obs.counter("rse.symbols_multiplied", **labels).inc(
-            n_blocks * self._parity_ops
-        )
+    def _count_encode(self, n_blocks: int, start: int, stop: int) -> None:
+        """Charge ``n_blocks`` encodes of parities ``start..stop-1``."""
+        ops = n_blocks * (self._parity_ops[stop] - self._parity_ops[start])
+        self.stats.packets_encoded += n_blocks * self.k
+        self.stats.parities_produced += n_blocks * (stop - start)
+        self.stats.symbols_multiplied += ops
+        if obs.is_enabled():
+            labels = {"k": self.k, "h": self.h}
+            obs.counter("rse.blocks_encoded", **labels).inc(n_blocks)
+            obs.counter("rse.parities_produced", **labels).inc(
+                n_blocks * (stop - start)
+            )
+            obs.counter("rse.symbols_multiplied", **labels).inc(ops)
 
     # ------------------------------------------------------------------
     # encode
     # ------------------------------------------------------------------
-    def encode_symbols(self, data: np.ndarray) -> np.ndarray:
-        """Encode a ``(k, S)`` symbol matrix; returns the ``(h, S)`` parities.
+    def encode_symbols(
+        self, data: np.ndarray, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Encode a ``(k, S)`` symbol matrix; returns parities
+        ``start..stop-1`` (all ``h`` by default) as ``(stop - start, S)``.
 
         The parity block is one batched GF matrix product
-        ``G[k:] @ data`` — a table gather plus XOR reduction instead of the
-        ``h * k`` Python-level loop of :meth:`encode_symbols_scalar`.
+        ``G[k + start:k + stop] @ data`` — a table gather plus XOR
+        reduction instead of the ``h * k`` Python-level loop of
+        :meth:`encode_symbols_scalar` — so a sender that needs only some
+        parities pays only for their rows.
         """
+        stop = self.h if stop is None else stop
+        if not 0 <= start <= stop <= self.h:
+            raise ValueError(
+                f"parity rows [{start}, {stop}) outside 0..{self.h}"
+            )
         data = self._check_symbols(data, rows_axis=0)
+        rows = self.generator[self.k + start:self.k + stop]
         with obs.span("rse.encode", k=self.k, h=self.h):
-            parities = self.field.matmul(self.generator[self.k:], data)
-        self.stats.packets_encoded += self.k
-        self.stats.parities_produced += self.h
-        self.stats.symbols_multiplied += self._parity_ops
-        if obs.is_enabled():
-            self._observe_encode(1)
+            parities = self.field.matmul(rows, data)
+        self._count_encode(1, start, stop)
         return parities
 
     def encode_blocks(self, data: np.ndarray) -> np.ndarray:
@@ -328,12 +343,7 @@ class RSECodec:
         data = self._check_symbols(data, rows_axis=1)
         with obs.span("rse.encode", k=self.k, h=self.h, blocks=data.shape[0]):
             parities = self.field.matmul(self.generator[self.k:], data)
-        n_blocks = data.shape[0]
-        self.stats.packets_encoded += n_blocks * self.k
-        self.stats.parities_produced += n_blocks * self.h
-        self.stats.symbols_multiplied += n_blocks * self._parity_ops
-        if obs.is_enabled():
-            self._observe_encode(n_blocks)
+        self._count_encode(data.shape[0], 0, self.h)
         return parities
 
     def encode_symbols_scalar(self, data: np.ndarray) -> np.ndarray:
@@ -356,13 +366,16 @@ class RSECodec:
         self.stats.symbols_multiplied += operations
         return parities
 
-    def encode(self, data_packets: list[bytes]) -> list[bytes]:
-        """Produce the ``h`` parity packets for ``k`` equal-length packets.
+    def encode(
+        self, data_packets: list[bytes], start: int = 0, stop: int | None = None
+    ) -> list[bytes]:
+        """Produce the ``h`` parity packets for ``k`` equal-length packets,
+        or only parities ``start..stop-1`` of them.
 
         The data packets followed by the returned parities form the FEC
         block ``d_1 .. d_k, p_1 .. p_h`` of Section 2.1.
         """
-        symbols = self.encode_symbols(self._stack(data_packets))
+        symbols = self.encode_symbols(self._stack(data_packets), start, stop)
         return [self._to_bytes(row) for row in symbols]
 
     def encode_many(self, groups: list[list[bytes]]) -> list[list[bytes]]:
@@ -387,22 +400,23 @@ class RSECodec:
         and not only in the bytes-level ``decode()``: ``-1`` would silently
         alias the last parity row of the generator.
         """
-        if rows and (min(rows) < 0 or max(rows) >= self.n):
+        indices = sorted(rows)
+        if indices and (indices[0] < 0 or indices[-1] >= self.n):
             raise ValueError(
                 f"packet index out of range for block length n={self.n}: "
-                f"{sorted(rows)}"
+                f"{indices}"
             )
-        have_data = [i for i in rows if i < self.k]
-        missing = [i for i in range(self.k) if i not in rows]
-        parities = sorted(i for i in rows if i >= self.k)
-        needed = self.k - len(have_data)
+        k = self.k
+        held = bisect_left(indices, k)
+        have_data, parities = indices[:held], indices[held:]
+        needed = k - held
         if len(parities) < needed:
             raise DecodeError(
-                f"unrecoverable block: have {len(have_data)} data + "
-                f"{len(parities)} parity packets, need {self.k} total"
+                f"unrecoverable block: have {held} data + "
+                f"{len(parities)} parity packets, need {k} total"
             )
-        use = sorted(have_data) + parities[:needed]
-        return have_data, missing, use
+        missing = [i for i in range(k) if i not in rows]
+        return have_data, missing, have_data + parities[:needed]
 
     def _decode_coefficients(
         self, have_data: list[int], missing: list[int], use: list[int]
@@ -459,7 +473,7 @@ class RSECodec:
             "rse.decode", k=self.k, h=self.h, missing=len(missing)
         ):
             coefficients = self._decode_coefficients(have_data, missing, use)
-            stacked = np.vstack([rows[i] for i in use])  # (k, S)
+            stacked = np.array([rows[i] for i in use])  # (k, S)
             reconstructed = self.field.matmul(coefficients, stacked)
         for row, data_index in zip(reconstructed, missing):
             out[data_index] = row
@@ -511,9 +525,9 @@ class RSECodec:
 
         Returns
         -------
-        The ``k`` data packets, in order.  Only lost data packets are
-        rebuilt; a received data packet comes back as ``bytes(payload)``
-        without being converted to symbols and back.
+        The ``k`` data packets, in order, as ``bytes``.  Only lost data
+        packets are rebuilt; a received ``bytes`` data packet comes back
+        as it is, without being converted to symbols and back.
 
         Raises
         ------
@@ -527,46 +541,37 @@ class RSECodec:
             raise ValueError(
                 f"packet index out of range for block length n={self.n}: {indices}"
             )
-        if len(indices) < self.k:
+        k = self.k
+        if len(indices) < k:
             raise DecodeError(
-                f"need at least k={self.k} packets to decode, got {len(indices)}"
+                f"need at least k={k} packets to decode, got {len(indices)}"
             )
-        if indices[-1] == self.k - 1:
-            # exactly the k data packets: nothing to rebuild
-            data = [received[i] for i in indices]
-            if set(map(type, data)) == {bytes}:
-                lengths = set(map(len, data))
-                for length in lengths:
-                    self._byte_symbols(length)
-                if len(lengths) != 1:
-                    raise ValueError("received packets have inconsistent lengths")
-                return data
-        # byte payloads are checked but stay bytes; arrays become symbols,
-        # whose bytes are what a decode returns for them
-        packets: dict[int, bytes | np.ndarray] = {}
-        lengths = set()
-        for index, packet in received.items():
-            if isinstance(packet, np.ndarray):
-                packet = self._to_symbols(packet)
-                lengths.add(packet.shape[0])
-            else:
-                packet = bytes(packet)
-                lengths.add(self._byte_symbols(len(packet)))
-            packets[index] = packet
-        if len(lengths) != 1:
+        payloads = [received[i] for i in indices]
+        if set(map(type, payloads)) != {bytes}:
+            payloads = list(map(self._as_bytes, payloads))
+        if len(set(map(len, payloads))) != 1:
             raise ValueError("received packets have inconsistent lengths")
-
-        lost = [i for i in range(self.k) if i not in packets]
-        if lost:
-            decoded = self.decode_symbols(
-                {i: self._to_symbols(p) for i, p in packets.items()}
-            )
-            for i in lost:
-                packets[i] = decoded[i]
+        symbols = self._byte_symbols(len(payloads[0]))
+        # the first k indices are the equations a decode uses: every data
+        # packet held, then the lowest parities
+        if indices[k - 1] == k - 1:
+            return payloads[:k]
+        use = indices[:k]
+        stacked = self._to_symbols(b"".join(payloads[:k])).reshape(k, symbols)
+        decoded = self.decode_symbols(dict(zip(use, stacked)))
+        held = dict(zip(use, payloads))
         return [
-            packet if isinstance(packet, bytes) else self._to_bytes(packet)
-            for packet in (packets[i] for i in range(self.k))
+            held[i] if i in held else self._to_bytes(decoded[i])
+            for i in range(k)
         ]
+
+    def _as_bytes(
+        self, packet: bytes | bytearray | memoryview | np.ndarray
+    ) -> bytes:
+        """A payload as ``bytes``; a symbol array is range-checked first."""
+        if isinstance(packet, np.ndarray):
+            return self._to_bytes(self._to_symbols(packet))
+        return bytes(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RSECodec(k={self.k}, h={self.h}, GF(2^{self.field.m}))"

@@ -13,9 +13,12 @@ position and one XOR reduction over ``j``: ``s * ceil(m / 8)`` gathers
 per output column, each yielding ``L`` finished symbols, against the
 gather kernel's ``r * s`` single-symbol lookups.
 
-Every field is supported; products too small to repay the table build
-run the reference's own gather kernel.  The operands are only read
-(receivers pass read-only payload views).
+Every field is supported.  Products too small to repay the table build
+skip the lanes: for ``m <= 8`` they take one flat ``take`` from the
+dense ``2^m x 2^m`` product table at index ``(a << m) | b`` and one XOR
+reduction (:func:`_matmul_small`); for wider fields they run the
+reference's own gather kernel.  The operands are only read (receivers
+pass read-only payload views).
 
 The contract (DESIGN.md section 16): this kernel may differ from
 :meth:`GaloisField.matmul_reference` in speed, never in value.  The
@@ -34,13 +37,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["matmul_blocks"]
 
-#: Products below this many terms (``r * s * B * c``, per byte of symbol
-#: width) run the reference's gather kernel: the table build and dispatch
-#: cost ~50 us whatever the size, which gather's ~4 ns per term only
-#: repays from 13-17k terms on at m = 8 and 16-32k at m = 16 (measured
-#: break-even; it moves with the host's speed state, so the constant
-#: sits where the lanes win by >= 1.3x; DESIGN.md section 16).
-GATHER_TERMS = 3 << 13
+#: Products below this many terms (``r * s * B * c``) skip the lanes,
+#: whose table build and dispatch cost ~50-130 us whatever the size.  At
+#: m <= 8 they take the small-product path (~1.5-2.5 ns per term), which
+#: the lanes beat by >= 1.3x only from ~98k terms on ...
+SMALL_TERMS = 3 << 15
+#: ... and at m = 16 the reference's gather (~4 ns per term), which the
+#: lanes beat from 16-32k terms on.  Both break-evens move with the host's
+#: speed state, so each constant sits where the lanes win by >= 1.3x
+#: (DESIGN.md section 16).
+GATHER_TERMS = 3 << 14
 #: ... and so do products with fewer output columns (``B * c``) than
 #: this, however tall ``a`` is: every column of ``a`` costs a 256-entry
 #: table that so few lookups cannot repay (matrix-vector products).
@@ -66,10 +72,12 @@ def matmul_blocks(
     r, s = a.shape
     n_batch, _, c = b3.shape
     total = n_batch * c
-    if (
-        total < GATHER_COLUMNS
-        or r * s * total < GATHER_TERMS * dtype.itemsize
+    small = field.m <= 8
+    if total < GATHER_COLUMNS or r * s * total < (
+        SMALL_TERMS if small else GATHER_TERMS
     ):
+        if small:
+            return _matmul_small(field, a, b3)
         return field._matmul_gather(a, b3)
     lanes = 8 // dtype.itemsize
     positions = -(-field.m // 8)
@@ -112,6 +120,21 @@ def matmul_blocks(
             .transpose(0, 2, 1)
         )
     return out
+
+
+def _matmul_small(
+    field: "GaloisField", a: np.ndarray, b3: np.ndarray
+) -> np.ndarray:
+    """``(r, s) @ (B, s, c)`` for ``m <= 8`` with one flat ``take``.
+
+    Row ``x`` of the dense product table is ``x * y`` at column ``y``,
+    so ``(a << m) | b`` is a flat ``uint16`` index into it (a 2-D fancy
+    index costs ~3x more); the ``(B, r, s, c)`` products are XOR-reduced
+    over ``s``.
+    """
+    index = np.left_shift(a, field.m, dtype=np.uint16)[None, :, :, None]
+    products = field._mul_table.reshape(-1).take(index | b3[:, None])
+    return np.bitwise_xor.reduce(products, axis=2)
 
 
 def _tables(

@@ -185,6 +185,8 @@ class NPRepairMachine:
             count = self.proactive(self.h - group.next_parity)
             self._stream_parities = (group.next_parity, count)
             group.next_parity += count
+            # the burst's parities in one product
+            self.encoder.encode_parities(tg, group.next_parity)
         first, count = self._stream_parities
         self._stream_index += 1
         if index < k:
@@ -250,6 +252,10 @@ class NPRepairMachine:
             return
         self.rounds_served += 1
         k, repairs = self.k, self._repairs
+        # the round's fresh parities in one product
+        self.encoder.encode_parities(
+            tg, min(group.next_parity + group.needed, self.h)
+        )
         for _ in range(group.needed):
             if group.next_parity < self.h:
                 repairs.append(self._parity(tg, k + group.next_parity))

@@ -98,3 +98,33 @@ class TestCliSeed:
 
         sequential = fig15_csv("--seed", "7")
         assert sequential != fig15_csv("--seed", "0")
+
+    #: runners that are not analytic but draw nothing at random
+    UNSEEDED = {
+        "fig01": "wall-clock codec rates",
+        "abl_symbol_size": "wall-clock codec rates",
+        "abl_proactive": "closed forms",
+    }
+
+    def test_every_stochastic_runner_takes_the_seed(self):
+        from repro.experiments.__main__ import build_parser, runner_kwargs
+        from repro.experiments.registry import EXPERIMENTS, accepted_kwargs
+
+        kwargs = runner_kwargs(build_parser().parse_args(["--seed", "5"]))
+        assert runner_kwargs(build_parser().parse_args([])) == {}
+        for figure_id, experiment in sorted(EXPERIMENTS.items()):
+            if experiment.method == "analysis":
+                continue
+            taken = accepted_kwargs(experiment.runner, kwargs)
+            if figure_id in self.UNSEEDED:
+                assert taken == {}, figure_id
+            else:
+                assert list(taken.values()) == [5], figure_id
+
+    def test_fail01_table_moves_with_the_seed(self, capsys):
+        def table(*flags):
+            assert main(["fail01", *flags]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "completed" not in line]
+
+        assert table() != table("--seed", "1")

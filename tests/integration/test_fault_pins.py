@@ -166,13 +166,13 @@ FAILURE_EM = {
 }
 TRANSFERS = {
     ("np", 1): ("TransferStalled", None, 298, "49e06d64ba266d67"),
-    ("np", 2): ("ok", "1.25", 31, "fbbe8a47c4c83da3"),
+    ("np", 2): ("ok", "1.25", 31, "5f374bfb905015c1"),
     ("np", 3): ("TransferStalled", None, 170, "647ef86c8d19fb26"),
-    ("np", 4): ("ok", "1.8645833333333333", 382, "161d829600793a80"),
-    ("np", 5): ("ok", "1.6979166666666667", 80, "dcd2d14ef378fcf0"),
-    ("np", 6): ("ok", "1.1666666666666667", 0, "f9d0c2c34f7d3fa5"),
+    ("np", 4): ("ok", "1.8645833333333333", 382, "64bf0b59275b3647"),
+    ("np", 5): ("ok", "1.6979166666666667", 80, "e746357f598a0ab3"),
+    ("np", 6): ("ok", "1.1666666666666667", 0, "16450b4d275e890c"),
     ("np", 7): ("TransferStalled", None, 57, "0ec2cf5400fa356a"),
-    ("np", 8): ("ok", "1.3333333333333333", 21, "4b1b16c4baa544e4"),
+    ("np", 8): ("ok", "1.3333333333333333", 21, "1f3e8e3fe028e030"),
     ("layered", 1): ("TransferStalled", None, 241, "0bb3686c7e09101f"),
     ("layered", 2): ("TransferStalled", None, 63, "7207fe9b89748518"),
     ("layered", 3): ("TransferStalled", None, 129, "b23942d5649b4b95"),

@@ -748,7 +748,8 @@ class TestObsIntegration:
 
     def test_parities_are_encoded_on_demand(self):
         # protocol NP encodes a parity when a NAK asks for it: a clean
-        # transfer runs no encode at all, a lossy one still repairs
+        # transfer runs no encode at all, a lossy one encodes exactly the
+        # parities its rounds send
         from repro import obs
         from repro.fec.rse import RSECodec
 
@@ -784,20 +785,29 @@ class TestObsIntegration:
                 result, report = run_bounded(scenario(lossy))
                 counters = registry.snapshot().counter_values()
             assert result.data == data and result.complete
-            totals = {"rse.blocks_encoded": 0, "galois.matmul_calls": 0}
+            totals = {
+                "rse.blocks_encoded": 0,
+                "rse.parities_produced": 0,
+                "galois.matmul_calls": 0,
+            }
             for (metric, _labels), value in counters.items():
                 if metric in totals:
                     totals[metric] += value
             return totals, report
 
         totals, report = encode_counts(lossy=False)
-        assert totals == {"rse.blocks_encoded": 0, "galois.matmul_calls": 0}
+        assert totals == {
+            "rse.blocks_encoded": 0,
+            "rse.parities_produced": 0,
+            "galois.matmul_calls": 0,
+        }
         assert report.parities_sent == 0
 
         totals, report = encode_counts(lossy=True)
         assert report.parities_sent > 0
-        # only groups that were NAKed got encoded, each exactly once
-        assert 0 < totals["rse.blocks_encoded"] <= 12
+        # one product per repair round, of the round's parities only
+        assert totals["rse.parities_produced"] == report.parities_sent
+        assert 0 < totals["rse.blocks_encoded"] <= report.rounds_served
 
     def test_counters_invariant_across_same_seed_runs(self):
         from repro import obs

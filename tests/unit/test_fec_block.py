@@ -79,6 +79,19 @@ class TestBlockEncoder:
         assert len(parity) == 100
         assert len(encoder.groups[0].parities) == 2  # all encoded on demand
 
+    def test_a_round_encodes_exactly_its_parities(self, rng):
+        encoder = BlockEncoder(rng.bytes(300), k=3, h=8, packet_size=100)
+        encoder.encode_parities(0, 3)
+        assert len(encoder.groups[0].parities) == 3
+        encoder.encode_parities(0, 5)
+        assert len(encoder.groups[0].parities) == 5
+        # a parity past the encoded ones encodes the rest of the group
+        encoder.parity_packet(0, 5)
+        assert len(encoder.groups[0].parities) == 8
+        assert encoder.groups[0].parities == encoder.codec.encode(
+            encoder.groups[0].data
+        )
+
     def test_pre_encode(self, rng):
         encoder = BlockEncoder(
             rng.bytes(300), k=3, h=2, packet_size=100, pre_encode=True

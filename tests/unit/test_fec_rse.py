@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.fec.rse import CodecStats, DecodeError, RSECodec, max_block_length
+from repro.fec.rse import (
+    CodecStats,
+    DecodeError,
+    InverseCache,
+    RSECodec,
+    max_block_length,
+)
 from repro.galois.field import GF16, GF256, GF65536
 
 from tests.conftest import random_packets
@@ -135,6 +141,168 @@ class TestDecode:
         received = {i: data[i] for i in range(7)}
         received.update({7 + j: parities[j] for j in range(3)})
         assert small_codec.decode(received) == data
+
+
+class TestBytesDecode:
+    """``decode`` of ``bytes`` payloads: a no-loss group comes back as
+    received, an erasure decode stacks its ``k`` equations in one buffer;
+    the errors are those of every other payload type."""
+
+    def test_no_loss_returns_the_payloads_themselves(self, small_codec, rng):
+        data = random_packets(rng, 7)
+        parity = small_codec.encode(data)[0]
+        for received in (
+            {i: data[i] for i in range(7)},
+            {**{i: data[i] for i in range(7)}, 8: parity},
+        ):
+            decoded = small_codec.decode(received)
+            assert all(a is b for a, b in zip(decoded, data))
+
+    @pytest.mark.parametrize("lost", [(2,), (0, 6)])
+    def test_inconsistent_lengths_raise_on_every_path(
+        self, small_codec, rng, lost
+    ):
+        data = random_packets(rng, 7)
+        parities = small_codec.encode(data)
+        received = {i: data[i] for i in range(7) if i not in lost}
+        received.update({7 + j: parities[j] for j in range(len(lost))})
+        received[max(received)] += b"\x00"
+        with pytest.raises(ValueError, match="inconsistent"):
+            small_codec.decode(received)
+        # an extra parity of the wrong length is refused as well
+        received = {i: data[i] for i in range(7)}
+        received[9] = parities[2][:-1]
+        with pytest.raises(ValueError, match="inconsistent"):
+            small_codec.decode(received)
+
+    def test_fewer_than_k_raise_decode_error(self, small_codec, rng):
+        data = random_packets(rng, 7)
+        parities = small_codec.encode(data)
+        received = {i: data[i] for i in range(1, 5)}
+        received[8] = parities[1]
+        with pytest.raises(DecodeError, match="need at least k=7"):
+            small_codec.decode(received)
+
+    @pytest.mark.parametrize("index", [-1, 10, 99])
+    def test_out_of_range_index_raises_value_error(
+        self, small_codec, rng, index
+    ):
+        data = random_packets(rng, 7)
+        received = {i: data[i] for i in range(1, 7)}
+        received[index] = data[0]
+        with pytest.raises(ValueError, match="out of range"):
+            small_codec.decode(received)
+
+    @pytest.mark.parametrize("field, size", [(GF16, 9), (GF65536, 18)])
+    def test_other_fields_rebuild_from_one_buffer(self, rng, field, size):
+        codec = RSECodec(4, 3, field=field)
+        data = random_packets(rng, 4, size)
+        parities = codec.encode(data)
+        received = {1: data[1], 4: parities[0], 5: parities[1], 6: parities[2]}
+        assert codec.decode(received) == data
+
+    def test_empty_payloads_decode(self, small_codec):
+        parities = small_codec.encode([b""] * 7)
+        received = {i: b"" for i in range(2, 7)}
+        received.update({7: parities[0], 9: parities[2]})
+        assert small_codec.decode(received) == [b""] * 7
+
+    def test_inverse_cache_counts_are_pinned(self, rng):
+        # hits, misses and evictions of a fixed pattern sequence through a
+        # three-entry cache: the same plans are derived and reused
+        cache = InverseCache(maxsize=3)
+        codec = RSECodec(5, 4, inverse_cache=cache)
+        data = random_packets(np.random.default_rng(11), 5, 32)
+        block = data + codec.encode(data)
+        for pattern in (
+            (0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (0, 2, 3, 4, 5, 8),
+            (1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (0, 1, 2, 7, 8),
+            (1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (2, 3, 4, 5, 6, 7),
+            (4, 5, 6, 7, 8), (1, 2, 3, 4, 5), (0, 1, 2, 7, 8),
+        ):
+            assert codec.decode({i: block[i] for i in pattern}) == data
+        stats = codec.stats
+        assert (
+            stats.decode_cache_hits, stats.decode_cache_misses,
+            cache.evictions, stats.packets_decoded,
+        ) == (4, 6, 3, 17)
+
+
+class TestOtherPayloadTypes:
+    """Symbol arrays (receivers' zero-copy views) and other byte-likes
+    decode as their bytes: checked the same way, returned as ``bytes``."""
+
+    @pytest.mark.parametrize("kind", ["array", "bytearray", "memoryview"])
+    def test_decode_matches_bytes(self, small_codec, rng, kind):
+        data = random_packets(rng, 7)
+        parities = small_codec.encode(data)
+        convert = {
+            "array": lambda p: np.frombuffer(p, dtype=np.uint8),
+            "bytearray": bytearray,
+            "memoryview": memoryview,
+        }[kind]
+        for received in (
+            {i: data[i] for i in range(7)},
+            {**{i: data[i] for i in range(7) if i != 4}, 9: parities[2]},
+        ):
+            decoded = small_codec.decode(
+                {i: convert(p) for i, p in received.items()}
+            )
+            assert decoded == data
+            assert all(type(packet) is bytes for packet in decoded)
+
+    def test_mixed_lengths_raise(self, small_codec, rng):
+        received = {i: np.zeros(8, dtype=np.uint8) for i in range(6)}
+        received[7] = np.zeros(9, dtype=np.uint8)
+        with pytest.raises(ValueError, match="inconsistent"):
+            small_codec.decode(received)
+
+    def test_encode_of_symbol_arrays(self, rng):
+        codec = RSECodec(3, 2)
+        data = random_packets(rng, 3)
+        arrays = [np.frombuffer(p, dtype=np.uint8) for p in data]
+        assert codec.encode(arrays) == codec.encode(data)
+        arrays[1] = arrays[1][:-1]
+        with pytest.raises(ValueError, match="equal length"):
+            codec.encode(arrays)
+
+
+class TestPartialEncode:
+    def test_rows_equal_the_full_encode(self, rng):
+        codec = RSECodec(5, 6)
+        data = random_packets(rng, 5)
+        full = codec.encode(data)
+        for start, stop in ((0, 1), (1, 3), (3, 6), (0, 6), (4, 4)):
+            assert codec.encode(data, start, stop) == full[start:stop]
+
+    def test_charges_only_the_rows_encoded(self, rng):
+        codec = RSECodec(4, 8)
+        data = random_packets(rng, 4)
+        codec.encode(data, 2, 5)
+        assert codec.stats.parities_produced == 3
+        assert codec.stats.packets_encoded == 4
+        assert codec.stats.symbols_multiplied == int(
+            np.count_nonzero(codec.generator[4 + 2:4 + 5])
+        )
+
+    def test_telemetry_counts_the_rows_encoded(self, rng):
+        from repro import obs
+
+        codec = RSECodec(4, 8)
+        with obs.capture() as registry:
+            codec.encode(random_packets(rng, 4), 2, 5)
+            counters = registry.snapshot().counter_values()
+        totals = {}
+        for (metric, _labels), value in counters.items():
+            totals[metric] = totals.get(metric, 0) + value
+        assert totals["rse.blocks_encoded"] == 1
+        assert totals["rse.parities_produced"] == 3
+        assert totals["rse.symbols_multiplied"] == 12
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 9)])
+    def test_rows_outside_the_code_rejected(self, rng, start, stop):
+        with pytest.raises(ValueError, match="parity rows"):
+            RSECodec(4, 8).encode(random_packets(rng, 4), start, stop)
 
 
 class TestStats:

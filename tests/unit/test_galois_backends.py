@@ -57,7 +57,8 @@ def lanes(monkeypatch):
 
     def configure(**budgets):
         for constant, value in {
-            "GATHER_TERMS": 0, "GATHER_COLUMNS": 0, **budgets
+            "SMALL_TERMS": 0, "GATHER_TERMS": 0, "GATHER_COLUMNS": 0,
+            **budgets,
         }.items():
             monkeypatch.setattr(packed, constant, value)
 
@@ -132,34 +133,48 @@ class TestPackedKernel:
     @pytest.mark.parametrize(
         "field, shape_below, shape_at",
         [
-            # r * s * B * c against 24576 terms per byte of symbol width
-            (GF256, ((3, 8), (1, 8, 1023)), ((3, 8), (1, 8, 1024))),
+            # r * s * B * c against 98304 terms at m <= 8 ...
+            (GF256, ((12, 8), (1, 8, 1023)), ((12, 8), (1, 8, 1024))),
+            (GF16, ((12, 8), (1, 8, 1023)), ((12, 8), (1, 8, 1024))),
+            # ... and 49152 at m = 16
             (GF65536, ((6, 8), (1, 8, 1023)), ((6, 8), (1, 8, 1024))),
             # fewer than 32 output columns never repay the tables
             (GF256, ((64, 64), (1, 64, 31)), ((64, 64), (1, 64, 32))),
+            (GF65536, ((64, 64), (1, 64, 31)), ((64, 64), (1, 64, 32))),
         ],
     )
     def test_both_sides_of_the_gather_threshold(
         self, monkeypatch, field, shape_below, shape_at
     ):
-        gather_calls = []
-        original = GaloisField._matmul_gather
+        # below the threshold m <= 8 takes the small-product path and
+        # m = 16 the reference's gather; at it, the lanes
+        calls = []
+        if field.m <= 8:
+            owner, name = packed, "_matmul_small"
+            original = packed._matmul_small
 
-        def counting_gather(self, a, b3):
-            gather_calls.append(b3.shape)
-            return original(self, a, b3)
+            def spy(field, a, b3):
+                calls.append(b3.shape)
+                return original(field, a, b3)
+        else:
+            owner, name = GaloisField, "_matmul_gather"
+            original = GaloisField._matmul_gather
 
-        for (a_shape, b_shape), expect_gather in (
+            def spy(self, a, b3):
+                calls.append(b3.shape)
+                return original(self, a, b3)
+
+        for (a_shape, b_shape), expect_small in (
             (shape_below, True), (shape_at, False)
         ):
             a = _symbols(field, a_shape, seed=6)
             b3 = _symbols(field, b_shape, seed=7)
             expected = field.matmul_reference(a, b3)
             with monkeypatch.context() as patch:
-                patch.setattr(GaloisField, "_matmul_gather", counting_gather)
-                del gather_calls[:]
+                patch.setattr(owner, name, spy)
+                del calls[:]
                 got = packed.matmul_blocks(field, a, b3)
-            assert bool(gather_calls) == expect_gather, (a_shape, b_shape)
+            assert bool(calls) == expect_small, (a_shape, b_shape)
             assert np.array_equal(got, expected)
 
     def test_structured_coefficients(self, lanes):
@@ -200,6 +215,34 @@ class TestPackedKernel:
         view = payload_symbols(payloads[0], field)
         assert not view.flags.writeable
         _assert_matches_reference(field, a[:, :1], view[None, None, :])
+
+    @pytest.mark.parametrize(
+        "field", [GF16, GF256, GF65536], ids=["m4", "m8", "m16"]
+    )
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_repair_sized_products_match_the_reference(self, field, rows):
+        # the shapes under the lanes' thresholds: a round's parities and a
+        # receiver's erasures (1-4 rows over k = 7 or 8 packets of 1 KiB),
+        # fewer output columns than GATHER_COLUMNS, zero coefficients,
+        # the top symbol, and read-only operands as receivers pass them
+        rng = np.random.default_rng(rows)
+        for n_batch, s, c in (
+            (1, 7, 1024), (1, 8, 1024), (1, 7, 31), (2, 8, 12), (3, 5, 1),
+        ):
+            a = _symbols(field, (rows, s), seed=rows * 100 + s + c)
+            a[0, ::2] = 0
+            a[-1, -1] = field.order - 1
+            b3 = rng.integers(0, field.order, (n_batch, s, c)).astype(field.dtype)
+            b3[:, 1] = 0
+            b3[:, 2] = field.order - 1
+            a.setflags(write=False)
+            b3.setflags(write=False)
+            assert n_batch * c < packed.GATHER_COLUMNS or rows * s * (
+                n_batch * c
+            ) < min(packed.SMALL_TERMS, packed.GATHER_TERMS)
+            _assert_matches_reference(field, a, b3)
+            a_zero = np.zeros_like(a)
+            _assert_matches_reference(field, a_zero, b3)
 
     @pytest.mark.parametrize(
         "shape", [(0, 3, 2, 40), (3, 0, 2, 40), (3, 3, 0, 40), (3, 3, 2, 0)]
